@@ -20,6 +20,7 @@ from .ensemble import (
     sample_mean,
 )
 from .filters import (
+    AssimilationError,
     AssimilationProblem,
     AssimilationRun,
     AugmentConfig,
@@ -29,6 +30,7 @@ from .filters import (
     TrimConfig,
     TruthRun,
     adapt_lambda,
+    assimilate,
     augment_forecast,
     enkf_update,
     forecast,
@@ -41,7 +43,6 @@ from .filters import (
 )
 from .integrators import IntegratorConfig, IntegrationError, heun_sde_step, integrate, rk4_step
 from .metrics import (
-    RmseSeries,
     ensemble_mean_rmse,
     ensemble_rmse,
     ks_distance,

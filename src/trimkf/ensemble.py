@@ -8,7 +8,6 @@ routines here are pure functions of their inputs plus an explicit
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +22,8 @@ __all__ = [
     "kalman_gain",
     "normalize_weights",
     "effective_size",
-    "weight_entropy",
     "resample_indices",
     "bootstrap_resample",
-    "indices_digest",
 ]
 
 # Weights below this are clamped to zero to avoid denormal noise.
@@ -202,13 +199,6 @@ def effective_size(w: np.ndarray) -> float:
     return 1.0 / float(np.sum(w * w))
 
 
-def weight_entropy(w: np.ndarray) -> float:
-    """Shannon entropy ``-sum(w log w)`` of normalized weights (nats)."""
-    w = np.asarray(w, dtype=float)
-    nz = w[w > 0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
 def resample_indices(
     w: np.ndarray,
     size: int,
@@ -258,10 +248,3 @@ def bootstrap_resample(
         observations=joint.observations[:, idx],
     )
     return resampled, idx
-
-
-def indices_digest(idx: np.ndarray) -> str:
-    """Short stable digest of a resampling index sequence, for diagnostics."""
-    return hashlib.blake2b(
-        np.ascontiguousarray(idx, dtype=np.int64).tobytes(), digest_size=8
-    ).hexdigest()

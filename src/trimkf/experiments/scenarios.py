@@ -36,7 +36,7 @@ from ..filters import (
     AugmentConfig,
     FilterMethod,
     TrimConfig,
-    enkf_update,
+    assimilate,
     forecast,
     pf_update,
     run_assimilation,
@@ -96,37 +96,29 @@ class ScenarioResult:
         return all(c["ok"] for c in self.checks)
 
 
-def _resolve_threads(threads: int, tasks: int) -> int:
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return max(1, min(threads, tasks))
-
-
 def _map_replicates(fn, replicates: int, threads: int):
     """Run ``fn(rep)`` for every replicate, collecting results and failures.
 
     Results are returned in replicate order regardless of completion order;
     a failing replicate is recorded and skipped, the rest keep running.
+    One worker runs them on the calling thread (the pool starts no thread):
+    a pool thread allocates from its own malloc arena, whose retained memory
+    raised the peak RSS of the next scenario in the same process by 8 MB.
     """
-    results: dict[int, object] = {}
-    failures: list[str] = []
-    workers = _resolve_threads(threads, max(1, replicates))
-    if workers == 1:
-        for rep in range(replicates):
-            try:
-                results[rep] = fn(rep)
-            except Exception as exc:
-                failures.append(f"replicate {rep}: {type(exc).__name__}: {exc}")
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {rep: pool.submit(fn, rep) for rep in range(replicates)}
-            for rep, fut in futures.items():
-                try:
-                    results[rep] = fut.result()
-                except Exception as exc:
-                    failures.append(f"replicate {rep}: {type(exc).__name__}: {exc}")
-    ordered = [results[rep] for rep in sorted(results)]
-    return ordered, failures
+
+    def attempt(rep):
+        try:
+            return True, fn(rep)
+        except Exception as exc:
+            return False, f"replicate {rep}: {type(exc).__name__}: {exc}"
+
+    workers = max(1, min(threads or os.cpu_count() or 1, replicates))  # threads 0: auto
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        mapper = map if workers == 1 else pool.map
+        outcomes = list(mapper(attempt, range(replicates)))
+    results = [value for ok, value in outcomes if ok]
+    failures = [value for ok, value in outcomes if not ok]
+    return results, failures
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +155,17 @@ def _run_l63(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
         members[2] = p["x3_0"] + p["sigma3_0"] * rng_fc.standard_normal(n)
         joint = forecast(Ensemble(members), dyn, meas, icfg, p["t1"], rng_fc)
 
+        # Every update sees the same forecast.  Output order is fixed: the
+        # PF reference, the EnKF, then the trimmed filter's lambda sweep.
         posteriors = {}
-        if "pf" in p["filters"]:
-            state = pf_update(joint, y_star, meas, _rng(cfg.seed, rep, _STREAM_FILTER["pf"]))
-            posteriors[("pf", None)] = state.posterior.members[1]
-        if "enkf" in p["filters"]:
-            posteriors[("enkf", None)] = enkf_update(joint, y_star).posterior.members[1]
-        if "tenkf" in p["filters"]:
-            for lam in p["lambdas"]:
-                trim = TrimConfig(distance="normalized-l1", lam=lam)
-                state = tenkf_update(
-                    joint, y_star, trim, _rng(cfg.seed, rep, _STREAM_FILTER["tenkf"], _q(lam))
-                )
-                posteriors[("tenkf", lam)] = state.posterior.members[1]
+        for name, lams in (("pf", [None]), ("enkf", [None]), ("tenkf", p["lambdas"])):
+            if name not in p["filters"]:
+                continue
+            for lam in lams:
+                key = [cfg.seed, rep, _STREAM_FILTER[name]] + ([] if lam is None else [_q(lam)])
+                trim = None if lam is None else TrimConfig(distance="normalized-l1", lam=lam)
+                state = FilterMethod(name, trim=trim).update(joint, y_star, meas, _rng(*key))
+                posteriors[(name, lam)] = state.posterior.members[1]
 
         # One shared binning per replicate so histograms are comparable.
         pooled = np.concatenate(list(posteriors.values()))
@@ -264,37 +254,29 @@ def _run_l96_rmse(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
 
     def one_replicate(rep):
         rows, series = [], []
-        for dt_obs in p["dt_obs"]:
-            problem0 = _l96_problem(p, sizes[0], dt_obs, p["sigma"], icfg)
-            truth = simulate_truth(problem0, _rng(cfg.seed, rep, _STREAM_TRUTH, _q(dt_obs)))
-            for n in sizes:
-                problem = _l96_problem(p, n, dt_obs, p["sigma"], icfg)
-                for name in p["filters"]:
-                    method = _l96_method(name, p, augment=bool(p["augment"]))
-                    rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name], n, _q(dt_obs))
-                    run = run_assimilation(problem, method, rng_f, truth=truth)
-                    rows.append(
-                        {
-                            "replicate": rep,
-                            "filter": name,
-                            "n": n,
-                            "dt_obs": dt_obs,
-                            "rmse_time_avg": time_avg_rmse(run.rmse),
-                            "rmse_mean_time_avg": time_avg_rmse(run.rmse_mean),
-                        }
-                    )
-                    for k, t in enumerate(truth.times[1:]):
-                        series.append(
-                            {
-                                "replicate": rep,
-                                "filter": name,
-                                "n": n,
-                                "dt_obs": dt_obs,
-                                "step": k + 1,
-                                "time": float(t),
-                                "rmse": float(run.rmse[k]),
-                            }
-                        )
+        for dt_obs, n, name, run in _l96_runs(cfg, rep, sizes, icfg, bool(p["augment"])):
+            rows.append(
+                {
+                    "replicate": rep,
+                    "filter": name,
+                    "n": n,
+                    "dt_obs": dt_obs,
+                    "rmse_time_avg": time_avg_rmse(run.rmse),
+                    "rmse_mean_time_avg": time_avg_rmse(run.rmse_mean),
+                }
+            )
+            for k, t in enumerate(run.truth.times[1:]):
+                series.append(
+                    {
+                        "replicate": rep,
+                        "filter": name,
+                        "n": n,
+                        "dt_obs": dt_obs,
+                        "step": k + 1,
+                        "time": float(t),
+                        "rmse": float(run.rmse[k]),
+                    }
+                )
         return rows, series
 
     per_rep, failures = _map_replicates(one_replicate, cfg.replicates, cfg.threads)
@@ -338,18 +320,27 @@ def _run_l96_rmse(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
     return ScenarioResult(files=files, replicate_failures=failures)
 
 
-def _l96_method(name: str, p: dict, augment: bool) -> FilterMethod:
-    if name == "enkf":
-        return FilterMethod(kind="enkf")
-    if name == "pf":
-        return FilterMethod(kind="pf")
+def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], icfg: IntegratorConfig,
+              augment: bool):
+    """Yield ``(dt_obs, n, filter, run)`` for every filter run of replicate
+    ``rep``; all runs at one ``dt_obs`` share one truth.  The trimmed filter
+    also augments when ``augment`` is set."""
+    p = cfg.params
     trim = TrimConfig(distance="normalized-l1", target_ne=p["target_ne"])
     aug = None
     if augment:
-        aug = AugmentConfig(
-            d_max=p["d_max"], r_max=p["r_max"], sigma_p=p["sigma_p"], distance="max-abs"
-        )
-    return FilterMethod(kind="tenkf", trim=trim, augment=aug)
+        aug = AugmentConfig(d_max=p["d_max"], r_max=p["r_max"], sigma_p=p["sigma_p"])
+    methods = {
+        name: FilterMethod(name, trim=trim, augment=aug if name == "tenkf" else None)
+        for name in p["filters"]
+    }
+    for dt_obs in p["dt_obs"]:
+        problems = [_l96_problem(p, n, dt_obs, p["sigma"], icfg) for n in sizes]
+        truth = simulate_truth(problems[0], _rng(cfg.seed, rep, _STREAM_TRUTH, _q(dt_obs)))
+        for n, problem in zip(sizes, problems):
+            for name in p["filters"]:
+                rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name], n, _q(dt_obs))
+                yield dt_obs, n, name, run_assimilation(problem, methods[name], rng_f, truth=truth)
 
 
 def _run_l96_aug(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
@@ -361,43 +352,37 @@ def _run_l96_aug(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
 
     def one_replicate(rep):
         traces, summaries = [], []
-        for dt_obs in p["dt_obs"]:
-            problem = _l96_problem(p, n, dt_obs, p["sigma"], icfg)
-            truth = simulate_truth(problem, _rng(cfg.seed, rep, _STREAM_TRUTH, _q(dt_obs)))
-            for name in p["filters"]:
-                method = _l96_method(name, p, augment=True)
-                rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name], n, _q(dt_obs))
-                run = run_assimilation(problem, method, rng_f, truth=truth)
-                ratios = []
-                for k, state in enumerate(run.steps):
-                    d = state.diagnostics
-                    n_aug = d.n_aug if d.n_aug is not None else n
-                    ratios.append(n_aug / n)
-                    traces.append(
-                        {
-                            "replicate": rep,
-                            "filter": name,
-                            "dt_obs": dt_obs,
-                            "step": k + 1,
-                            "time": float(truth.times[k + 1]),
-                            "n_forecast": d.n_forecast,
-                            "n_d": d.n_d,
-                            "n_aug": n_aug,
-                            "n_e": d.n_e,
-                            "lam": d.lambda_used,
-                            "rmse": float(run.rmse[k]),
-                        }
-                    )
-                summaries.append(
+        for dt_obs, _, name, run in _l96_runs(cfg, rep, [n], icfg, augment=True):
+            ratios = []
+            for k, state in enumerate(run.steps):
+                d = state.diagnostics
+                n_aug = d.n_aug if d.n_aug is not None else n
+                ratios.append(n_aug / n)
+                traces.append(
                     {
                         "replicate": rep,
                         "filter": name,
                         "dt_obs": dt_obs,
-                        "aug_ratio_time_avg": float(np.mean(ratios)),
-                        "rmse_time_avg": time_avg_rmse(run.rmse),
-                        "rmse_mean_time_avg": time_avg_rmse(run.rmse_mean),
+                        "step": k + 1,
+                        "time": float(run.truth.times[k + 1]),
+                        "n_forecast": d.n_forecast,
+                        "n_d": d.n_d,
+                        "n_aug": n_aug,
+                        "n_e": d.n_e,
+                        "lam": d.lambda_used,
+                        "rmse": float(run.rmse[k]),
                     }
                 )
+            summaries.append(
+                {
+                    "replicate": rep,
+                    "filter": name,
+                    "dt_obs": dt_obs,
+                    "aug_ratio_time_avg": float(np.mean(ratios)),
+                    "rmse_time_avg": time_avg_rmse(run.rmse),
+                    "rmse_mean_time_avg": time_avg_rmse(run.rmse_mean),
+                }
+            )
         return traces, summaries
 
     per_rep, failures = _map_replicates(one_replicate, cfg.replicates, cfg.threads)
@@ -456,6 +441,8 @@ def _run_lingauss(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
         rho2 = min(1.0, c_xy**2 / max(c_xx * c_yy, 1e-300))
         return (y_star - y.mean()) ** 2 * (1 - rho2) * c_xx / (joint.size * c_yy)
 
+    trim = TrimConfig(distance="normalized-l1", target_ne=max(2.0, p["target_ne_fraction"] * n))
+
     def one_replicate(rep):
         truth = simulate_truth(problem, _rng(cfg.seed, rep, _STREAM_TRUTH))
         means, covs = kalman_filter_sequence(
@@ -466,23 +453,10 @@ def _run_lingauss(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
         rows = []
         for name in p["filters"]:
             rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name])
-            members = problem.init_ensemble(n, truth.context, rng_f)
-            ensemble = Ensemble(members)
-            for k in range(truth.observations.shape[1]):
+            initial = Ensemble(problem.init_ensemble(n, truth.context, rng_f))
+            steps = assimilate(problem, FilterMethod(name, trim=trim), rng_f, truth, initial)
+            for k, joint, state in steps:
                 y_star = truth.observations[:, k]
-                joint = forecast(ensemble, dyn, meas, problem.integrator, 1.0, rng_f)
-                uses_gain = True
-                if name == "enkf":
-                    state = enkf_update(joint, y_star)
-                elif name == "tenkf":
-                    trim = TrimConfig(
-                        distance="normalized-l1",
-                        target_ne=max(2.0, p["target_ne_fraction"] * n),
-                    )
-                    state = tenkf_update(joint, y_star, trim, rng_f)
-                else:
-                    state = pf_update(joint, y_star, meas, rng_f)
-                    uses_gain = False
                 sample = state.posterior.members[0]
                 n_e = state.diagnostics.n_e or float(n)
                 est_mean = float(sample.mean())
@@ -490,8 +464,9 @@ def _run_lingauss(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
                 exact_mean = float(means[k][0])
                 exact_var = float(covs[k][0, 0])
                 se_mean_sq = est_var / n_e
-                if uses_gain:
+                if name != "pf":  # the Kalman-type updates carry a sampled gain
                     se_mean_sq += gain_noise_term(joint, y_star[0])
+                del joint  # not held through the next step's update (n=1e5)
                 se_mean = float(np.sqrt(se_mean_sq))
                 se_var = float(est_var * np.sqrt(2.0 / max(n_e - 1.0, 1.0)))
                 ok = (
@@ -512,7 +487,6 @@ def _run_lingauss(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
                         "ok": bool(ok),
                     }
                 )
-                ensemble = state.posterior
         return rows
 
     per_rep, failures = _map_replicates(one_replicate, cfg.replicates, cfg.threads)

@@ -12,8 +12,9 @@ to resampling; small ``lambda`` approaches the exact Bayesian posterior.
 from __future__ import annotations
 
 import warnings
+from operator import itemgetter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -22,11 +23,9 @@ from .ensemble import (
     JointEnsemble,
     bootstrap_resample,
     effective_size,
-    indices_digest,
     kalman_gain,
     normalize_weights,
     resample_indices,
-    weight_entropy,
 )
 from .integrators import IntegratorConfig, integrate
 from .models import DynModel, MeasModel, log_likelihood, observe
@@ -37,6 +36,7 @@ __all__ = [
     "FilterDiagnostics",
     "FilterState",
     "FilterError",
+    "AssimilationError",
     "FilterMethod",
     "AssimilationProblem",
     "TruthRun",
@@ -50,6 +50,7 @@ __all__ = [
     "augment_forecast",
     "pf_update",
     "simulate_truth",
+    "assimilate",
     "run_assimilation",
 ]
 
@@ -60,15 +61,21 @@ class FilterError(RuntimeError):
     """Raised for degenerate filter states (e.g. zero total likelihood)."""
 
 
+class AssimilationError(FilterError):
+    """A stage of a twin experiment failed; the original error is the cause."""
+
+
+def _stage_error(stage: str, k: int, t: float, exc: Exception) -> AssimilationError:
+    return AssimilationError(f"{stage} step {k} (t={t:.6g}): {type(exc).__name__}: {exc}")
+
+
 @dataclass(frozen=True)
 class TrimConfig:
     """Trimming-function family and effective-size control.
 
     With ``target_ne`` set, ``lam`` is tuned by bisection at every update to
     keep the effective ensemble size near the target; otherwise the fixed
-    ``lam`` is used as-is.  ``gain_from_trimmed`` recomputes the gain from
-    the resampled ensemble instead of the full forecast ensemble; it is a
-    speculative non-default variant.
+    ``lam`` is used as-is.
     """
 
     distance: str = "normalized-l1"
@@ -77,7 +84,6 @@ class TrimConfig:
     lam_bounds: tuple[float, float] = (1e-6, 1e6)
     ne_tolerance: float = 0.05
     max_bisect_iters: int = 60
-    gain_from_trimmed: bool = False
 
     def __post_init__(self):
         if self.distance not in DISTANCE_KINDS:
@@ -99,15 +105,13 @@ class AugmentConfig:
     fall within ``d_max`` of the measurement, the forecast ensemble is grown
     (up to ``r_max`` times over) from perturbed initial conditions.
 
-    ``distance`` is the measure used for the near-observation count; it is
-    independent of the trimming distance (the count uses the max-abs measure
-    in the reference experiments, in raw observation units).
+    The near-observation count uses the max-abs distance in raw observation
+    units, independent of the trimming distance.
     """
 
     d_max: float
     r_max: float = 3.0
     sigma_p: float = 0.0
-    distance: str = "max-abs"
 
     def __post_init__(self):
         if self.d_max <= 0:
@@ -116,8 +120,6 @@ class AugmentConfig:
             raise ValueError("r_max must be at least 1")
         if self.sigma_p < 0:
             raise ValueError("sigma_p must be non-negative")
-        if self.distance not in DISTANCE_KINDS:
-            raise ValueError(f"unknown distance {self.distance!r}; expected {DISTANCE_KINDS}")
 
 
 @dataclass
@@ -129,8 +131,6 @@ class FilterDiagnostics:
     n_forecast: int | None = None
     n_aug: int | None = None
     n_d: int | None = None
-    entropy: float | None = None
-    resample_digest: str | None = None
     distance_scale: np.ndarray | None = None
     flag: str | None = None
 
@@ -164,17 +164,19 @@ def forecast(
     per-member stepping, and the adaptive scheme steps the block in lockstep
     with the worst member's error norm controlling the shared step.
     """
-    x = prior.members
     if horizon < 0:
         raise ValueError("forecast horizon must be non-negative")
-    if dyn.transition is not None:
-        states = np.asarray(dyn.transition(x, t0, rng), dtype=float)
-    elif horizon == 0.0:
-        states = x.copy()
-    else:
-        states = integrate(dyn, x, t0, t0 + horizon, cfg, rng)
+    states = _propagate(dyn, prior.members, t0, t0 + horizon, cfg, rng)
     obs = np.atleast_2d(observe(meas, states, rng))
     return JointEnsemble(states=Ensemble(states), observations=obs)
+
+
+def _propagate(dyn: DynModel, x, t0, t1, cfg: IntegratorConfig, rng) -> np.ndarray:
+    """Advance states from ``t0`` to ``t1``: one call of a discrete
+    transition map, or an integration of the drift."""
+    if dyn.transition is not None:
+        return np.asarray(dyn.transition(x, t0, rng), dtype=float)
+    return integrate(dyn, x, t0, t1, cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +324,7 @@ def tenkf_update(
     forecast ensemble shrink back to the configured member count.
     """
     y_star = np.asarray(y_star, dtype=float)
-    gain = None
-    if not cfg.gain_from_trimmed:
-        gain = kalman_gain(joint)
+    gain = kalman_gain(joint)
 
     scale = None
     if cfg.distance == "normalized-l1":
@@ -337,10 +337,7 @@ def tenkf_update(
     else:
         lam, w = cfg.lam, trim_weights(d, cfg.lam)
 
-    trimmed, idx = bootstrap_resample(joint, w, rng, size=posterior_size)
-    if cfg.gain_from_trimmed:
-        gain = kalman_gain(trimmed)
-
+    trimmed, _ = bootstrap_resample(joint, w, rng, size=posterior_size)
     updated = trimmed.states.members + gain @ (
         y_star.reshape(-1, 1) - trimmed.observations
     )
@@ -348,8 +345,6 @@ def tenkf_update(
         lambda_used=float(lam),
         n_e=effective_size(w),
         n_forecast=joint.size,
-        entropy=weight_entropy(w),
-        resample_digest=indices_digest(idx),
         distance_scale=scale,
         flag=flag,
     )
@@ -368,12 +363,11 @@ def augment_forecast(
     aug: AugmentConfig,
     pipeline: Callable[[np.ndarray, np.random.Generator], JointEnsemble],
     rng: np.random.Generator,
-    scale: np.ndarray | None = None,
 ) -> tuple[JointEnsemble, FilterDiagnostics]:
     """Grow the forecast ensemble when too few members are near the data.
 
     ``n_d`` counts members within ``aug.d_max`` of the measurement under
-    ``aug.distance``.  When ``n_d < n`` the target size is
+    the max-abs distance.  When ``n_d < n`` the target size is
     ``floor(n * min(r_max, n / n_d))`` (the cap binds when ``n_d`` is
     zero); the extra initial conditions are drawn uniformly from the
     pre-forecast ensemble, perturbed per dimension with ``N(0, sigma_p^2)``
@@ -381,7 +375,7 @@ def augment_forecast(
     produced ``joint``).
     """
     n = joint.size
-    d = trim_distance(joint.observations, y_star, aug.distance, scale)
+    d = trim_distance(joint.observations, y_star, "max-abs")
     n_d = int(np.count_nonzero(d < aug.d_max))
     diag = FilterDiagnostics(n_forecast=n, n_d=n_d, n_aug=n)
     if n_d >= n:
@@ -428,12 +422,7 @@ def pf_update(
     w = normalize_weights(np.exp(loglik - peak))
     idx = resample_indices(w, joint.size, rng)
     posterior = Ensemble(joint.states.members[:, idx])
-    diag = FilterDiagnostics(
-        n_e=effective_size(w),
-        n_forecast=joint.size,
-        entropy=weight_entropy(w),
-        resample_digest=indices_digest(idx),
-    )
+    diag = FilterDiagnostics(n_e=effective_size(w), n_forecast=joint.size)
     return FilterState(posterior=posterior, diagnostics=diag)
 
 
@@ -477,19 +466,48 @@ class TruthRun:
     context: dict
 
 
+# The update rule of each filter kind, called as
+# ``rule(method, joint, y_star, meas, rng, size)``.  The entries look the
+# update functions up by name when called, so wrappers installed on this
+# module (the benchmark's tracer) see every update.
+_UPDATE_RULES = {
+    "enkf": lambda method, joint, y_star, meas, rng, size: enkf_update(joint, y_star),
+    "tenkf": lambda method, joint, y_star, meas, rng, size: tenkf_update(
+        joint, y_star, method.trim, rng, posterior_size=size
+    ),
+    "pf": lambda method, joint, y_star, meas, rng, size: pf_update(joint, y_star, meas, rng),
+}
+
+
 @dataclass
 class FilterMethod:
-    """Which update to run, plus its trimming/augmentation settings."""
+    """Which update to run, plus its trimming/augmentation settings.
+
+    Augmentation grows the forecast ensemble ahead of a trimmed update; the
+    other updates do not take it.
+    """
 
     kind: str  # "enkf" | "tenkf" | "pf"
     trim: TrimConfig | None = None
     augment: AugmentConfig | None = None
 
     def __post_init__(self):
-        if self.kind not in ("enkf", "tenkf", "pf"):
-            raise ValueError(f"unknown filter kind {self.kind!r}")
+        if self.kind not in _UPDATE_RULES:
+            raise ValueError(f"unknown filter kind {self.kind!r}; expected {list(_UPDATE_RULES)}")
         if self.kind == "tenkf" and self.trim is None:
             raise ValueError("tenkf requires a TrimConfig")
+        if self.kind != "tenkf" and self.augment is not None:
+            raise ValueError(f"augmentation applies to tenkf only, not {self.kind!r}")
+
+    def update(self, joint: JointEnsemble, y_star: np.ndarray, meas: MeasModel,
+               rng: np.random.Generator, size: int | None = None) -> FilterState:
+        """Apply this method's update rule to a forecast joint ensemble.
+
+        ``size`` is the posterior member count of a trimmed update (it
+        defaults to the forecast count); the other rules keep the forecast
+        count.
+        """
+        return _UPDATE_RULES[self.kind](self, joint, y_star, meas, rng, size)
 
 
 @dataclass
@@ -501,12 +519,6 @@ class AssimilationRun:
     steps: list[FilterState]
     rmse: np.ndarray  # per assimilation step, over all members
     rmse_mean: np.ndarray  # per step, ensemble-mean error only
-
-
-def _advance(problem: AssimilationProblem, x, t0, t1, rng):
-    if problem.dyn.transition is not None:
-        return np.asarray(problem.dyn.transition(x, t0, rng), dtype=float)
-    return integrate(problem.dyn, x, t0, t1, problem.integrator, rng)
 
 
 def simulate_truth(problem: AssimilationProblem, rng: np.random.Generator) -> TruthRun:
@@ -523,38 +535,32 @@ def simulate_truth(problem: AssimilationProblem, rng: np.random.Generator) -> Tr
     x = truth0
     for k in range(1, k_steps + 1):
         try:
-            x = _advance(problem, x, times[k - 1], times[k], rng)
+            x = _propagate(problem.dyn, x, times[k - 1], times[k], problem.integrator, rng)
         except Exception as exc:
-            raise type(exc)(f"truth simulation step {k} (t={times[k]:.6g}): {exc}") from exc
+            raise _stage_error("truth simulation", k, times[k], exc) from exc
         states[:, k] = x
         obs[:, k - 1] = np.atleast_1d(observe(problem.meas, x, rng))
     return TruthRun(times=times, states=states, observations=obs, context=context)
 
 
-def run_assimilation(
+def assimilate(
     problem: AssimilationProblem,
     method: FilterMethod,
     rng: np.random.Generator,
-    truth: TruthRun | None = None,
-) -> AssimilationRun:
+    truth: TruthRun,
+    ensemble: Ensemble,
+) -> Iterator[tuple[int, JointEnsemble, FilterState]]:
     """Alternate forecast and update against a truth realization.
 
-    When ``truth`` is omitted it is simulated first on a spawned child
-    stream, so the filter's own draws are unaffected by truth generation.
-    Any stage failure is re-raised annotated with the assimilation step.
+    Starting from ``ensemble``, yields ``(k, joint, state)`` for each
+    observation ``k`` (0-based): the forecast joint ensemble the update saw
+    (after any augmentation) and the resulting filter state, whose
+    posterior is the next step's prior.  Nothing is kept between steps; a
+    consumer that still holds a yielded joint while asking for the next
+    step keeps two forecasts alive through that step's update.
+    A failing stage is raised as :class:`AssimilationError` naming the
+    1-based step, with the original exception as its cause.
     """
-    from .metrics import ensemble_mean_rmse, ensemble_rmse
-
-    if truth is None:
-        truth = simulate_truth(problem, rng.spawn(1)[0])
-    members = np.asarray(
-        problem.init_ensemble(problem.n, truth.context, rng), dtype=float
-    )
-    initial = Ensemble(members)
-    steps: list[FilterState] = []
-    rmse = np.empty(truth.observations.shape[1])
-    rmse_mean = np.empty_like(rmse)
-    ensemble = initial
     for k in range(truth.observations.shape[1]):
         t0, t1 = truth.times[k], truth.times[k + 1]
         y_star = truth.observations[:, k]
@@ -564,11 +570,7 @@ def run_assimilation(
                 t1 - t0, rng, t0=t0,
             )
             aug_diag = None
-            if method.kind == "tenkf" and method.augment is not None:
-                scale = None
-                if method.augment.distance == "normalized-l1":
-                    scale = joint.observations.std(axis=1, ddof=1)
-
+            if method.augment is not None:
                 def pipeline(ics, prng):
                     return forecast(
                         Ensemble(ics), problem.dyn, problem.meas,
@@ -576,27 +578,40 @@ def run_assimilation(
                     )
 
                 joint, aug_diag = augment_forecast(
-                    joint, ensemble, y_star, method.augment, pipeline, rng,
-                    scale=scale,
+                    joint, ensemble, y_star, method.augment, pipeline, rng
                 )
-            if method.kind == "enkf":
-                state = enkf_update(joint, y_star)
-            elif method.kind == "tenkf":
-                state = tenkf_update(
-                    joint, y_star, method.trim, rng, posterior_size=problem.n
-                )
-            else:
-                state = pf_update(joint, y_star, problem.meas, rng)
+            state = method.update(joint, y_star, problem.meas, rng, size=problem.n)
             if aug_diag is not None:
                 state.diagnostics.n_d = aug_diag.n_d
                 state.diagnostics.n_aug = aug_diag.n_aug
         except Exception as exc:
-            raise type(exc)(f"assimilation step {k + 1} (t={t1:.6g}): {exc}") from exc
-        truth_state = truth.states[:, k + 1]
-        rmse[k] = ensemble_rmse(state.posterior, truth_state)
-        rmse_mean[k] = ensemble_mean_rmse(state.posterior, truth_state)
-        steps.append(state)
+            raise _stage_error("assimilation", k + 1, t1, exc) from exc
+        yield k, joint, state
         ensemble = state.posterior
+
+
+def run_assimilation(
+    problem: AssimilationProblem,
+    method: FilterMethod,
+    rng: np.random.Generator,
+    truth: TruthRun | None = None,
+) -> AssimilationRun:
+    """Run :func:`assimilate` from a fresh ensemble and score every step.
+
+    When ``truth`` is omitted it is simulated first on a spawned child
+    stream, so the filter's own draws are unaffected by truth generation.
+    """
+    from .metrics import ensemble_mean_rmse, ensemble_rmse
+
+    if truth is None:
+        truth = simulate_truth(problem, rng.spawn(1)[0])
+    initial = Ensemble(problem.init_ensemble(problem.n, truth.context, rng))
+    # itemgetter drops each forecast as soon as it is yielded; a loop
+    # variable would keep it alive through the next step.
+    steps = list(map(itemgetter(2), assimilate(problem, method, rng, truth, initial)))
+    scored = list(zip((s.posterior for s in steps), truth.states[:, 1:].T))
+    rmse = np.array([ensemble_rmse(e, x) for e, x in scored])
+    rmse_mean = np.array([ensemble_mean_rmse(e, x) for e, x in scored])
     return AssimilationRun(
         truth=truth, initial=initial, steps=steps, rmse=rmse, rmse_mean=rmse_mean
     )

@@ -8,8 +8,6 @@ tabulated densities interchangeably.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.stats import wasserstein_distance as _scipy_w1
 
@@ -17,7 +15,6 @@ from .ensemble import Ensemble, normalize_weights
 from .oracle import DensityGrid
 
 __all__ = [
-    "RmseSeries",
     "ensemble_rmse",
     "ensemble_mean_rmse",
     "time_avg_rmse",
@@ -25,26 +22,6 @@ __all__ = [
     "wasserstein_distance",
     "replicate_quantiles",
 ]
-
-
-@dataclass(frozen=True)
-class RmseSeries:
-    """Per-step ensemble RMSE values with their time stamps."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.shape != v.shape or t.ndim != 1:
-            raise ValueError("times and values must be matching 1-D arrays")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def aggregate(self) -> float:
-        return time_avg_rmse(self.values)
 
 
 def ensemble_rmse(e: Ensemble, truth: np.ndarray) -> float:
@@ -58,17 +35,11 @@ def ensemble_rmse(e: Ensemble, truth: np.ndarray) -> float:
 
 def ensemble_mean_rmse(e: Ensemble, truth: np.ndarray) -> float:
     """Root-mean-square error of the ensemble mean alone."""
-    truth = np.asarray(truth, dtype=float)
-    if truth.shape != (e.dim,):
-        raise ValueError(f"truth shape {truth.shape} does not match state dim {e.dim}")
-    dev = e.members.mean(axis=1) - truth
-    return float(np.sqrt(np.mean(dev * dev)))
+    return ensemble_rmse(Ensemble(e.members.mean(axis=1, keepdims=True)), truth)
 
 
-def time_avg_rmse(values: np.ndarray | RmseSeries) -> float:
+def time_avg_rmse(values: np.ndarray) -> float:
     """Quadratic time average: the root of the mean squared series value."""
-    if isinstance(values, RmseSeries):
-        values = values.values
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot average an empty RMSE series")

@@ -11,7 +11,6 @@ from trimkf.ensemble import (
     bootstrap_resample,
     cross_covariance,
     effective_size,
-    indices_digest,
     kalman_gain,
     normalize_weights,
     resample_indices,
@@ -192,10 +191,6 @@ class TestResampling:
         a = resample_indices(w, 50, np.random.default_rng(123))
         b = resample_indices(w, 50, np.random.default_rng(123))
         assert np.array_equal(a, b)
-
-    def test_digest_stable(self):
-        idx = np.arange(5)
-        assert indices_digest(idx) == indices_digest(idx.copy())
 
 
 class TestGainErrors:

@@ -262,3 +262,15 @@ class TestHistogramOutputs:
         assert len(sums) == 3  # enkf, tenkf@1.0, pf
         for v in sums.values():
             assert v == pytest.approx(1.0, abs=1e-9)
+
+
+class TestDemoConfigs:
+    DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.json"))
+
+    def test_demo_configs_exist(self):
+        assert self.DEMOS
+
+    @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+    def test_demo_config_validates(self, path):
+        cfg = validate_config(json.loads(path.read_text(encoding="utf-8")))
+        assert cfg.replicates >= 1

@@ -5,11 +5,13 @@ import pytest
 
 from trimkf.ensemble import Ensemble, JointEnsemble, effective_size
 from trimkf.filters import (
+    AssimilationError,
     AssimilationProblem,
     AugmentConfig,
     FilterMethod,
     TrimConfig,
     adapt_lambda,
+    assimilate,
     augment_forecast,
     enkf_update,
     forecast,
@@ -259,8 +261,8 @@ class TestTenkfUpdate:
         j = JointEnsemble(states=Ensemble(x), observations=y)
         st = tenkf_update(j, np.array([0.2]), TrimConfig(lam=0.5), np.random.default_rng(6))
         d = st.diagnostics
-        assert d.lambda_used == 0.5 and d.n_e > 1 and d.resample_digest
-        assert d.entropy is not None and d.distance_scale is not None
+        assert d.lambda_used == 0.5 and d.n_e > 1
+        assert d.n_forecast == 100 and d.distance_scale is not None
 
 
 class TestAugmentForecast:
@@ -461,3 +463,67 @@ class TestRunAssimilation:
             FilterMethod("tenkf")
         with pytest.raises(ValueError):
             FilterMethod("unknown")
+        with pytest.raises(ValueError, match="augmentation applies to tenkf only"):
+            FilterMethod("enkf", augment=AugmentConfig(d_max=1.0))
+
+    def test_method_update_dispatches_to_its_rule(self):
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((1, 50))
+        j = JointEnsemble(states=Ensemble(x), observations=x + 0.1 * rng.standard_normal((1, 50)))
+        y_star, trim = np.array([0.3]), TrimConfig(lam=0.5)
+        meas = select_observer(1, [0], noise_std=0.1)
+        got = FilterMethod("tenkf", trim=trim).update(j, y_star, meas, np.random.default_rng(1))
+        want = tenkf_update(j, y_star, trim, np.random.default_rng(1))
+        assert np.array_equal(got.posterior.members, want.posterior.members)
+        got = FilterMethod("pf").update(j, y_star, meas, np.random.default_rng(2))
+        want = pf_update(j, y_star, meas, np.random.default_rng(2))
+        assert np.array_equal(got.posterior.members, want.posterior.members)
+        got = FilterMethod("enkf").update(j, y_star, meas, None)
+        assert np.array_equal(got.posterior.members, enkf_update(j, y_star).posterior.members)
+
+    def test_assimilate_yields_each_step_like_run_assimilation(self):
+        problem = scalar_problem(steps=4, n=200)
+        truth = simulate_truth(problem, np.random.default_rng(7))
+        method = FilterMethod("tenkf", trim=TrimConfig(target_ne=50.0))
+        run = run_assimilation(problem, method, np.random.default_rng(3), truth=truth)
+        rng = np.random.default_rng(3)
+        initial = Ensemble(problem.init_ensemble(problem.n, truth.context, rng))
+        steps = list(assimilate(problem, method, rng, truth, initial))
+        assert [k for k, _, _ in steps] == [0, 1, 2, 3]
+        for (_, joint, state), ref in zip(steps, run.steps):
+            assert joint.size == problem.n
+            assert np.array_equal(state.posterior.members, ref.posterior.members)
+
+
+class TwoArgError(Exception):
+    """An exception whose constructor cannot take a single message."""
+
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+
+
+class TestStageErrors:
+    @staticmethod
+    def _problem(failing_ndim):
+        # Truth states are (1,), ensemble states (1, n): pick the failing stage.
+        def transition(x, t, rng):
+            if np.ndim(x) == failing_ndim and t >= 1.0:
+                raise TwoArgError(7, "transition blew up")
+            return np.asarray(x, dtype=float)
+
+        return AssimilationProblem(
+            dyn=DynModel(state_dim=1, transition=transition),
+            meas=select_observer(1, [0], noise_std=0.1), integrator=IntegratorConfig(),
+            dt_obs=1.0, t_f=3.0, n=10,
+            sample_truth=lambda rng: (np.array([1.0]), {}),
+            init_ensemble=lambda n, ctx, rng: rng.standard_normal((1, n)))
+
+    @pytest.mark.parametrize("ndim, stage", [(1, "truth simulation"), (2, "assimilation")])
+    def test_two_argument_exception_keeps_cause(self, ndim, stage):
+        with pytest.raises(AssimilationError) as err:
+            run_assimilation(self._problem(ndim), FilterMethod("enkf"), np.random.default_rng(0))
+        assert str(err.value) == (
+            f"{stage} step 2 (t=2): TwoArgError: (7, 'transition blew up')"
+        )
+        assert isinstance(err.value.__cause__, TwoArgError)
+        assert err.value.__cause__.args == (7, "transition blew up")

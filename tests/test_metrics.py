@@ -5,7 +5,6 @@ import pytest
 
 from trimkf.ensemble import Ensemble
 from trimkf.metrics import (
-    RmseSeries,
     ensemble_mean_rmse,
     ensemble_rmse,
     ks_distance,
@@ -67,10 +66,6 @@ class TestTimeAvgRmse:
             s = np.abs(rng.standard_normal(20))
             agg = time_avg_rmse(s)
             assert s.min() <= agg <= s.max()
-
-    def test_series_container(self):
-        s = RmseSeries(times=np.array([1.0, 2.0]), values=np.array([3.0, 4.0]))
-        assert s.aggregate == pytest.approx(np.sqrt(12.5), abs=1e-12)
 
 
 class TestKsDistance:

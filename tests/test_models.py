@@ -7,6 +7,7 @@ from trimkf.models import (
     DynModel,
     Lorenz63Params,
     Lorenz96Params,
+    MeasModel,
     ModelError,
     l63_drift,
     l96_drift,
@@ -135,6 +136,27 @@ class TestObservation:
         rng = np.random.default_rng(5)
         out = observe(m, np.zeros((4, 7)), rng)
         assert out.shape == (2, 7)
+
+    @staticmethod
+    def _multiplicative():
+        # Non-additive noise: y = x * exp(eps), eps ~ N(0, 0.1^2).
+        def sampler(x, rng):
+            return x[:1] * np.exp(0.1 * rng.standard_normal(x[:1].shape))
+
+        return MeasModel(obs_dim=1, h=lambda x: np.asarray(x)[:1], noise_std=0.3,
+                         sampler=sampler)
+
+    def test_custom_sampler_replaces_additive_draw(self):
+        m = self._multiplicative()
+        x = np.array([[1.0, 2.0, -3.0], [0.0, 0.0, 0.0]])
+        out = observe(m, x, np.random.default_rng(6))
+        eps = np.random.default_rng(6).standard_normal((1, 3))
+        assert np.array_equal(out, x[:1] * np.exp(0.1 * eps))
+        assert np.all(np.sign(out) == np.sign(x[:1]))  # multiplicative: signs kept
+
+    def test_custom_sampler_has_no_gaussian_likelihood(self):
+        with pytest.raises(ModelError, match="custom noise sampler"):
+            log_likelihood(self._multiplicative(), np.array([1.0, 0.0]), np.array([1.0]))
 
 
 class TestLogLikelihood:
