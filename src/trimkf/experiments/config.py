@@ -137,6 +137,10 @@ def _filters_list(allowed):
         if bad:
             errors.append(f"params.filters: unknown filter(s) {bad}; allowed: {sorted(allowed)}")
             return None
+        repeated = sorted({v for v in value if value.count(v) > 1})
+        if repeated:
+            errors.append(f"params.filters: filter(s) {repeated} listed more than once")
+            return None
         return list(value)
 
     return check

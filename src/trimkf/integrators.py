@@ -67,14 +67,21 @@ class IntegratorConfig:
 
 def _checked_drift(model: DynModel, x: np.ndarray, t: float) -> np.ndarray:
     # Overflow here is a diagnosed failure mode (divergent member), not a bug:
-    # evaluate quietly, then raise with the member index.
+    # evaluate quietly, then raise with the member index.  A finite sum proves
+    # every entry finite; only a non-finite sum (a bad entry, or an overflow
+    # of the sum itself) needs the full scan.
     with np.errstate(over="ignore", invalid="ignore"):
         f = np.asarray(model.drift(x, t), dtype=float)
-    if not np.all(np.isfinite(f)):
+        total_finite = np.isfinite(f.sum())
+    if not total_finite and not np.all(np.isfinite(f)):
         if f.ndim == 2:
             bad = np.nonzero(~np.all(np.isfinite(f), axis=0))[0]
             raise IntegrationError(f"non-finite drift at t={t:.6g} (member {bad[0]})")
         raise IntegrationError(f"non-finite drift at t={t:.6g}")
+    # The steppers overwrite drift results in place; a drift that hands back
+    # its own input (dx/dt = x) must not alias a state buffer.
+    if np.may_share_memory(f, x):
+        f = f.copy()
     return f
 
 
@@ -90,26 +97,55 @@ def heun_sde_step(
     Predictor ``xp = x + f(x,t) dt + s`` and corrector
     ``x + dt/2 (f(x,t) + f(xp, t+dt)) + s`` share the same noise increment
     ``s = sigma sqrt(dt) zeta`` with standard-normal ``zeta`` per component.
+    ``x`` is not modified.
     """
+    # Each in-place operation below is the same IEEE operation on the same
+    # operands as the textbook expression (addition and multiplication are
+    # commutative), so the result is bit-identical to it.
     x = np.asarray(x, dtype=float)
     f0 = _checked_drift(model, x, t)
     if model.noise_intensity > 0:
-        dw = model.noise_intensity * np.sqrt(dt) * rng.standard_normal(x.shape)
+        dw = rng.standard_normal(x.shape)
+        dw *= model.noise_intensity * np.sqrt(dt)
     else:
         dw = 0.0
-    predictor = x + f0 * dt + dw
-    f1 = _checked_drift(model, predictor, t + dt)
-    return x + 0.5 * dt * (f0 + f1) + dw
+    xp = f0 * dt
+    xp += x
+    xp += dw
+    f1 = _checked_drift(model, xp, t + dt)
+    f1 += f0
+    f1 *= 0.5 * dt
+    f1 += x
+    f1 += dw
+    return f1
 
 
 def rk4_step(model: DynModel, x: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """Classic fourth-order Runge-Kutta step (deterministic drift only)."""
+    """Classic fourth-order Runge-Kutta step (deterministic drift only).
+
+    Computes ``x + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` with the textbook operation
+    order, in place on the stage results; ``x`` is not modified.
+    """
     x = np.asarray(x, dtype=float)
+    half = 0.5 * dt
     k1 = _checked_drift(model, x, t)
-    k2 = _checked_drift(model, x + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = _checked_drift(model, x + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = _checked_drift(model, x + dt * k3, t + dt)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    xs = k1 * half
+    xs += x
+    k2 = _checked_drift(model, xs, t + half)
+    np.multiply(k2, half, out=xs)
+    xs += x
+    k3 = _checked_drift(model, xs, t + half)
+    np.multiply(k3, dt, out=xs)
+    xs += x
+    k4 = _checked_drift(model, xs, t + dt)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += x
+    return k2
 
 
 # Dormand-Prince 5(4) tableau.
@@ -129,20 +165,46 @@ _DP_ERR = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
 
+# Nonzero (stage, coefficient) terms of each combination, in stage order.
+_DP_A_TERMS = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _DP_A)
+_DP_B5_TERMS = tuple((j, b) for j, b in enumerate(_DP_B5) if b != 0.0)
+_DP_ERR_TERMS = tuple((j, e) for j, e in enumerate(_DP_ERR) if e != 0.0)
+
 _SAFETY = 0.9
 _GROW_MIN, _GROW_MAX = 0.2, 5.0
 _PI_ALPHA, _PI_BETA = 0.7 / 5.0, 0.4 / 5.0
 
 
-def _dp_stages(model: DynModel, x: np.ndarray, t: float, dt: float):
-    k = [None] * 7
+def _stage_sum(terms, k, out, tmp):
+    """``out = sum(c * k[j])`` over ``terms``, added left to right."""
+    j, c = terms[0]
+    np.multiply(k[j], c, out=out)
+    for j, c in terms[1:]:
+        np.multiply(k[j], c, out=tmp)
+        out += tmp
+    return out
+
+
+def _dp_stages(model: DynModel, x, t, dt, k, x5, err, tmp):
+    """One Dormand-Prince attempt from ``x``: the 5th-order solution into
+    ``x5`` and the embedded error estimate into ``err``.
+
+    ``k`` receives the seven stage derivatives and ``x5`` doubles as the
+    stage state while they are built.  Each combination adds its nonzero
+    terms left to right, scales by ``dt`` and adds ``x``, the operation
+    order of ``x + dt * sum(a_j k_j)``.
+    """
     k[0] = _checked_drift(model, x, t)
     for s in range(1, 7):
-        xs = x + dt * sum(a * k[j] for j, a in enumerate(_DP_A[s]) if a != 0.0)
+        xs = _stage_sum(_DP_A_TERMS[s], k, x5, tmp)
+        xs *= dt
+        xs += x
         k[s] = _checked_drift(model, xs, t + _DP_C[s] * dt)
-    x5 = x + dt * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
-    err = dt * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
-    return x5, err
+    _stage_sum(_DP_B5_TERMS, k, x5, tmp)
+    x5 *= dt
+    x5 += x
+    _stage_sum(_DP_ERR_TERMS, k, err, tmp)
+    err *= dt
 
 
 def _rk45_adaptive(model, x, t0, t1, cfg):
@@ -150,8 +212,13 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
 
     A member block of shape (N, n) is stepped in lockstep: the controlling
     error norm is the worst per-member norm, so every member stays within
-    tolerance while the whole block shares one step sequence.
+    tolerance while the whole block shares one step sequence.  The work
+    arrays belong to this call (replicates integrate on several threads at
+    once) and ``x`` itself is never written.
     """
+    x = x.copy()
+    x_new, err, ratios, tmp = (np.empty_like(x) for _ in range(4))
+    k = [None] * 7
     t = t0
     dt = min(cfg.dt, cfg.max_step, t1 - t0)
     prev_err_norm = 1.0
@@ -167,9 +234,14 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
             raise IntegrationError(
                 f"adaptive step underflow: dt={dt:.3e} < min_step={cfg.min_step:.3e} at t={t:.6g}"
             )
-        x_new, err = _dp_stages(model, x, t, dt)
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x_new))
-        ratios = (err / scale) ** 2
+        _dp_stages(model, x, t, dt, k, x_new, err, tmp)
+        # ratios = (err / (atol + rtol * max(|x|, |x_new|)))**2
+        np.abs(x, out=ratios)
+        np.maximum(ratios, np.abs(x_new, out=tmp), out=ratios)
+        ratios *= cfg.rtol
+        ratios += cfg.atol
+        np.divide(err, ratios, out=ratios)
+        ratios *= ratios
         if ratios.ndim == 2:
             err_norm = float(np.sqrt(np.mean(ratios, axis=0).max()))
         else:
@@ -178,7 +250,7 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
             raise IntegrationError(f"non-finite error estimate at t={t:.6g}")
         if err_norm <= 1.0:
             t += dt
-            x = x_new
+            x, x_new = x_new, x
             # PI controller: uses current and previous accepted error norms.
             factor = _SAFETY * (
                 (err_norm + 1e-16) ** -_PI_ALPHA * (prev_err_norm + 1e-16) ** _PI_BETA

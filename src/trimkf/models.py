@@ -4,7 +4,9 @@ A :class:`DynModel` either carries a drift field (continuous dynamics,
 advanced by the integrators module) or a one-shot ``transition`` map
 (discrete dynamics such as the linear-Gaussian reference model).  Drift
 functions are vectorized over members: they accept ``(N,)`` or ``(N, n)``
-arrays and return the same shape.
+arrays and return the same shape, in an array the caller may overwrite (the
+integrators reuse drift results as work space; returning the input itself is
+allowed, returning one cached array from every call is not).
 
 Measurement models are additive diagonal Gaussian by default, matching
 ``y = h(x) + eps`` with ``eps ~ N(0, tau^2 I)``; a custom noise sampler can
@@ -146,12 +148,18 @@ def l63_drift(x: np.ndarray, p: Lorenz63Params) -> np.ndarray:
 def l96_drift(x: np.ndarray, p: Lorenz96Params) -> np.ndarray:
     """Lorenz-96 derivative with cyclic indexing; vectorized over columns."""
     x = np.asarray(x, dtype=float)
-    xm2 = np.roll(x, 2, axis=0)
-    xm1 = np.roll(x, 1, axis=0)
-    xp1 = np.roll(x, -1, axis=0)
-    out = (xp1 - xm2) * xm1 + p.forcing
+    n = x.shape[0]
+    # One cyclically padded copy [x_{N-2}, x_{N-1}, x_0, ..., x_{N-1}, x_0]
+    # makes x_{j-2}, x_{j-1}, x_j and x_{j+1} plain slices of it.
+    pad = np.empty((n + 3,) + x.shape[1:])
+    pad[2 : n + 2] = x
+    pad[:2] = x[n - 2 :]
+    pad[n + 2] = x[0]
+    out = np.subtract(pad[3:], pad[:n])
+    out *= pad[1 : n + 1]
+    out += p.forcing
     if p.include_damping:
-        out = out - x
+        out -= pad[2 : n + 2]
     return out
 
 
@@ -207,11 +215,11 @@ def log_likelihood(m: MeasModel, x: np.ndarray, y_star: np.ndarray) -> np.ndarra
     the additive constant shared across members.  Vectorized: ``x`` of shape
     ``(N, n)`` yields one value per member.
     """
+    if m.sampler is not None:
+        raise ModelError("no Gaussian log-likelihood for a custom noise sampler")
     std = np.asarray(m.noise_std, dtype=float)
     if np.any(std == 0):
         raise ModelError("log-likelihood is degenerate for zero noise_std")
-    if m.sampler is not None:
-        raise ModelError("no Gaussian log-likelihood for a custom noise sampler")
     hx = np.asarray(m.h(np.asarray(x, dtype=float)), dtype=float)
     y = np.asarray(y_star, dtype=float)
     if hx.ndim == 2:

@@ -47,6 +47,13 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="unknown top-level"):
             validate_config({"scenario": "l63-limit-dist", "bogus": 1})
 
+    @pytest.mark.parametrize("scenario", ["linear-gaussian-check", "l96-rmse-sweep"])
+    def test_duplicate_filters_rejected(self, scenario):
+        # a repeated name would re-run the same stream and write duplicate rows
+        with pytest.raises(ConfigError, match=r"\['enkf'\] listed more than once"):
+            validate_config({"scenario": scenario,
+                             "params": {"filters": ["enkf", "tenkf", "enkf"]}})
+
     def test_all_errors_reported_not_first_failure(self):
         with pytest.raises(ConfigError) as err:
             validate_config({

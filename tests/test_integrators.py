@@ -6,11 +6,18 @@ import pytest
 from trimkf.integrators import (
     IntegrationError,
     IntegratorConfig,
+    _checked_drift,
     heun_sde_step,
     integrate,
     rk4_step,
 )
-from trimkf.models import DynModel, Lorenz63Params, lorenz63_model
+from trimkf.models import (
+    DynModel,
+    Lorenz63Params,
+    Lorenz96Params,
+    lorenz63_model,
+    lorenz96_model,
+)
 
 
 def scalar_model(a=1.0, sigma=0.0):
@@ -208,3 +215,178 @@ def test_rk4_step_classic_order():
     for dt in (0.1, 0.05):
         x = rk4_step(m, np.array([1.0]), 0.0, dt)
         assert abs(x[0] - np.exp(dt)) < dt**5
+
+
+# ---------------------------------------------------------------------------
+# Frozen references: the allocating textbook forms of the steppers.  The
+# in-place kernels must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _ref_heun(model, x, t, dt, rng):
+    f0 = np.asarray(model.drift(x, t), dtype=float)
+    if model.noise_intensity > 0:
+        dw = model.noise_intensity * np.sqrt(dt) * rng.standard_normal(x.shape)
+    else:
+        dw = 0.0
+    predictor = x + f0 * dt + dw
+    f1 = np.asarray(model.drift(predictor, t + dt), dtype=float)
+    return x + 0.5 * dt * (f0 + f1) + dw
+
+
+def _ref_rk4(model, x, t, dt):
+    f = model.drift
+    k1 = f(x, t)
+    k2 = f(x + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = f(x + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = f(x + dt * k3, t + dt)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+_REF_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_REF_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_REF_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_REF_DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _ref_rk45(model, x, t0, t1, cfg):
+    """Generator-sum Dormand-Prince with the PI controller; returns the
+    final state and the number of accepted and attempted steps."""
+
+    def stages(x, t, dt):
+        k = [None] * 7
+        k[0] = model.drift(x, t)
+        for s in range(1, 7):
+            xs = x + dt * sum(a * k[j] for j, a in enumerate(_REF_DP_A[s]) if a != 0.0)
+            k[s] = model.drift(xs, t + _REF_DP_C[s] * dt)
+        x5 = x + dt * sum(b * ki for b, ki in zip(_REF_DP_B5, k) if b != 0.0)
+        err = dt * sum(e * ki for e, ki in zip(_REF_DP_ERR, k) if e != 0.0)
+        return x5, err
+
+    t, dt, prev, accepted, attempts = t0, min(cfg.dt, t1 - t0), 1.0, 0, 0
+    while t < t1:
+        attempts += 1
+        dt = min(dt, t1 - t)
+        x_new, err = stages(x, t, dt)
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x_new))
+        err_norm = float(np.sqrt(np.mean((err / scale) ** 2, axis=0).max()))
+        if err_norm <= 1.0:
+            t += dt
+            x = x_new
+            accepted += 1
+            factor = 0.9 * ((err_norm + 1e-16) ** -(0.7 / 5.0) * (prev + 1e-16) ** (0.4 / 5.0))
+            prev = err_norm
+        else:
+            factor = 0.9 * (err_norm + 1e-16) ** -(0.7 / 5.0)
+        dt = dt * min(5.0, max(0.2, factor))
+    return x, accepted, attempts
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _l96_block(n, seed, sigma=0.0):
+    rng = np.random.default_rng(seed)
+    x = 8.0 + 3.0 * rng.standard_normal((36, n))
+    return lorenz96_model(Lorenz96Params(dim=36, sigma=sigma)), x
+
+
+class TestFrozenReferences:
+    def test_heun_matches_textbook_form_bitwise(self):
+        for sigma in (0.0, 0.01):
+            model, x = _l96_block(50, 1, sigma)
+            for dt in (0.01, 0.003):
+                got = heun_sde_step(model, x, 0.2, dt, np.random.default_rng(5))
+                want = _ref_heun(model, x, 0.2, dt, np.random.default_rng(5))
+                assert np.array_equal(_bits(got), _bits(want))
+        l63 = lorenz63_model(Lorenz63Params(sigma=0.3))
+        x = np.array([[1.5], [1.5], [25.0]]) + np.random.default_rng(2).standard_normal((3, 40))
+        got = heun_sde_step(l63, x, 0.0, 0.01, np.random.default_rng(7))
+        want = _ref_heun(l63, x, 0.0, 0.01, np.random.default_rng(7))
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_rk4_matches_textbook_form_bitwise(self):
+        model, x = _l96_block(50, 2)
+        for dt in (0.01, 0.0037):
+            assert np.array_equal(_bits(rk4_step(model, x, 0.0, dt)),
+                                  _bits(_ref_rk4(model, x, 0.0, dt)))
+        l63 = lorenz63_model(Lorenz63Params())
+        x = np.array([-5.9, -6.0, 24.0])
+        assert np.array_equal(_bits(rk4_step(l63, x, 0.0, 0.01)),
+                              _bits(_ref_rk4(l63, x, 0.0, 0.01)))
+
+    def test_dp45_matches_generator_sum_form(self):
+        # Same states bit for bit and the same step sequence: the logged
+        # drift-call times pin every accepted and rejected attempt.
+        model, x = _l96_block(40, 3)
+        calls = {"new": [], "ref": []}
+
+        def logged(log):
+            def drift(x, t):
+                log.append(t)
+                return model.drift(x, t)
+
+            return DynModel(state_dim=36, drift=drift)
+
+        cfg = IntegratorConfig(scheme="rk45-adaptive", dt=0.01, rtol=1e-6, atol=1e-9)
+        got = integrate(logged(calls["new"]), x, 0.0, 0.8, cfg)
+        want, accepted, attempts = _ref_rk45(logged(calls["ref"]), x, 0.0, 0.8, cfg)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert calls["new"] == calls["ref"]
+        assert len(calls["new"]) == 7 * attempts
+        stage0_times = calls["new"][::7]
+        assert sum(b > a for a, b in zip(stage0_times, stage0_times[1:])) + 1 == accepted
+        assert attempts > accepted  # the controller's rejection path was exercised
+
+
+class TestInputNotModified:
+    @pytest.mark.parametrize("scheme", ["stochastic-heun", "rk4", "rk45-adaptive"])
+    def test_integrate_leaves_x0_alone(self, scheme):
+        sigma = 0.01 if scheme == "stochastic-heun" else 0.0
+        model, x0 = _l96_block(20, 4, sigma)
+        for x in (x0, np.asfortranarray(x0), x0[:, 3]):
+            before = x.copy()
+            out = integrate(model, x, 0.0, 0.05, IntegratorConfig(scheme=scheme, dt=0.01),
+                            np.random.default_rng(0))
+            assert np.array_equal(x, before)
+            assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("scheme", ["stochastic-heun", "rk4", "rk45-adaptive"])
+    def test_drift_returning_its_input(self, scheme):
+        # dx/dt = x written as the identity: the drift result aliases the
+        # stepper's own state buffer, which must not corrupt the step
+        m = DynModel(state_dim=1, drift=lambda x, t: x)
+        x0 = np.array([1.0, 2.0])
+        cfg = IntegratorConfig(scheme=scheme, dt=0.01, rtol=1e-10, atol=1e-12)
+        out = integrate(m, x0, 0.0, 1.0, cfg, np.random.default_rng(0))
+        assert np.array_equal(x0, [1.0, 2.0])
+        assert out == pytest.approx(np.e * x0, rel=1e-4)
+
+
+class TestNonFiniteDrift:
+    def test_later_dp45_stage_names_member(self):
+        # stage 0 (at t = 0) is finite; member 2 turns non-finite from stage 1
+        def drift(x, t):
+            out = -np.asarray(x, dtype=float)
+            if t > 0.0:
+                out[:, 2] = np.nan
+            return out
+
+        m = DynModel(state_dim=2, drift=drift)
+        cfg = IntegratorConfig(scheme="rk45-adaptive", dt=0.1)
+        with pytest.raises(IntegrationError, match="member 2"):
+            integrate(m, np.ones((2, 4)), 0.0, 1.0, cfg)
+
+    def test_finite_drift_whose_sum_overflows_passes(self):
+        m = DynModel(state_dim=3, drift=lambda x, t: np.full_like(x, 1e308))
+        out = _checked_drift(m, np.zeros((3, 2)), 0.0)
+        assert np.all(out == 1e308)

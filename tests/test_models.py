@@ -82,6 +82,39 @@ class TestLorenz96:
         with pytest.raises(ModelError):
             Lorenz96Params(dim=3)
 
+    @staticmethod
+    def _roll_reference(x, p):
+        # The three-copy np.roll form the padded-slice drift replaced.
+        x = np.asarray(x, dtype=float)
+        xm2 = np.roll(x, 2, axis=0)
+        xm1 = np.roll(x, 1, axis=0)
+        xp1 = np.roll(x, -1, axis=0)
+        out = (xp1 - xm2) * xm1 + p.forcing
+        if p.include_damping:
+            out = out - x
+        return out
+
+    @pytest.mark.parametrize("damping", [True, False])
+    @pytest.mark.parametrize("dim", [4, 5, 36, 40])
+    def test_bit_identical_to_roll_form(self, dim, damping):
+        p = Lorenz96Params(dim=dim, forcing=8.0, include_damping=damping)
+        rng = np.random.default_rng(dim)
+        block = 8.0 + 3.0 * rng.standard_normal((dim, 7))
+        wide = 8.0 + 3.0 * rng.standard_normal((dim, 9))
+        inputs = {
+            "1-D": block[:, 0].copy(),
+            "C-order": block,
+            "F-order": np.asfortranarray(block),
+            "strided column": wide[:, 3],
+            "strided block": wide[:, ::2],
+        }
+        for name, x in inputs.items():
+            before = x.copy()
+            got, want = l96_drift(x, p), self._roll_reference(x, p)
+            assert got.shape == x.shape, name
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+            assert np.array_equal(x, before), name
+
 
 class TestDriftJacobianChecks:
     """Analytic directional derivatives vs central differences at h = 1e-5."""
@@ -157,6 +190,13 @@ class TestObservation:
     def test_custom_sampler_has_no_gaussian_likelihood(self):
         with pytest.raises(ModelError, match="custom noise sampler"):
             log_likelihood(self._multiplicative(), np.array([1.0, 0.0]), np.array([1.0]))
+
+    def test_sampler_refusal_precedes_zero_noise_check(self):
+        # noise_std left at its default 0: the sampler, not the scale, is the reason
+        m = MeasModel(obs_dim=1, h=lambda x: np.asarray(x)[:1],
+                      sampler=lambda x, rng: x[:1])
+        with pytest.raises(ModelError, match="custom noise sampler"):
+            log_likelihood(m, np.array([1.0, 0.0]), np.array([1.0]))
 
 
 class TestLogLikelihood:
