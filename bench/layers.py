@@ -1,9 +1,15 @@
-"""Layer microbenchmark of the forecast kernels.
+"""Layer microbenchmark of the forecast kernels and the quadrature oracles.
 
 Times the Lorenz-96 drift (36 dimensions, n = 200, 1000 and 3000 members),
 one stochastic-Heun forecast interval (90 steps of 0.01 on 36x1000, the
 ``l96-rmse-sweep`` interval) and one adaptive DP45 interval (0.8 time units
 on 36x200 at rtol 1e-6, atol 1e-9, the ``l96-adaptive-aug`` interval).
+For ``oracle-1e5``'s layers it times building the 2048-point bimodal joint,
+one trimmed limit density (lambda 0.3) on a fresh joint (built over the
+same arrays inside the timed call, so nothing is cached yet) and on a warm
+joint (a repeat call), the Lorenz-63 drift and one stochastic-Heun step
+(dt 0.01, sigma 0.01) on a 3x1e5 block, and the KS distance between 1e5
+samples and the 2048-point limit density.
 Each layer reports the median wall time of ``--repeats`` runs and the
 minor page faults and system time per run, from ``getrusage`` deltas of
 this process.  Prints one JSON document on stdout.
@@ -23,8 +29,17 @@ import time
 
 import numpy as np
 
-from trimkf.integrators import IntegratorConfig, integrate
-from trimkf.models import Lorenz96Params, l96_drift, lorenz96_model
+from trimkf.integrators import IntegratorConfig, heun_sde_step, integrate
+from trimkf.metrics import ks_distance
+from trimkf.models import (
+    Lorenz63Params,
+    Lorenz96Params,
+    l63_drift,
+    l96_drift,
+    lorenz63_model,
+    lorenz96_model,
+)
+from trimkf.oracle import JointGrid, bimodal_toy, tenkf_limit_pdf
 
 DIM = 36
 
@@ -91,6 +106,28 @@ def main() -> None:
     layers["dp45_interval_0.8_n200"] = _measure(
         lambda: integrate(ode, x, 0.0, 0.8, dp45), args.repeats
     )
+
+    layers["bimodal_toy_2048"] = _measure(lambda: bimodal_toy(points=2048), args.repeats)
+    toy = bimodal_toy(points=2048)
+    j, gain, y_star = toy.joint, toy.exact_gain, toy.y_star
+    layers["tenkf_limit_fresh_2048"] = _measure(
+        lambda: tenkf_limit_pdf(JointGrid(j.x, j.y, j.pdf), gain, y_star, 0.3), args.repeats
+    )
+    layers["tenkf_limit_warm_2048"] = _measure(
+        lambda: tenkf_limit_pdf(j, gain, y_star, 0.3), args.repeats
+    )
+
+    p63 = Lorenz63Params(sigma=0.01)
+    x = np.array([[1.5], [-1.5], [25.0]]) + rng.standard_normal((3, 100_000))
+    layers["l63_drift_3x1e5"] = _measure(lambda: l63_drift(x, p63), args.repeats)
+    l63 = lorenz63_model(p63)
+    layers["heun_step_3x1e5"] = _measure(
+        lambda: heun_sde_step(l63, x, 0.0, 0.01, step_rng), args.repeats
+    )
+
+    limit = tenkf_limit_pdf(j, gain, y_star, 0.3)
+    samples, _ = toy.sample(100_000, rng)
+    layers["ks_distance_1e5"] = _measure(lambda: ks_distance(samples, limit), args.repeats)
 
     print(json.dumps({
         "env": {

@@ -136,13 +136,20 @@ class Lorenz96Params:
 def l63_drift(x: np.ndarray, p: Lorenz63Params) -> np.ndarray:
     """Deterministic Lorenz-63 derivative; vectorized over member columns."""
     x = np.asarray(x, dtype=float)
-    return np.stack(
-        [
-            p.alpha * (x[1] - x[0]),
-            x[0] * (p.rho - x[2]) - x[1],
-            x[0] * x[1] - p.beta * x[2],
-        ]
-    )
+    # Filled in place: the same IEEE operations on the same operands as
+    # alpha*(x1-x0), x0*(rho-x2)-x1 and x0*x1-beta*x2, up to commuted
+    # products.  ``out[i, ...]`` stays a view even for a 1-D state.
+    out = np.empty((3,) + x.shape[1:])
+    d0, d1, d2 = out[0, ...], out[1, ...], out[2, ...]
+    np.subtract(x[1], x[0], out=d0)
+    d0 *= p.alpha
+    np.multiply(x[0], x[1], out=d1)  # d1 holds x0*x1 until d2 is done
+    np.multiply(p.beta, x[2], out=d2)
+    np.subtract(d1, d2, out=d2)
+    np.subtract(p.rho, x[2], out=d1)
+    d1 *= x[0]
+    d1 -= x[1]
+    return out
 
 
 def l96_drift(x: np.ndarray, p: Lorenz96Params) -> np.ndarray:

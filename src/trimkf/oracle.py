@@ -15,6 +15,7 @@ validate: they never touch samples except where the contract says so.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import gaussian_kde
@@ -39,6 +40,22 @@ class OracleError(ValueError):
     """Raised when a quadrature operation is ill-posed (e.g. zero mass)."""
 
 
+def _check_grid(name: str, grid: np.ndarray) -> None:
+    """Require a 1-D, increasing, regularly spaced grid of at least 2 nodes."""
+    if grid.ndim != 1 or grid.size < 2:
+        raise OracleError(f"{name} must be a 1-D grid of at least 2 points, got shape {grid.shape}")
+    dx = np.diff(grid)
+    if not dx[0] > 0 or not np.allclose(dx, dx[0], rtol=1e-9, atol=0):
+        raise OracleError(f"{name} must be an increasing, regular grid")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; ``a`` itself keeps its flags."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class DensityGrid:
     """A 1-D probability density tabulated on a regular grid."""
@@ -49,11 +66,9 @@ class DensityGrid:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         pdf = np.asarray(self.pdf, dtype=float)
-        if x.ndim != 1 or x.size < 2 or pdf.shape != x.shape:
+        _check_grid("grid", x)
+        if pdf.shape != x.shape:
             raise OracleError("grid and density must be matching 1-D arrays")
-        dx = np.diff(x)
-        if not np.allclose(dx, dx[0], rtol=1e-9, atol=0):
-            raise OracleError("grid must be regular")
         if np.any(pdf < 0):
             raise OracleError("density values must be non-negative")
         object.__setattr__(self, "x", x)
@@ -83,12 +98,20 @@ class DensityGrid:
         dx = self.x[1] - self.x[0]
         inner = 0.5 * dx * (self.pdf[1:] + self.pdf[:-1])
         c = np.concatenate([[0.0], np.cumsum(inner)])
+        if not c[-1] > 0:
+            raise OracleError("cannot take the CDF of a zero-mass density")
         return c / c[-1]
 
 
 @dataclass(frozen=True)
 class JointGrid:
-    """A 2-D joint density ``p(x, y)`` tabulated on a regular product grid."""
+    """A 2-D joint density ``p(x, y)`` tabulated on a regular product grid.
+
+    Immutable: ``x``, ``y`` and ``pdf`` are read-only views (the arrays
+    passed in keep their flags and are not copied, so writing into them
+    afterwards is the caller's error).  The unnormalized y-marginal and the
+    y-major copy of the table are computed once per joint, on first use.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -98,13 +121,27 @@ class JointGrid:
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         pdf = np.asarray(self.pdf, dtype=float)
+        _check_grid("x", x)
+        _check_grid("y", y)
         if pdf.shape != (x.size, y.size):
             raise OracleError(f"joint table must be (len(x), len(y)), got {pdf.shape}")
         if np.any(pdf < 0):
             raise OracleError("density values must be non-negative")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "pdf", pdf)
+        object.__setattr__(self, "x", _read_only(x))
+        object.__setattr__(self, "y", _read_only(y))
+        object.__setattr__(self, "pdf", _read_only(pdf))
+
+    @cached_property
+    def _y_mass(self) -> np.ndarray:
+        """Trapezoid integral over x of every column: the y-marginal before
+        normalization (read-only)."""
+        return _read_only(np.trapezoid(self.pdf, self.x, axis=0))
+
+    @cached_property
+    def _pdf_by_y(self) -> np.ndarray:
+        """The table as a C-contiguous ``(len(y), len(x))`` array, so that
+        ``_pdf_by_y[j]`` is column ``j`` in contiguous memory (read-only)."""
+        return _read_only(np.ascontiguousarray(self.pdf.T))
 
     def normalized(self) -> "JointGrid":
         total = np.trapezoid(np.trapezoid(self.pdf, self.y, axis=1), self.x)
@@ -116,7 +153,7 @@ class JointGrid:
         return DensityGrid(self.x, np.trapezoid(self.pdf, self.y, axis=1)).normalized()
 
     def marginal_y(self) -> DensityGrid:
-        return DensityGrid(self.y, np.trapezoid(self.pdf, self.x, axis=0)).normalized()
+        return DensityGrid(self.y, self._y_mass).normalized()
 
 
 def grid_from_function(fn, lo: float, hi: float, points: int = 2048) -> DensityGrid:
@@ -179,14 +216,15 @@ def _shifted_conditional_mixture(
     observation marginal, shifted by linear interpolation in x.
     """
     x = joint.x
-    marg_y = np.trapezoid(joint.pdf, x, axis=0)
+    marg_y = joint._y_mass
+    columns = joint._pdf_by_y  # np.interp would copy a strided column first
     quad_w = np.full(joint.y.size, 1.0)
     quad_w[0] = quad_w[-1] = 0.5  # trapezoid rule; dy absorbed by normalization
     out = np.zeros_like(x)
     cols = np.nonzero((y_weight > 0) & (marg_y > 0))[0]
     for j in cols:
         shift = gain * (y_star - joint.y[j])
-        cond = np.interp(x - shift, x, joint.pdf[:, j], left=0.0, right=0.0)
+        cond = np.interp(x - shift, x, columns[j], left=0.0, right=0.0)
         out += (quad_w[j] * y_weight[j] / marg_y[j]) * cond
     return DensityGrid(x, out).normalized()
 
@@ -199,8 +237,7 @@ def enkf_limit_pdf(joint: JointGrid, gain: float, y_star: float) -> DensityGrid:
     marginal.  With ``K = 0`` it reduces to the prior marginal; only at
     jointly Gaussian inputs does it match the exact posterior.
     """
-    marg_y = np.trapezoid(joint.pdf, joint.x, axis=0)
-    return _shifted_conditional_mixture(joint, gain, y_star, marg_y)
+    return _shifted_conditional_mixture(joint, gain, y_star, joint._y_mass)
 
 
 def tenkf_limit_pdf(
@@ -219,15 +256,15 @@ def tenkf_limit_pdf(
     renormalization.  Large ``lam`` recovers the plain limit density, small
     ``lam`` concentrates the weight at ``y*`` and recovers the posterior.
     """
-    if lam <= 0:
-        raise OracleError("lam must be positive")
-    marg_y = np.trapezoid(joint.pdf, joint.x, axis=0)
+    if not (np.isfinite(lam) and lam > 0):
+        raise OracleError(f"lam must be finite and positive, got {lam}")
     if scale is None:
-        ygrid = DensityGrid(joint.y, marg_y).normalized()
-        scale = ygrid.std()
+        scale = joint.marginal_y().std()
+    if not (np.isfinite(scale) and scale > 0):
+        raise OracleError(f"scale must be finite and positive, got {scale}")
     d = np.abs(joint.y - y_star) / scale
     trim = np.exp(-(d - d.min()) / lam)
-    return _shifted_conditional_mixture(joint, gain, y_star, marg_y * trim)
+    return _shifted_conditional_mixture(joint, gain, y_star, joint._y_mass * trim)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,37 @@ class TestLorenz63:
         with pytest.raises(ModelError):
             Lorenz63Params(beta=0.0)
 
+    @staticmethod
+    def _stack_reference(x, p):
+        # The three-temporary np.stack form the in-place drift replaced.
+        x = np.asarray(x, dtype=float)
+        return np.stack(
+            [
+                p.alpha * (x[1] - x[0]),
+                x[0] * (p.rho - x[2]) - x[1],
+                x[0] * x[1] - p.beta * x[2],
+            ]
+        )
+
+    def test_bit_identical_to_stack_form(self):
+        p = Lorenz63Params(alpha=10.0, rho=28.0, beta=8.0 / 3.0, sigma=0.5)
+        rng = np.random.default_rng(63)
+        block = 15.0 * rng.standard_normal((3, 7))
+        wide = 15.0 * rng.standard_normal((3, 9))
+        inputs = {
+            "1-D": block[:, 0].copy(),
+            "C-order": block,
+            "F-order": np.asfortranarray(block),
+            "strided column": wide[:, 3],
+            "strided block": wide[:, ::2],
+        }
+        for name, x in inputs.items():
+            before = x.copy()
+            got, want = l63_drift(x, p), self._stack_reference(x, p)
+            assert got.shape == want.shape == x.shape, name
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+            assert np.array_equal(x, before), name
+
 
 class TestLorenz96:
     def test_uniform_forcing_state_is_fixed_point(self):

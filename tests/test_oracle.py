@@ -3,10 +3,13 @@ Kalman recursion, and Monte-Carlo prior propagation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimkf.metrics import ks_distance
 from trimkf.oracle import (
     DensityGrid,
+    JointGrid,
     OracleError,
     bayes_posterior,
     bimodal_toy,
@@ -64,6 +67,15 @@ class TestDensityGrid:
         c = g.cdf()
         assert c[0] == 0.0 and c[-1] == pytest.approx(1.0)
         assert np.all(np.diff(c) >= 0)
+
+    def test_cdf_of_zero_mass_rejected(self):
+        # Was an all-NaN CDF with a RuntimeWarning, so a KS distance to the
+        # grid read nan and every ``ks < tol`` check failed without a reason.
+        g = DensityGrid(np.linspace(-1, 1, 9), np.zeros(9))
+        with pytest.raises(OracleError, match="zero-mass"):
+            g.cdf()
+        with pytest.raises(OracleError, match="zero-mass"):
+            ks_distance(np.zeros(5), g)
 
     def test_joint_marginals_recover(self, toy):
         joint = toy.joint
@@ -164,6 +176,137 @@ class TestTenkfLimit:
     def test_requires_positive_lambda(self, toy):
         with pytest.raises(OracleError):
             tenkf_limit_pdf(toy.joint, 1.0, toy.y_star, 0.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_lambda(self, toy, lam):
+        with pytest.raises(OracleError, match="lam"):
+            tenkf_limit_pdf(toy.joint, 1.0, toy.y_star, lam)
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf],
+                             ids=["negative", "zero", "nan", "inf"])
+    def test_rejects_bad_scale(self, toy, scale):
+        # A negative scale used to give far observations more weight; zero
+        # and nan raised a misleading zero-mass error.
+        with pytest.raises(OracleError, match="scale"):
+            tenkf_limit_pdf(toy.joint, 1.0, toy.y_star, 0.5, scale=scale)
+
+
+def _reference_limit(joint, gain, y_star, lam=None, scale=None):
+    """The limit densities as computed before ``JointGrid`` cached anything:
+    every full-table integral is recomputed per call and each column is
+    read strided.  ``lam=None`` is the plain (EnKF) limit."""
+    x, y, pdf = joint.x, joint.y, joint.pdf
+    marg_y = np.trapezoid(pdf, x, axis=0)
+    weight = marg_y
+    if lam is not None:
+        if scale is None:
+            scale = DensityGrid(y, marg_y).normalized().std()
+        d = np.abs(y - y_star) / scale
+        weight = marg_y * np.exp(-(d - d.min()) / lam)
+    quad_w = np.full(y.size, 1.0)
+    quad_w[0] = quad_w[-1] = 0.5
+    out = np.zeros_like(x)
+    for j in np.nonzero((weight > 0) & (marg_y > 0))[0]:
+        shift = gain * (y_star - y[j])
+        cond = np.interp(x - shift, x, pdf[:, j], left=0.0, right=0.0)
+        out += (quad_w[j] * weight[j] / marg_y[j]) * cond
+    return DensityGrid(x, out).normalized()
+
+
+def _limit(joint, gain, y_star, lam=None, scale=None):
+    if lam is None:
+        return enkf_limit_pdf(joint, gain, y_star)
+    return tenkf_limit_pdf(joint, gain, y_star, lam, scale)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_same_grid(got, want):
+    assert np.array_equal(_bits(got.x), _bits(want.x))
+    assert np.array_equal(_bits(got.pdf), _bits(want.pdf))
+
+
+def _fresh(joint):
+    """A joint over the same arrays, with nothing cached yet."""
+    return JointGrid(joint.x, joint.y, joint.pdf)
+
+
+class TestCachedJoint:
+    """The cached y-marginal and y-major table give the old bits."""
+
+    @pytest.mark.parametrize("points", [64, 512, 2048])
+    def test_limits_bit_identical_to_per_column_loop(self, points):
+        toy = bimodal_toy(points=points)
+        gain, y_star = toy.exact_gain, toy.y_star
+        cases = [(None, None), (1e9, None), (0.02, None), (0.3, 1.3)]
+        wants = [_reference_limit(toy.joint, gain, y_star, lam, scale) for lam, scale in cases]
+        for (lam, scale), want in zip(cases, wants):
+            # first call on a fresh joint, then again on the warm one
+            joint = _fresh(toy.joint)
+            _assert_same_grid(_limit(joint, gain, y_star, lam, scale), want)
+            _assert_same_grid(_limit(joint, gain, y_star, lam, scale), want)
+        # one joint through every case in turn, as the bimodal scenario runs
+        joint = _fresh(toy.joint)
+        for (lam, scale), want in zip(cases, wants):
+            _assert_same_grid(_limit(joint, gain, y_star, lam, scale), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.sampled_from([16, 33, 64]),
+        gain=st.floats(-1.5, 1.5),
+        y_star=st.floats(-4.0, 4.0),
+        lam=st.one_of(st.none(), st.floats(1e-3, 1e6)),
+    )
+    def test_limits_bit_identical_property(self, points, gain, y_star, lam):
+        joint = bimodal_toy(points=points).joint
+        try:
+            want = _reference_limit(joint, gain, y_star, lam)
+        except OracleError:
+            with pytest.raises(OracleError):
+                _limit(_fresh(joint), gain, y_star, lam)
+            return
+        _assert_same_grid(_limit(_fresh(joint), gain, y_star, lam), want)
+
+    def test_marginal_y_bit_identical(self, toy):
+        joint = _fresh(toy.joint)
+        want = DensityGrid(joint.y, np.trapezoid(joint.pdf, joint.x, axis=0)).normalized()
+        _assert_same_grid(joint.marginal_y(), want)
+        enkf_limit_pdf(joint, toy.exact_gain, toy.y_star)
+        _assert_same_grid(joint.marginal_y(), want)
+
+    def test_tables_read_only_and_callers_array_untouched(self, toy):
+        table = np.array(toy.joint.pdf)
+        joint = JointGrid(toy.joint.x, toy.joint.y, table)
+        tenkf_limit_pdf(joint, toy.exact_gain, toy.y_star, 0.5)
+        cached = (joint._y_mass, joint._pdf_by_y)
+        for a in (joint.x, joint.y, joint.pdf) + cached:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            joint.pdf[0, 0] = 1.0
+        assert table.flags.writeable and np.shares_memory(joint.pdf, table)
+        assert joint._pdf_by_y.flags.c_contiguous
+        assert joint._y_mass is cached[0] and joint._pdf_by_y is cached[1]
+
+
+class TestJointGridChecks:
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (np.linspace(-1, 1, 5), np.array([0.0, 0.1, 0.3, 0.6, 1.0])),
+            (np.array([0.0, 0.5, 2.0, 2.5, 3.0]), np.linspace(0, 1, 5)),
+            (np.linspace(1, -1, 5), np.linspace(0, 1, 5)),
+            (np.linspace(-1, 1, 5), np.full(5, 2.0)),
+            (np.linspace(-1, 1, 5), np.linspace(0, 1, 10).reshape(2, 5)),
+            (np.array([0.0]), np.linspace(0, 1, 5)),
+        ],
+        ids=["irregular-y", "irregular-x", "decreasing-x", "constant-y", "2-D-y", "one-point-x"],
+    )
+    def test_rejects_bad_grid(self, x, y):
+        # The mixture's trapezoid weights assume a regular, increasing y.
+        with pytest.raises(OracleError):
+            JointGrid(x, y, np.ones((x.size, y.size)))
 
 
 class TestExactKalman:
