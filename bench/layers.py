@@ -10,9 +10,15 @@ same arrays inside the timed call, so nothing is cached yet) and on a warm
 joint (a repeat call), the Lorenz-63 drift and one stochastic-Heun step
 (dt 0.01, sigma 0.01) on a 3x1e5 block, and the KS distance between 1e5
 samples and the 2048-point limit density.
+For the update path it times the sample Kalman gain, the lambda bisection
+(target n_e 50) and one trimmed update (with that bisection) on a 36x1000
+L96 joint observed at every other component, and multinomial resampling
+of 1e5 indices from 1e5 weights.
 Each layer reports the median wall time of ``--repeats`` runs and the
 minor page faults and system time per run, from ``getrusage`` deltas of
-this process.  Prints one JSON document on stdout.
+this process.  The DP45 interval also reports its drift calls and its
+attempted steps, counted in one extra untimed run.  Prints one JSON
+document on stdout.
 
     PYTHONPATH=src python bench/layers.py [--repeats 15] [--seed 0]
 """
@@ -29,15 +35,21 @@ import time
 
 import numpy as np
 
+from trimkf import integrators
+from trimkf.ensemble import Ensemble, JointEnsemble, kalman_gain, resample_indices
+from trimkf.filters import TrimConfig, adapt_lambda, tenkf_update, trim_distance
 from trimkf.integrators import IntegratorConfig, heun_sde_step, integrate
 from trimkf.metrics import ks_distance
 from trimkf.models import (
+    DynModel,
     Lorenz63Params,
     Lorenz96Params,
     l63_drift,
     l96_drift,
     lorenz63_model,
     lorenz96_model,
+    observe,
+    select_observer,
 )
 from trimkf.oracle import JointGrid, bimodal_toy, tenkf_limit_pdf
 
@@ -57,6 +69,29 @@ def _drift_calls(x: np.ndarray, p: Lorenz96Params, calls: int) -> None:
     # dropped as they come, as a stepper drops them.
     for _ in range(calls):
         l96_drift(x, p)
+
+
+def _dp45_counts(model, x, t1, cfg) -> dict:
+    """Drift calls and attempted steps of one DP45 interval."""
+    calls = attempts = 0
+
+    def drift(x, t):
+        nonlocal calls
+        calls += 1
+        return model.drift(x, t)
+
+    def stages(*args):
+        nonlocal attempts
+        attempts += 1
+        return dp_stages(*args)
+
+    dp_stages = integrators._dp_stages
+    integrators._dp_stages = stages
+    try:
+        integrate(DynModel(state_dim=model.state_dim, drift=drift), x, 0.0, t1, cfg)
+    finally:
+        integrators._dp_stages = dp_stages
+    return {"drift_calls": calls, "attempts": attempts}
 
 
 def _measure(fn, repeats: int) -> dict:
@@ -106,6 +141,7 @@ def main() -> None:
     layers["dp45_interval_0.8_n200"] = _measure(
         lambda: integrate(ode, x, 0.0, 0.8, dp45), args.repeats
     )
+    layers["dp45_interval_0.8_n200"].update(_dp45_counts(ode, x, 0.8, dp45))
 
     layers["bimodal_toy_2048"] = _measure(lambda: bimodal_toy(points=2048), args.repeats)
     toy = bimodal_toy(points=2048)
@@ -128,6 +164,24 @@ def main() -> None:
     limit = tenkf_limit_pdf(j, gain, y_star, 0.3)
     samples, _ = toy.sample(100_000, rng)
     layers["ks_distance_1e5"] = _measure(lambda: ks_distance(samples, limit), args.repeats)
+
+    meas = select_observer(DIM, np.arange(0, DIM, 2), noise_std=0.05)
+    states = _attractor_block(1000, rng)
+    joint = JointEnsemble(Ensemble(states), observe(meas, states, rng))
+    y_star = observe(meas, states[:, 0], rng)
+    trim = TrimConfig(distance="normalized-l1", target_ne=50.0)
+    d = trim_distance(joint.observations, y_star, "normalized-l1",
+                      joint.observations.std(axis=1, ddof=1))
+    layers["kalman_gain_36x1000"] = _measure(lambda: kalman_gain(joint), args.repeats)
+    layers["adapt_lambda_n1000"] = _measure(lambda: adapt_lambda(d, 50.0, trim), args.repeats)
+    layers["tenkf_update_36x1000"] = _measure(
+        lambda: tenkf_update(joint, y_star, trim, step_rng), args.repeats
+    )
+    w = rng.random(100_000)
+    w /= w.sum()
+    layers["resample_indices_1e5"] = _measure(
+        lambda: resample_indices(w, 100_000, step_rng), args.repeats
+    )
 
     print(json.dumps({
         "env": {

@@ -24,6 +24,7 @@ emitted ``metadata.json`` wraps the fully resolved configuration under a
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,17 +83,24 @@ class ExperimentConfig:
         }
 
 
+def _number_problem(v, integer=False, lo=None, hi=None):
+    """Why ``v`` is not an acceptable number (``NaN``/``Infinity`` are not), or None."""
+    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+        return f"expected {'an integer' if integer else 'a number'}, got {v!r}"
+    if isinstance(v, float) and not math.isfinite(v):
+        return f"must be finite, got {v!r}"
+    if lo is not None and v < lo:
+        return f"must be >= {lo}, got {v!r}"
+    if hi is not None and v > hi:
+        return f"must be <= {hi}, got {v!r}"
+    return None
+
+
 def _positive(name, lo=None, hi=None, integer=False):
     def check(value, errors):
-        ok_type = isinstance(value, int) if integer else isinstance(value, (int, float))
-        if isinstance(value, bool) or not ok_type:
-            errors.append(f"params.{name}: expected {'an integer' if integer else 'a number'}, got {value!r}")
-            return None
-        if lo is not None and value < lo:
-            errors.append(f"params.{name}: must be >= {lo}, got {value!r}")
-            return None
-        if hi is not None and value > hi:
-            errors.append(f"params.{name}: must be <= {hi}, got {value!r}")
+        problem = _number_problem(value, integer, lo, hi)
+        if problem:
+            errors.append(f"params.{name}: {problem}")
             return None
         return value
 
@@ -104,16 +112,12 @@ def _number_list(name, lo=None, min_len=1):
         if not isinstance(value, (list, tuple)) or len(value) < min_len:
             errors.append(f"params.{name}: expected a list of at least {min_len} number(s)")
             return None
-        out = []
         for i, v in enumerate(value):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                errors.append(f"params.{name}[{i}]: expected a number, got {v!r}")
+            problem = _number_problem(v, lo=lo)
+            if problem:
+                errors.append(f"params.{name}[{i}]: {problem}")
                 return None
-            if lo is not None and v < lo:
-                errors.append(f"params.{name}[{i}]: must be >= {lo}, got {v!r}")
-                return None
-            out.append(v)
-        return out
+        return list(value)
 
     return check
 

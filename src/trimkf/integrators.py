@@ -6,6 +6,11 @@ predictor and corrector.  The adaptive scheme is the Dormand-Prince 5(4)
 embedded pair with a PI step controller (safety 0.9, growth clamped to
 [0.2, 5.0]).
 
+The pair is first-same-as-last: the last stage is the drift at the new
+solution, so an accepted attempt's last stage is reused as the next first
+stage.  DP45 thus calls the drift six times per attempt plus once per
+interval, and a drift must be a pure function of ``(x, t)``.
+
 All steppers accept states of shape ``(N,)`` or ``(N, n)`` (member columns)
 as long as the model drift is vectorized; fixed-step results on a batch are
 bit-identical to stepping each column alone.
@@ -57,8 +62,11 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name in ("dt", "rtol", "atol", "min_step"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.dt <= 0 or not self.max_step > 0:  # max_step may be inf, not nan
+            raise ValueError("dt and max_step must be positive")
         if self.scheme == "rk45-adaptive" and (self.rtol <= 0 or self.atol <= 0):
             raise ValueError("rtol and atol must be positive for the adaptive scheme")
         if self.max_steps < 1:
@@ -159,7 +167,8 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Row 6 is the 5th-order weights b (b_6 = 0) and c_6 = 1: the last stage
+# state is the solution and its drift the next step's first stage (FSAL).
 # Difference between 5th- and embedded 4th-order weights: the error estimate.
 _DP_ERR = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
@@ -167,7 +176,6 @@ _DP_ERR = np.array(
 
 # Nonzero (stage, coefficient) terms of each combination, in stage order.
 _DP_A_TERMS = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _DP_A)
-_DP_B5_TERMS = tuple((j, b) for j, b in enumerate(_DP_B5) if b != 0.0)
 _DP_ERR_TERMS = tuple((j, e) for j, e in enumerate(_DP_ERR) if e != 0.0)
 
 _SAFETY = 0.9
@@ -186,23 +194,18 @@ def _stage_sum(terms, k, out, tmp):
 
 
 def _dp_stages(model: DynModel, x, t, dt, k, x5, err, tmp):
-    """One Dormand-Prince attempt from ``x``: the 5th-order solution into
-    ``x5`` and the embedded error estimate into ``err``.
+    """One Dormand-Prince attempt from ``x`` given ``k[0] = f(x, t)``: the
+    5th-order solution (the last stage state, as row 6 of the tableau is b)
+    into ``x5``, its drift into ``k[6]`` and the error estimate into ``err``.
 
-    ``k`` receives the seven stage derivatives and ``x5`` doubles as the
-    stage state while they are built.  Each combination adds its nonzero
-    terms left to right, scales by ``dt`` and adds ``x``, the operation
-    order of ``x + dt * sum(a_j k_j)``.
+    Each combination adds its nonzero terms left to right, scales by ``dt``
+    and adds ``x``, the operation order of ``x + dt * sum(a_j k_j)``.
     """
-    k[0] = _checked_drift(model, x, t)
     for s in range(1, 7):
         xs = _stage_sum(_DP_A_TERMS[s], k, x5, tmp)
         xs *= dt
         xs += x
         k[s] = _checked_drift(model, xs, t + _DP_C[s] * dt)
-    _stage_sum(_DP_B5_TERMS, k, x5, tmp)
-    x5 *= dt
-    x5 += x
     _stage_sum(_DP_ERR_TERMS, k, err, tmp)
     err *= dt
 
@@ -214,11 +217,13 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
     error norm is the worst per-member norm, so every member stays within
     tolerance while the whole block shares one step sequence.  The work
     arrays belong to this call (replicates integrate on several threads at
-    once) and ``x`` itself is never written.
+    once) and ``x`` itself is never written.  An accepted attempt's last
+    stage is the next one's first; a rejected one leaves ``k[0]`` as it is.
     """
     x = x.copy()
-    x_new, err, ratios, tmp = (np.empty_like(x) for _ in range(4))
-    k = [None] * 7
+    x_new, err, ratios, tmp, abs_new = (np.empty_like(x) for _ in range(5))
+    abs_x = np.abs(x)
+    k = [_checked_drift(model, x, t0)] + [None] * 6
     t = t0
     dt = min(cfg.dt, cfg.max_step, t1 - t0)
     prev_err_norm = 1.0
@@ -235,22 +240,21 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
                 f"adaptive step underflow: dt={dt:.3e} < min_step={cfg.min_step:.3e} at t={t:.6g}"
             )
         _dp_stages(model, x, t, dt, k, x_new, err, tmp)
-        # ratios = (err / (atol + rtol * max(|x|, |x_new|)))**2
-        np.abs(x, out=ratios)
-        np.maximum(ratios, np.abs(x_new, out=tmp), out=ratios)
+        # ratios = (err / (atol + rtol * max(|x|, |x_new|)))**2; max(sum) / N
+        # is the same bits as max(mean): dividing by N is monotone.
+        np.maximum(abs_x, np.abs(x_new, out=abs_new), out=ratios)
         ratios *= cfg.rtol
         ratios += cfg.atol
         np.divide(err, ratios, out=ratios)
         ratios *= ratios
-        if ratios.ndim == 2:
-            err_norm = float(np.sqrt(np.mean(ratios, axis=0).max()))
-        else:
-            err_norm = float(np.sqrt(np.mean(ratios)))
+        err_norm = float(np.sqrt(np.add.reduce(ratios, axis=0).max() / ratios.shape[0]))
         if not np.isfinite(err_norm):
             raise IntegrationError(f"non-finite error estimate at t={t:.6g}")
         if err_norm <= 1.0:
             t += dt
             x, x_new = x_new, x
+            abs_x, abs_new = abs_new, abs_x
+            k[0] = k[6]
             # PI controller: uses current and previous accepted error norms.
             factor = _SAFETY * (
                 (err_norm + 1e-16) ** -_PI_ALPHA * (prev_err_norm + 1e-16) ** _PI_BETA
@@ -298,28 +302,20 @@ def integrate(
     if cfg.scheme == "stochastic-heun":
         if model.noise_intensity > 0 and rng is None:
             raise ValueError("stochastic integration needs an rng")
-        n_full, remainder = _fixed_grid_steps(t0, t1, cfg.dt)
-        t = t0
-        for _ in range(n_full):
-            x = heun_sde_step(model, x, t, cfg.dt, rng)
-            t += cfg.dt
-        if remainder > 0.0:
-            x = heun_sde_step(model, x, t, remainder, rng)
-        return x
-
-    if model.noise_intensity > 0:
+        step, args = heun_sde_step, (rng,)
+    elif model.noise_intensity > 0:
         raise IntegrationError(
             f"scheme {cfg.scheme!r} is deterministic; model has noise_intensity > 0"
         )
-
-    if cfg.scheme == "rk4":
-        n_full, remainder = _fixed_grid_steps(t0, t1, cfg.dt)
-        t = t0
-        for _ in range(n_full):
-            x = rk4_step(model, x, t, cfg.dt)
-            t += cfg.dt
-        if remainder > 0.0:
-            x = rk4_step(model, x, t, remainder)
-        return x
-
-    return _rk45_adaptive(model, x, t0, t1, cfg)
+    elif cfg.scheme == "rk45-adaptive":
+        return _rk45_adaptive(model, x, t0, t1, cfg)
+    else:
+        step, args = rk4_step, ()
+    n_full, remainder = _fixed_grid_steps(t0, t1, cfg.dt)
+    t = t0
+    for _ in range(n_full):
+        x = step(model, x, t, cfg.dt, *args)
+        t += cfg.dt
+    if remainder > 0.0:
+        x = step(model, x, t, remainder, *args)
+    return x

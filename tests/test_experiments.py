@@ -54,6 +54,20 @@ class TestValidateConfig:
             validate_config({"scenario": scenario,
                              "params": {"filters": ["enkf", "tenkf", "enkf"]}})
 
+    def test_non_finite_scalar_param_rejected(self):
+        # json.loads reads NaN and Infinity; nan < lo is False
+        doc = json.loads('{"scenario": "bimodal-oracle-check",'
+                         ' "params": {"lam_large": NaN, "sample_lam": Infinity}}')
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert err.value.problems == ["params.lam_large: must be finite, got nan",
+                                      "params.sample_lam: must be finite, got inf"]
+
+    def test_non_finite_list_param_rejected(self):
+        doc = json.loads('{"scenario": "l96-rmse-sweep", "params": {"dt_obs": [0.9, NaN]}}')
+        with pytest.raises(ConfigError, match=r"params\.dt_obs\[1\]: must be finite"):
+            validate_config(doc)
+
     def test_all_errors_reported_not_first_failure(self):
         with pytest.raises(ConfigError) as err:
             validate_config({
@@ -112,6 +126,11 @@ class TestCli:
         cfg = write_config(tmp_path / "c.json",
                            {"scenario": "l96-adaptive-aug", "params": {"r_max": 0.5}})
         assert main(["validate", "--config", cfg]) == 1
+
+    def test_non_finite_param_exit_1(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"scenario": "bimodal-oracle-check", "params": {"lam_large": NaN}}')
+        assert main(["run", "--config", str(cfg)]) == 1
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 1

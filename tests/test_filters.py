@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimkf.ensemble import Ensemble, JointEnsemble, effective_size
 from trimkf.filters import (
@@ -188,6 +190,22 @@ class TestAdaptLambda:
             nes = [effective_size(trim_weights(d, lam))
                    for lam in np.logspace(-3, 3, 25)]
             assert all(b >= a - 1e-9 for a, b in zip(nes, nes[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.lists(st.floats(0.0, 50.0), min_size=2, max_size=120),
+        target_frac=st.floats(0.0, 1.0),
+        tol=st.floats(1e-4, 0.3),
+        iters=st.integers(1, 60),
+    )
+    def test_meets_tolerance_or_flags(self, d, target_frac, tol, iters):
+        d = np.array(d)
+        target = 1.0 + target_frac * (d.size - 1)
+        cfg = TrimConfig(target_ne=target, ne_tolerance=tol, max_bisect_iters=iters)
+        lam, w, flag = adapt_lambda(d, target, cfg)
+        assert flag is not None or abs(effective_size(w) - target) / target <= tol
+        assert w.shape == d.shape and np.all(w >= 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTenkfUpdate:

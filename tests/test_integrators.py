@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from trimkf.integrators import (
+    _DP_A,
+    _DP_C,
     IntegrationError,
     IntegratorConfig,
     _checked_drift,
@@ -208,6 +210,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IntegratorConfig(scheme="rk45-adaptive", rtol=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", np.nan), ("dt", np.inf), ("rtol", np.nan), ("atol", np.inf),
+        ("min_step", np.nan), ("max_step", np.nan), ("max_step", 0.0), ("max_step", -1.0),
+    ])
+    def test_non_finite_or_non_positive_rejected(self, field, value):
+        # nan <= 0 is False, so a plain sign check lets nan through
+        with pytest.raises(ValueError, match=field):
+            IntegratorConfig(scheme="rk45-adaptive", **{field: value})
+
+    def test_infinite_max_step_is_the_default(self):
+        assert IntegratorConfig(scheme="rk45-adaptive").max_step == np.inf
+
 
 def test_rk4_step_classic_order():
     m = scalar_model(a=1.0)
@@ -300,6 +314,38 @@ def _l96_block(n, seed, sigma=0.0):
     return lorenz96_model(Lorenz96Params(dim=36, sigma=sigma)), x
 
 
+def _dp45_vs_ref(model, x, t1, cfg):
+    """Integrate with DP45 and with the frozen ``_ref_rk45``; assert the same
+    bits and the same drift-call times, where DP45 reuses an attempt's last
+    stage as the next first stage and so skips the reference's stage-0 call
+    of every attempt after the first.  Returns the accepted and attempted
+    step counts and how many rejections came right after an acceptance."""
+    calls = {"new": [], "ref": []}
+
+    def logged(log):
+        def drift(x, t):
+            log.append(t)
+            return model.drift(x, t)
+
+        return DynModel(state_dim=model.state_dim, drift=drift)
+
+    got = integrate(logged(calls["new"]), x, 0.0, t1, cfg)
+    want, accepted, attempts = _ref_rk45(logged(calls["ref"]), x, 0.0, t1, cfg)
+    assert np.array_equal(_bits(got), _bits(want))
+    ref = calls["ref"]
+    assert len(ref) == 7 * attempts
+    assert calls["new"] == [t for i, t in enumerate(ref) if i < 7 or i % 7]
+    assert len(calls["new"]) == 6 * attempts + 1
+    stage0_times = ref[::7]
+    took = [b > a for a, b in zip(stage0_times, stage0_times[1:])]
+    assert sum(took) + 1 == accepted
+    # each skipped stage 0 is at the time of the stage it reuses: the last
+    # stage after an acceptance, the previous stage 0 after a rejection
+    for i, ok in enumerate(took):
+        assert stage0_times[i + 1] == (ref[7 * i + 6] if ok else stage0_times[i])
+    return accepted, attempts, sum(a and not b for a, b in zip(took, took[1:]))
+
+
 class TestFrozenReferences:
     def test_heun_matches_textbook_form_bitwise(self):
         for sigma in (0.0, 0.01):
@@ -328,24 +374,32 @@ class TestFrozenReferences:
         # Same states bit for bit and the same step sequence: the logged
         # drift-call times pin every accepted and rejected attempt.
         model, x = _l96_block(40, 3)
-        calls = {"new": [], "ref": []}
-
-        def logged(log):
-            def drift(x, t):
-                log.append(t)
-                return model.drift(x, t)
-
-            return DynModel(state_dim=36, drift=drift)
-
         cfg = IntegratorConfig(scheme="rk45-adaptive", dt=0.01, rtol=1e-6, atol=1e-9)
-        got = integrate(logged(calls["new"]), x, 0.0, 0.8, cfg)
-        want, accepted, attempts = _ref_rk45(logged(calls["ref"]), x, 0.0, 0.8, cfg)
-        assert np.array_equal(_bits(got), _bits(want))
-        assert calls["new"] == calls["ref"]
-        assert len(calls["new"]) == 7 * attempts
-        stage0_times = calls["new"][::7]
-        assert sum(b > a for a, b in zip(stage0_times, stage0_times[1:])) + 1 == accepted
+        accepted, attempts, _ = _dp45_vs_ref(model, x, 0.8, cfg)
         assert attempts > accepted  # the controller's rejection path was exercised
+
+    @pytest.mark.parametrize("layout, rtol", [("1-D", 1e-6), ("F", 1e-3)])
+    def test_dp45_state_layouts(self, layout, rtol):
+        # the truth path integrates a single (N,) state; a block may be F-ordered
+        model, x = _l96_block(40, 3)
+        x = x[:, 0].copy() if layout == "1-D" else np.asfortranarray(x)
+        cfg = IntegratorConfig(scheme="rk45-adaptive", dt=0.1, rtol=rtol, atol=1e-9)
+        accepted, attempts, _ = _dp45_vs_ref(model, x, 0.8, cfg)
+        assert attempts > accepted
+
+    def test_dp45_rejection_right_after_acceptance(self):
+        # the rejected attempt starts from a reused last stage, and so does
+        # the retry after it
+        model, x = _l96_block(20, 4)
+        cfg = IntegratorConfig(scheme="rk45-adaptive", dt=0.5, rtol=1e-3, atol=1e-9)
+        _, _, reject_after_accept = _dp45_vs_ref(model, x, 0.8, cfg)
+        assert reject_after_accept >= 1
+
+    def test_dp45_last_stage_row_is_fifth_order_weights(self):
+        # FSAL and the reuse of the last stage state as the solution rest on
+        # row 6 of the tableau being b (with b_6 = 0) at node c_6 = 1
+        assert _DP_A[6] == _REF_DP_B5[:6] and _REF_DP_B5[6] == 0.0
+        assert _DP_C[6] == 1.0
 
 
 class TestInputNotModified:
