@@ -14,6 +14,12 @@ For the update path it times the sample Kalman gain, the lambda bisection
 (target n_e 50) and one trimmed update (with that bisection) on a 36x1000
 L96 joint observed at every other component, and multinomial resampling
 of 1e5 indices from 1e5 weights.
+Finally it times ``import trimkf, trimkf.experiments`` in ``--repeats``
+fresh interpreters (the import alone, not the interpreter start-up) and
+reports the median peak RSS of those interpreters after the import.  The
+peak is read from ``VmHWM`` in ``/proc/self/status`` (Linux): a child's
+``ru_maxrss`` starts at its parent's high-water mark, which here is the
+size of this benchmark, not of the import.
 Each layer reports the median wall time of ``--repeats`` runs and the
 minor page faults and system time per run, from ``getrusage`` deltas of
 this process.  The DP45 interval also reports its drift calls and its
@@ -31,6 +37,8 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -112,6 +120,26 @@ def _measure(fn, repeats: int) -> dict:
     }
 
 
+def _import_layer(repeats: int) -> dict:
+    code = ("import time; t0 = time.perf_counter();"
+            "import trimkf, trimkf.experiments;"
+            "t = time.perf_counter() - t0;"
+            "hwm = [l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')];"
+            "print(t, hwm[0])")
+    times, rss_kb = [], []
+    for _ in range(repeats):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout.split()
+        times.append(float(out[0]))
+        rss_kb.append(int(out[1]))
+    return {
+        "median_s": statistics.median(times),
+        "min_s": min(times),
+        "max_s": max(times),
+        "peak_rss_mb": statistics.median(rss_kb) / 1024,
+    }
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=15)
@@ -169,7 +197,7 @@ def main() -> None:
     states = _attractor_block(1000, rng)
     joint = JointEnsemble(Ensemble(states), observe(meas, states, rng))
     y_star = observe(meas, states[:, 0], rng)
-    trim = TrimConfig(distance="normalized-l1", target_ne=50.0)
+    trim = TrimConfig(target_ne=50.0)
     d = trim_distance(joint.observations, y_star, "normalized-l1",
                       joint.observations.std(axis=1, ddof=1))
     layers["kalman_gain_36x1000"] = _measure(lambda: kalman_gain(joint), args.repeats)
@@ -182,6 +210,7 @@ def main() -> None:
     layers["resample_indices_1e5"] = _measure(
         lambda: resample_indices(w, 100_000, step_rng), args.repeats
     )
+    layers["import_trimkf"] = _import_layer(args.repeats)
 
     print(json.dumps({
         "env": {

@@ -48,7 +48,6 @@ from .metrics import (
     ks_distance,
     replicate_quantiles,
     time_avg_rmse,
-    wasserstein_distance,
 )
 from .models import (
     DynModel,
@@ -75,7 +74,6 @@ from .oracle import (
     enkf_limit_pdf,
     kalman_filter_exact,
     kalman_filter_sequence,
-    prior_propagate_grid,
     tenkf_limit_pdf,
 )
 

@@ -29,6 +29,9 @@ __all__ = [
 # Weights below this are clamped to zero to avoid denormal noise.
 _WEIGHT_FLOOR = 1e-300
 _NORMALIZATION_TOL = 1e-12
+# Diagonal regularization of the observation covariance, relative to its
+# mean diagonal entry.
+_GAIN_JITTER = 1e-10
 
 
 class EnsembleError(ValueError):
@@ -133,10 +136,10 @@ def cross_covariance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return dx @ dy.T / (n - 1)
 
 
-def kalman_gain(joint: JointEnsemble, jitter: float = 1e-10) -> np.ndarray:
+def kalman_gain(joint: JointEnsemble) -> np.ndarray:
     """Sample Kalman gain ``C_xy @ C_yy^{-1}`` from a joint forecast ensemble.
 
-    The observation covariance is regularized with ``jitter * trace / M`` on
+    The observation covariance is regularized with ``1e-10 * trace / M`` on
     the diagonal before the solve; an explicit inverse is never formed.  A
     constant observation ensemble (zero covariance) yields a zero gain, which
     makes the zero-innovation update a no-op.
@@ -157,7 +160,7 @@ def kalman_gain(joint: JointEnsemble, jitter: float = 1e-10) -> np.ndarray:
         if np.all(c_xy == 0.0):
             return np.zeros((x.shape[0], m))
         raise GainError("observation ensemble is constant but cross-covariance is not zero")
-    c_reg = c_yy + (jitter * tr / m) * np.eye(m)
+    c_reg = c_yy + (_GAIN_JITTER * tr / m) * np.eye(m)
     try:
         gain = np.linalg.solve(c_reg, c_xy.T).T
     except np.linalg.LinAlgError as exc:
@@ -199,25 +202,11 @@ def effective_size(w: np.ndarray) -> float:
     return 1.0 / float(np.sum(w * w))
 
 
-def resample_indices(
-    w: np.ndarray,
-    size: int,
-    rng: np.random.Generator,
-    scheme: str = "multinomial",
-) -> np.ndarray:
-    """Draw resampling indices according to a weight vector.
-
-    ``multinomial`` draws each output index independently with probability
-    ``w_j`` (the default; duplicates permitted).  ``systematic`` is a
-    lower-variance opt-in variant using a single stratified uniform draw.
-    """
+def resample_indices(w: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw multinomial resampling indices: each output index is drawn
+    independently with probability ``w_j`` (duplicates permitted)."""
     w = normalize_weights(w)
-    if scheme == "multinomial":
-        return rng.choice(w.size, size=size, replace=True, p=w)
-    if scheme == "systematic":
-        positions = (rng.uniform() + np.arange(size)) / size
-        return np.searchsorted(np.cumsum(w), positions).clip(0, w.size - 1)
-    raise ValueError(f"unknown resampling scheme: {scheme!r}")
+    return rng.choice(w.size, size=size, replace=True, p=w)
 
 
 def bootstrap_resample(
@@ -225,7 +214,6 @@ def bootstrap_resample(
     w: np.ndarray,
     rng: np.random.Generator,
     size: int | None = None,
-    scheme: str = "multinomial",
 ) -> tuple[JointEnsemble, np.ndarray]:
     """Resample a joint ensemble with weights as selection probabilities.
 
@@ -242,7 +230,7 @@ def bootstrap_resample(
     n_out = joint.size if size is None else int(size)
     if n_out < 1:
         raise EnsembleError("resample size must be positive")
-    idx = resample_indices(w, n_out, rng, scheme=scheme)
+    idx = resample_indices(w, n_out, rng)
     resampled = JointEnsemble(
         states=Ensemble(joint.states.members[:, idx]),
         observations=joint.observations[:, idx],

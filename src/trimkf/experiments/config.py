@@ -107,16 +107,23 @@ def _positive(name, lo=None, hi=None, integer=False):
     return check
 
 
-def _number_list(name, lo=None, min_len=1):
+def _number_list(name, lo=None, integer=False):
+    """A non-empty list of distinct numbers: a repeated entry would rerun the
+    same random streams and count its results twice."""
+
     def check(value, errors):
-        if not isinstance(value, (list, tuple)) or len(value) < min_len:
-            errors.append(f"params.{name}: expected a list of at least {min_len} number(s)")
+        if not isinstance(value, (list, tuple)) or not value:
+            errors.append(f"params.{name}: expected a non-empty list of numbers")
             return None
         for i, v in enumerate(value):
-            problem = _number_problem(v, lo=lo)
+            problem = _number_problem(v, integer, lo=lo)
             if problem:
                 errors.append(f"params.{name}[{i}]: {problem}")
                 return None
+        repeated = sorted({v for v in value if value.count(v) > 1})
+        if repeated:
+            errors.append(f"params.{name}: value(s) {repeated} listed more than once")
+            return None
         return list(value)
 
     return check
@@ -179,7 +186,7 @@ _SCENARIOS: dict[str, dict] = {
         "dt": (0.01, _positive("dt", lo=1e-12)),
         "sigma": (0.01, _positive("sigma", lo=0.0)),
         "tau": (0.05, _positive("tau", lo=1e-12)),
-        "n": ([100, 200, 400, 1000, 4000], _number_list("n", lo=2)),
+        "n": ([100, 200, 400, 1000, 4000], _number_list("n", lo=2, integer=True)),
         "target_ne": (50.0, _positive("target_ne", lo=1.0)),
         "augment": (True, _flag("augment")),
         "d_max": (3.0, _positive("d_max", lo=1e-12)),
@@ -270,10 +277,8 @@ def _cross_checks(scenario: str, params: dict, errors: list[str]):
                     f"params.target_ne: target_ne={target} exceeds ensemble size n={bad} "
                     "(requires target_ne <= n)"
                 )
-    if scenario == "l96-rmse-sweep" and params.get("N") is not None and params["N"] % 2:
-        errors.append("params.N: must be even (every other component is observed)")
-    if scenario == "l96-adaptive-aug" and params.get("N") is not None and params["N"] % 2:
-        errors.append("params.N: must be even (every other component is observed)")
+        if params.get("N") is not None and params["N"] % 2:
+            errors.append("params.N: must be even (every other component is observed)")
 
 
 def validate_config(raw: dict) -> ExperimentConfig:

@@ -163,7 +163,7 @@ def _run_l63(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
                 continue
             for lam in lams:
                 key = [cfg.seed, rep, _STREAM_FILTER[name]] + ([] if lam is None else [_q(lam)])
-                trim = None if lam is None else TrimConfig(distance="normalized-l1", lam=lam)
+                trim = None if lam is None else TrimConfig(lam=lam)
                 state = FilterMethod(name, trim=trim).update(joint, y_star, meas, _rng(*key))
                 posteriors[(name, lam)] = state.posterior.members[1]
 
@@ -250,7 +250,7 @@ def _l96_problem(p: dict, n: int, dt_obs: float, sigma: float, icfg: IntegratorC
 def _run_l96_rmse(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
     p = cfg.params
     icfg = IntegratorConfig(scheme="stochastic-heun", dt=p["dt"])
-    sizes = [int(v) for v in p["n"]]
+    sizes = p["n"]
 
     def one_replicate(rep):
         rows, series = [], []
@@ -326,7 +326,7 @@ def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], icfg: Integrato
     ``rep``; all runs at one ``dt_obs`` share one truth.  The trimmed filter
     also augments when ``augment`` is set."""
     p = cfg.params
-    trim = TrimConfig(distance="normalized-l1", target_ne=p["target_ne"])
+    trim = TrimConfig(target_ne=p["target_ne"])
     aug = None
     if augment:
         aug = AugmentConfig(d_max=p["d_max"], r_max=p["r_max"], sigma_p=p["sigma_p"])
@@ -441,7 +441,7 @@ def _run_lingauss(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
         rho2 = min(1.0, c_xy**2 / max(c_xx * c_yy, 1e-300))
         return (y_star - y.mean()) ** 2 * (1 - rho2) * c_xx / (joint.size * c_yy)
 
-    trim = TrimConfig(distance="normalized-l1", target_ne=max(2.0, p["target_ne_fraction"] * n))
+    trim = TrimConfig(target_ne=max(2.0, p["target_ne_fraction"] * n))
 
     def one_replicate(rep):
         truth = simulate_truth(problem, _rng(cfg.seed, rep, _STREAM_TRUTH))
@@ -553,7 +553,7 @@ def _run_bimodal(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
     n = int(p["n"])
     x, y = toy.sample(n, _rng(cfg.seed, 0, 1))
     sample_joint = JointEnsemble(states=Ensemble(x[None, :]), observations=y[None, :])
-    trim = TrimConfig(distance="normalized-l1", lam=p["sample_lam"])
+    trim = TrimConfig(lam=p["sample_lam"])
     state = tenkf_update(sample_joint, np.array([y_star]), trim, _rng(cfg.seed, 0, 2))
     scale = float(state.diagnostics.distance_scale[0])
     limit = tenkf_limit_pdf(joint, gain, y_star, p["sample_lam"], scale=scale)

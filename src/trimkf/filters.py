@@ -54,9 +54,6 @@ __all__ = [
     "run_assimilation",
 ]
 
-DISTANCE_KINDS = ("normalized-l1", "max-abs")
-
-
 class FilterError(RuntimeError):
     """Raised for degenerate filter states (e.g. zero total likelihood)."""
 
@@ -71,14 +68,14 @@ def _stage_error(stage: str, k: int, t: float, exc: Exception) -> AssimilationEr
 
 @dataclass(frozen=True)
 class TrimConfig:
-    """Trimming-function family and effective-size control.
+    """Trimming scale and effective-size control.
 
-    With ``target_ne`` set, ``lam`` is tuned by bisection at every update to
-    keep the effective ensemble size near the target; otherwise the fixed
-    ``lam`` is used as-is.
+    Members are trimmed by their normalized-L1 distance to the measurement
+    (see :func:`trim_distance`).  With ``target_ne`` set, ``lam`` is tuned
+    by bisection at every update to keep the effective ensemble size near
+    the target; otherwise the fixed ``lam`` is used as-is.
     """
 
-    distance: str = "normalized-l1"
     lam: float = 1.0
     target_ne: float | None = None
     lam_bounds: tuple[float, float] = (1e-6, 1e6)
@@ -86,8 +83,6 @@ class TrimConfig:
     max_bisect_iters: int = 60
 
     def __post_init__(self):
-        if self.distance not in DISTANCE_KINDS:
-            raise ValueError(f"unknown distance {self.distance!r}; expected {DISTANCE_KINDS}")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         lo, hi = self.lam_bounds
@@ -326,10 +321,8 @@ def tenkf_update(
     y_star = np.asarray(y_star, dtype=float)
     gain = kalman_gain(joint)
 
-    scale = None
-    if cfg.distance == "normalized-l1":
-        scale = joint.observations.std(axis=1, ddof=1)
-    d = trim_distance(joint.observations, y_star, cfg.distance, scale)
+    scale = joint.observations.std(axis=1, ddof=1)
+    d = trim_distance(joint.observations, y_star, "normalized-l1", scale)
 
     flag = None
     if cfg.target_ne is not None:

@@ -2,14 +2,13 @@
 
 RMSE is taken over *all* ensemble members and state dimensions, not just
 the ensemble mean (a mean-only variant is provided as a secondary column).
-Distribution distances accept plain samples, weighted samples, or
-tabulated densities interchangeably.
+The KS distance accepts plain samples, weighted samples, or tabulated
+densities interchangeably.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import wasserstein_distance as _scipy_w1
 
 from .ensemble import Ensemble, normalize_weights
 from .oracle import DensityGrid
@@ -19,7 +18,6 @@ __all__ = [
     "ensemble_mean_rmse",
     "time_avg_rmse",
     "ks_distance",
-    "wasserstein_distance",
     "replicate_quantiles",
 ]
 
@@ -98,29 +96,6 @@ def ks_distance(a, b) -> float:
     fa_left = _interp_cdf(left, xa, ca, step_a)
     fb_left = _interp_cdf(left, xb, cb, step_b)
     return max(d, float(np.max(np.abs(fa_left - fb_left))))
-
-
-def wasserstein_distance(a, b) -> float:
-    """1-Wasserstein distance between two 1-D distributions (same argument
-    conventions as :func:`ks_distance`)."""
-
-    def to_sample(dist):
-        if isinstance(dist, DensityGrid):
-            # Cell masses at the nodes act as weights on the node positions.
-            w = dist.pdf.copy()
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            return dist.x, w / w.sum()
-        if isinstance(dist, tuple) and len(dist) == 2:
-            return np.asarray(dist[0], dtype=float).ravel(), normalize_weights(
-                np.asarray(dist[1], dtype=float)
-            )
-        s = np.asarray(dist, dtype=float).ravel()
-        return s, None
-
-    xa, wa = to_sample(a)
-    xb, wb = to_sample(b)
-    return float(_scipy_w1(xa, xb, u_weights=wa, v_weights=wb))
 
 
 def replicate_quantiles(values: np.ndarray, qs=(0.25, 0.5, 0.75)) -> np.ndarray:

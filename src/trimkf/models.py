@@ -116,17 +116,13 @@ class Lorenz63Params:
 
 @dataclass(frozen=True)
 class Lorenz96Params:
-    """Cyclically-coupled Lorenz-96 parameters.
-
-    ``include_damping`` keeps the canonical linear damping term ``-x_j``
-    (required for the chaotic N=36, F=8 regime); switching it off gives the
-    undamped variant of the coupled equations.
-    """
+    """Cyclically-coupled Lorenz-96 parameters.  The drift always carries
+    the canonical linear damping term ``-x_j`` (required for the chaotic
+    N=36, F=8 regime)."""
 
     dim: int = 36
     forcing: float = 8.0
     sigma: float = 0.0
-    include_damping: bool = True
 
     def __post_init__(self):
         if self.dim < 4:
@@ -165,8 +161,7 @@ def l96_drift(x: np.ndarray, p: Lorenz96Params) -> np.ndarray:
     out = np.subtract(pad[3:], pad[:n])
     out *= pad[1 : n + 1]
     out += p.forcing
-    if p.include_damping:
-        out -= pad[2 : n + 2]
+    out -= pad[2 : n + 2]
     return out
 
 

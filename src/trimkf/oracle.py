@@ -5,8 +5,7 @@ Bayes posterior (conditioning the joint density on the measured value), the
 large-ensemble limit density of the linear ensemble update (a mixture of
 shifted conditionals weighted by the observation marginal), its trimmed
 counterpart (the same mixture with the marginal reweighted by the trimming
-function), the exact Kalman recursion for linear-Gaussian models, and a
-Monte-Carlo-plus-KDE realization of prior propagation.
+function), and the exact Kalman recursion for linear-Gaussian models.
 
 These oracles are deliberately independent of the ensemble code paths they
 validate: they never touch samples except where the contract says so.
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 __all__ = [
     "DensityGrid",
@@ -29,8 +27,6 @@ __all__ = [
     "tenkf_limit_pdf",
     "kalman_filter_exact",
     "kalman_filter_sequence",
-    "prior_propagate_grid",
-    "grid_from_function",
     "joint_from_conditional",
     "bimodal_toy",
     "BimodalToy",
@@ -154,12 +150,6 @@ class JointGrid:
 
     def marginal_y(self) -> DensityGrid:
         return DensityGrid(self.y, self._y_mass).normalized()
-
-
-def grid_from_function(fn, lo: float, hi: float, points: int = 2048) -> DensityGrid:
-    """Tabulate and normalize a non-negative function on [lo, hi]."""
-    x = np.linspace(lo, hi, points)
-    return DensityGrid(x, np.asarray(fn(x), dtype=float)).normalized()
 
 
 def joint_from_conditional(
@@ -317,34 +307,6 @@ def kalman_filter_sequence(A, Q, H, R, mean0, cov0, ys):
         means.append(mean)
         covs.append(cov)
     return means, covs
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo prior propagation
-# ---------------------------------------------------------------------------
-
-
-def prior_propagate_grid(
-    prior: DensityGrid,
-    transition_sampler,
-    n_mc: int,
-    rng: np.random.Generator,
-    out_x: np.ndarray | None = None,
-) -> DensityGrid:
-    """Push a tabulated prior through a one-step transition by Monte Carlo.
-
-    Samples the prior by inverse-CDF on the grid, applies
-    ``transition_sampler(samples, rng)``, and lays a Gaussian KDE (Silverman
-    bandwidth) over the output grid.
-    """
-    if n_mc < 10_000:
-        raise OracleError("n_mc must be at least 1e4 for a usable KDE")
-    u = rng.uniform(size=n_mc)
-    samples = np.interp(u, prior.cdf(), prior.x)
-    pushed = np.asarray(transition_sampler(samples, rng), dtype=float)
-    kde = gaussian_kde(pushed, bw_method="silverman")
-    x = prior.x if out_x is None else np.asarray(out_x, dtype=float)
-    return DensityGrid(x, kde(x)).normalized()
 
 
 # ---------------------------------------------------------------------------

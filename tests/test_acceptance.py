@@ -105,8 +105,7 @@ def test_criterion_3_sampling_matches_limit_theory():
 
     x, y = toy.sample(n, np.random.default_rng([42, 0, 1]))
     sample_joint = JointEnsemble(states=Ensemble(x[None, :]), observations=y[None, :])
-    st = tenkf_update(sample_joint, np.array([y_star]),
-                      TrimConfig(distance="normalized-l1", lam=lam),
+    st = tenkf_update(sample_joint, np.array([y_star]), TrimConfig(lam=lam),
                       np.random.default_rng([42, 0, 2]))
     scale = float(st.diagnostics.distance_scale[0])
     limit = tenkf_limit_pdf(joint, gain, y_star, lam, scale=scale)

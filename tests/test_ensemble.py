@@ -180,12 +180,6 @@ class TestResampling:
         out, idx = bootstrap_resample(j, np.full(3, 1 / 3), np.random.default_rng(1), size=7)
         assert out.size == 7 and idx.shape == (7,)
 
-    def test_systematic_scheme_matches_weights(self):
-        rng = np.random.default_rng(11)
-        idx = resample_indices(np.array([0.5, 0.3, 0.2]), 10_000, rng, scheme="systematic")
-        freq = np.bincount(idx, minlength=3) / 10_000
-        assert np.allclose(freq, [0.5, 0.3, 0.2], atol=0.01)
-
     def test_determinism_by_seed(self):
         w = np.full(10, 0.1)
         a = resample_indices(w, 50, np.random.default_rng(123))

@@ -1,10 +1,14 @@
 """Tests for config validation, the CLI surface, and scenario outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import trimkf
 from trimkf.experiments.cli import main
 from trimkf.experiments.config import (
     CONFIG_VERSION,
@@ -13,6 +17,16 @@ from trimkf.experiments.config import (
     validate_config,
 )
 from trimkf.experiments.scenarios import run_scenario
+
+
+def test_runtime_does_not_load_scipy():
+    # NumPy is the only runtime dependency; SciPy comes with the test extra.
+    code = ("import sys, trimkf, trimkf.experiments;"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(trimkf.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestValidateConfig:
@@ -53,6 +67,32 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=r"\['enkf'\] listed more than once"):
             validate_config({"scenario": scenario,
                              "params": {"filters": ["enkf", "tenkf", "enkf"]}})
+
+    def test_non_integer_ensemble_size_rejected(self):
+        # the run would cast it to 100 while metadata.json records 100.5
+        with pytest.raises(ConfigError) as err:
+            validate_config({"scenario": "l96-rmse-sweep", "params": {"n": [60, 100.5]}})
+        assert err.value.problems == ["params.n[1]: expected an integer, got 100.5"]
+
+    def test_repeated_ensemble_size_rejected(self):
+        # a repeat would rerun the same streams, write duplicate rmse.csv rows
+        # and count each value twice in quantiles.csv
+        with pytest.raises(ConfigError) as err:
+            validate_config({"scenario": "l96-rmse-sweep", "params": {"n": [100, 200, 100]}})
+        assert err.value.problems == ["params.n: value(s) [100] listed more than once"]
+
+    @pytest.mark.parametrize("scenario", ["l96-rmse-sweep", "l96-adaptive-aug"])
+    def test_repeated_dt_obs_rejected(self, scenario):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"scenario": scenario, "params": {"dt_obs": [0.9, 0.9]}})
+        assert err.value.problems == ["params.dt_obs: value(s) [0.9] listed more than once"]
+
+    @pytest.mark.parametrize("scenario", ["l96-rmse-sweep", "l96-adaptive-aug"])
+    def test_odd_state_dimension_rejected(self, scenario):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"scenario": scenario, "params": {"N": 37}})
+        assert err.value.problems == [
+            "params.N: must be even (every other component is observed)"]
 
     def test_non_finite_scalar_param_rejected(self):
         # json.loads reads NaN and Infinity; nan < lo is False

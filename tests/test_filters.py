@@ -148,6 +148,25 @@ class TestTrimWeights:
         w = trim_weights(np.array([1e6, 1e6 + 1.0]), 1e-3)
         assert w[0] == pytest.approx(1.0) and w[1] == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=120),
+           lam=st.floats(1e-6, 1e6))
+    def test_normalized_and_non_negative(self, d, lam):
+        w = trim_weights(np.array(d), lam)
+        assert w.shape == (len(d),) and np.all(w >= 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=120),
+           lams=st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2))
+    def test_effective_size_non_decreasing_in_lambda(self, d, lams):
+        # adapt_lambda's bisection relies on this ordering
+        lo, hi = sorted(lams)
+        d = np.array(d)
+        ne_lo = effective_size(trim_weights(d, lo))
+        ne_hi = effective_size(trim_weights(d, hi))
+        assert ne_hi >= ne_lo * (1.0 - 1e-12)
+
 
 class TestAdaptLambda:
     def test_target_n_uniform_at_upper_bound(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimkf.integrators import (
     _DP_A,
@@ -145,6 +147,26 @@ class TestIntegrate:
         for i in range(6):
             single = integrate(dyn, x[:, i], 0.0, 0.3, cfg)
             assert np.array_equal(batch[:, i], single)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scheme=st.sampled_from(["stochastic-heun", "rk4"]),
+           t0=st.floats(-100.0, 100.0), span=st.floats(1e-3, 10.0),
+           dt_frac=st.floats(2e-3, 2.0), x0=st.floats(-100.0, 100.0))
+    def test_fixed_step_lands_on_t1(self, scheme, t0, span, dt_frac, x0):
+        # dx/dt = 1 integrates exactly, so the result is x0 + (t1 - t0) up to
+        # the rounding of the step sums, and the last step ends at t1
+        times = []
+
+        def drift(x, t):
+            times.append(t)
+            return np.ones_like(x)
+
+        t1, dt = t0 + span, span * dt_frac
+        tol = 1e-9 * max(dt, 1.0) + 1e-12 * (abs(t0) + abs(x0) + span)
+        out = integrate(DynModel(state_dim=1, drift=drift), np.array([x0]), t0, t1,
+                        IntegratorConfig(scheme=scheme, dt=dt))
+        assert out[0] == pytest.approx(x0 + (t1 - t0), rel=0, abs=tol)
+        assert max(times) == pytest.approx(t1, rel=0, abs=tol)
 
 
 class TestHeunWeakOrder:

@@ -10,7 +10,6 @@ from trimkf.metrics import (
     ks_distance,
     replicate_quantiles,
     time_avg_rmse,
-    wasserstein_distance,
 )
 from trimkf.oracle import DensityGrid
 
@@ -103,18 +102,6 @@ class TestKsDistance:
         a = rng.standard_normal(400)
         b = rng.standard_normal(300) * 1.3
         assert ks_distance(a, b) == pytest.approx(ks_2samp(a, b).statistic, abs=1e-12)
-
-
-class TestWasserstein:
-    def test_point_mass_shift(self):
-        assert wasserstein_distance(np.array([0.0]), np.array([2.0])) == pytest.approx(2.0)
-
-    def test_grid_vs_sample(self):
-        rng = np.random.default_rng(6)
-        sample = rng.standard_normal(50_000)
-        x = np.linspace(-8, 8, 2001)
-        grid = DensityGrid(x, np.exp(-0.5 * x**2)).normalized()
-        assert wasserstein_distance(sample, grid) < 0.02
 
 
 class TestReplicateQuantiles:

@@ -87,7 +87,7 @@ class TestLorenz96:
         assert np.allclose(l96_drift(np.zeros(6), p), 8.0)
 
     def test_hand_value_cyclic_wrap(self):
-        # component-wise with cyclic indexing, F = 0, damping on:
+        # component-wise with cyclic indexing, F = 0, damping -x_j:
         # j=1: -x3*x4 + x4*x2 - x1 = -12 + 8 - 1 = -5
         # j=2: -x4*x1 + x1*x3 - x2 = -4 + 3 - 2 = -3
         # j=3: -x1*x2 + x2*x4 - x3 = -2 + 8 - 3 = 3
@@ -95,11 +95,6 @@ class TestLorenz96:
         p = Lorenz96Params(dim=4, forcing=0.0)
         out = l96_drift(np.array([1.0, 2.0, 3.0, 4.0]), p)
         assert out == pytest.approx([-5.0, -3.0, 3.0, -7.0])
-
-    def test_damping_flag(self):
-        p_off = Lorenz96Params(dim=4, forcing=0.0, include_damping=False)
-        out = l96_drift(np.array([1.0, 2.0, 3.0, 4.0]), p_off)
-        assert out == pytest.approx([-4.0, -1.0, 6.0, -3.0])
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(1)
@@ -120,15 +115,11 @@ class TestLorenz96:
         xm2 = np.roll(x, 2, axis=0)
         xm1 = np.roll(x, 1, axis=0)
         xp1 = np.roll(x, -1, axis=0)
-        out = (xp1 - xm2) * xm1 + p.forcing
-        if p.include_damping:
-            out = out - x
-        return out
+        return (xp1 - xm2) * xm1 + p.forcing - x
 
-    @pytest.mark.parametrize("damping", [True, False])
     @pytest.mark.parametrize("dim", [4, 5, 36, 40])
-    def test_bit_identical_to_roll_form(self, dim, damping):
-        p = Lorenz96Params(dim=dim, forcing=8.0, include_damping=damping)
+    def test_bit_identical_to_roll_form(self, dim):
+        p = Lorenz96Params(dim=dim, forcing=8.0)
         rng = np.random.default_rng(dim)
         block = 8.0 + 3.0 * rng.standard_normal((dim, 7))
         wide = 8.0 + 3.0 * rng.standard_normal((dim, 9))

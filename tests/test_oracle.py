@@ -1,5 +1,5 @@
-"""Tests for the quadrature oracles: conditioning, limit mixtures, exact
-Kalman recursion, and Monte-Carlo prior propagation."""
+"""Tests for the quadrature oracles: conditioning, limit mixtures, and the
+exact Kalman recursion."""
 
 import numpy as np
 import pytest
@@ -14,11 +14,9 @@ from trimkf.oracle import (
     bayes_posterior,
     bimodal_toy,
     enkf_limit_pdf,
-    grid_from_function,
     joint_from_conditional,
     kalman_filter_exact,
     kalman_filter_sequence,
-    prior_propagate_grid,
     tenkf_limit_pdf,
 )
 
@@ -46,7 +44,8 @@ def gaussian_joint():
 
 class TestDensityGrid:
     def test_normalization_invariant(self):
-        g = grid_from_function(lambda x: np.exp(-0.5 * x**2), -6, 6, 501)
+        x = np.linspace(-6, 6, 501)
+        g = DensityGrid(x, np.exp(-0.5 * x**2)).normalized()
         assert g.mass() == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_negative_density(self):
@@ -58,12 +57,14 @@ class TestDensityGrid:
             DensityGrid(np.array([0.0, 0.5, 2.0]), np.ones(3))
 
     def test_moments_of_gaussian(self):
-        g = grid_from_function(lambda x: norm_pdf(x, 1.5, 0.49), -8, 11, 2001)
+        x = np.linspace(-8, 11, 2001)
+        g = DensityGrid(x, norm_pdf(x, 1.5, 0.49)).normalized()
         assert g.mean() == pytest.approx(1.5, abs=1e-6)
         assert g.std() == pytest.approx(0.7, abs=1e-6)
 
     def test_cdf_monotone_and_normalized(self):
-        g = grid_from_function(lambda x: norm_pdf(x, 0, 1), -8, 8, 513)
+        x = np.linspace(-8, 8, 513)
+        g = DensityGrid(x, norm_pdf(x, 0, 1)).normalized()
         c = g.cdf()
         assert c[0] == 0.0 and c[-1] == pytest.approx(1.0)
         assert np.all(np.diff(c) >= 0)
@@ -338,40 +339,6 @@ class TestExactKalman:
             np.array([0.0]), np.array([[1.0]]), [np.array([0.5]), np.array([0.6])])
         assert len(means) == 2 and len(covs) == 2
         assert covs[1][0, 0] < covs[0][0, 0] < 1.0
-
-
-class TestPriorPropagation:
-    def test_identity_transition_self_consistency(self):
-        x = np.linspace(-6, 6, 1024)
-        prior = DensityGrid(x, norm_pdf(x, 0.0, 1.0)).normalized()
-        out = prior_propagate_grid(prior, lambda s, rng: s, 100_000,
-                                   np.random.default_rng(0))
-        assert ks_distance(out, prior) < 0.02
-
-    def test_shift_translation_equivariance(self):
-        x = np.linspace(-8, 8, 1024)
-        prior = DensityGrid(x, norm_pdf(x, -1.0, 0.5)).normalized()
-        out = prior_propagate_grid(prior, lambda s, rng: s + 2.0, 100_000,
-                                   np.random.default_rng(1), out_x=x)
-        target = DensityGrid(x, norm_pdf(x, 1.0, 0.5)).normalized()
-        assert ks_distance(out, target) < 0.02
-
-    def test_linear_gaussian_closure(self):
-        x = np.linspace(-8, 8, 1024)
-        prior = DensityGrid(x, norm_pdf(x, 0.0, 1.0)).normalized()
-
-        def trans(s, rng):
-            return 0.5 * s + 0.3 * rng.standard_normal(s.size)
-
-        out = prior_propagate_grid(prior, trans, 100_000, np.random.default_rng(2))
-        target = DensityGrid(x, norm_pdf(x, 0.0, 0.25 + 0.09)).normalized()
-        assert ks_distance(out, target) < 0.02
-
-    def test_small_sample_rejected(self):
-        x = np.linspace(-1, 1, 64)
-        prior = DensityGrid(x, np.ones(64)).normalized()
-        with pytest.raises(OracleError):
-            prior_propagate_grid(prior, lambda s, rng: s, 100, np.random.default_rng(0))
 
 
 class TestBimodalToySampler:
