@@ -3,7 +3,9 @@
 Times the Lorenz-96 drift (36 dimensions, n = 200, 1000 and 3000 members),
 one stochastic-Heun forecast interval (90 steps of 0.01 on 36x1000, the
 ``l96-rmse-sweep`` interval) and one adaptive DP45 interval (0.8 time units
-on 36x200 at rtol 1e-6, atol 1e-9, the ``l96-adaptive-aug`` interval).
+at rtol 1e-6, atol 1e-9, the ``l96-adaptive-aug`` interval) on 36x200 (the
+forecast block), on 36x600 (the block augmented threefold) and on one 36-
+dimensional state (the truth).
 For ``oracle-1e5``'s layers it times building the 2048-point bimodal joint,
 one trimmed limit density (lambda 0.3) on a fresh joint (built over the
 same arrays inside the timed call, so nothing is cached yet) and on a warm
@@ -22,9 +24,9 @@ peak is read from ``VmHWM`` in ``/proc/self/status`` (Linux): a child's
 size of this benchmark, not of the import.
 Each layer reports the median wall time of ``--repeats`` runs and the
 minor page faults and system time per run, from ``getrusage`` deltas of
-this process.  The DP45 interval also reports its drift calls and its
-attempted steps, counted in one extra untimed run.  Prints one JSON
-document on stdout.
+this process.  Each DP45 interval also reports its drift calls and its
+attempted steps, counted in one extra untimed run, and its median time per
+attempt.  Prints one JSON document on stdout.
 
     PYTHONPATH=src python bench/layers.py [--repeats 15] [--seed 0]
 """
@@ -165,11 +167,12 @@ def main() -> None:
 
     ode = lorenz96_model(p)
     dp45 = IntegratorConfig(scheme="rk45-adaptive", dt=0.01, rtol=1e-6, atol=1e-9)
-    x = _attractor_block(200, rng)
-    layers["dp45_interval_0.8_n200"] = _measure(
-        lambda: integrate(ode, x, 0.0, 0.8, dp45), args.repeats
-    )
-    layers["dp45_interval_0.8_n200"].update(_dp45_counts(ode, x, 0.8, dp45))
+    block = _attractor_block(600, rng)
+    for label, x in (("n200", block[:, :200].copy()), ("n600", block), ("1-D", block[:, 0].copy())):
+        name = f"dp45_interval_0.8_{label}"
+        layers[name] = _measure(lambda x=x: integrate(ode, x, 0.0, 0.8, dp45), args.repeats)
+        layers[name].update(_dp45_counts(ode, x, 0.8, dp45))
+        layers[name]["us_per_attempt"] = 1e6 * layers[name]["median_s"] / layers[name]["attempts"]
 
     layers["bimodal_toy_2048"] = _measure(lambda: bimodal_toy(points=2048), args.repeats)
     toy = bimodal_toy(points=2048)

@@ -107,9 +107,17 @@ def _positive(name, lo=None, hi=None, integer=False):
     return check
 
 
-def _number_list(name, lo=None, integer=False):
+def stream_key(value: float) -> int:
+    """Integer key material for deriving a random stream from a swept float:
+    the value in steps of 1e-6, so values closer than that share a key."""
+    return int(round(float(value) * 1e6))
+
+
+def _number_list(name, lo=None, integer=False, keyed=False):
     """A non-empty list of distinct numbers: a repeated entry would rerun the
-    same random streams and count its results twice."""
+    same random streams and count its results twice.  The entries of a
+    ``keyed`` list each key a random stream by ``stream_key``, so they must
+    not share a key either."""
 
     def check(value, errors):
         if not isinstance(value, (list, tuple)) or not value:
@@ -123,6 +131,14 @@ def _number_list(name, lo=None, integer=False):
         repeated = sorted({v for v in value if value.count(v) > 1})
         if repeated:
             errors.append(f"params.{name}: value(s) {repeated} listed more than once")
+            return None
+        keys = [stream_key(v) for v in value] if keyed else []
+        shared = sorted(v for v, key in zip(value, keys) if keys.count(key) > 1)
+        if shared:
+            errors.append(
+                f"params.{name}: values {shared} share one random stream "
+                "(they round to one multiple of 1e-6)"
+            )
             return None
         return list(value)
 
@@ -174,7 +190,7 @@ _SCENARIOS: dict[str, dict] = {
         "x3_0": (25.0, _positive("x3_0", lo=-1e12)),
         "sigma1_0": (0.1, _positive("sigma1_0", lo=0.0)),
         "sigma3_0": (0.1, _positive("sigma3_0", lo=0.0)),
-        "lambdas": ([10.0, 3.0, 1.0, 0.5, 0.3], _number_list("lambdas", lo=1e-12)),
+        "lambdas": ([10.0, 3.0, 1.0, 0.5, 0.3], _number_list("lambdas", lo=1e-12, keyed=True)),
         "bins": (200, _positive("bins", lo=10, integer=True)),
         "filters": (["enkf", "tenkf", "pf"], _filters_list({"enkf", "tenkf", "pf"})),
     },
@@ -182,7 +198,7 @@ _SCENARIOS: dict[str, dict] = {
         "N": (36, _positive("N", lo=4, integer=True)),
         "F": (8.0, _positive("F")),
         "t_f": (15.0, _positive("t_f", lo=1e-12)),
-        "dt_obs": ([0.9], _number_list("dt_obs", lo=1e-12)),
+        "dt_obs": ([0.9], _number_list("dt_obs", lo=1e-12, keyed=True)),
         "dt": (0.01, _positive("dt", lo=1e-12)),
         "sigma": (0.01, _positive("sigma", lo=0.0)),
         "tau": (0.05, _positive("tau", lo=1e-12)),
@@ -201,7 +217,7 @@ _SCENARIOS: dict[str, dict] = {
         "N": (36, _positive("N", lo=4, integer=True)),
         "F": (8.0, _positive("F")),
         "t_f": (32.0, _positive("t_f", lo=1e-12)),
-        "dt_obs": ([0.8], _number_list("dt_obs", lo=1e-12)),
+        "dt_obs": ([0.8], _number_list("dt_obs", lo=1e-12, keyed=True)),
         "sigma": (0.0, _positive("sigma", lo=0.0)),
         "tau": (0.05, _positive("tau", lo=1e-12)),
         "n": (200, _positive("n", lo=2, integer=True)),

@@ -61,7 +61,7 @@ from ..oracle import (
     kalman_filter_sequence,
     tenkf_limit_pdf,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, stream_key
 from .io import write_table
 
 __all__ = ["SCENARIOS", "ScenarioResult", "run_scenario"]
@@ -70,11 +70,6 @@ __all__ = ["SCENARIOS", "ScenarioResult", "run_scenario"]
 # position in a sweep grid, so reordering a grid cannot move results.
 _STREAM_TRUTH = 0
 _STREAM_FILTER = {"enkf": 1, "tenkf": 2, "pf": 3}
-
-
-def _q(value: float) -> int:
-    """Quantize a float to integer key material for stream derivation."""
-    return int(round(float(value) * 1e6))
 
 
 def _rng(*key) -> np.random.Generator:
@@ -162,7 +157,8 @@ def _run_l63(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
             if name not in p["filters"]:
                 continue
             for lam in lams:
-                key = [cfg.seed, rep, _STREAM_FILTER[name]] + ([] if lam is None else [_q(lam)])
+                key = [cfg.seed, rep, _STREAM_FILTER[name]]
+                key += [] if lam is None else [stream_key(lam)]
                 trim = None if lam is None else TrimConfig(lam=lam)
                 state = FilterMethod(name, trim=trim).update(joint, y_star, meas, _rng(*key))
                 posteriors[(name, lam)] = state.posterior.members[1]
@@ -336,10 +332,10 @@ def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], icfg: Integrato
     }
     for dt_obs in p["dt_obs"]:
         problems = [_l96_problem(p, n, dt_obs, p["sigma"], icfg) for n in sizes]
-        truth = simulate_truth(problems[0], _rng(cfg.seed, rep, _STREAM_TRUTH, _q(dt_obs)))
+        truth = simulate_truth(problems[0], _rng(cfg.seed, rep, _STREAM_TRUTH, stream_key(dt_obs)))
         for n, problem in zip(sizes, problems):
             for name in p["filters"]:
-                rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name], n, _q(dt_obs))
+                rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name], n, stream_key(dt_obs))
                 yield dt_obs, n, name, run_assimilation(problem, methods[name], rng_f, truth=truth)
 
 

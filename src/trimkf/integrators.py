@@ -11,6 +11,14 @@ solution, so an accepted attempt's last stage is reused as the next first
 stage.  DP45 thus calls the drift six times per attempt plus once per
 interval, and a drift must be a pure function of ``(x, t)``.
 
+A non-finite drift result raises ``IntegrationError`` naming its time and
+first bad member.  Heun and RK4 check each drift result as it is made, as
+does DP45 for the first drift of an interval.  A DP45 attempt is checked
+once, after its error norm, which every stage but stage 1 enters with a
+nonzero weight; stage 1 gets a test of its own.  Within an attempt the
+drift may therefore be called on a non-finite stage state before the
+attempt raises the error the first bad stage would have raised.
+
 All steppers accept states of shape ``(N,)`` or ``(N, n)`` (member columns)
 as long as the model drift is vectorized; fixed-step results on a batch are
 bit-identical to stepping each column alone.
@@ -18,6 +26,7 @@ bit-identical to stepping each column alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +82,15 @@ class IntegratorConfig:
             raise ValueError("max_steps must be positive")
 
 
+def _nonfinite_drift(f: np.ndarray, t: float) -> IntegrationError:
+    """The error for a drift result ``f`` with a non-finite entry, naming
+    the first member (column) that has one."""
+    if f.ndim == 2:
+        bad = np.nonzero(~np.all(np.isfinite(f), axis=0))[0]
+        return IntegrationError(f"non-finite drift at t={t:.6g} (member {bad[0]})")
+    return IntegrationError(f"non-finite drift at t={t:.6g}")
+
+
 def _checked_drift(model: DynModel, x: np.ndarray, t: float) -> np.ndarray:
     # Overflow here is a diagnosed failure mode (divergent member), not a bug:
     # evaluate quietly, then raise with the member index.  A finite sum proves
@@ -82,10 +100,7 @@ def _checked_drift(model: DynModel, x: np.ndarray, t: float) -> np.ndarray:
         f = np.asarray(model.drift(x, t), dtype=float)
         total_finite = np.isfinite(f.sum())
     if not total_finite and not np.all(np.isfinite(f)):
-        if f.ndim == 2:
-            bad = np.nonzero(~np.all(np.isfinite(f), axis=0))[0]
-            raise IntegrationError(f"non-finite drift at t={t:.6g} (member {bad[0]})")
-        raise IntegrationError(f"non-finite drift at t={t:.6g}")
+        raise _nonfinite_drift(f, t)
     # The steppers overwrite drift results in place; a drift that hands back
     # its own input (dx/dt = x) must not alias a state buffer.
     if np.may_share_memory(f, x):
@@ -156,8 +171,9 @@ def rk4_step(model: DynModel, x: np.ndarray, t: float, dt: float) -> np.ndarray:
     return k2
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau, in Python floats: a NumPy scalar costs more
+# per operation and gives the same bits.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -170,44 +186,63 @@ _DP_A = (
 # Row 6 is the 5th-order weights b (b_6 = 0) and c_6 = 1: the last stage
 # state is the solution and its drift the next step's first stage (FSAL).
 # Difference between 5th- and embedded 4th-order weights: the error estimate.
-_DP_ERR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+# Only stage 1 has a zero error weight.
+_DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-# Nonzero (stage, coefficient) terms of each combination, in stage order.
-_DP_A_TERMS = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _DP_A)
-_DP_ERR_TERMS = tuple((j, e) for j, e in enumerate(_DP_ERR) if e != 0.0)
+
+def _split_terms(coefs):
+    """The nonzero ``(stage, coefficient)`` terms of a combination, in stage
+    order, as (first term, remaining terms)."""
+    terms = tuple((j, c) for j, c in enumerate(coefs) if c != 0.0)
+    return terms[0], terms[1:]
+
+
+# (stage, node, first term, remaining terms) of each stage 1-6.
+_DP_STAGES = tuple((s, _DP_C[s]) + _split_terms(_DP_A[s]) for s in range(1, 7))
+_DP_ERR_FIRST, _DP_ERR_REST = _split_terms(_DP_ERR)
 
 _SAFETY = 0.9
 _GROW_MIN, _GROW_MAX = 0.2, 5.0
 _PI_ALPHA, _PI_BETA = 0.7 / 5.0, 0.4 / 5.0
 
 
-def _stage_sum(terms, k, out, tmp):
-    """``out = sum(c * k[j])`` over ``terms``, added left to right."""
-    j, c = terms[0]
-    np.multiply(k[j], c, out=out)
-    for j, c in terms[1:]:
-        np.multiply(k[j], c, out=tmp)
-        out += tmp
-    return out
-
-
-def _dp_stages(model: DynModel, x, t, dt, k, x5, err, tmp):
+def _dp_stages(drift, x, t, dt, k, x5, err, tmp):
     """One Dormand-Prince attempt from ``x`` given ``k[0] = f(x, t)``: the
     5th-order solution (the last stage state, as row 6 of the tableau is b)
     into ``x5``, its drift into ``k[6]`` and the error estimate into ``err``.
 
     Each combination adds its nonzero terms left to right, scales by ``dt``
-    and adds ``x``, the operation order of ``x + dt * sum(a_j k_j)``.
+    and adds ``x``, the operation order of ``x + dt * sum(a_j k_j)``.  The
+    drift results are left unchecked (see ``_check_attempt``).
+    """
+    for s, c, (j, a), rest in _DP_STAGES:
+        np.multiply(k[j], a, out=x5)
+        for j, a in rest:
+            np.multiply(k[j], a, out=tmp)
+            x5 += tmp
+        x5 *= dt
+        x5 += x
+        f = np.asarray(drift(x5, t + c * dt), dtype=float)
+        # x5 is the next stage's work array (see _checked_drift).
+        k[s] = f.copy() if np.may_share_memory(f, x5) else f
+    j, e = _DP_ERR_FIRST
+    np.multiply(k[j], e, out=err)
+    for j, e in _DP_ERR_REST:
+        np.multiply(k[j], e, out=tmp)
+        err += tmp
+    err *= dt
+
+
+def _check_attempt(k, t, dt, err_norm):
+    """For an attempt whose error norm or ``k[1]`` sum is not finite, raise
+    what checking each drift result in stage order would raise.  Both can
+    also overflow on finite stages, so the stages are scanned first.
     """
     for s in range(1, 7):
-        xs = _stage_sum(_DP_A_TERMS[s], k, x5, tmp)
-        xs *= dt
-        xs += x
-        k[s] = _checked_drift(model, xs, t + _DP_C[s] * dt)
-    _stage_sum(_DP_ERR_TERMS, k, err, tmp)
-    err *= dt
+        if not np.all(np.isfinite(k[s])):
+            raise _nonfinite_drift(k[s], t + _DP_C[s] * dt)
+    if not math.isfinite(err_norm):
+        raise IntegrationError(f"non-finite error estimate at t={t:.6g}")
 
 
 def _rk45_adaptive(model, x, t0, t1, cfg):
@@ -219,7 +254,10 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
     arrays belong to this call (replicates integrate on several threads at
     once) and ``x`` itself is never written.  An accepted attempt's last
     stage is the next one's first; a rejected one leaves ``k[0]`` as it is.
+    Each attempt is checked once, on its error norm and ``k[1]``;
+    ``integrate`` runs this with overflow and invalid operations quiet.
     """
+    drift = model.drift
     x = x.copy()
     x_new, err, ratios, tmp, abs_new = (np.empty_like(x) for _ in range(5))
     abs_x = np.abs(x)
@@ -239,7 +277,7 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
             raise IntegrationError(
                 f"adaptive step underflow: dt={dt:.3e} < min_step={cfg.min_step:.3e} at t={t:.6g}"
             )
-        _dp_stages(model, x, t, dt, k, x_new, err, tmp)
+        _dp_stages(drift, x, t, dt, k, x_new, err, tmp)
         # ratios = (err / (atol + rtol * max(|x|, |x_new|)))**2; max(sum) / N
         # is the same bits as max(mean): dividing by N is monotone.
         np.maximum(abs_x, np.abs(x_new, out=abs_new), out=ratios)
@@ -248,8 +286,8 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
         np.divide(err, ratios, out=ratios)
         ratios *= ratios
         err_norm = float(np.sqrt(np.add.reduce(ratios, axis=0).max() / ratios.shape[0]))
-        if not np.isfinite(err_norm):
-            raise IntegrationError(f"non-finite error estimate at t={t:.6g}")
+        if not (math.isfinite(err_norm) and math.isfinite(np.add.reduce(k[1], axis=None))):
+            _check_attempt(k, t, dt, err_norm)
         if err_norm <= 1.0:
             t += dt
             x, x_new = x_new, x
@@ -308,7 +346,8 @@ def integrate(
             f"scheme {cfg.scheme!r} is deterministic; model has noise_intensity > 0"
         )
     elif cfg.scheme == "rk45-adaptive":
-        return _rk45_adaptive(model, x, t0, t1, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _rk45_adaptive(model, x, t0, t1, cfg)
     else:
         step, args = rk4_step, ()
     n_full, remainder = _fixed_grid_steps(t0, t1, cfg.dt)

@@ -152,6 +152,11 @@ class JointGrid:
         return DensityGrid(self.y, self._y_mass).normalized()
 
 
+# Rows per block when a joint table is built: 256 KB blocks at 2048 points;
+# 2 MB blocks left ~5 MB resident after the build.
+_JOINT_ROWS = 16
+
+
 def joint_from_conditional(
     prior: DensityGrid,
     cond_pdf,
@@ -161,11 +166,27 @@ def joint_from_conditional(
 ) -> JointGrid:
     """Build ``p(x, y) = p(x) p(y | x)`` from a prior grid and a conditional.
 
-    ``cond_pdf(y, x)`` must broadcast over a ``(len(x), len(y))`` evaluation.
+    ``cond_pdf(y, x)`` must broadcast over a ``(len(x), len(y))`` evaluation;
+    it is called on blocks of rows, so its temporaries stay block-sized.
+    The result is the same as ``JointGrid(x, y, table).normalized()`` of the
+    whole-table expression, bit for bit.
     """
-    y = np.linspace(y_lo, y_hi, points or prior.x.size)
-    table = prior.pdf[:, None] * cond_pdf(y[None, :], prior.x[:, None])
-    return JointGrid(prior.x, y, table).normalized()
+    x = prior.x
+    y = np.linspace(y_lo, y_hi, points or x.size)
+    table = np.empty((x.size, y.size))
+    row_mass = np.empty(x.size)
+    for lo in range(0, x.size, _JOINT_ROWS):
+        rows = slice(lo, lo + _JOINT_ROWS)
+        cond = cond_pdf(y[None, :], x[rows, None])
+        if np.shape(cond)[-1:] != y.shape:
+            raise OracleError(f"cond_pdf must give {y.size} columns, got shape {np.shape(cond)}")
+        np.multiply(prior.pdf[rows, None], cond, out=table[rows])
+        row_mass[rows] = np.trapezoid(table[rows], y, axis=1)
+    total = np.trapezoid(row_mass, x)
+    if total <= 0:
+        raise OracleError("cannot normalize a zero-mass joint density")
+    table /= total
+    return JointGrid(x, y, table)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimkf.ensemble import (
     Ensemble,
@@ -174,6 +176,24 @@ class TestResampling:
         pairs_in = {tuple(np.r_[x[:, i], y[:, i]]) for i in range(30)}
         pairs_out = {tuple(np.r_[out.states.members[:, i], out.observations[:, i]]) for i in range(30)}
         assert pairs_out <= pairs_in
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 3), obs_dim=st.integers(1, 2),
+           w=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).filter(
+               lambda w: sum(w) > 0.1),
+           size=st.one_of(st.none(), st.integers(1, 80)), seed=st.integers(0, 2**32 - 1))
+    def test_pairs_kept_property(self, dim, obs_dim, w, size, seed):
+        # every output member is input pair idx[i], states and observations
+        # alike, and no pair of zero weight is drawn
+        rng = np.random.default_rng(seed)
+        n = len(w)
+        x = rng.standard_normal((dim, n))
+        y = rng.standard_normal((obs_dim, n))
+        out, idx = bootstrap_resample(joint(x, y), np.array(w), rng, size=size)
+        assert out.size == idx.size == (n if size is None else size)
+        assert np.array_equal(out.states.members, x[:, idx])
+        assert np.array_equal(out.observations, y[:, idx])
+        assert all(w[i] > 0 for i in idx)
 
     def test_resample_to_other_size(self):
         j = joint([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])

@@ -87,6 +87,32 @@ class TestValidateConfig:
             validate_config({"scenario": scenario, "params": {"dt_obs": [0.9, 0.9]}})
         assert err.value.problems == ["params.dt_obs: value(s) [0.9] listed more than once"]
 
+    @pytest.mark.parametrize("scenario, name, values, shared", [
+        ("l96-rmse-sweep", "dt_obs", [0.9, 0.5, 0.9000004], [0.9, 0.9000004]),
+        ("l96-adaptive-aug", "dt_obs", [0.9000004, 0.9], [0.9, 0.9000004]),
+        ("l63-limit-dist", "lambdas", [1e-7, 3e-7], [1e-7, 3e-7]),
+    ])
+    def test_entries_sharing_a_stream_key_rejected(self, scenario, name, values, shared):
+        # streams are keyed by the value in steps of 1e-6: two such entries
+        # would draw the same random numbers
+        with pytest.raises(ConfigError) as err:
+            validate_config({"scenario": scenario, "params": {name: values}})
+        assert err.value.problems == [
+            f"params.{name}: values {shared} share one random stream "
+            "(they round to one multiple of 1e-6)"]
+
+    def test_stream_key_check_exit_1(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "l96-adaptive-aug",
+                                   "params": {"dt_obs": [0.8, 0.8000001]}}))
+        assert main(["validate", "--config", str(cfg)]) == 1
+
+    def test_unkeyed_list_may_hold_close_entries(self):
+        # the bimodal check's lambdas only select limit densities, no streams
+        cfg = validate_config({"scenario": "bimodal-oracle-check",
+                               "params": {"lambdas": [1e-7, 3e-7]}})
+        assert cfg.params["lambdas"] == [1e-7, 3e-7]
+
     @pytest.mark.parametrize("scenario", ["l96-rmse-sweep", "l96-adaptive-aug"])
     def test_odd_state_dimension_rejected(self, scenario):
         with pytest.raises(ConfigError) as err:

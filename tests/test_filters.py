@@ -301,6 +301,19 @@ class TestTenkfUpdate:
         assert d.lambda_used == 0.5 and d.n_e > 1
         assert d.n_forecast == 100 and d.distance_scale is not None
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 40), over=st.floats(0.0, 1e6), seed=st.integers(0, 2**32 - 1))
+    def test_target_above_size_clamped_to_size(self, n, over, seed):
+        # a target of n + over members updates exactly as a target of n
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, n))
+        j = make_joint(x, x[:1] + 0.5 * rng.standard_normal((1, n)))
+        y_star = np.array([0.3])
+        got = tenkf_update(j, y_star, TrimConfig(target_ne=n + over), np.random.default_rng(1))
+        want = tenkf_update(j, y_star, TrimConfig(target_ne=float(n)), np.random.default_rng(1))
+        assert np.array_equal(got.posterior.members, want.posterior.members)
+        assert got.diagnostics.lambda_used == want.diagnostics.lambda_used
+
 
 class TestAugmentForecast:
     @staticmethod
@@ -342,6 +355,20 @@ class TestAugmentForecast:
         out, diag = augment_forecast(j, prior, np.array([0.0]), aug, pipe,
                                      np.random.default_rng(0))
         assert diag.n_d == 0 and diag.n_aug == 50
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 60), r_max=st.floats(1.0, 5.0), d_max=st.floats(0.1, 5.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_none_near_grows_to_cap_property(self, n, r_max, d_max, seed):
+        # with no member within d_max the ensemble grows to floor(n r_max),
+        # keeping the forecast members first
+        rng = np.random.default_rng(seed)
+        y = (d_max + rng.exponential(size=n)) * rng.choice([-1.0, 1.0], size=n)
+        j, prior, aug, pipe = self._setup(n, y, d_max=d_max, r_max=r_max)
+        out, diag = augment_forecast(j, prior, np.array([0.0]), aug, pipe, rng)
+        cap = int(np.floor(n * r_max))
+        assert diag.n_d == 0 and diag.n_aug == cap and out.size == cap
+        assert np.array_equal(out.observations[:, :n], j.observations)
 
     def test_bounds_invariant(self):
         rng = np.random.default_rng(15)

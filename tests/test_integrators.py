@@ -466,3 +466,98 @@ class TestNonFiniteDrift:
         m = DynModel(state_dim=3, drift=lambda x, t: np.full_like(x, 1e308))
         out = _checked_drift(m, np.zeros((3, 2)), 0.0)
         assert np.all(out == 1e308)
+
+
+def _counted_drift(per_call):
+    """The drift ``-x``, with non-finite entries of ``x`` mapped to 0, that
+    hands each fresh result and its call index to ``per_call(out, i)`` to
+    spoil; call 0 is ``k[0]`` and calls 1-6 are the stages of the first DP45
+    attempt, in both DP45 and ``_ref_rk45``."""
+    calls = [0]
+
+    def drift(x, t):
+        i = calls[0]
+        calls[0] += 1
+        out = np.where(np.isfinite(x), -np.asarray(x, dtype=float), 0.0)
+        per_call(out, i)
+        return out
+
+    return DynModel(state_dim=2, drift=drift)
+
+
+def _ref_checked(model):
+    """The model with each drift result checked as it is made: the
+    per-drift reference for the error DP45 raises once per attempt."""
+
+    def drift(x, t):
+        f = np.asarray(model.drift(x, t), dtype=float)
+        if not np.all(np.isfinite(f)):
+            bad = np.nonzero(~np.all(np.isfinite(f), axis=0))[0]
+            raise IntegrationError(f"non-finite drift at t={t:.6g} (member {bad[0]})")
+        return f
+
+    return DynModel(state_dim=model.state_dim, drift=drift)
+
+
+class TestDP45AttemptCheck:
+    """DP45 tests finiteness once per attempt; it must raise what a check of
+    every drift result would raise, and nothing where that check passes."""
+
+    CFG = IntegratorConfig(scheme="rk45-adaptive", dt=0.1)
+
+    @pytest.mark.parametrize("stage", range(1, 7))
+    def test_first_bad_stage_and_member_named(self, stage):
+        # stage s turns member s non-finite, and every later stage member 0
+        # too, so only the first bad stage names member s; stages 5 and 6
+        # share their time, so the member tells them apart
+        def spoil(out, i):
+            if i == stage:
+                out[1, stage] = np.nan
+            elif i > stage:
+                out[:, 0] = np.inf
+
+        x0 = np.ones((2, 8))
+        with pytest.raises(IntegrationError) as want:
+            _ref_rk45(_ref_checked(_counted_drift(spoil)), x0, 0.0, 1.0, self.CFG)
+        with pytest.raises(IntegrationError) as got:
+            integrate(_counted_drift(spoil), x0, 0.0, 1.0, self.CFG)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f"(member {stage})")
+
+    def test_bad_first_stage_only_is_caught(self):
+        # stage 1 has no error weight, and the drift maps the non-finite
+        # stage states after it to finite results: only k[1] shows the fault
+        def spoil(out, i):
+            if i == 1:
+                out[0, 3] = np.inf
+
+        with pytest.raises(IntegrationError, match=r"non-finite drift at t=0\.02 \(member 3\)"):
+            integrate(_counted_drift(spoil), np.ones((2, 5)), 0.0, 1.0, self.CFG)
+
+    def test_bad_drift_at_interval_start(self):
+        def spoil(out, i):
+            if i == 0:
+                out[1, 1] = np.nan
+
+        with pytest.raises(IntegrationError, match=r"non-finite drift at t=0\.5 \(member 1\)"):
+            integrate(_counted_drift(spoil), np.ones((2, 3)), 0.5, 1.0, self.CFG)
+
+    def test_finite_stages_with_overflowing_error(self):
+        # b_6 = 0 keeps the solution at x = 0; e_6 k[6] / atol squares past
+        # the float range although every stage is finite
+        def spoil(out, i):
+            if i == 6:
+                out[:] = 1e300
+
+        with pytest.raises(IntegrationError, match=r"non-finite error estimate at t=0$"):
+            integrate(_counted_drift(spoil), np.zeros((2, 4)), 0.0, 1.0, self.CFG)
+
+    def test_finite_first_stage_whose_sum_overflows_passes(self):
+        # k[1] is finite but its sum overflows, which alone must not raise:
+        # the huge stage only gets the first attempt rejected
+        def spoil(out, i):
+            if i == 1:
+                out[:] = 1e308
+
+        out = integrate(_counted_drift(spoil), np.zeros((2, 4)), 0.0, 1.0, self.CFG)
+        assert np.all(np.isfinite(out))

@@ -291,6 +291,41 @@ class TestCachedJoint:
         assert joint._y_mass is cached[0] and joint._pdf_by_y is cached[1]
 
 
+def _reference_bimodal_table(points, span_sds=8.0):
+    """Frozen: the bimodal joint table as one whole-table expression,
+    normalized as ``JointGrid.normalized`` does."""
+    var_x = 0.25 + 4.0
+    hi_x, hi_y = span_sds * np.sqrt(var_x), span_sds * np.sqrt(var_x + 0.25)
+    x = np.linspace(-hi_x, hi_x, points)
+    y = np.linspace(-hi_y, hi_y, points)
+    prior = DensityGrid(
+        x, 0.5 * norm_pdf(x, -2.0, 0.25) + 0.5 * norm_pdf(x, 2.0, 0.25)
+    ).normalized()
+    table = prior.pdf[:, None] * norm_pdf(y[None, :], x[:, None], 0.25)
+    return table / np.trapezoid(np.trapezoid(table, y, axis=1), x)
+
+
+class TestJointFromConditional:
+    # 300 points end on a partial row block
+    @pytest.mark.parametrize("points", [64, 300, 512, 2048])
+    def test_bimodal_table_bit_identical_to_whole_table_form(self, points):
+        got = bimodal_toy(points=points).joint.pdf
+        want = _reference_bimodal_table(points)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_zero_mass_rejected(self):
+        prior = DensityGrid(np.linspace(-1, 1, 5), np.ones(5))
+        with pytest.raises(OracleError, match="zero-mass"):
+            joint_from_conditional(prior, lambda y, xx: 0.0 * (y - xx), -1, 1, 7)
+
+    @pytest.mark.parametrize("cond", [lambda y, xx: np.exp(-xx**2), lambda y, xx: 1.0])
+    def test_conditional_without_y_axis_rejected(self, cond):
+        # broadcasting it over the table would pass off p(x) as a joint
+        prior = DensityGrid(np.linspace(-1, 1, 5), np.ones(5))
+        with pytest.raises(OracleError):
+            joint_from_conditional(prior, cond, -1, 1, 7)
+
+
 class TestJointGridChecks:
     @pytest.mark.parametrize(
         "x, y",
