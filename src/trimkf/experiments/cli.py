@@ -130,7 +130,7 @@ def _cmd_validate(args) -> int:
 def _cmd_list(_args) -> int:
     width = max(len(name) for name in SCENARIOS)
     for name in sorted(SCENARIOS):
-        print(f"{name:<{width}}  {SCENARIOS[name][1]}")
+        print(f"{name:<{width}}  {SCENARIOS[name].description}")
     return EXIT_OK
 
 

@@ -335,6 +335,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     replicates = raw.get("replicates", _DEFAULT_REPLICATES[scenario])
     if isinstance(replicates, bool) or not isinstance(replicates, int) or replicates < 0:
         errors.append(f"replicates: expected a non-negative integer, got {replicates!r}")
+    elif scenario == "bimodal-oracle-check" and replicates > 1:
+        errors.append(f"replicates: {scenario} runs at most 1 replicate, got {replicates}")
 
     threads = raw.get("threads", 0)
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 0:

@@ -27,6 +27,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from ..oracle import (
 from .config import ExperimentConfig, stream_key
 from .io import write_table
 
-__all__ = ["SCENARIOS", "ScenarioResult", "run_scenario"]
+__all__ = ["SCENARIOS", "Scenario", "ScenarioResult", "run_scenario"]
 
 # Fixed stream identifiers: replicate streams are keyed by value, never by
 # position in a sweep grid, so reordering a grid cannot move results.
@@ -74,6 +75,11 @@ _STREAM_FILTER = {"enkf": 1, "tenkf": 2, "pf": 3}
 
 def _rng(*key) -> np.random.Generator:
     return np.random.default_rng(list(key))
+
+
+def _below(name: str, value: float, tolerance: float) -> dict:
+    """A ``checks.csv`` row that passes when ``value`` is below ``tolerance``."""
+    return {"check": name, "value": value, "tolerance": tolerance, "ok": value < tolerance}
 
 
 @dataclass
@@ -91,11 +97,12 @@ class ScenarioResult:
         return all(c["ok"] for c in self.checks)
 
 
-def _map_replicates(fn, replicates: int, threads: int):
-    """Run ``fn(rep)`` for every replicate, collecting results and failures.
+def _map_replicates(fn, cfg: ExperimentConfig):
+    """Run ``fn(cfg, rep)`` for every replicate and join the row tables it
+    returns, collecting failures.
 
-    Results are returned in replicate order regardless of completion order;
-    a failing replicate is recorded and skipped, the rest keep running.
+    Rows are joined in replicate order regardless of completion order; a
+    failing replicate is recorded and skipped, the rest keep running.
     One worker runs them on the calling thread (the pool starts no thread):
     a pool thread allocates from its own malloc arena, whose retained memory
     raised the peak RSS of the next scenario in the same process by 8 MB.
@@ -103,17 +110,23 @@ def _map_replicates(fn, replicates: int, threads: int):
 
     def attempt(rep):
         try:
-            return True, fn(rep)
+            return fn(cfg, rep)
         except Exception as exc:
-            return False, f"replicate {rep}: {type(exc).__name__}: {exc}"
+            return f"replicate {rep}: {type(exc).__name__}: {exc}"
 
-    workers = max(1, min(threads or os.cpu_count() or 1, replicates))  # threads 0: auto
+    workers = max(1, min(cfg.threads or os.cpu_count() or 1, cfg.replicates))  # 0: auto
     with ThreadPoolExecutor(max_workers=workers) as pool:
         mapper = map if workers == 1 else pool.map
-        outcomes = list(mapper(attempt, range(replicates)))
-    results = [value for ok, value in outcomes if ok]
-    failures = [value for ok, value in outcomes if not ok]
-    return results, failures
+        outcomes = list(mapper(attempt, range(cfg.replicates)))
+    tables: dict[str, list[dict]] = {}
+    failures = []
+    for out in outcomes:
+        if isinstance(out, str):
+            failures.append(out)
+            continue
+        for name, rows in out.items():
+            tables.setdefault(name, []).extend(rows)
+    return tables, failures
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +134,7 @@ def _map_replicates(fn, replicates: int, threads: int):
 # ---------------------------------------------------------------------------
 
 
-def _run_l63(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
+def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     p = cfg.params
     dyn = lorenz63_model(
         Lorenz63Params(alpha=p["alpha"], rho=p["rho"], beta=p["beta"], sigma=p["sigma"])
@@ -130,163 +143,158 @@ def _run_l63(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
     icfg = IntegratorConfig(scheme="stochastic-heun", dt=p["dt"])
     n = int(p["n"])
 
-    def one_replicate(rep):
-        rng_t = _rng(cfg.seed, rep, _STREAM_TRUTH)
-        truth0 = np.array(
-            [
-                p["x1_0"] + p["sigma1_0"] * rng_t.standard_normal(),
-                p["x2_0"] + p["sigma1_0"] * rng_t.standard_normal(),
-                p["x3_0"] + p["sigma3_0"] * rng_t.standard_normal(),
-            ]
-        )
-        y0 = truth0[1] + p["tau"] * rng_t.standard_normal()
-        truth1 = integrate(dyn, truth0, 0.0, p["t1"], icfg, rng_t)
-        y_star = np.array([truth1[1] + p["tau"] * rng_t.standard_normal()])
+    rng_t = _rng(cfg.seed, rep, _STREAM_TRUTH)
+    truth0 = np.array(
+        [
+            p["x1_0"] + p["sigma1_0"] * rng_t.standard_normal(),
+            p["x2_0"] + p["sigma1_0"] * rng_t.standard_normal(),
+            p["x3_0"] + p["sigma3_0"] * rng_t.standard_normal(),
+        ]
+    )
+    y0 = truth0[1] + p["tau"] * rng_t.standard_normal()
+    truth1 = integrate(dyn, truth0, 0.0, p["t1"], icfg, rng_t)
+    y_star = np.array([truth1[1] + p["tau"] * rng_t.standard_normal()])
 
-        rng_fc = _rng(cfg.seed, rep, _STREAM_FILTER["enkf"])
-        members = np.empty((3, n))
-        members[0] = p["x1_0"] + p["sigma1_0"] * rng_fc.standard_normal(n)
-        members[1] = y0 + p["tau"] * rng_fc.standard_normal(n)
-        members[2] = p["x3_0"] + p["sigma3_0"] * rng_fc.standard_normal(n)
-        joint = forecast(Ensemble(members), dyn, meas, icfg, p["t1"], rng_fc)
+    rng_fc = _rng(cfg.seed, rep, _STREAM_FILTER["enkf"])
+    members = np.empty((3, n))
+    members[0] = p["x1_0"] + p["sigma1_0"] * rng_fc.standard_normal(n)
+    members[1] = y0 + p["tau"] * rng_fc.standard_normal(n)
+    members[2] = p["x3_0"] + p["sigma3_0"] * rng_fc.standard_normal(n)
+    joint = forecast(Ensemble(members), dyn, meas, icfg, p["t1"], rng_fc)
 
-        # Every update sees the same forecast.  Output order is fixed: the
-        # PF reference, the EnKF, then the trimmed filter's lambda sweep.
-        posteriors = {}
-        for name, lams in (("pf", [None]), ("enkf", [None]), ("tenkf", p["lambdas"])):
-            if name not in p["filters"]:
-                continue
-            for lam in lams:
-                key = [cfg.seed, rep, _STREAM_FILTER[name]]
-                key += [] if lam is None else [stream_key(lam)]
-                trim = None if lam is None else TrimConfig(lam=lam)
-                state = FilterMethod(name, trim=trim).update(joint, y_star, meas, _rng(*key))
-                posteriors[(name, lam)] = state.posterior.members[1]
+    # Every update sees the same forecast.  Output order is fixed: the
+    # PF reference, the EnKF, then the trimmed filter's lambda sweep.
+    posteriors = {}
+    for name, lams in (("pf", [None]), ("enkf", [None]), ("tenkf", p["lambdas"])):
+        if name not in p["filters"]:
+            continue
+        for lam in lams:
+            key = [cfg.seed, rep, _STREAM_FILTER[name]]
+            key += [] if lam is None else [stream_key(lam)]
+            trim = None if lam is None else TrimConfig(lam=lam)
+            state = FilterMethod(name, trim=trim).update(joint, y_star, meas, _rng(*key))
+            posteriors[(name, lam)] = state.posterior.members[1]
 
-        # One shared binning per replicate so histograms are comparable.
-        pooled = np.concatenate(list(posteriors.values()))
-        lo, hi = pooled.min(), pooled.max()
-        pad = 0.05 * (hi - lo if hi > lo else 1.0)
-        edges = np.linspace(lo - pad, hi + pad, int(p["bins"]) + 1)
+    # One shared binning per replicate so histograms are comparable.
+    pooled = np.concatenate(list(posteriors.values()))
+    lo, hi = pooled.min(), pooled.max()
+    pad = 0.05 * (hi - lo if hi > lo else 1.0)
+    edges = np.linspace(lo - pad, hi + pad, int(p["bins"]) + 1)
 
-        hist_rows, ks_rows = [], []
-        reference = posteriors.get(("pf", None))
-        for (name, lam), sample in posteriors.items():
-            counts, _ = np.histogram(sample, bins=edges)
-            masses = counts / sample.size
-            for b in range(edges.size - 1):
-                hist_rows.append(
-                    {
-                        "replicate": rep,
-                        "filter": name,
-                        "lam": lam,
-                        "bin_lo": float(edges[b]),
-                        "bin_hi": float(edges[b + 1]),
-                        "mass": float(masses[b]),
-                    }
-                )
-            if reference is not None and not (name == "pf" and lam is None):
-                ks_rows.append(
-                    {
-                        "replicate": rep,
-                        "filter": name,
-                        "lam": lam,
-                        "ks_to_pf": ks_distance(sample, reference),
-                    }
-                )
-        return hist_rows, ks_rows
-
-    per_rep, failures = _map_replicates(one_replicate, cfg.replicates, cfg.threads)
-    hist_rows = [r for rep_rows in per_rep for r in rep_rows[0]]
-    ks_rows = [r for rep_rows in per_rep for r in rep_rows[1]]
-    files = [
-        write_table(out / "histograms.csv",
-                    ["replicate", "filter", "lam", "bin_lo", "bin_hi", "mass"], hist_rows),
-        write_table(out / "ks.csv", ["replicate", "filter", "lam", "ks_to_pf"], ks_rows),
-    ]
-    return ScenarioResult(files=files, replicate_failures=failures)
+    hist_rows, ks_rows = [], []
+    reference = posteriors.get(("pf", None))
+    for (name, lam), sample in posteriors.items():
+        counts, _ = np.histogram(sample, bins=edges)
+        masses = counts / sample.size
+        for b in range(edges.size - 1):
+            hist_rows.append(
+                {
+                    "replicate": rep,
+                    "filter": name,
+                    "lam": lam,
+                    "bin_lo": float(edges[b]),
+                    "bin_hi": float(edges[b + 1]),
+                    "mass": float(masses[b]),
+                }
+            )
+        if reference is not None and not (name == "pf" and lam is None):
+            ks_rows.append(
+                {
+                    "replicate": rep,
+                    "filter": name,
+                    "lam": lam,
+                    "ks_to_pf": ks_distance(sample, reference),
+                }
+            )
+    return {"histograms.csv": hist_rows, "ks.csv": ks_rows}
 
 
 # ---------------------------------------------------------------------------
-# Lorenz-96 problems
+# Lorenz-96 twin experiments
 # ---------------------------------------------------------------------------
 
 
-def _l96_problem(p: dict, n: int, dt_obs: float, sigma: float, icfg: IntegratorConfig):
+def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], icfg: IntegratorConfig,
+              augment: bool):
+    """Yield ``(dt_obs, n, filter, run)`` for every filter run of replicate
+    ``rep``; all runs at one ``dt_obs`` share one truth.  The trimmed filter
+    also augments when ``augment`` is set.
+
+    The truth starts at ``mu0 + mu1 z + sigma0 e`` with one shared scalar
+    ``z``.  Each run's members share the truth's ``mu0 + mu1 z`` in the
+    unobserved components and scatter with noise ``tau`` around the truth's
+    time-zero measurement in the observed ones.
+    """
+    p = cfg.params
     dim = int(p["N"])
     obs_idx = np.arange(0, dim, 2)
-    dyn = lorenz96_model(Lorenz96Params(dim=dim, forcing=p["F"], sigma=sigma))
+    dyn = lorenz96_model(Lorenz96Params(dim=dim, forcing=p["F"], sigma=p["sigma"]))
     meas = select_observer(dim, obs_idx, noise_std=p["tau"])
-
-    def sample_truth(rng):
-        z = rng.standard_normal()
-        truth0 = p["mu0"] + p["mu1"] * z + p["sigma0"] * rng.standard_normal(dim)
-        return truth0, {"z": z}
-
-    def init_ensemble(n_members, ctx, rng):
-        base = p["mu0"] + p["mu1"] * ctx["z"]
-        members = base + p["sigma0"] * rng.standard_normal((dim, n_members))
-        members[obs_idx] = ctx["y0"][:, None] + p["tau"] * rng.standard_normal(
-            (obs_idx.size, n_members)
-        )
-        return members
-
-    return AssimilationProblem(
-        dyn=dyn,
-        meas=meas,
-        integrator=icfg,
-        dt_obs=dt_obs,
-        t_f=p["t_f"],
-        n=n,
-        sample_truth=sample_truth,
-        init_ensemble=init_ensemble,
-    )
+    trim = TrimConfig(target_ne=p["target_ne"])
+    aug = None
+    if augment:
+        aug = AugmentConfig(d_max=p["d_max"], r_max=p["r_max"], sigma_p=p["sigma_p"])
+    methods = {
+        name: FilterMethod(name, trim=trim, augment=aug if name == "tenkf" else None)
+        for name in p["filters"]
+    }
+    for dt_obs in p["dt_obs"]:
+        problem = AssimilationProblem(dyn, meas, icfg, dt_obs, p["t_f"])
+        rng_t = _rng(cfg.seed, rep, _STREAM_TRUTH, stream_key(dt_obs))
+        base = p["mu0"] + p["mu1"] * rng_t.standard_normal()
+        truth = simulate_truth(problem, base + p["sigma0"] * rng_t.standard_normal(dim), rng_t)
+        for n in sizes:
+            for name in p["filters"]:
+                rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name], n, stream_key(dt_obs))
+                members = base + p["sigma0"] * rng_f.standard_normal((dim, n))
+                members[obs_idx] = truth.y0[:, None] + p["tau"] * rng_f.standard_normal(
+                    (obs_idx.size, n)
+                )
+                run = run_assimilation(problem, methods[name], rng_f, truth, Ensemble(members))
+                yield dt_obs, n, name, run
 
 
-def _run_l96_rmse(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
+def _l96_rmse_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     p = cfg.params
     icfg = IntegratorConfig(scheme="stochastic-heun", dt=p["dt"])
-    sizes = p["n"]
-
-    def one_replicate(rep):
-        rows, series = [], []
-        for dt_obs, n, name, run in _l96_runs(cfg, rep, sizes, icfg, bool(p["augment"])):
-            rows.append(
+    rows, series = [], []
+    for dt_obs, n, name, run in _l96_runs(cfg, rep, p["n"], icfg, p["augment"]):
+        rows.append(
+            {
+                "replicate": rep,
+                "filter": name,
+                "n": n,
+                "dt_obs": dt_obs,
+                "rmse_time_avg": time_avg_rmse(run.rmse),
+                "rmse_mean_time_avg": time_avg_rmse(run.rmse_mean),
+            }
+        )
+        for k, t in enumerate(run.truth.times[1:]):
+            series.append(
                 {
                     "replicate": rep,
                     "filter": name,
                     "n": n,
                     "dt_obs": dt_obs,
-                    "rmse_time_avg": time_avg_rmse(run.rmse),
-                    "rmse_mean_time_avg": time_avg_rmse(run.rmse_mean),
+                    "step": k + 1,
+                    "time": float(t),
+                    "rmse": float(run.rmse[k]),
                 }
             )
-            for k, t in enumerate(run.truth.times[1:]):
-                series.append(
-                    {
-                        "replicate": rep,
-                        "filter": name,
-                        "n": n,
-                        "dt_obs": dt_obs,
-                        "step": k + 1,
-                        "time": float(t),
-                        "rmse": float(run.rmse[k]),
-                    }
-                )
-        return rows, series
+    return {"rmse.csv": rows, "series.csv": series}
 
-    per_rep, failures = _map_replicates(one_replicate, cfg.replicates, cfg.threads)
-    rows = [r for rep_rows in per_rep for r in rep_rows[0]]
-    series = [r for rep_rows in per_rep for r in rep_rows[1]]
 
+def _l96_rmse_quantiles(cfg: ExperimentConfig, tables: dict) -> dict:
+    """Replicate quantiles of the time-averaged RMSE per (dt_obs, n, filter)."""
+    p = cfg.params
     quant_rows = []
     for dt_obs in p["dt_obs"]:
-        for n in sizes:
+        for n in p["n"]:
             for name in p["filters"]:
                 vals = np.array(
                     [
                         r["rmse_time_avg"]
-                        for r in rows
+                        for r in tables.get("rmse.csv", [])
                         if r["filter"] == name and r["n"] == n and r["dt_obs"] == dt_obs
                     ]
                 )
@@ -303,96 +311,48 @@ def _run_l96_rmse(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
                         "q75": float(q75),
                     }
                 )
-
-    files = [
-        write_table(out / "rmse.csv",
-                    ["replicate", "filter", "n", "dt_obs", "rmse_time_avg", "rmse_mean_time_avg"],
-                    rows),
-        write_table(out / "quantiles.csv",
-                    ["filter", "n", "dt_obs", "q25", "q50", "q75"], quant_rows),
-        write_table(out / "series.csv",
-                    ["replicate", "filter", "n", "dt_obs", "step", "time", "rmse"], series),
-    ]
-    return ScenarioResult(files=files, replicate_failures=failures)
+    return {"quantiles.csv": quant_rows}
 
 
-def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], icfg: IntegratorConfig,
-              augment: bool):
-    """Yield ``(dt_obs, n, filter, run)`` for every filter run of replicate
-    ``rep``; all runs at one ``dt_obs`` share one truth.  The trimmed filter
-    also augments when ``augment`` is set."""
-    p = cfg.params
-    trim = TrimConfig(target_ne=p["target_ne"])
-    aug = None
-    if augment:
-        aug = AugmentConfig(d_max=p["d_max"], r_max=p["r_max"], sigma_p=p["sigma_p"])
-    methods = {
-        name: FilterMethod(name, trim=trim, augment=aug if name == "tenkf" else None)
-        for name in p["filters"]
-    }
-    for dt_obs in p["dt_obs"]:
-        problems = [_l96_problem(p, n, dt_obs, p["sigma"], icfg) for n in sizes]
-        truth = simulate_truth(problems[0], _rng(cfg.seed, rep, _STREAM_TRUTH, stream_key(dt_obs)))
-        for n, problem in zip(sizes, problems):
-            for name in p["filters"]:
-                rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name], n, stream_key(dt_obs))
-                yield dt_obs, n, name, run_assimilation(problem, methods[name], rng_f, truth=truth)
-
-
-def _run_l96_aug(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
+def _l96_aug_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     p = cfg.params
     icfg = IntegratorConfig(
         scheme="rk45-adaptive", dt=p["dt_init"], rtol=p["rtol"], atol=p["atol"]
     )
     n = int(p["n"])
-
-    def one_replicate(rep):
-        traces, summaries = [], []
-        for dt_obs, _, name, run in _l96_runs(cfg, rep, [n], icfg, augment=True):
-            ratios = []
-            for k, state in enumerate(run.steps):
-                d = state.diagnostics
-                n_aug = d.n_aug if d.n_aug is not None else n
-                ratios.append(n_aug / n)
-                traces.append(
-                    {
-                        "replicate": rep,
-                        "filter": name,
-                        "dt_obs": dt_obs,
-                        "step": k + 1,
-                        "time": float(run.truth.times[k + 1]),
-                        "n_forecast": d.n_forecast,
-                        "n_d": d.n_d,
-                        "n_aug": n_aug,
-                        "n_e": d.n_e,
-                        "lam": d.lambda_used,
-                        "rmse": float(run.rmse[k]),
-                    }
-                )
-            summaries.append(
+    traces, summaries = [], []
+    for dt_obs, _, name, run in _l96_runs(cfg, rep, [n], icfg, augment=True):
+        ratios = []
+        for k, state in enumerate(run.steps):
+            d = state.diagnostics
+            n_aug = d.n_aug if d.n_aug is not None else n
+            ratios.append(n_aug / n)
+            traces.append(
                 {
                     "replicate": rep,
                     "filter": name,
                     "dt_obs": dt_obs,
-                    "aug_ratio_time_avg": float(np.mean(ratios)),
-                    "rmse_time_avg": time_avg_rmse(run.rmse),
-                    "rmse_mean_time_avg": time_avg_rmse(run.rmse_mean),
+                    "step": k + 1,
+                    "time": float(run.truth.times[k + 1]),
+                    "n_forecast": d.n_forecast,
+                    "n_d": d.n_d,
+                    "n_aug": n_aug,
+                    "n_e": d.n_e,
+                    "lam": d.lambda_used,
+                    "rmse": float(run.rmse[k]),
                 }
             )
-        return traces, summaries
-
-    per_rep, failures = _map_replicates(one_replicate, cfg.replicates, cfg.threads)
-    traces = [r for rep_rows in per_rep for r in rep_rows[0]]
-    summaries = [r for rep_rows in per_rep for r in rep_rows[1]]
-    files = [
-        write_table(out / "traces.csv",
-                    ["replicate", "filter", "dt_obs", "step", "time", "n_forecast",
-                     "n_d", "n_aug", "n_e", "lam", "rmse"], traces),
-        write_table(out / "augmentation.csv",
-                    ["replicate", "filter", "dt_obs", "aug_ratio_time_avg",
-                     "rmse_time_avg", "rmse_mean_time_avg"], summaries),
-    ]
-    return ScenarioResult(files=files, replicate_failures=failures)
+        summaries.append(
+            {
+                "replicate": rep,
+                "filter": name,
+                "dt_obs": dt_obs,
+                "aug_ratio_time_avg": float(np.mean(ratios)),
+                "rmse_time_avg": time_avg_rmse(run.rmse),
+                "rmse_mean_time_avg": time_avg_rmse(run.rmse_mean),
+            }
+        )
+    return {"traces.csv": traces, "augmentation.csv": summaries}
 
 
 # ---------------------------------------------------------------------------
@@ -400,112 +360,79 @@ def _run_l96_aug(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_lingauss(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
+def _gain_noise_term(joint: JointEnsemble, y_star: float) -> float:
+    """Variance contribution of the estimated gain to the posterior mean.
+
+    Delta method on K-hat = C_xy / C_yy for the scalar case:
+    var(dK) ~ (1 - rho^2) C_xx / (n C_yy), scaled by the squared mean
+    innovation it multiplies.
+    """
+    x, y = joint.states.members[0], joint.observations[0]
+    c_xx, c_yy = x.var(ddof=1), y.var(ddof=1)
+    c_xy = np.cov(x, y, ddof=1)[0, 1]
+    rho2 = min(1.0, c_xy**2 / max(c_xx * c_yy, 1e-300))
+    return (y_star - y.mean()) ** 2 * (1 - rho2) * c_xx / (joint.size * c_yy)
+
+
+def _lingauss_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     p = cfg.params
     A, Q, H, R = (np.array([[p[k]]]) for k in ("A", "Q", "H", "R"))
     dyn, meas = linear_gaussian_model(A, Q, H, R)
+    problem = AssimilationProblem(dyn, meas, IntegratorConfig(), 1.0, float(p["steps"]))
     n = int(p["n"])
     prior_sd = float(np.sqrt(p["prior_var"]))
-
-    def sample_truth(rng):
-        return np.array([p["prior_mean"] + prior_sd * rng.standard_normal()]), {}
-
-    def init_ensemble(n_members, ctx, rng):
-        return p["prior_mean"] + prior_sd * rng.standard_normal((1, n_members))
-
-    problem = AssimilationProblem(
-        dyn=dyn,
-        meas=meas,
-        integrator=IntegratorConfig(),
-        dt_obs=1.0,
-        t_f=float(p["steps"]),
-        n=n,
-        sample_truth=sample_truth,
-        init_ensemble=init_ensemble,
-    )
-
-    def gain_noise_term(joint, y_star):
-        """Variance contribution of the estimated gain to the posterior mean.
-
-        Delta method on K-hat = C_xy / C_yy for the scalar case:
-        var(dK) ~ (1 - rho^2) C_xx / (n C_yy), scaled by the squared mean
-        innovation it multiplies.
-        """
-        x, y = joint.states.members[0], joint.observations[0]
-        c_xx, c_yy = x.var(ddof=1), y.var(ddof=1)
-        c_xy = np.cov(x, y, ddof=1)[0, 1]
-        rho2 = min(1.0, c_xy**2 / max(c_xx * c_yy, 1e-300))
-        return (y_star - y.mean()) ** 2 * (1 - rho2) * c_xx / (joint.size * c_yy)
-
     trim = TrimConfig(target_ne=max(2.0, p["target_ne_fraction"] * n))
 
-    def one_replicate(rep):
-        truth = simulate_truth(problem, _rng(cfg.seed, rep, _STREAM_TRUTH))
-        means, covs = kalman_filter_sequence(
-            A, Q, H, R,
-            np.array([p["prior_mean"]]), np.array([[p["prior_var"]]]),
-            list(truth.observations.T),
-        )
-        rows = []
-        for name in p["filters"]:
-            rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name])
-            initial = Ensemble(problem.init_ensemble(n, truth.context, rng_f))
-            steps = assimilate(problem, FilterMethod(name, trim=trim), rng_f, truth, initial)
-            for k, joint, state in steps:
-                y_star = truth.observations[:, k]
-                sample = state.posterior.members[0]
-                n_e = state.diagnostics.n_e or float(n)
-                est_mean = float(sample.mean())
-                est_var = float(sample.var(ddof=1))
-                exact_mean = float(means[k][0])
-                exact_var = float(covs[k][0, 0])
-                se_mean_sq = est_var / n_e
-                if name != "pf":  # the Kalman-type updates carry a sampled gain
-                    se_mean_sq += gain_noise_term(joint, y_star[0])
-                del joint  # not held through the next step's update (n=1e5)
-                se_mean = float(np.sqrt(se_mean_sq))
-                se_var = float(est_var * np.sqrt(2.0 / max(n_e - 1.0, 1.0)))
-                ok = (
-                    abs(est_mean - exact_mean) <= p["se_factor"] * se_mean
-                    and abs(est_var - exact_var) <= p["se_factor"] * se_var
-                )
-                rows.append(
-                    {
-                        "replicate": rep,
-                        "filter": name,
-                        "step": k + 1,
-                        "mean_est": est_mean,
-                        "var_est": est_var,
-                        "mean_exact": exact_mean,
-                        "var_exact": exact_var,
-                        "se_mean": se_mean,
-                        "se_var": se_var,
-                        "ok": bool(ok),
-                    }
-                )
-        return rows
-
-    per_rep, failures = _map_replicates(one_replicate, cfg.replicates, cfg.threads)
-    rows = [r for rep_rows in per_rep for r in rep_rows]
-    checks = [
-        {
-            "check": f"{r['filter']}-step{r['step']}-rep{r['replicate']}",
-            "value": max(
-                abs(r["mean_est"] - r["mean_exact"]) / r["se_mean"],
-                abs(r["var_est"] - r["var_exact"]) / r["se_var"],
-            ),
-            "tolerance": p["se_factor"],
-            "ok": r["ok"],
-        }
-        for r in rows
-    ]
-    files = [
-        write_table(out / "comparison.csv",
-                    ["replicate", "filter", "step", "mean_est", "var_est", "mean_exact",
-                     "var_exact", "se_mean", "se_var", "ok"], rows),
-        write_table(out / "checks.csv", ["check", "value", "tolerance", "ok"], checks),
-    ]
-    return ScenarioResult(files=files, replicate_failures=failures, checks=checks)
+    rng_t = _rng(cfg.seed, rep, _STREAM_TRUTH)
+    truth0 = np.array([p["prior_mean"] + prior_sd * rng_t.standard_normal()])
+    truth = simulate_truth(problem, truth0, rng_t)  # its y0 draw is unused here
+    means, covs = kalman_filter_sequence(
+        A, Q, H, R,
+        np.array([p["prior_mean"]]), np.array([[p["prior_var"]]]),
+        list(truth.observations.T),
+    )
+    rows, checks = [], []
+    for name in p["filters"]:
+        rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name])
+        initial = Ensemble(p["prior_mean"] + prior_sd * rng_f.standard_normal((1, n)))
+        steps = assimilate(problem, FilterMethod(name, trim=trim), rng_f, truth, initial)
+        for k, joint, state in steps:
+            y_star = truth.observations[:, k]
+            sample = state.posterior.members[0]
+            n_e = state.diagnostics.n_e
+            est_mean = float(sample.mean())
+            est_var = float(sample.var(ddof=1))
+            exact_mean = float(means[k][0])
+            exact_var = float(covs[k][0, 0])
+            se_mean_sq = est_var / n_e
+            if name != "pf":  # the Kalman-type updates carry a sampled gain
+                se_mean_sq += _gain_noise_term(joint, y_star[0])
+            del joint  # not held through the next step's update (n=1e5)
+            se_mean = float(np.sqrt(se_mean_sq))
+            se_var = float(est_var * np.sqrt(2.0 / max(n_e - 1.0, 1.0)))
+            ok = (
+                abs(est_mean - exact_mean) <= p["se_factor"] * se_mean
+                and abs(est_var - exact_var) <= p["se_factor"] * se_var
+            )
+            rows.append(
+                {
+                    "replicate": rep,
+                    "filter": name,
+                    "step": k + 1,
+                    "mean_est": est_mean,
+                    "var_est": est_var,
+                    "mean_exact": exact_mean,
+                    "var_exact": exact_var,
+                    "se_mean": se_mean,
+                    "se_var": se_var,
+                    "ok": bool(ok),
+                }
+            )
+            # one check per row: the larger of its two z-scores
+            z = max(abs(est_mean - exact_mean) / se_mean, abs(est_var - exact_var) / se_var)
+            checks.append({"check": f"{name}-step{k + 1}-rep{rep}", "value": z,
+                           "tolerance": p["se_factor"], "ok": bool(ok)})
+    return {"comparison.csv": rows, "checks.csv": checks}
 
 
 # ---------------------------------------------------------------------------
@@ -513,91 +440,111 @@ def _run_lingauss(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_bimodal(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
+def _bimodal_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     p = cfg.params
     toy = bimodal_toy(points=int(p["points"]), y_star=p["y_star"])
     joint, gain, y_star = toy.joint, toy.exact_gain, toy.y_star
 
     bayes = bayes_posterior(joint, y_star)
     enkf_lim = enkf_limit_pdf(joint, gain, y_star)
-    checks = []
-
     ks_large = ks_distance(tenkf_limit_pdf(joint, gain, y_star, p["lam_large"]), enkf_lim)
-    checks.append(
-        {"check": "tenkf-limit-large-lam-matches-enkf", "value": ks_large,
-         "tolerance": p["ks_tol_large"], "ok": ks_large < p["ks_tol_large"]}
-    )
     ks_small = ks_distance(tenkf_limit_pdf(joint, gain, y_star, p["lam_small"]), bayes)
-    checks.append(
-        {"check": "tenkf-limit-small-lam-matches-posterior", "value": ks_small,
-         "tolerance": p["ks_tol_small"], "ok": ks_small < p["ks_tol_small"]}
-    )
-
-    bridge_rows = []
-    bridge = []
-    for lam in p["lambdas"]:
-        ks = ks_distance(tenkf_limit_pdf(joint, gain, y_star, lam), bayes)
-        bridge.append(ks)
-        bridge_rows.append({"lam": lam, "ks_to_posterior": ks})
-    monotone = all(b <= a + 1e-12 for a, b in zip(bridge, bridge[1:]))
-    checks.append(
-        {"check": "bridge-ks-non-increasing-as-lam-decreases",
-         "value": max(b - a for a, b in zip(bridge, bridge[1:])),
-         "tolerance": 0.0, "ok": monotone}
-    )
+    bridge = [ks_distance(tenkf_limit_pdf(joint, gain, y_star, lam), bayes)
+              for lam in p["lambdas"]]
+    bridge_rows = [{"lam": lam, "ks_to_posterior": ks} for lam, ks in zip(p["lambdas"], bridge)]
 
     n = int(p["n"])
-    x, y = toy.sample(n, _rng(cfg.seed, 0, 1))
+    x, y = toy.sample(n, _rng(cfg.seed, rep, 1))
     sample_joint = JointEnsemble(states=Ensemble(x[None, :]), observations=y[None, :])
     trim = TrimConfig(lam=p["sample_lam"])
-    state = tenkf_update(sample_joint, np.array([y_star]), trim, _rng(cfg.seed, 0, 2))
+    state = tenkf_update(sample_joint, np.array([y_star]), trim, _rng(cfg.seed, rep, 2))
     scale = float(state.diagnostics.distance_scale[0])
     limit = tenkf_limit_pdf(joint, gain, y_star, p["sample_lam"], scale=scale)
     ks_tenkf = ks_distance(state.posterior.members[0], limit)
-    checks.append(
-        {"check": "tenkf-sampling-matches-limit", "value": ks_tenkf,
-         "tolerance": p["ks_tol_tenkf_sampling"], "ok": ks_tenkf < p["ks_tol_tenkf_sampling"]}
-    )
 
     toy_meas = MeasModel(obs_dim=1, h=lambda s: s, noise_std=0.5)
-    pf_state = pf_update(sample_joint, np.array([y_star]), toy_meas, _rng(cfg.seed, 0, 3))
+    pf_state = pf_update(sample_joint, np.array([y_star]), toy_meas, _rng(cfg.seed, rep, 3))
     ks_pf = ks_distance(pf_state.posterior.members[0], bayes)
-    checks.append(
-        {"check": "pf-sampling-matches-posterior", "value": ks_pf,
-         "tolerance": p["ks_tol_pf_sampling"], "ok": ks_pf < p["ks_tol_pf_sampling"]}
-    )
-
-    files = [
-        write_table(out / "bridge.csv", ["lam", "ks_to_posterior"], bridge_rows),
-        write_table(out / "checks.csv", ["check", "value", "tolerance", "ok"], checks),
+    steps = list(zip(bridge, bridge[1:]))
+    checks = [
+        _below("tenkf-limit-large-lam-matches-enkf", ks_large, p["ks_tol_large"]),
+        _below("tenkf-limit-small-lam-matches-posterior", ks_small, p["ks_tol_small"]),
+        {"check": "bridge-ks-non-increasing-as-lam-decreases",
+         "value": max(b - a for a, b in steps), "tolerance": 0.0,
+         "ok": all(b <= a + 1e-12 for a, b in steps)},
+        _below("tenkf-sampling-matches-limit", ks_tenkf, p["ks_tol_tenkf_sampling"]),
+        _below("pf-sampling-matches-posterior", ks_pf, p["ks_tol_pf_sampling"]),
     ]
-    return ScenarioResult(files=files, replicate_failures=[], checks=checks)
+    return {"bridge.csv": bridge_rows, "checks.csv": checks}
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
+
+class Scenario(NamedTuple):
+    """A scenario as plain data: ``replicate(cfg, rep)`` returns one
+    replicate's rows as ``{file: rows}``, the optional ``finish(cfg, tables)``
+    derives more tables from the rows of all replicates, and ``tables`` gives
+    every result file's columns in write order.  The rows of a
+    ``checks.csv`` are the scenario's embedded checks."""
+
+    description: str
+    replicate: Callable[[ExperimentConfig, int], dict]
+    finish: Callable[[ExperimentConfig, dict], dict] | None
+    tables: dict[str, list[str]]
+
+
+_CHECK_COLUMNS = ["check", "value", "tolerance", "ok"]
+
 SCENARIOS = {
-    "l63-limit-dist": (
-        _run_l63,
+    "l63-limit-dist": Scenario(
         "Lorenz-63 single-step posterior: EnKF vs trimmed sweep vs particle filter",
+        _l63_replicate,
+        None,
+        {
+            "histograms.csv": ["replicate", "filter", "lam", "bin_lo", "bin_hi", "mass"],
+            "ks.csv": ["replicate", "filter", "lam", "ks_to_pf"],
+        },
     ),
-    "l96-rmse-sweep": (
-        _run_l96_rmse,
+    "l96-rmse-sweep": Scenario(
         "Stochastic Lorenz-96 twin experiments: RMSE over (n, dt_obs) grids",
+        _l96_rmse_replicate,
+        _l96_rmse_quantiles,
+        {
+            "rmse.csv": ["replicate", "filter", "n", "dt_obs", "rmse_time_avg",
+                         "rmse_mean_time_avg"],
+            "quantiles.csv": ["filter", "n", "dt_obs", "q25", "q50", "q75"],
+            "series.csv": ["replicate", "filter", "n", "dt_obs", "step", "time", "rmse"],
+        },
     ),
-    "l96-adaptive-aug": (
-        _run_l96_aug,
+    "l96-adaptive-aug": Scenario(
         "Deterministic Lorenz-96 with adaptive trimming and ensemble augmentation",
+        _l96_aug_replicate,
+        None,
+        {
+            "traces.csv": ["replicate", "filter", "dt_obs", "step", "time", "n_forecast",
+                           "n_d", "n_aug", "n_e", "lam", "rmse"],
+            "augmentation.csv": ["replicate", "filter", "dt_obs", "aug_ratio_time_avg",
+                                 "rmse_time_avg", "rmse_mean_time_avg"],
+        },
     ),
-    "linear-gaussian-check": (
-        _run_lingauss,
+    "linear-gaussian-check": Scenario(
         "Scalar linear-Gaussian equivalence check against the exact Kalman filter",
+        _lingauss_replicate,
+        None,
+        {
+            "comparison.csv": ["replicate", "filter", "step", "mean_est", "var_est",
+                               "mean_exact", "var_exact", "se_mean", "se_var", "ok"],
+            "checks.csv": _CHECK_COLUMNS,
+        },
     ),
-    "bimodal-oracle-check": (
-        _run_bimodal,
+    "bimodal-oracle-check": Scenario(
         "Quadrature bridging and sampling checks on the bimodal toy problem",
+        _bimodal_replicate,
+        None,
+        {"bridge.csv": ["lam", "ks_to_posterior"], "checks.csv": _CHECK_COLUMNS},
     ),
 }
 
@@ -610,5 +557,13 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     out.mkdir(parents=True, exist_ok=True)
     if cfg.replicates == 0:
         return ScenarioResult(files=[], replicate_failures=[])
-    runner, _ = SCENARIOS[cfg.scenario]
-    return runner(cfg, out)
+    scenario = SCENARIOS[cfg.scenario]
+    tables, failures = _map_replicates(scenario.replicate, cfg)
+    if scenario.finish is not None:
+        tables.update(scenario.finish(cfg, tables))
+    files = [
+        write_table(out / name, columns, tables.get(name, []))
+        for name, columns in scenario.tables.items()
+    ]
+    checks = tables.get("checks.csv", []) if "checks.csv" in scenario.tables else None
+    return ScenarioResult(files=files, replicate_failures=failures, checks=checks)

@@ -426,14 +426,11 @@ def pf_update(
 
 @dataclass(frozen=True)
 class AssimilationProblem:
-    """A twin experiment: dynamics, measurements, timing, and initializers.
+    """A twin experiment: dynamics, measurements and timing.
 
-    ``sample_truth(rng) -> (truth0, context)`` draws the true initial state
-    plus any shared initialization context; ``init_ensemble(n, context, rng)``
-    draws the starting members.  The context dictionary always gains a
-    ``"y0"`` entry (a noisy observation of the truth at time zero) before
-    ``init_ensemble`` sees it, which is how observation-anchored priors are
-    built.
+    The problem holds no random draws: the caller draws the true initial
+    state (for :func:`simulate_truth`) and the starting members (for
+    :func:`assimilate`), so each replicate owns its streams.
     """
 
     dyn: DynModel
@@ -441,9 +438,6 @@ class AssimilationProblem:
     integrator: IntegratorConfig
     dt_obs: float
     t_f: float
-    n: int
-    sample_truth: Callable[[np.random.Generator], tuple[np.ndarray, dict]]
-    init_ensemble: Callable[[int, dict, np.random.Generator], np.ndarray]
 
     def n_steps(self) -> int:
         return int(np.floor(self.t_f / self.dt_obs + 1e-9))
@@ -456,7 +450,7 @@ class TruthRun:
     times: np.ndarray  # length K+1, starting at 0
     states: np.ndarray  # (N, K+1)
     observations: np.ndarray  # (M, K), at times[1:]
-    context: dict
+    y0: np.ndarray  # (M,), a noisy observation of the truth at time 0
 
 
 # The update rule of each filter kind, called as
@@ -508,18 +502,19 @@ class AssimilationRun:
     """Output of one filter pass over one truth realization."""
 
     truth: TruthRun
-    initial: Ensemble
     steps: list[FilterState]
     rmse: np.ndarray  # per assimilation step, over all members
     rmse_mean: np.ndarray  # per step, ensemble-mean error only
 
 
-def simulate_truth(problem: AssimilationProblem, rng: np.random.Generator) -> TruthRun:
-    """Generate the truth trajectory and its noisy measurements."""
-    truth0, context = problem.sample_truth(rng)
+def simulate_truth(
+    problem: AssimilationProblem, truth0: np.ndarray, rng: np.random.Generator
+) -> TruthRun:
+    """Measure ``truth0`` at time zero (``TruthRun.y0``, for priors
+    anchored on an observation), then advance and measure it at every
+    observation time, drawing all noise from ``rng`` in that order."""
     truth0 = np.asarray(truth0, dtype=float)
-    context = dict(context)
-    context["y0"] = np.atleast_1d(observe(problem.meas, truth0, rng))
+    y0 = np.atleast_1d(observe(problem.meas, truth0, rng))
     k_steps = problem.n_steps()
     times = np.arange(k_steps + 1) * problem.dt_obs
     states = np.empty((truth0.size, k_steps + 1))
@@ -533,7 +528,7 @@ def simulate_truth(problem: AssimilationProblem, rng: np.random.Generator) -> Tr
             raise _stage_error("truth simulation", k, times[k], exc) from exc
         states[:, k] = x
         obs[:, k - 1] = np.atleast_1d(observe(problem.meas, x, rng))
-    return TruthRun(times=times, states=states, observations=obs, context=context)
+    return TruthRun(times=times, states=states, observations=obs, y0=y0)
 
 
 def assimilate(
@@ -548,12 +543,15 @@ def assimilate(
     Starting from ``ensemble``, yields ``(k, joint, state)`` for each
     observation ``k`` (0-based): the forecast joint ensemble the update saw
     (after any augmentation) and the resulting filter state, whose
-    posterior is the next step's prior.  Nothing is kept between steps; a
-    consumer that still holds a yielded joint while asking for the next
-    step keeps two forecasts alive through that step's update.
+    posterior is the next step's prior.  Every posterior has as many
+    members as ``ensemble``; an augmented forecast is resampled back to
+    that count.  Nothing is kept between steps; a consumer that still holds a
+    yielded joint while asking for the next step keeps two forecasts alive
+    through that step's update.
     A failing stage is raised as :class:`AssimilationError` naming the
     1-based step, with the original exception as its cause.
     """
+    size = ensemble.size
     for k in range(truth.observations.shape[1]):
         t0, t1 = truth.times[k], truth.times[k + 1]
         y_star = truth.observations[:, k]
@@ -573,7 +571,7 @@ def assimilate(
                 joint, aug_diag = augment_forecast(
                     joint, ensemble, y_star, method.augment, pipeline, rng
                 )
-            state = method.update(joint, y_star, problem.meas, rng, size=problem.n)
+            state = method.update(joint, y_star, problem.meas, rng, size=size)
             if aug_diag is not None:
                 state.diagnostics.n_d = aug_diag.n_d
                 state.diagnostics.n_aug = aug_diag.n_aug
@@ -587,24 +585,16 @@ def run_assimilation(
     problem: AssimilationProblem,
     method: FilterMethod,
     rng: np.random.Generator,
-    truth: TruthRun | None = None,
+    truth: TruthRun,
+    initial: Ensemble,
 ) -> AssimilationRun:
-    """Run :func:`assimilate` from a fresh ensemble and score every step.
-
-    When ``truth`` is omitted it is simulated first on a spawned child
-    stream, so the filter's own draws are unaffected by truth generation.
-    """
+    """Run :func:`assimilate` from ``initial`` and score every step."""
     from .metrics import ensemble_mean_rmse, ensemble_rmse
 
-    if truth is None:
-        truth = simulate_truth(problem, rng.spawn(1)[0])
-    initial = Ensemble(problem.init_ensemble(problem.n, truth.context, rng))
     # itemgetter drops each forecast as soon as it is yielded; a loop
     # variable would keep it alive through the next step.
     steps = list(map(itemgetter(2), assimilate(problem, method, rng, truth, initial)))
     scored = list(zip((s.posterior for s in steps), truth.states[:, 1:].T))
     rmse = np.array([ensemble_rmse(e, x) for e, x in scored])
     rmse_mean = np.array([ensemble_mean_rmse(e, x) for e, x in scored])
-    return AssimilationRun(
-        truth=truth, initial=initial, steps=steps, rmse=rmse, rmse_mean=rmse_mean
-    )
+    return AssimilationRun(truth=truth, steps=steps, rmse=rmse, rmse_mean=rmse_mean)

@@ -1,7 +1,9 @@
 """Tests for config validation, the CLI surface, and scenario outputs."""
 
+import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ from trimkf.experiments.config import (
     scenario_defaults,
     validate_config,
 )
-from trimkf.experiments.scenarios import run_scenario
+from trimkf.experiments.scenarios import SCENARIOS, run_scenario
 
 
 def test_runtime_does_not_load_scipy():
@@ -54,6 +56,17 @@ class TestValidateConfig:
     def test_r_max_below_one_rejected(self):
         with pytest.raises(ConfigError, match="r_max"):
             validate_config({"scenario": "l96-adaptive-aug", "params": {"r_max": 0.5}})
+
+    def test_bimodal_check_runs_at_most_one_replicate(self):
+        # its streams do not depend on the replicate: more would repeat one run
+        for reps in (0, 1):
+            assert validate_config({"scenario": "bimodal-oracle-check",
+                                    "replicates": reps}).replicates == reps
+        with pytest.raises(ConfigError) as err:
+            validate_config({"scenario": "bimodal-oracle-check", "replicates": 3})
+        assert err.value.problems == [
+            "replicates: bimodal-oracle-check runs at most 1 replicate, got 3"
+        ]
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -198,6 +211,14 @@ class TestCli:
         cfg.write_text('{"scenario": "bimodal-oracle-check", "params": {"lam_large": NaN}}')
         assert main(["run", "--config", str(cfg)]) == 1
 
+    def test_bimodal_replicates_override_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json",
+                           {"scenario": "bimodal-oracle-check", "out_dir": str(out)})
+        assert main(["run", "--config", cfg, "--replicates", "3"]) == 1
+        assert "replicates" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 1
 
@@ -300,6 +321,60 @@ class TestReplicateIndependence:
             lines = (out / "rmse.csv").read_text().strip().splitlines()
             rows[reps] = [l for l in lines[1:] if l.startswith(("0,", "1,"))]
         assert rows[2] == rows[4]
+
+
+class TestReplicateFailures:
+    DOC = {"scenario": "l63-limit-dist", "seed": 4, "replicates": 3, "threads": 2,
+           "params": {"n": 300, "bins": 10, "lambdas": [1.0]}}
+
+    @staticmethod
+    def _fail_replicate_1(monkeypatch):
+        entry = SCENARIOS["l63-limit-dist"]
+
+        def replicate(cfg, rep):
+            if rep == 1:
+                raise RuntimeError("replicate blew up")
+            return entry.replicate(cfg, rep)
+
+        monkeypatch.setitem(SCENARIOS, "l63-limit-dist", entry._replace(replicate=replicate))
+
+    def _rows(self, out, name):
+        return (out / name).read_text().splitlines()[1:]
+
+    def test_failure_recorded_and_other_replicates_kept_in_order(self, tmp_path, monkeypatch):
+        clean = tmp_path / "clean"
+        assert not run_scenario(validate_config({**self.DOC, "out_dir": str(clean)})
+                                ).replicate_failures
+        self._fail_replicate_1(monkeypatch)
+        out = tmp_path / "out"
+        result = run_scenario(validate_config({**self.DOC, "out_dir": str(out)}))
+        # perfbench's child parses the replicate number out of this prefix
+        assert result.replicate_failures == ["replicate 1: RuntimeError: replicate blew up"]
+        for name in ("histograms.csv", "ks.csv"):
+            rows = self._rows(out, name)
+            reps = [k for k, _ in itertools.groupby(r.split(",")[0] for r in rows)]
+            assert reps == ["0", "2"]
+            assert rows == [r for r in self._rows(clean, name) if not r.startswith("1,")]
+
+    def test_cli_exits_2_naming_the_replicate(self, tmp_path, capsys, monkeypatch):
+        self._fail_replicate_1(monkeypatch)
+        cfg = write_config(tmp_path / "c.json", {**self.DOC, "out_dir": str(tmp_path / "out")})
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "FAILED replicate 1: RuntimeError: replicate blew up" in err
+
+
+def test_replicates_and_configs_pickle():
+    # what a process pool sends to its workers: the registered functions
+    # by reference and the validated config by value
+    for entry in SCENARIOS.values():
+        for fn in filter(None, (entry.replicate, entry.finish)):
+            assert pickle.loads(pickle.dumps(fn)) is fn
+    for name in SCENARIOS:
+        cfg = validate_config({"scenario": name, "seed": 3, "params": {}})
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+    cfg = validate_config({"scenario": "l96-rmse-sweep", "params": {"n": [40, 60], "target_ne": 20.0}})
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 class TestExitCodes:

@@ -427,48 +427,46 @@ class TestPfUpdate:
                       np.array([np.nan]), meas, np.random.default_rng(0))
 
 
-def scalar_problem(steps=3, n=500):
+def scalar_problem(steps=3):
     dyn, meas = linear_gaussian_model([[1.0]], [[0.01]], [[1.0]], [[0.04]])
-
-    def sample_truth(rng):
-        return np.array([rng.standard_normal()]), {}
-
-    def init_ensemble(n_members, ctx, rng):
-        return rng.standard_normal((1, n_members))
-
     return AssimilationProblem(
-        dyn=dyn, meas=meas, integrator=IntegratorConfig(), dt_obs=1.0,
-        t_f=float(steps), n=n, sample_truth=sample_truth, init_ensemble=init_ensemble,
+        dyn=dyn, meas=meas, integrator=IntegratorConfig(), dt_obs=1.0, t_f=float(steps),
     )
+
+
+def scalar_run(problem, method, rng, n=500):
+    """Draw a standard-normal truth on a spawned child of ``rng`` and ``n``
+    standard-normal members on ``rng``, then run ``method`` from them."""
+    rng_t = rng.spawn(1)[0]
+    truth = simulate_truth(problem, np.array([rng_t.standard_normal()]), rng_t)
+    initial = Ensemble(rng.standard_normal((1, n)))
+    return run_assimilation(problem, method, rng, truth, initial)
 
 
 class TestRunAssimilation:
     def test_zero_steps_returns_prior_only(self):
         problem = scalar_problem(steps=0)
-        run = run_assimilation(problem, FilterMethod("enkf"), np.random.default_rng(0))
+        truth = simulate_truth(problem, np.array([0.3]), np.random.default_rng(0))
+        assert truth.states.shape == (1, 1) and truth.y0.shape == (1,)
+        run = run_assimilation(problem, FilterMethod("enkf"), np.random.default_rng(0), truth,
+                               Ensemble(np.zeros((1, 500))))
         assert run.steps == [] and run.rmse.size == 0
-        assert run.initial.size == problem.n
 
     def test_identity_dynamics_exact_obs_contracts(self):
         dyn, meas = linear_gaussian_model([[1.0]], [[0.0]], [[1.0]], [[1e-6]])
-
-        def sample_truth(rng):
-            return np.array([0.5]), {}
-
-        def init_ensemble(n, ctx, rng):
-            return 0.5 + rng.standard_normal((1, n))
-
         problem = AssimilationProblem(
-            dyn=dyn, meas=meas, integrator=IntegratorConfig(), dt_obs=1.0, t_f=4.0,
-            n=400, sample_truth=sample_truth, init_ensemble=init_ensemble)
-        run = run_assimilation(problem, FilterMethod("enkf"), np.random.default_rng(1))
+            dyn=dyn, meas=meas, integrator=IntegratorConfig(), dt_obs=1.0, t_f=4.0)
+        rng = np.random.default_rng(1)
+        truth = simulate_truth(problem, np.array([0.5]), rng.spawn(1)[0])
+        run = run_assimilation(problem, FilterMethod("enkf"), rng, truth,
+                               Ensemble(0.5 + rng.standard_normal((1, 400))))
         assert run.rmse[0] > run.rmse[-1]
         assert run.rmse[-1] < 0.05
 
     def test_fixed_seed_bit_identical(self):
         problem = scalar_problem()
-        a = run_assimilation(problem, FilterMethod("enkf"), np.random.default_rng(42))
-        b = run_assimilation(problem, FilterMethod("enkf"), np.random.default_rng(42))
+        a = scalar_run(problem, FilterMethod("enkf"), np.random.default_rng(42))
+        b = scalar_run(problem, FilterMethod("enkf"), np.random.default_rng(42))
         assert np.array_equal(a.rmse, b.rmse)
         assert np.array_equal(a.truth.states, b.truth.states)
         for sa, sb in zip(a.steps, b.steps):
@@ -476,47 +474,43 @@ class TestRunAssimilation:
 
     def test_shared_truth_pairs_filters(self):
         problem = scalar_problem()
-        truth = simulate_truth(problem, np.random.default_rng(7))
-        a = run_assimilation(problem, FilterMethod("enkf"), np.random.default_rng(1), truth=truth)
-        b = run_assimilation(problem, FilterMethod("pf"), np.random.default_rng(2), truth=truth)
+        truth = simulate_truth(problem, np.array([0.2]), np.random.default_rng(7))
+        initial = Ensemble(np.random.default_rng(0).standard_normal((1, 500)))
+        a = run_assimilation(problem, FilterMethod("enkf"), np.random.default_rng(1), truth,
+                             initial)
+        b = run_assimilation(problem, FilterMethod("pf"), np.random.default_rng(2), truth,
+                             initial)
         assert np.array_equal(a.truth.observations, b.truth.observations)
 
     def test_step_error_annotated(self):
         from trimkf.filters import TruthRun
 
         dyn = DynModel(state_dim=1, drift=lambda x, t: x * np.where(t > 1.5, np.nan, 1.0))
-
-        def sample_truth(rng):
-            return np.array([1.0]), {}
-
-        def init_ensemble(n, ctx, rng):
-            return np.ones((1, n)) + 0.01 * rng.standard_normal((1, n))
-
         meas = select_observer(1, [0], noise_std=0.1)
         problem = AssimilationProblem(
             dyn=dyn, meas=meas, integrator=IntegratorConfig(scheme="rk4", dt=0.1),
-            dt_obs=1.0, t_f=3.0, n=10, sample_truth=sample_truth,
-            init_ensemble=init_ensemble)
+            dt_obs=1.0, t_f=3.0)
+        rng = np.random.default_rng(0)
+        initial = Ensemble(np.ones((1, 10)) + 0.01 * rng.standard_normal((1, 10)))
         # prebuilt truth so the failure happens inside the filter loop
         truth = TruthRun(times=np.array([0.0, 1.0, 2.0, 3.0]),
                          states=np.ones((1, 4)),
                          observations=np.ones((1, 3)),
-                         context={"y0": np.array([1.0])})
+                         y0=np.array([1.0]))
         with pytest.raises(Exception, match="assimilation step 2"):
-            run_assimilation(problem, FilterMethod("enkf"), np.random.default_rng(0),
-                             truth=truth)
+            run_assimilation(problem, FilterMethod("enkf"), rng, truth, initial)
         # truth-stage failures carry their own stage annotation
         with pytest.raises(Exception, match="truth simulation step"):
-            run_assimilation(problem, FilterMethod("enkf"), np.random.default_rng(0))
+            simulate_truth(problem, np.array([1.0]), np.random.default_rng(0))
 
     def test_tenkf_with_augmentation_diagnostics(self):
-        problem = scalar_problem(steps=2, n=100)
+        problem = scalar_problem(steps=2)
         method = FilterMethod(
             "tenkf",
             trim=TrimConfig(target_ne=30.0),
             augment=AugmentConfig(d_max=0.05, r_max=2.0, sigma_p=0.1),
         )
-        run = run_assimilation(problem, method, np.random.default_rng(3))
+        run = scalar_run(problem, method, np.random.default_rng(3), n=100)
         for step in run.steps:
             assert step.posterior.size == 100
             assert step.diagnostics.n_aug is not None
@@ -546,16 +540,15 @@ class TestRunAssimilation:
         assert np.array_equal(got.posterior.members, enkf_update(j, y_star).posterior.members)
 
     def test_assimilate_yields_each_step_like_run_assimilation(self):
-        problem = scalar_problem(steps=4, n=200)
-        truth = simulate_truth(problem, np.random.default_rng(7))
+        problem = scalar_problem(steps=4)
+        truth = simulate_truth(problem, np.array([0.1]), np.random.default_rng(7))
+        initial = Ensemble(np.random.default_rng(8).standard_normal((1, 200)))
         method = FilterMethod("tenkf", trim=TrimConfig(target_ne=50.0))
-        run = run_assimilation(problem, method, np.random.default_rng(3), truth=truth)
-        rng = np.random.default_rng(3)
-        initial = Ensemble(problem.init_ensemble(problem.n, truth.context, rng))
-        steps = list(assimilate(problem, method, rng, truth, initial))
+        run = run_assimilation(problem, method, np.random.default_rng(3), truth, initial)
+        steps = list(assimilate(problem, method, np.random.default_rng(3), truth, initial))
         assert [k for k, _, _ in steps] == [0, 1, 2, 3]
         for (_, joint, state), ref in zip(steps, run.steps):
-            assert joint.size == problem.n
+            assert joint.size == initial.size
             assert np.array_equal(state.posterior.members, ref.posterior.members)
 
 
@@ -578,14 +571,12 @@ class TestStageErrors:
         return AssimilationProblem(
             dyn=DynModel(state_dim=1, transition=transition),
             meas=select_observer(1, [0], noise_std=0.1), integrator=IntegratorConfig(),
-            dt_obs=1.0, t_f=3.0, n=10,
-            sample_truth=lambda rng: (np.array([1.0]), {}),
-            init_ensemble=lambda n, ctx, rng: rng.standard_normal((1, n)))
+            dt_obs=1.0, t_f=3.0)
 
     @pytest.mark.parametrize("ndim, stage", [(1, "truth simulation"), (2, "assimilation")])
     def test_two_argument_exception_keeps_cause(self, ndim, stage):
         with pytest.raises(AssimilationError) as err:
-            run_assimilation(self._problem(ndim), FilterMethod("enkf"), np.random.default_rng(0))
+            scalar_run(self._problem(ndim), FilterMethod("enkf"), np.random.default_rng(0), n=10)
         assert str(err.value) == (
             f"{stage} step 2 (t=2): TwoArgError: (7, 'transition blew up')"
         )
