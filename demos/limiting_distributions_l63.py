@@ -44,7 +44,7 @@ joint = forecast(Ensemble(members), dyn, meas, cfg, 1.0, rng_fc)
 
 pf = pf_update(joint, y_star, meas, np.random.default_rng([25, 0, 3]))
 reference = pf.posterior.members[1]
-print(f"particle filter reference: effective size {pf.diagnostics.n_e:.0f}")
+print(f"particle filter reference: effective size {pf.n_e:.0f}")
 
 posteriors = {"enkf": enkf_update(joint, y_star).posterior.members[1]}
 for lam in LAMBDAS:

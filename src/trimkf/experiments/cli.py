@@ -18,7 +18,7 @@ import sys
 import time
 
 from .. import __version__
-from .config import ConfigError, load_config_file, validate_config
+from .config import ConfigError, config_object, load_config_file, validate_config
 from .io import write_metadata
 from .scenarios import SCENARIOS, run_scenario
 
@@ -51,11 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_cli_overrides(raw: dict, args) -> dict:
-    if "config" in raw and "scenario" not in raw:
-        raw = dict(raw["config"])
-    else:
-        raw = dict(raw)
+def _apply_cli_overrides(raw, args) -> dict:
+    raw = dict(config_object(raw))
     for cli_key, cfg_key in (
         ("seed", "seed"),
         ("out", "out_dir"),

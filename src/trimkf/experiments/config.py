@@ -295,6 +295,23 @@ def _cross_checks(scenario: str, params: dict, errors: list[str]):
                 )
         if params.get("N") is not None and params["N"] % 2:
             errors.append("params.N: must be even (every other component is observed)")
+        # AssimilationProblem.n_steps is floor(t_f / dt_obs + 1e-9): keep it >= 1
+        t_f = params.get("t_f")
+        long = [dt for dt in params.get("dt_obs") or [] if t_f and t_f / dt + 1e-9 < 1]
+        if long:
+            errors.append(f"params.t_f: t_f={t_f} is shorter than dt_obs={long} "
+                          "(requires at least one observation)")
+
+
+def config_object(document) -> dict:
+    """A document's configuration object: the document itself, or the
+    ``"config"`` entry of a run's metadata document."""
+    where = "document"
+    if isinstance(document, dict) and "config" in document and "scenario" not in document:
+        document, where = document["config"], "config"
+    if not isinstance(document, dict):
+        raise ConfigError([f"{where}: expected a JSON object"])
+    return document
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -303,13 +320,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     All problems are collected and reported together.  A metadata document
     (with the configuration nested under ``"config"``) is accepted directly.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError(["document: expected a JSON object"])
-    if "config" in raw and "scenario" not in raw:
-        raw = raw["config"]
-        if not isinstance(raw, dict):
-            raise ConfigError(["config: expected a JSON object"])
-
+    raw = config_object(raw)
     errors: list[str] = []
     unknown = set(raw) - _TOP_LEVEL_KEYS
     if unknown:

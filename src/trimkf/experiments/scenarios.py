@@ -44,7 +44,7 @@ from ..filters import (
     simulate_truth,
     tenkf_update,
 )
-from ..integrators import IntegratorConfig, integrate
+from ..integrators import IntegratorConfig
 from ..metrics import ks_distance, replicate_quantiles, time_avg_rmse
 from ..models import (
     Lorenz63Params,
@@ -151,9 +151,9 @@ def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
             p["x3_0"] + p["sigma3_0"] * rng_t.standard_normal(),
         ]
     )
-    y0 = truth0[1] + p["tau"] * rng_t.standard_normal()
-    truth1 = integrate(dyn, truth0, 0.0, p["t1"], icfg, rng_t)
-    y_star = np.array([truth1[1] + p["tau"] * rng_t.standard_normal()])
+    # One observation interval: the measurement at t1 is the one assimilated.
+    truth = simulate_truth(AssimilationProblem(dyn, meas, icfg, p["t1"], p["t1"]), truth0, rng_t)
+    y0, y_star = truth.y0[0], truth.observations[:, 0]
 
     rng_fc = _rng(cfg.seed, rep, _STREAM_FILTER["enkf"])
     members = np.empty((3, n))
@@ -324,9 +324,7 @@ def _l96_aug_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     for dt_obs, _, name, run in _l96_runs(cfg, rep, [n], icfg, augment=True):
         ratios = []
         for k, state in enumerate(run.steps):
-            d = state.diagnostics
-            n_aug = d.n_aug if d.n_aug is not None else n
-            ratios.append(n_aug / n)
+            ratios.append(state.n_forecast / n)
             traces.append(
                 {
                     "replicate": rep,
@@ -334,11 +332,11 @@ def _l96_aug_replicate(cfg: ExperimentConfig, rep: int) -> dict:
                     "dt_obs": dt_obs,
                     "step": k + 1,
                     "time": float(run.truth.times[k + 1]),
-                    "n_forecast": d.n_forecast,
-                    "n_d": d.n_d,
-                    "n_aug": n_aug,
-                    "n_e": d.n_e,
-                    "lam": d.lambda_used,
+                    "n_forecast": state.n_forecast,
+                    "n_d": state.n_d,
+                    "n_aug": state.n_forecast,
+                    "n_e": state.n_e,
+                    "lam": state.lambda_used,
                     "rmse": float(run.rmse[k]),
                 }
             )
@@ -399,7 +397,7 @@ def _lingauss_replicate(cfg: ExperimentConfig, rep: int) -> dict:
         for k, joint, state in steps:
             y_star = truth.observations[:, k]
             sample = state.posterior.members[0]
-            n_e = state.diagnostics.n_e
+            n_e = state.n_e
             est_mean = float(sample.mean())
             est_var = float(sample.var(ddof=1))
             exact_mean = float(means[k][0])
@@ -458,7 +456,7 @@ def _bimodal_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     sample_joint = JointEnsemble(states=Ensemble(x[None, :]), observations=y[None, :])
     trim = TrimConfig(lam=p["sample_lam"])
     state = tenkf_update(sample_joint, np.array([y_star]), trim, _rng(cfg.seed, rep, 2))
-    scale = float(state.diagnostics.distance_scale[0])
+    scale = float(state.distance_scale[0])
     limit = tenkf_limit_pdf(joint, gain, y_star, p["sample_lam"], scale=scale)
     ks_tenkf = ks_distance(state.posterior.members[0], limit)
 

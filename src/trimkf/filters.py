@@ -7,13 +7,14 @@ measurement are turned into exponential weights with scale ``lambda``
 ensemble is bootstrap-resampled under those weights, and only then is the
 linear update applied.  Large ``lambda`` recovers the plain EnKF update up
 to resampling; small ``lambda`` approaches the exact Bayesian posterior.
+Every update returns one flat :class:`FilterState` record of the step.
 """
 
 from __future__ import annotations
 
 import warnings
 from operator import itemgetter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -33,7 +34,6 @@ from .models import DynModel, MeasModel, log_likelihood, observe
 __all__ = [
     "TrimConfig",
     "AugmentConfig",
-    "FilterDiagnostics",
     "FilterState",
     "FilterError",
     "AssimilationError",
@@ -118,24 +118,18 @@ class AugmentConfig:
 
 
 @dataclass
-class FilterDiagnostics:
-    """Per-update bookkeeping emitted alongside the posterior."""
-
-    lambda_used: float | None = None
-    n_e: float | None = None
-    n_forecast: int | None = None
-    n_aug: int | None = None
-    n_d: int | None = None
-    distance_scale: np.ndarray | None = None
-    flag: str | None = None
-
-
-@dataclass
 class FilterState:
-    """Posterior ensemble plus update diagnostics."""
+    """One update: its posterior, the effective size of its weights and the
+    forecast size it saw (after augmentation); a trimmed update adds lambda,
+    distance scale and bisection flag, augmentation the near-data count."""
 
     posterior: Ensemble
-    diagnostics: FilterDiagnostics = field(default_factory=FilterDiagnostics)
+    n_e: float
+    n_forecast: int
+    lambda_used: float | None = None
+    distance_scale: np.ndarray | None = None
+    flag: str | None = None
+    n_d: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +182,7 @@ def enkf_update(joint: JointEnsemble, y_star: np.ndarray) -> FilterState:
     gain = kalman_gain(joint)
     y_star = np.asarray(y_star, dtype=float).reshape(-1, 1)
     updated = joint.states.members + gain @ (y_star - joint.observations)
-    diag = FilterDiagnostics(n_forecast=joint.size, n_e=float(joint.size))
-    return FilterState(posterior=Ensemble(updated), diagnostics=diag)
+    return FilterState(Ensemble(updated), n_e=float(joint.size), n_forecast=joint.size)
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +327,14 @@ def tenkf_update(
     updated = trimmed.states.members + gain @ (
         y_star.reshape(-1, 1) - trimmed.observations
     )
-    diag = FilterDiagnostics(
-        lambda_used=float(lam),
+    return FilterState(
+        Ensemble(updated),
         n_e=effective_size(w),
         n_forecast=joint.size,
+        lambda_used=float(lam),
         distance_scale=scale,
         flag=flag,
     )
-    return FilterState(posterior=Ensemble(updated), diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -356,29 +349,27 @@ def augment_forecast(
     aug: AugmentConfig,
     pipeline: Callable[[np.ndarray, np.random.Generator], JointEnsemble],
     rng: np.random.Generator,
-) -> tuple[JointEnsemble, FilterDiagnostics]:
+) -> tuple[JointEnsemble, int]:
     """Grow the forecast ensemble when too few members are near the data.
 
-    ``n_d`` counts members within ``aug.d_max`` of the measurement under
-    the max-abs distance.  When ``n_d < n`` the target size is
+    Returns ``(forecast, n_d)``: the forecast the update sees and the count
+    of members within ``aug.d_max`` of the measurement under the max-abs
+    distance.  When ``n_d < n`` the target size is
     ``floor(n * min(r_max, n / n_d))`` (the cap binds when ``n_d`` is
     zero); the extra initial conditions are drawn uniformly from the
     pre-forecast ensemble, perturbed per dimension with ``N(0, sigma_p^2)``
     noise, and pushed through ``pipeline`` (the same forecast map that
-    produced ``joint``).
+    produced ``joint``).  Otherwise ``joint`` is returned as it is.
     """
     n = joint.size
     d = trim_distance(joint.observations, y_star, "max-abs")
     n_d = int(np.count_nonzero(d < aug.d_max))
-    diag = FilterDiagnostics(n_forecast=n, n_d=n_d, n_aug=n)
     if n_d >= n:
-        return joint, diag
+        return joint, n_d
     ratio = aug.r_max if n_d == 0 else min(aug.r_max, n / n_d)
-    n_aug = int(np.floor(n * ratio))
-    diag.n_aug = n_aug
-    extra = n_aug - n
+    extra = int(np.floor(n * ratio)) - n
     if extra <= 0:
-        return joint, diag
+        return joint, n_d
     picks = rng.integers(0, prior.size, size=extra)
     ics = prior.members[:, picks] + aug.sigma_p * rng.standard_normal(
         (prior.dim, extra)
@@ -388,7 +379,7 @@ def augment_forecast(
         states=Ensemble(np.concatenate([joint.states.members, fresh.states.members], axis=1)),
         observations=np.concatenate([joint.observations, fresh.observations], axis=1),
     )
-    return merged, diag
+    return merged, n_d
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +406,7 @@ def pf_update(
     w = normalize_weights(np.exp(loglik - peak))
     idx = resample_indices(w, joint.size, rng)
     posterior = Ensemble(joint.states.members[:, idx])
-    diag = FilterDiagnostics(n_e=effective_size(w), n_forecast=joint.size)
-    return FilterState(posterior=posterior, diagnostics=diag)
+    return FilterState(posterior, n_e=effective_size(w), n_forecast=joint.size)
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +443,6 @@ class TruthRun:
     y0: np.ndarray  # (M,), a noisy observation of the truth at time 0
 
 
-# The update rule of each filter kind, called as
-# ``rule(method, joint, y_star, meas, rng, size)``.  The entries look the
-# update functions up by name when called, so wrappers installed on this
-# module (the benchmark's tracer) see every update.
-_UPDATE_RULES = {
-    "enkf": lambda method, joint, y_star, meas, rng, size: enkf_update(joint, y_star),
-    "tenkf": lambda method, joint, y_star, meas, rng, size: tenkf_update(
-        joint, y_star, method.trim, rng, posterior_size=size
-    ),
-    "pf": lambda method, joint, y_star, meas, rng, size: pf_update(joint, y_star, meas, rng),
-}
-
-
 @dataclass
 class FilterMethod:
     """Which update to run, plus its trimming/augmentation settings.
@@ -474,13 +451,14 @@ class FilterMethod:
     other updates do not take it.
     """
 
-    kind: str  # "enkf" | "tenkf" | "pf"
+    kind: str
     trim: TrimConfig | None = None
     augment: AugmentConfig | None = None
 
     def __post_init__(self):
-        if self.kind not in _UPDATE_RULES:
-            raise ValueError(f"unknown filter kind {self.kind!r}; expected {list(_UPDATE_RULES)}")
+        kinds = ("enkf", "tenkf", "pf")
+        if self.kind not in kinds:
+            raise ValueError(f"unknown filter kind {self.kind!r}; expected {list(kinds)}")
         if self.kind == "tenkf" and self.trim is None:
             raise ValueError("tenkf requires a TrimConfig")
         if self.kind != "tenkf" and self.augment is not None:
@@ -492,9 +470,14 @@ class FilterMethod:
 
         ``size`` is the posterior member count of a trimmed update (it
         defaults to the forecast count); the other rules keep the forecast
-        count.
+        count.  The update functions are looked up as module globals when
+        called, so wrappers installed on this module see every update.
         """
-        return _UPDATE_RULES[self.kind](self, joint, y_star, meas, rng, size)
+        if self.kind == "enkf":
+            return enkf_update(joint, y_star)
+        if self.kind == "pf":
+            return pf_update(joint, y_star, meas, rng)
+        return tenkf_update(joint, y_star, self.trim, rng, posterior_size=size)
 
 
 @dataclass
@@ -560,7 +543,7 @@ def assimilate(
                 ensemble, problem.dyn, problem.meas, problem.integrator,
                 t1 - t0, rng, t0=t0,
             )
-            aug_diag = None
+            n_d = None
             if method.augment is not None:
                 def pipeline(ics, prng):
                     return forecast(
@@ -568,13 +551,11 @@ def assimilate(
                         problem.integrator, t1 - t0, prng, t0=t0,
                     )
 
-                joint, aug_diag = augment_forecast(
+                joint, n_d = augment_forecast(
                     joint, ensemble, y_star, method.augment, pipeline, rng
                 )
             state = method.update(joint, y_star, problem.meas, rng, size=size)
-            if aug_diag is not None:
-                state.diagnostics.n_d = aug_diag.n_d
-                state.diagnostics.n_aug = aug_diag.n_aug
+            state.n_d = n_d
         except Exception as exc:
             raise _stage_error("assimilation", k + 1, t1, exc) from exc
         yield k, joint, state

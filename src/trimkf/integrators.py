@@ -43,6 +43,10 @@ __all__ = [
 
 SCHEMES = ("stochastic-heun", "rk4", "rk45-adaptive")
 
+# Attempted adaptive steps per integration interval: a member diverging toward
+# a finite-time blow-up fails fast instead of grinding the step size down.
+MAX_ADAPTIVE_STEPS = 100_000
+
 
 class IntegrationError(RuntimeError):
     """Raised when a step produces non-finite values or the adaptive
@@ -54,19 +58,14 @@ class IntegratorConfig:
     """Scheme selection and step-control parameters.
 
     ``dt`` is the fixed step for the fixed-step schemes and the initial
-    step guess for the adaptive one.  ``max_steps`` bounds the number of
-    attempted adaptive steps per integration interval, so a member
-    diverging toward a finite-time blow-up fails fast with a clear error
-    instead of grinding the step size down for minutes.
+    step guess for the adaptive one, which fails below ``min_step``.
     """
 
     scheme: str = "rk4"
     dt: float = 0.01
     rtol: float = 1e-6
     atol: float = 1e-9
-    max_step: float = np.inf
     min_step: float = 1e-12
-    max_steps: int = 100_000
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -74,12 +73,10 @@ class IntegratorConfig:
         for name in ("dt", "rtol", "atol", "min_step"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.dt <= 0 or not self.max_step > 0:  # max_step may be inf, not nan
-            raise ValueError("dt and max_step must be positive")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
         if self.scheme == "rk45-adaptive" and (self.rtol <= 0 or self.atol <= 0):
             raise ValueError("rtol and atol must be positive for the adaptive scheme")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
 
 
 def _nonfinite_drift(f: np.ndarray, t: float) -> IntegrationError:
@@ -263,14 +260,14 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
     abs_x = np.abs(x)
     k = [_checked_drift(model, x, t0)] + [None] * 6
     t = t0
-    dt = min(cfg.dt, cfg.max_step, t1 - t0)
+    dt = min(cfg.dt, t1 - t0)
     prev_err_norm = 1.0
     steps = 0
     while t < t1:
         steps += 1
-        if steps > cfg.max_steps:
+        if steps > MAX_ADAPTIVE_STEPS:
             raise IntegrationError(
-                f"adaptive step budget exhausted ({cfg.max_steps} steps) at t={t:.6g}"
+                f"adaptive step budget exhausted ({MAX_ADAPTIVE_STEPS} steps) at t={t:.6g}"
             )
         dt = min(dt, t1 - t)
         if dt < cfg.min_step:
@@ -301,7 +298,6 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
         else:
             factor = _SAFETY * (err_norm + 1e-16) ** -_PI_ALPHA
         dt = dt * min(_GROW_MAX, max(_GROW_MIN, factor))
-        dt = min(dt, cfg.max_step)
     return x
 
 

@@ -107,7 +107,7 @@ def test_criterion_3_sampling_matches_limit_theory():
     sample_joint = JointEnsemble(states=Ensemble(x[None, :]), observations=y[None, :])
     st = tenkf_update(sample_joint, np.array([y_star]), TrimConfig(lam=lam),
                       np.random.default_rng([42, 0, 2]))
-    scale = float(st.diagnostics.distance_scale[0])
+    scale = float(st.distance_scale[0])
     limit = tenkf_limit_pdf(joint, gain, y_star, lam, scale=scale)
     ks_tenkf = ks_distance(st.posterior.members[0], limit)
 

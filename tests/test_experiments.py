@@ -157,6 +157,21 @@ class TestValidateConfig:
             })
         assert len(err.value.problems) >= 4
 
+    @pytest.mark.parametrize("scenario", ["l96-rmse-sweep", "l96-adaptive-aug"])
+    def test_t_f_shorter_than_dt_obs_rejected(self, scenario):
+        # no observation time would fall within t_f: every replicate would fail
+        with pytest.raises(ConfigError) as err:
+            validate_config({"scenario": scenario,
+                             "params": {"t_f": 0.5, "dt_obs": [0.3, 0.9]}})
+        assert err.value.problems == [
+            "params.t_f: t_f=0.5 is shorter than dt_obs=[0.9] "
+            "(requires at least one observation)"]
+
+    @pytest.mark.parametrize("scenario", ["l96-rmse-sweep", "l96-adaptive-aug"])
+    def test_t_f_equal_to_dt_obs_accepted(self, scenario):
+        cfg = validate_config({"scenario": scenario, "params": {"t_f": 0.9, "dt_obs": [0.9]}})
+        assert cfg.params["t_f"] == 0.9
+
     def test_overrides_recorded(self):
         cfg = validate_config({"scenario": "l63-limit-dist", "params": {"n": 500, "tau": 0.3}})
         assert cfg.overrides == ["n", "tau"]
@@ -183,7 +198,7 @@ class TestValidateConfig:
         assert 123 not in scenario_defaults("l96-rmse-sweep")["n"]
 
 
-def write_config(path: Path, doc: dict) -> str:
+def write_config(path: Path, doc) -> str:
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
@@ -218,6 +233,27 @@ class TestCli:
         assert main(["run", "--config", cfg, "--replicates", "3"]) == 1
         assert "replicates" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc, problem", [
+        ([1, 2], "document: expected a JSON object"),
+        ("abc", "document: expected a JSON object"),
+        ({"config": 5}, "config: expected a JSON object"),
+    ])
+    def test_run_non_object_config_exit_1(self, tmp_path, capsys, doc, problem):
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert problem in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    @pytest.mark.parametrize("scenario", ["l96-rmse-sweep", "l96-adaptive-aug"])
+    def test_run_t_f_shorter_than_dt_obs_exit_1(self, tmp_path, capsys, scenario):
+        cfg = write_config(tmp_path / "c.json", {
+            "scenario": scenario, "params": {"t_f": 0.5, "dt_obs": [0.9]}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "params.t_f: t_f=0.5 is shorter than dt_obs=[0.9]" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 1

@@ -267,7 +267,7 @@ class TestTenkfUpdate:
         base = st_e.posterior.members[0]
         for lam in (3.0, 0.5):
             st_t = tenkf_update(j, y_star, TrimConfig(lam=lam), np.random.default_rng(3))
-            ne = st_t.diagnostics.n_e
+            ne = st_t.n_e
             se = base.std() * np.sqrt(1.0 / n + 1.0 / ne)
             assert abs(st_t.posterior.members[0].mean() - base.mean()) < 4 * se
 
@@ -279,8 +279,8 @@ class TestTenkfUpdate:
         j = JointEnsemble(states=Ensemble(x), observations=y)
         st = tenkf_update(j, np.array([1.5]), TrimConfig(target_ne=100.0),
                           np.random.default_rng(4))
-        assert abs(st.diagnostics.n_e - 100.0) / 100.0 < 0.05
-        assert st.diagnostics.lambda_used is not None
+        assert abs(st.n_e - 100.0) / 100.0 < 0.05
+        assert st.lambda_used is not None
 
     def test_posterior_size_override(self):
         rng = np.random.default_rng(13)
@@ -297,9 +297,8 @@ class TestTenkfUpdate:
         y = x + 0.1 * rng.standard_normal((1, 100))
         j = JointEnsemble(states=Ensemble(x), observations=y)
         st = tenkf_update(j, np.array([0.2]), TrimConfig(lam=0.5), np.random.default_rng(6))
-        d = st.diagnostics
-        assert d.lambda_used == 0.5 and d.n_e > 1
-        assert d.n_forecast == 100 and d.distance_scale is not None
+        assert st.lambda_used == 0.5 and st.n_e > 1
+        assert st.n_forecast == 100 and st.distance_scale is not None
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(3, 40), over=st.floats(0.0, 1e6), seed=st.integers(0, 2**32 - 1))
@@ -312,7 +311,7 @@ class TestTenkfUpdate:
         got = tenkf_update(j, y_star, TrimConfig(target_ne=n + over), np.random.default_rng(1))
         want = tenkf_update(j, y_star, TrimConfig(target_ne=float(n)), np.random.default_rng(1))
         assert np.array_equal(got.posterior.members, want.posterior.members)
-        assert got.diagnostics.lambda_used == want.diagnostics.lambda_used
+        assert got.lambda_used == want.lambda_used
 
 
 class TestAugmentForecast:
@@ -329,32 +328,32 @@ class TestAugmentForecast:
         return j, prior, aug, pipeline
 
     def test_formula_half_within(self):
-        # n = 100, n_d = 50, r_max = 3 -> n_aug = floor(100 * min(3, 2)) = 200
+        # n = 100, n_d = 50, r_max = 3 -> size floor(100 * min(3, 2)) = 200
         y = np.r_[np.zeros(50), np.full(50, 10.0)]
         j, prior, aug, pipe = self._setup(100, y, d_max=1.0, r_max=3.0)
-        out, diag = augment_forecast(j, prior, np.array([0.0]), aug, pipe,
-                                     np.random.default_rng(0))
-        assert diag.n_d == 50 and diag.n_aug == 200 and out.size == 200
+        out, n_d = augment_forecast(j, prior, np.array([0.0]), aug, pipe,
+                                    np.random.default_rng(0))
+        assert n_d == 50 and out.size == 200
 
     def test_no_augmentation_when_all_near(self):
         j, prior, aug, pipe = self._setup(10, np.zeros(10), d_max=1.0)
-        out, diag = augment_forecast(j, prior, np.array([0.0]), aug, pipe,
-                                     np.random.default_rng(0))
-        assert out is j and diag.n_aug == 10
+        out, _ = augment_forecast(j, prior, np.array([0.0]), aug, pipe,
+                                  np.random.default_rng(0))
+        assert out is j and out.size == 10
 
     def test_cap_binds(self):
         # n = 100, n_d = 10 -> min(3, 10) = 3 -> 300
         y = np.r_[np.zeros(10), np.full(90, 10.0)]
         j, prior, aug, pipe = self._setup(100, y, d_max=1.0, r_max=3.0)
-        out, diag = augment_forecast(j, prior, np.array([0.0]), aug, pipe,
-                                     np.random.default_rng(0))
-        assert diag.n_aug == 300 and out.size == 300
+        out, _ = augment_forecast(j, prior, np.array([0.0]), aug, pipe,
+                                  np.random.default_rng(0))
+        assert out.size == 300
 
     def test_zero_near_maps_to_cap(self):
         j, prior, aug, pipe = self._setup(20, np.full(20, 10.0), d_max=1.0, r_max=2.5)
-        out, diag = augment_forecast(j, prior, np.array([0.0]), aug, pipe,
-                                     np.random.default_rng(0))
-        assert diag.n_d == 0 and diag.n_aug == 50
+        out, n_d = augment_forecast(j, prior, np.array([0.0]), aug, pipe,
+                                    np.random.default_rng(0))
+        assert n_d == 0 and out.size == 50
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 60), r_max=st.floats(1.0, 5.0), d_max=st.floats(0.1, 5.0),
@@ -365,9 +364,9 @@ class TestAugmentForecast:
         rng = np.random.default_rng(seed)
         y = (d_max + rng.exponential(size=n)) * rng.choice([-1.0, 1.0], size=n)
         j, prior, aug, pipe = self._setup(n, y, d_max=d_max, r_max=r_max)
-        out, diag = augment_forecast(j, prior, np.array([0.0]), aug, pipe, rng)
+        out, n_d = augment_forecast(j, prior, np.array([0.0]), aug, pipe, rng)
         cap = int(np.floor(n * r_max))
-        assert diag.n_d == 0 and diag.n_aug == cap and out.size == cap
+        assert n_d == 0 and out.size == cap
         assert np.array_equal(out.observations[:, :n], j.observations)
 
     def test_bounds_invariant(self):
@@ -376,7 +375,7 @@ class TestAugmentForecast:
             n = int(rng.integers(5, 50))
             y = rng.standard_normal(n) * 3
             j, prior, aug, pipe = self._setup(n, y, d_max=1.0, r_max=3.0)
-            out, diag = augment_forecast(j, prior, np.array([0.0]), aug, pipe, rng)
+            out, _ = augment_forecast(j, prior, np.array([0.0]), aug, pipe, rng)
             assert n <= out.size <= int(np.floor(n * aug.r_max))
 
 
@@ -386,7 +385,7 @@ class TestPfUpdate:
         x = np.array([[1.0, -1.0, 1.0, -1.0]])
         j = make_joint(x, x)
         st = pf_update(j, np.array([0.0]), meas, np.random.default_rng(0))
-        assert st.diagnostics.n_e == pytest.approx(4.0)
+        assert st.n_e == pytest.approx(4.0)
         assert set(np.unique(st.posterior.members)) <= {1.0, -1.0}
 
     def test_conjugate_gaussian_oracle(self):
@@ -401,7 +400,7 @@ class TestPfUpdate:
         post = st.posterior.members[0]
         exact_var = prior_var * tau**2 / (prior_var + tau**2)
         exact_mean = exact_var * (y_star[0] / tau**2 + prior_mean / prior_var)
-        ne = st.diagnostics.n_e
+        ne = st.n_e
         assert abs(post.mean() - exact_mean) < 4 * np.sqrt(exact_var / ne)
         assert abs(post.var(ddof=1) - exact_var) < 4 * exact_var * np.sqrt(2.0 / ne)
 
@@ -513,8 +512,8 @@ class TestRunAssimilation:
         run = scalar_run(problem, method, np.random.default_rng(3), n=100)
         for step in run.steps:
             assert step.posterior.size == 100
-            assert step.diagnostics.n_aug is not None
-            assert step.diagnostics.n_d is not None
+            assert step.n_forecast >= 100
+            assert step.n_d is not None
 
     def test_method_validation(self):
         with pytest.raises(ValueError):
