@@ -9,7 +9,8 @@ dimensional state (the truth).
 For ``oracle-1e5``'s layers it times building the 2048-point bimodal joint,
 one trimmed limit density (lambda 0.3) on a fresh joint (built over the
 same arrays inside the timed call, so nothing is cached yet) and on a warm
-joint (a repeat call), the Lorenz-63 drift and one stochastic-Heun step
+joint (a repeat call with the same gain and y*, so the shifted-conditional
+table is a cache hit and only the weighted row sum is timed), the Lorenz-63 drift and one stochastic-Heun step
 (dt 0.01, sigma 0.01) on a 3x1e5 block, and the KS distance between 1e5
 samples and the 2048-point limit density.
 For the update path it times the sample Kalman gain, the lambda bisection

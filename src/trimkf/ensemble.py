@@ -204,9 +204,20 @@ def effective_size(w: np.ndarray) -> float:
 
 def resample_indices(w: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw multinomial resampling indices: each output index is drawn
-    independently with probability ``w_j`` (duplicates permitted)."""
+    independently with probability ``w_j`` (duplicates permitted).
+
+    The same indices as ``rng.choice(w.size, size, p=w)``: the same CDF and
+    the same uniforms, but the uniforms are looked up in sorted order, which
+    is cheaper for large ``size``.
+    """
     w = normalize_weights(w)
-    return rng.choice(w.size, size=size, replace=True, p=w)
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    order = np.argsort(u)
+    idx = np.empty(u.shape, dtype=np.int64)
+    idx[order] = cdf.searchsorted(u[order], side="right")
+    return idx
 
 
 def bootstrap_resample(

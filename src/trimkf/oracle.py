@@ -99,14 +99,20 @@ class DensityGrid:
         return c / c[-1]
 
 
+# Rows per block wherever a whole joint table is built or reduced: 256 KB
+# blocks at 2048 points; 2 MB blocks left ~5 MB resident after a build.
+_ROW_BLOCK = 16
+
+
 @dataclass(frozen=True)
 class JointGrid:
     """A 2-D joint density ``p(x, y)`` tabulated on a regular product grid.
 
     Immutable: ``x``, ``y`` and ``pdf`` are read-only views (the arrays
     passed in keep their flags and are not copied, so writing into them
-    afterwards is the caller's error).  The unnormalized y-marginal and the
-    y-major copy of the table are computed once per joint, on first use.
+    afterwards is the caller's error).  The unnormalized y-marginal is
+    computed once per joint, on first use, and the table of shifted
+    conditionals once per ``(gain, y*)``; only the latest such table is kept.
     """
 
     x: np.ndarray
@@ -130,14 +136,47 @@ class JointGrid:
     @cached_property
     def _y_mass(self) -> np.ndarray:
         """Trapezoid integral over x of every column: the y-marginal before
-        normalization (read-only)."""
-        return _read_only(np.trapezoid(self.pdf, self.x, axis=0))
+        normalization (read-only).
 
-    @cached_property
-    def _pdf_by_y(self) -> np.ndarray:
-        """The table as a C-contiguous ``(len(y), len(x))`` array, so that
-        ``_pdf_by_y[j]`` is column ``j`` in contiguous memory (read-only)."""
-        return _read_only(np.ascontiguousarray(self.pdf.T))
+        The same bits as ``np.trapezoid(pdf, x, axis=0)``, which sums its
+        terms along axis 0 in row order; here the terms are made one row
+        block at a time and each block is summed with the running total as
+        its first row, so no full-size temporary is made.
+        """
+        d = np.diff(self.x)[:, None]
+        upper, lower = self.pdf[1:], self.pdf[:-1]
+        mass = np.empty((0, self.y.size))
+        for lo in range(0, d.shape[0], _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            terms = d[rows] * (upper[rows] + lower[rows]) / 2.0
+            mass = np.concatenate([mass, terms]).sum(axis=0, keepdims=True)
+        return _read_only(mass[0])
+
+    def _shifted_conditionals(self, gain: float, y_star: float) -> np.ndarray:
+        """The ``(len(y), len(x))`` table whose row ``j`` is column ``j``
+        shifted by ``gain * (y* - y_j)`` in x (linear interpolation, zero
+        outside the grid), read-only.
+
+        Cached for the latest ``(gain, y*)`` only: the EnKF limit and every
+        trimmed limit of one update share it.  At 2048 points it holds 32 MB.
+        """
+        key = (float(gain), float(y_star))
+        cached = self.__dict__.get("_shifted")
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        del cached
+        self.__dict__.pop("_shifted", None)  # free the old table before building
+        x = self.x
+        shifts = key[0] * (key[1] - self.y)
+        table = np.empty((self.y.size, x.size))
+        for lo in range(0, self.y.size, _ROW_BLOCK):
+            # np.interp would copy a strided column first
+            columns = np.ascontiguousarray(self.pdf[:, lo:lo + _ROW_BLOCK].T)
+            for j, column in enumerate(columns, start=lo):
+                table[j] = np.interp(x - shifts[j], x, column, left=0.0, right=0.0)
+        table = _read_only(table)
+        self.__dict__["_shifted"] = (key, table)
+        return table
 
     def normalized(self) -> "JointGrid":
         total = np.trapezoid(np.trapezoid(self.pdf, self.y, axis=1), self.x)
@@ -150,11 +189,6 @@ class JointGrid:
 
     def marginal_y(self) -> DensityGrid:
         return DensityGrid(self.y, self._y_mass).normalized()
-
-
-# Rows per block when a joint table is built: 256 KB blocks at 2048 points;
-# 2 MB blocks left ~5 MB resident after the build.
-_JOINT_ROWS = 16
 
 
 def joint_from_conditional(
@@ -175,8 +209,8 @@ def joint_from_conditional(
     y = np.linspace(y_lo, y_hi, points or x.size)
     table = np.empty((x.size, y.size))
     row_mass = np.empty(x.size)
-    for lo in range(0, x.size, _JOINT_ROWS):
-        rows = slice(lo, lo + _JOINT_ROWS)
+    for lo in range(0, x.size, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
         cond = cond_pdf(y[None, :], x[rows, None])
         if np.shape(cond)[-1:] != y.shape:
             raise OracleError(f"cond_pdf must give {y.size} columns, got shape {np.shape(cond)}")
@@ -224,20 +258,22 @@ def _shifted_conditional_mixture(
     ``y_weight`` carries the full averaging weight (marginal density times
     any reweighting); zero-marginal columns contribute nothing.  The
     conditional ``p(x | y_j)`` is the j-th joint column divided by the
-    observation marginal, shifted by linear interpolation in x.
+    observation marginal, shifted by linear interpolation in x.  The terms
+    are added in increasing ``j`` onto zeros, a row block at a time with the
+    running sum as the block's first row, so the sum is sequential.
     """
-    x = joint.x
     marg_y = joint._y_mass
-    columns = joint._pdf_by_y  # np.interp would copy a strided column first
+    shifted = joint._shifted_conditionals(gain, y_star)
     quad_w = np.full(joint.y.size, 1.0)
     quad_w[0] = quad_w[-1] = 0.5  # trapezoid rule; dy absorbed by normalization
-    out = np.zeros_like(x)
     cols = np.nonzero((y_weight > 0) & (marg_y > 0))[0]
-    for j in cols:
-        shift = gain * (y_star - joint.y[j])
-        cond = np.interp(x - shift, x, columns[j], left=0.0, right=0.0)
-        out += (quad_w[j] * y_weight[j] / marg_y[j]) * cond
-    return DensityGrid(x, out).normalized()
+    coef = (quad_w[cols] * y_weight[cols] / marg_y[cols])[:, None]
+    out = np.zeros((1, joint.x.size))
+    for lo in range(0, cols.size, _ROW_BLOCK):
+        hi = lo + _ROW_BLOCK
+        terms = coef[lo:hi] * shifted[cols[lo:hi]]
+        out = np.concatenate([out, terms]).sum(axis=0, keepdims=True)
+    return DensityGrid(joint.x, out[0]).normalized()
 
 
 def enkf_limit_pdf(joint: JointGrid, gain: float, y_star: float) -> DensityGrid:

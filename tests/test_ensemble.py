@@ -200,6 +200,19 @@ class TestResampling:
         out, idx = bootstrap_resample(j, np.full(3, 1 / 3), np.random.default_rng(1), size=7)
         assert out.size == 7 and idx.shape == (7,)
 
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=1, max_size=60).filter(
+               lambda w: sum(w) > 1e-6),
+           size=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    def test_indices_match_generator_choice_property(self, w, size, seed):
+        # the sorted lookup draws the same indices as Generator.choice, with
+        # zero weights and output sizes other than len(w)
+        w = np.array(w)
+        got = resample_indices(w, size, np.random.default_rng(seed))
+        want = np.random.default_rng(seed).choice(w.size, size=size, replace=True,
+                                                  p=normalize_weights(w))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_determinism_by_seed(self):
         w = np.full(10, 0.1)
         a = resample_indices(w, 50, np.random.default_rng(123))

@@ -235,7 +235,7 @@ def _fresh(joint):
 
 
 class TestCachedJoint:
-    """The cached y-marginal and y-major table give the old bits."""
+    """The cached y-marginal and shifted-conditional table give the old bits."""
 
     @pytest.mark.parametrize("points", [64, 512, 2048])
     def test_limits_bit_identical_to_per_column_loop(self, points):
@@ -277,18 +277,43 @@ class TestCachedJoint:
         enkf_limit_pdf(joint, toy.exact_gain, toy.y_star)
         _assert_same_grid(joint.marginal_y(), want)
 
+    def test_two_gains_on_one_joint_bit_identical(self, toy):
+        # a new gain rebuilds the shifted table; going back to the first
+        # gain rebuilds it again, with the same bits
+        y_star = toy.y_star
+        cases = [(toy.exact_gain, None, None), (0.4, 0.3, None), (0.4, None, None),
+                 (toy.exact_gain, 0.05, 1.1)]
+        joint = _fresh(toy.joint)
+        for gain, lam, scale in cases:
+            want = _reference_limit(toy.joint, gain, y_star, lam, scale)
+            _assert_same_grid(_limit(joint, gain, y_star, lam, scale), want)
+
+    @pytest.mark.parametrize("points", [64, 300, 2048])  # 300 ends on a partial block
+    def test_y_mass_bit_identical_to_trapezoid(self, points):
+        joint = _fresh(bimodal_toy(points=points).joint)
+        want = np.trapezoid(joint.pdf, joint.x, axis=0)
+        assert np.array_equal(_bits(joint._y_mass), _bits(want))
+
     def test_tables_read_only_and_callers_array_untouched(self, toy):
         table = np.array(toy.joint.pdf)
         joint = JointGrid(toy.joint.x, toy.joint.y, table)
-        tenkf_limit_pdf(joint, toy.exact_gain, toy.y_star, 0.5)
-        cached = (joint._y_mass, joint._pdf_by_y)
+        gain, y_star = toy.exact_gain, toy.y_star
+        tenkf_limit_pdf(joint, gain, y_star, 0.5)
+        cached = (joint._y_mass, joint._shifted_conditionals(gain, y_star))
         for a in (joint.x, joint.y, joint.pdf) + cached:
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             joint.pdf[0, 0] = 1.0
         assert table.flags.writeable and np.shares_memory(joint.pdf, table)
-        assert joint._pdf_by_y.flags.c_contiguous
-        assert joint._y_mass is cached[0] and joint._pdf_by_y is cached[1]
+        assert cached[1].shape == (joint.y.size, joint.x.size)
+        # the same (gain, y*) reuses the table; a new gain replaces it
+        enkf_limit_pdf(joint, gain, y_star)
+        assert joint._y_mass is cached[0]
+        assert joint._shifted_conditionals(gain, y_star) is cached[1]
+        rebuilt = joint._shifted_conditionals(0.5 * gain, y_star)
+        assert rebuilt is not cached[1] and not rebuilt.flags.writeable
+        assert joint._shifted_conditionals(0.5 * gain, y_star) is rebuilt
+        assert not np.array_equal(rebuilt, cached[1])
 
 
 def _reference_bimodal_table(points, span_sds=8.0):
