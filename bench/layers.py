@@ -202,8 +202,7 @@ def main() -> None:
     joint = JointEnsemble(Ensemble(states), observe(meas, states, rng))
     y_star = observe(meas, states[:, 0], rng)
     trim = TrimConfig(target_ne=50.0)
-    d = trim_distance(joint.observations, y_star, "normalized-l1",
-                      joint.observations.std(axis=1, ddof=1))
+    d = trim_distance(joint.observations, y_star, joint.observations.std(axis=1, ddof=1))
     layers["kalman_gain_36x1000"] = _measure(lambda: kalman_gain(joint), args.repeats)
     layers["adapt_lambda_n1000"] = _measure(lambda: adapt_lambda(d, 50.0, trim), args.repeats)
     layers["tenkf_update_36x1000"] = _measure(

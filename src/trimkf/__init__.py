@@ -11,13 +11,11 @@ from .ensemble import (
     EnsembleError,
     GainError,
     JointEnsemble,
-    bootstrap_resample,
     cross_covariance,
     effective_size,
     kalman_gain,
     normalize_weights,
     resample_indices,
-    sample_mean,
 )
 from .filters import (
     AssimilationError,

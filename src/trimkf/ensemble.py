@@ -17,13 +17,11 @@ __all__ = [
     "JointEnsemble",
     "EnsembleError",
     "GainError",
-    "sample_mean",
     "cross_covariance",
     "kalman_gain",
     "normalize_weights",
     "effective_size",
     "resample_indices",
-    "bootstrap_resample",
 ]
 
 # Weights below this are clamped to zero to avoid denormal noise.
@@ -100,15 +98,6 @@ class JointEnsemble:
     @property
     def size(self) -> int:
         return self.states.size
-
-    @property
-    def obs_dim(self) -> int:
-        return self.observations.shape[0]
-
-
-def sample_mean(e: Ensemble) -> np.ndarray:
-    """Arithmetic mean of the members, one value per state dimension."""
-    return e.members.mean(axis=1)
 
 
 def cross_covariance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -219,31 +208,3 @@ def resample_indices(w: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     idx[order] = cdf.searchsorted(u[order], side="right")
     return idx
 
-
-def bootstrap_resample(
-    joint: JointEnsemble,
-    w: np.ndarray,
-    rng: np.random.Generator,
-    size: int | None = None,
-) -> tuple[JointEnsemble, np.ndarray]:
-    """Resample a joint ensemble with weights as selection probabilities.
-
-    Each output member is an exact copy of one input (state, observation)
-    pair; the pairing is never split.  ``size`` defaults to the input member
-    count and may differ from it (used when an augmented forecast ensemble is
-    thinned back to the configured size).
-
-    Returns
-    -------
-    (JointEnsemble, ndarray)
-        The resampled ensemble and the chosen indices.
-    """
-    n_out = joint.size if size is None else int(size)
-    if n_out < 1:
-        raise EnsembleError("resample size must be positive")
-    idx = resample_indices(w, n_out, rng)
-    resampled = JointEnsemble(
-        states=Ensemble(joint.states.members[:, idx]),
-        observations=joint.observations[:, idx],
-    )
-    return resampled, idx

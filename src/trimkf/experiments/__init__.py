@@ -1,13 +1,12 @@
 """Configuration-driven experiment runner and its command-line front end."""
 
-from .config import ConfigError, ExperimentConfig, validate_config, scenario_defaults
+from .config import ConfigError, ExperimentConfig, validate_config
 from .scenarios import SCENARIOS, ScenarioResult, run_scenario
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "validate_config",
-    "scenario_defaults",
     "SCENARIOS",
     "ScenarioResult",
     "run_scenario",

@@ -99,7 +99,7 @@ def _cmd_run(args) -> int:
         for c in result.checks:
             status = "pass" if c["ok"] else "FAIL"
             print(f"{status}: {c['check']} (value={c['value']:.6g}, tol={c['tolerance']:.6g})")
-        if not result.checks_passed:
+        if not all(c["ok"] for c in result.checks):
             return EXIT_CHECK_FAILED
     return EXIT_OK
 

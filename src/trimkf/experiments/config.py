@@ -32,7 +32,6 @@ __all__ = [
     "CONFIG_VERSION",
     "ConfigError",
     "ExperimentConfig",
-    "scenario_defaults",
     "validate_config",
     "load_config_file",
 ]
@@ -270,17 +269,6 @@ _DEFAULT_REPLICATES = {
 }
 
 
-def scenario_names() -> list[str]:
-    return sorted(_SCENARIOS)
-
-
-def scenario_defaults(scenario: str) -> dict:
-    """The fully defaulted parameter stanza of a scenario."""
-    if scenario not in _SCENARIOS:
-        raise ConfigError([f"scenario: unknown scenario {scenario!r}; known: {scenario_names()}"])
-    return {k: (list(v) if isinstance(v, list) else v) for k, (v, _) in _SCENARIOS[scenario].items()}
-
-
 def _cross_checks(scenario: str, params: dict, errors: list[str]):
     if scenario in ("l96-rmse-sweep", "l96-adaptive-aug"):
         ns = params.get("n")
@@ -332,7 +320,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     scenario = raw.get("scenario")
     if scenario not in _SCENARIOS:
-        errors.append(f"scenario: unknown scenario {scenario!r}; known: {scenario_names()}")
+        errors.append(f"scenario: unknown scenario {scenario!r}; known: {sorted(_SCENARIOS)}")
         raise ConfigError(errors)
 
     seed = raw.get("seed", 0)
@@ -391,5 +379,5 @@ def load_config_file(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError([f"{path}: not valid JSON ({exc})"]) from exc

@@ -90,12 +90,6 @@ class ScenarioResult:
     replicate_failures: list[str]
     checks: list[dict] | None = None
 
-    @property
-    def checks_passed(self) -> bool | None:
-        if self.checks is None:
-            return None
-        return all(c["ok"] for c in self.checks)
-
 
 def _map_replicates(fn, cfg: ExperimentConfig):
     """Run ``fn(cfg, rep)`` for every replicate and join the row tables it

@@ -22,7 +22,6 @@ import numpy as np
 from .ensemble import (
     Ensemble,
     JointEnsemble,
-    bootstrap_resample,
     effective_size,
     kalman_gain,
     normalize_weights,
@@ -190,28 +189,14 @@ def enkf_update(joint: JointEnsemble, y_star: np.ndarray) -> FilterState:
 # ---------------------------------------------------------------------------
 
 
-def trim_distance(
-    y: np.ndarray,
-    y_star: np.ndarray,
-    kind: str = "normalized-l1",
-    scale: np.ndarray | None = None,
-) -> np.ndarray:
-    """Distance of each observed-forecast member from the measurement.
-
-    ``normalized-l1`` sums per-component absolute deviations divided by the
-    per-component scale (defaults to the sample standard deviation of the
-    forecast observations; zero-spread components are skipped with a
-    warning).  ``max-abs`` takes the largest absolute component deviation,
-    unscaled.
+def trim_distance(y: np.ndarray, y_star: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Normalized-L1 distance of each observed-forecast member from the
+    measurement: per-component absolute deviations divided by the
+    per-component ``scale``, summed.  Zero-scale components are skipped
+    with a warning.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     dev = np.abs(y - np.asarray(y_star, dtype=float).reshape(-1, 1))
-    if kind == "max-abs":
-        return dev.max(axis=0)
-    if kind != "normalized-l1":
-        raise ValueError(f"unknown distance kind {kind!r}")
-    if scale is None:
-        scale = y.std(axis=1, ddof=1) if y.shape[1] > 1 else np.ones(y.shape[0])
     scale = np.asarray(scale, dtype=float)
     keep = scale > 0
     if not np.all(keep):
@@ -315,7 +300,7 @@ def tenkf_update(
     gain = kalman_gain(joint)
 
     scale = joint.observations.std(axis=1, ddof=1)
-    d = trim_distance(joint.observations, y_star, "normalized-l1", scale)
+    d = trim_distance(joint.observations, y_star, scale)
 
     flag = None
     if cfg.target_ne is not None:
@@ -323,10 +308,11 @@ def tenkf_update(
     else:
         lam, w = cfg.lam, trim_weights(d, cfg.lam)
 
-    trimmed, _ = bootstrap_resample(joint, w, rng, size=posterior_size)
-    updated = trimmed.states.members + gain @ (
-        y_star.reshape(-1, 1) - trimmed.observations
-    )
+    # Resample (state, observation) pairs together, then shift each pair.
+    n_out = joint.size if posterior_size is None else int(posterior_size)
+    idx = resample_indices(w, n_out, rng)
+    x, y = joint.states.members, joint.observations
+    updated = x[:, idx] + gain @ (y_star.reshape(-1, 1) - y[:, idx])
     return FilterState(
         Ensemble(updated),
         n_e=effective_size(w),
@@ -362,8 +348,8 @@ def augment_forecast(
     produced ``joint``).  Otherwise ``joint`` is returned as it is.
     """
     n = joint.size
-    d = trim_distance(joint.observations, y_star, "max-abs")
-    n_d = int(np.count_nonzero(d < aug.d_max))
+    dev = np.abs(joint.observations - np.asarray(y_star, dtype=float).reshape(-1, 1))
+    n_d = int(np.count_nonzero(dev.max(axis=0) < aug.d_max))
     if n_d >= n:
         return joint, n_d
     ratio = aug.r_max if n_d == 0 else min(aug.r_max, n / n_d)

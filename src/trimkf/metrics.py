@@ -2,15 +2,15 @@
 
 RMSE is taken over *all* ensemble members and state dimensions, not just
 the ensemble mean (a mean-only variant is provided as a secondary column).
-The KS distance accepts plain samples, weighted samples, or tabulated
-densities interchangeably.
+Each argument of the KS distance is a sample (any array of numbers) or a
+tabulated :class:`~trimkf.oracle.DensityGrid`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ensemble import Ensemble, normalize_weights
+from .ensemble import Ensemble
 from .oracle import DensityGrid
 
 __all__ = [
@@ -52,17 +52,11 @@ def time_avg_rmse(values: np.ndarray) -> float:
 def _as_cdf(dist) -> tuple[np.ndarray, np.ndarray, bool]:
     """Canonicalize a distribution argument to (support, cdf, is_step).
 
-    Accepts a 1-D sample array, a ``(samples, weights)`` pair, or a
-    :class:`DensityGrid`.  Step CDFs (samples) jump at the support points;
-    grid CDFs are piecewise linear.
+    Accepts a sample (flattened) or a :class:`DensityGrid`.  Step CDFs
+    (samples) jump at the support points; grid CDFs are piecewise linear.
     """
     if isinstance(dist, DensityGrid):
         return dist.x, dist.cdf(), False
-    if isinstance(dist, tuple) and len(dist) == 2:
-        samples, w = np.asarray(dist[0], dtype=float).ravel(), dist[1]
-        w = normalize_weights(np.asarray(w, dtype=float))
-        order = np.argsort(samples, kind="stable")
-        return samples[order], np.cumsum(w[order]), True
     samples = np.asarray(dist, dtype=float).ravel()
     if samples.size == 0:
         raise ValueError("empty sample")
@@ -80,10 +74,10 @@ def _interp_cdf(x, support, cdf, is_step):
 def ks_distance(a, b) -> float:
     """Kolmogorov-Smirnov distance between two 1-D distributions.
 
-    Each argument is a sample array, a ``(samples, weights)`` pair, or a
-    :class:`DensityGrid`; the sup of the CDF difference is evaluated at all
-    candidate points of both supports, approaching step jumps from both
-    sides.
+    Each argument is a sample (any array-like of numbers, tuples included,
+    flattened) or a :class:`DensityGrid`.  The sup of the CDF difference is
+    evaluated at all candidate points of both supports, approaching step
+    jumps from both sides.
     """
     xa, ca, step_a = _as_cdf(a)
     xb, cb, step_b = _as_cdf(b)

@@ -178,12 +178,6 @@ class JointGrid:
         self.__dict__["_shifted"] = (key, table)
         return table
 
-    def normalized(self) -> "JointGrid":
-        total = np.trapezoid(np.trapezoid(self.pdf, self.y, axis=1), self.x)
-        if total <= 0:
-            raise OracleError("cannot normalize a zero-mass joint density")
-        return JointGrid(self.x, self.y, self.pdf / total)
-
     def marginal_x(self) -> DensityGrid:
         return DensityGrid(self.x, np.trapezoid(self.pdf, self.y, axis=1)).normalized()
 
@@ -202,8 +196,8 @@ def joint_from_conditional(
 
     ``cond_pdf(y, x)`` must broadcast over a ``(len(x), len(y))`` evaluation;
     it is called on blocks of rows, so its temporaries stay block-sized.
-    The result is the same as ``JointGrid(x, y, table).normalized()`` of the
-    whole-table expression, bit for bit.
+    The table is normalized to unit mass (trapezoid rule in y, then x) and is
+    the same as that of the whole-table expression, bit for bit.
     """
     x = prior.x
     y = np.linspace(y_lo, y_hi, points or x.size)

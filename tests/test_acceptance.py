@@ -56,7 +56,7 @@ def test_criterion_1_gaussian_equivalence(tmp_path):
     worst = max(c["value"] for c in result.checks)
     report(
         "1 gaussian-equivalence",
-        result.checks_passed and elapsed < 30.0,
+        all(c["ok"] for c in result.checks) and elapsed < 30.0,
         f"{len(result.checks)} step-checks, worst deviation {worst:.2f} SE "
         f"(tol 4), {elapsed:.1f}s",
     )

@@ -1,5 +1,7 @@
 """Tests for ensemble containers, covariances, gains, and resampling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,13 @@ from trimkf.ensemble import (
     EnsembleError,
     GainError,
     JointEnsemble,
-    bootstrap_resample,
     cross_covariance,
     effective_size,
     kalman_gain,
     normalize_weights,
     resample_indices,
-    sample_mean,
 )
+from trimkf.filters import TrimConfig, tenkf_update
 
 
 def joint(x, y):
@@ -36,20 +37,7 @@ class TestContainers:
 
     def test_shape_accessors(self):
         j = joint([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]], [[1.0, 2.0, 3.0]])
-        assert j.size == 3 and j.states.dim == 2 and j.obs_dim == 1
-
-
-class TestSampleMean:
-    def test_two_point_mean(self):
-        assert sample_mean(Ensemble(np.array([[1.0, 3.0]]))) == pytest.approx(2.0)
-
-    def test_zero_case(self):
-        out = sample_mean(Ensemble(np.zeros((2, 2))))
-        assert np.allclose(out, [0.0, 0.0])
-
-    def test_three_members(self):
-        # hand computation: (1 + 2 + 6) / 3
-        assert sample_mean(Ensemble(np.array([[1.0, 2.0, 6.0]]))) == pytest.approx(3.0)
+        assert j.size == 3 and j.states.dim == 2
 
 
 class TestCrossCovariance:
@@ -147,12 +135,14 @@ class TestWeights:
 
 
 class TestResampling:
+    # A joint ensemble is resampled inside tenkf_update only: the posterior
+    # is x[:, idx] + K (y* - y[:, idx]) with idx = resample_indices(w, size, rng).
+
     def test_point_mass_selects_single_member(self):
+        # tiny lambda puts all weight on member 0, whose innovation is zero
         j = joint([[1.0, 2.0]], [[10.0, 20.0]])
-        out, idx = bootstrap_resample(j, np.array([1.0, 0.0]), np.random.default_rng(0))
-        assert np.all(idx == 0)
-        assert np.all(out.states.members == 1.0)
-        assert np.all(out.observations == 10.0)
+        st_ = tenkf_update(j, np.array([10.0]), TrimConfig(lam=1e-6), np.random.default_rng(0))
+        assert np.all(st_.posterior.members == 1.0)
 
     def test_golden_index_sequence_seed_42(self):
         # frozen from numpy.random.default_rng(42).choice with uniform weights
@@ -167,38 +157,43 @@ class TestResampling:
         assert abs(freq - 0.7) < 0.01
 
     def test_pairs_never_split(self):
+        # y = 2x + 1 gives K = 1/2, so a member shifted by its own observation
+        # lands on (y* - 1) / 2; a state paired with another's observation would not
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, 30))
-        y = 2.0 * x[:1] + 1.0
-        j = JointEnsemble(states=Ensemble(x), observations=y)
-        out, idx = bootstrap_resample(j, np.full(30, 1 / 30), rng)
-        assert np.allclose(out.observations, 2.0 * out.states.members[:1] + 1.0)
-        pairs_in = {tuple(np.r_[x[:, i], y[:, i]]) for i in range(30)}
-        pairs_out = {tuple(np.r_[out.states.members[:, i], out.observations[:, i]]) for i in range(30)}
-        assert pairs_out <= pairs_in
+        x = rng.standard_normal((1, 30))
+        j = joint(x, 2.0 * x + 1.0)
+        st_ = tenkf_update(j, np.array([0.4]), TrimConfig(lam=0.5), rng)
+        assert st_.posterior.members == pytest.approx(np.full((1, 30), (0.4 - 1.0) / 2), abs=1e-8)
 
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(1, 3), obs_dim=st.integers(1, 2),
-           w=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).filter(
+           w=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40).filter(
                lambda w: sum(w) > 0.1),
            size=st.one_of(st.none(), st.integers(1, 80)), seed=st.integers(0, 2**32 - 1))
     def test_pairs_kept_property(self, dim, obs_dim, w, size, seed):
-        # every output member is input pair idx[i], states and observations
-        # alike, and no pair of zero weight is drawn
+        # with the trimming weights fixed to w, the posterior is bit for bit
+        # the update of the pairs resample_indices draws from the same seed,
+        # and no pair of zero weight is drawn
         rng = np.random.default_rng(seed)
         n = len(w)
         x = rng.standard_normal((dim, n))
         y = rng.standard_normal((obs_dim, n))
-        out, idx = bootstrap_resample(joint(x, y), np.array(w), rng, size=size)
-        assert out.size == idx.size == (n if size is None else size)
-        assert np.array_equal(out.states.members, x[:, idx])
-        assert np.array_equal(out.observations, y[:, idx])
+        y_star = rng.standard_normal(obs_dim)
+        j = joint(x, y)
+        with mock.patch("trimkf.filters.trim_weights", lambda d, lam: normalize_weights(w)):
+            got = tenkf_update(j, y_star, TrimConfig(), np.random.default_rng(seed),
+                               posterior_size=size)
+        idx = resample_indices(np.array(w), n if size is None else size,
+                               np.random.default_rng(seed))
+        want = x[:, idx] + kalman_gain(j) @ (y_star[:, None] - y[:, idx])
+        assert np.array_equal(got.posterior.members, want)
         assert all(w[i] > 0 for i in idx)
 
     def test_resample_to_other_size(self):
         j = joint([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])
-        out, idx = bootstrap_resample(j, np.full(3, 1 / 3), np.random.default_rng(1), size=7)
-        assert out.size == 7 and idx.shape == (7,)
+        st_ = tenkf_update(j, np.array([2.0]), TrimConfig(lam=1.0), np.random.default_rng(1),
+                           posterior_size=7)
+        assert st_.posterior.size == 7 and st_.n_forecast == 3
 
     @settings(max_examples=200, deadline=None)
     @given(w=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=1, max_size=60).filter(

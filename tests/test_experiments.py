@@ -15,7 +15,6 @@ from trimkf.experiments.cli import main
 from trimkf.experiments.config import (
     CONFIG_VERSION,
     ConfigError,
-    scenario_defaults,
     validate_config,
 )
 from trimkf.experiments.scenarios import SCENARIOS, run_scenario
@@ -193,9 +192,10 @@ class TestValidateConfig:
                              "config_version": CONFIG_VERSION + 1})
 
     def test_defaults_table_copies(self):
-        d = scenario_defaults("l96-rmse-sweep")
-        d["n"].append(123)
-        assert 123 not in scenario_defaults("l96-rmse-sweep")["n"]
+        # each config gets its own copy of a defaulted list
+        a = validate_config({"scenario": "l96-rmse-sweep"})
+        a.params["n"].append(123)
+        assert 123 not in validate_config({"scenario": "l96-rmse-sweep"}).params["n"]
 
 
 def write_config(path: Path, doc) -> str:
@@ -253,6 +253,16 @@ class TestCli:
             "scenario": scenario, "params": {"t_f": 0.5, "dt_obs": [0.9]}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert "params.t_f: t_f=0.5 is shorter than dt_obs=[0.9]" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_non_utf8_config_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        for argv in (["validate", "--config", str(cfg)],
+                     ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"{cfg}: not valid JSON" in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_missing_config_exit_1(self, tmp_path):

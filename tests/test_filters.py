@@ -1,5 +1,7 @@
 """Tests for the EnKF, trimmed EnKF, particle filter, and the run loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from trimkf.filters import (
     trim_weights,
 )
 from trimkf.integrators import IntegratorConfig
-from trimkf.models import DynModel, MeasModel, linear_gaussian_model, select_observer
+from trimkf.models import DynModel, MeasModel, ModelError, linear_gaussian_model, select_observer
 
 
 def make_joint(x, y):
@@ -83,11 +85,11 @@ class TestEnkfUpdate:
         y = x[:2] + 0.3 * rng.standard_normal((2, 500))
         j = JointEnsemble(states=Ensemble(x), observations=y)
         y_star = np.array([0.4, -0.2])
-        from trimkf.ensemble import kalman_gain, sample_mean
+        from trimkf.ensemble import kalman_gain
 
         state = enkf_update(j, y_star)
         gain = kalman_gain(j)
-        expected = sample_mean(j.states) + gain @ (y_star - y.mean(axis=1))
+        expected = x.mean(axis=1) + gain @ (y_star - y.mean(axis=1))
         assert np.allclose(state.posterior.members.mean(axis=1), expected, atol=1e-12)
 
     def test_scalar_linear_gaussian_matches_exact_kalman(self):
@@ -108,23 +110,27 @@ class TestEnkfUpdate:
 
 class TestTrimDistance:
     def test_exact_match_is_zero(self):
-        d = trim_distance(np.array([[1.0, 2.0]]), np.array([1.0]), "normalized-l1",
-                          np.array([1.0]))
+        d = trim_distance(np.array([[1.0, 2.0]]), np.array([1.0]), np.array([1.0]))
         assert d[0] == 0.0
 
     def test_scaled_l1(self):
-        d = trim_distance(np.array([[5.0]]), np.array([1.0]), "normalized-l1", np.array([2.0]))
+        d = trim_distance(np.array([[5.0]]), np.array([1.0]), np.array([2.0]))
         assert d == pytest.approx([2.0])
 
     def test_max_abs(self):
-        y = np.array([[1.0], [-3.0]])
-        d = trim_distance(y, np.array([0.0, 0.0]), "max-abs")
-        assert d == pytest.approx([3.0])
+        # augmentation counts a member as near by its largest component
+        # deviation: one component beyond d_max is enough to make it far
+        y = np.array([[0.5, 0.5, 3.0], [-0.5, -3.0, 0.0]])
+        j = make_joint(np.arange(3.0)[None, :], y)
+        aug = AugmentConfig(d_max=1.0, r_max=1.0)
+        out, n_d = augment_forecast(j, Ensemble(np.zeros((1, 3))), np.zeros(2), aug,
+                                    None, np.random.default_rng(0))
+        assert n_d == 1 and out is j
 
     def test_zero_spread_dimension_skipped_with_warning(self):
         y = np.array([[1.0, 1.0], [0.0, 2.0]])
         with pytest.warns(UserWarning, match="zero spread"):
-            d = trim_distance(y, np.array([0.0, 0.0]), "normalized-l1")
+            d = trim_distance(y, np.array([0.0, 0.0]), y.std(axis=1, ddof=1))
         assert d == pytest.approx(np.abs(y[1] - 0.0) / y[1].std(ddof=1))
 
 
@@ -549,6 +555,28 @@ class TestRunAssimilation:
         for (_, joint, state), ref in zip(steps, run.steps):
             assert joint.size == initial.size
             assert np.array_equal(state.posterior.members, ref.posterior.members)
+
+
+def test_non_additive_noise_through_the_filters():
+    # MeasModel.sampler carries non-additive noise, here y = x exp(eps) with
+    # eps ~ N(0, 0.1^2). The EnKF and TEnKF only sample observations, so they
+    # run; the PF needs a Gaussian likelihood the sampler cannot give.
+    def sampler(x, rng):
+        return x[:1] * np.exp(0.1 * rng.standard_normal(x[:1].shape))
+
+    meas = MeasModel(obs_dim=1, h=lambda x: np.asarray(x)[:1], sampler=sampler)
+    problem = dataclasses.replace(scalar_problem(steps=3), meas=meas)
+    truth = simulate_truth(problem, np.array([1.0]), np.random.default_rng(0))
+    initial = Ensemble(1.0 + 0.5 * np.random.default_rng(1).standard_normal((1, 300)))
+    for method in (FilterMethod("enkf"), FilterMethod("tenkf", trim=TrimConfig(target_ne=60.0))):
+        steps = list(assimilate(problem, method, np.random.default_rng(2), truth, initial))
+        assert [k for k, _, _ in steps] == [0, 1, 2]
+        for _, _, state in steps:
+            assert state.posterior.size == 300
+            assert np.all(np.isfinite(state.posterior.members))
+    with pytest.raises(AssimilationError, match="assimilation step 1") as err:
+        list(assimilate(problem, FilterMethod("pf"), np.random.default_rng(2), truth, initial))
+    assert isinstance(err.value.__cause__, ModelError)
 
 
 class TwoArgError(Exception):

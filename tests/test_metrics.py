@@ -89,11 +89,10 @@ class TestKsDistance:
         assert d1 == pytest.approx(d2)
         assert 0.0 <= d1 <= 1.0
 
-    def test_weighted_sample_support(self):
-        # weighted sample emulating a fair coin on {0, 1} vs a biased one
-        a = (np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-        b = (np.array([0.0, 1.0]), np.array([0.9, 0.1]))
-        assert ks_distance(a, b) == pytest.approx(0.4)
+    def test_tuple_of_samples_is_a_sample(self):
+        # a 2-tuple is two sample values, not a (samples, weights) pair
+        assert ks_distance((1.0, 2.0), np.array([1.0, 2.0])) == 0.0
+        assert ks_distance((0.0, 3.0), [0.0, 3.0]) == 0.0
 
     def test_matches_scipy_two_sample(self):
         from scipy.stats import ks_2samp

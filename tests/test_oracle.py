@@ -318,7 +318,7 @@ class TestCachedJoint:
 
 def _reference_bimodal_table(points, span_sds=8.0):
     """Frozen: the bimodal joint table as one whole-table expression,
-    normalized as ``JointGrid.normalized`` does."""
+    normalized to unit mass by the trapezoid rule in y, then x."""
     var_x = 0.25 + 4.0
     hi_x, hi_y = span_sds * np.sqrt(var_x), span_sds * np.sqrt(var_x + 0.25)
     x = np.linspace(-hi_x, hi_x, points)
