@@ -4,8 +4,7 @@ Times the Lorenz-96 drift (36 dimensions, n = 200, 1000 and 3000 members),
 one stochastic-Heun forecast interval (90 steps of 0.01 on 36x1000, the
 ``l96-rmse-sweep`` interval) and one adaptive DP45 interval (0.8 time units
 at rtol 1e-6, atol 1e-9, the ``l96-adaptive-aug`` interval) on 36x200 (the
-forecast block), on 36x600 (the block augmented threefold) and on one 36-
-dimensional state (the truth).
+forecast block) and on 36x600 (the block augmented threefold).
 For ``oracle-1e5``'s layers it times building the 2048-point bimodal joint,
 one trimmed limit density (lambda 0.3) on a fresh joint (built over the
 same arrays inside the timed call, so nothing is cached yet) and on a warm
@@ -169,7 +168,7 @@ def main() -> None:
     ode = lorenz96_model(p)
     dp45 = IntegratorConfig(scheme="rk45-adaptive", dt=0.01, rtol=1e-6, atol=1e-9)
     block = _attractor_block(600, rng)
-    for label, x in (("n200", block[:, :200].copy()), ("n600", block), ("1-D", block[:, 0].copy())):
+    for label, x in (("n200", block[:, :200].copy()), ("n600", block)):
         name = f"dp45_interval_0.8_{label}"
         layers[name] = _measure(lambda x=x: integrate(ode, x, 0.0, 0.8, dp45), args.repeats)
         layers[name].update(_dp45_counts(ode, x, 0.8, dp45))

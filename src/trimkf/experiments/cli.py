@@ -18,7 +18,13 @@ import sys
 import time
 
 from .. import __version__
-from .config import ConfigError, config_object, load_config_file, validate_config
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    config_object,
+    load_config_file,
+    validate_config,
+)
 from .io import write_metadata
 from .scenarios import SCENARIOS, run_scenario
 
@@ -37,12 +43,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a configured scenario")
+    # an option left out is absent from the namespace; one given overrides
+    # the config key it is stored under
+    run_p = sub.add_parser("run", help="run a configured scenario",
+                           argument_default=argparse.SUPPRESS)
     run_p.add_argument("--config", required=True, help="path to a JSON config or metadata file")
-    run_p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    run_p.add_argument("--out", default=None, help="override the output directory")
-    run_p.add_argument("--replicates", type=int, default=None, help="override replicate count")
-    run_p.add_argument("--threads", type=int, default=None, help="worker threads (0 = auto)")
+    run_p.add_argument("--seed", type=int, help="override the master seed")
+    run_p.add_argument("--out", dest="out_dir", metavar="OUT",
+                       help="override the output directory")
+    run_p.add_argument("--replicates", type=int, help="override replicate count")
+    run_p.add_argument("--threads", type=int, help="worker threads (0 = auto)")
 
     val_p = sub.add_parser("validate", help="validate a config file and echo the resolved values")
     val_p.add_argument("--config", required=True, help="path to a JSON config file")
@@ -51,31 +61,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_cli_overrides(raw, args) -> dict:
-    raw = dict(config_object(raw))
-    for cli_key, cfg_key in (
-        ("seed", "seed"),
-        ("out", "out_dir"),
-        ("replicates", "replicates"),
-        ("threads", "threads"),
-    ):
-        value = getattr(args, cli_key, None)
-        if value is not None:
-            raw[cfg_key] = value
-    return raw
+def _load(args) -> ExperimentConfig:
+    """The validated config of ``args.config`` with the options given on
+    the command line in place of its keys."""
+    raw = dict(config_object(load_config_file(args.config)))
+    raw.update((k, v) for k, v in vars(args).items() if k not in ("command", "config"))
+    return validate_config(raw)
 
 
-def _cmd_run(args) -> int:
-    try:
-        raw = _apply_cli_overrides(load_config_file(args.config), args)
-        cfg = validate_config(raw)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+def _cmd_run(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     try:
         result = run_scenario(cfg)
@@ -104,15 +98,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    try:
-        cfg = validate_config(load_config_file(args.config))
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _cmd_validate(cfg: ExperimentConfig) -> int:
     print(f"scenario:   {cfg.scenario}")
     print(f"seed:       {cfg.seed}")
     print(f"out_dir:    {cfg.out_dir}")
@@ -124,7 +110,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_list(_args) -> int:
+def _cmd_list() -> int:
     width = max(len(name) for name in SCENARIOS)
     for name in sorted(SCENARIOS):
         print(f"{name:<{width}}  {SCENARIOS[name].description}")
@@ -133,12 +119,17 @@ def _cmd_list(_args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {
-        "run": _cmd_run,
-        "validate": _cmd_validate,
-        "list-scenarios": _cmd_list,
-    }[args.command]
-    return handler(args)
+    if args.command == "list-scenarios":
+        return _cmd_list()
+    try:
+        cfg = _load(args)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot read config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return (_cmd_run if args.command == "run" else _cmd_validate)(cfg)
 
 
 if __name__ == "__main__":

@@ -19,13 +19,19 @@ scenario's parameter table, and every key it sets is recorded as an
 override in the run metadata.  Unknown keys anywhere are rejected.  A run's
 emitted ``metadata.json`` wraps the fully resolved configuration under a
 ``"config"`` key and can be passed straight back to ``run --config``.
+
+Each scenario declares its parameter table ``{key: (default, checker)}``,
+its default replicate count and its cross-field rule in its
+``scenarios.SCENARIOS`` entry; this module checks the document around it.
+A checker is called as ``checker(name, value, errors)``: it returns the
+accepted value, or appends its problems to ``errors`` and returns None.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 __all__ = [
@@ -37,16 +43,6 @@ __all__ = [
 ]
 
 CONFIG_VERSION = 1
-
-_TOP_LEVEL_KEYS = {
-    "config_version",
-    "scenario",
-    "seed",
-    "out_dir",
-    "replicates",
-    "threads",
-    "params",
-}
 
 
 class ConfigError(ValueError):
@@ -71,15 +67,20 @@ class ExperimentConfig:
     config_version: int = CONFIG_VERSION
 
     def as_document(self) -> dict:
-        return {
-            "config_version": self.config_version,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "replicates": self.replicates,
-            "threads": self.threads,
-            "params": dict(self.params),
-        }
+        """The configuration document this config resolves (its overrides
+        are run bookkeeping, not part of it)."""
+        doc = asdict(self)
+        del doc["overrides"]
+        return doc
+
+
+_TOP_LEVEL_KEYS = {f.name for f in fields(ExperimentConfig)} - {"overrides"}
+
+
+def stream_key(value: float) -> int:
+    """Integer key material for deriving a random stream from a swept float:
+    the value in steps of 1e-6, so values closer than that share a key."""
+    return int(round(float(value) * 1e6))
 
 
 def _number_problem(v, integer=False, lo=None, hi=None):
@@ -95,47 +96,52 @@ def _number_problem(v, integer=False, lo=None, hi=None):
     return None
 
 
-def _positive(name, lo=None, hi=None, integer=False):
-    def check(value, errors):
-        problem = _number_problem(value, integer, lo, hi)
-        if problem:
-            errors.append(f"params.{name}: {problem}")
+def _scalar(problem):
+    """A checker that rejects a value for the reason ``problem(value)``
+    gives, and accepts it when that is None."""
+
+    def check(name, value, errors):
+        why = problem(value)
+        if why:
+            errors.append(f"{name}: {why}")
             return None
         return value
 
     return check
 
 
-def stream_key(value: float) -> int:
-    """Integer key material for deriving a random stream from a swept float:
-    the value in steps of 1e-6, so values closer than that share a key."""
-    return int(round(float(value) * 1e6))
+def _number(lo=None, hi=None, integer=False):
+    return _scalar(lambda v: _number_problem(v, integer, lo, hi))
 
 
-def _number_list(name, lo=None, integer=False, keyed=False):
-    """A non-empty list of distinct numbers: a repeated entry would rerun the
-    same random streams and count its results twice.  The entries of a
-    ``keyed`` list each key a random stream by ``stream_key``, so they must
-    not share a key either."""
+_flag = _scalar(lambda v: None if isinstance(v, bool) else f"expected true/false, got {v!r}")
 
-    def check(value, errors):
+
+def _list(entry, keyed=False):
+    """A non-empty list of distinct entries, each one acceptable to
+    ``entry(v)`` (which returns why not, or None).  A repeated entry would
+    rerun the same random streams and count its results twice.  The entries
+    of a ``keyed`` list each key a random stream by ``stream_key``, so they
+    must not share a key either."""
+
+    def check(name, value, errors):
         if not isinstance(value, (list, tuple)) or not value:
-            errors.append(f"params.{name}: expected a non-empty list of numbers")
+            errors.append(f"{name}: expected a non-empty list")
             return None
         for i, v in enumerate(value):
-            problem = _number_problem(v, integer, lo=lo)
-            if problem:
-                errors.append(f"params.{name}[{i}]: {problem}")
+            why = entry(v)
+            if why:
+                errors.append(f"{name}[{i}]: {why}")
                 return None
         repeated = sorted({v for v in value if value.count(v) > 1})
         if repeated:
-            errors.append(f"params.{name}: value(s) {repeated} listed more than once")
+            errors.append(f"{name}: value(s) {repeated} listed more than once")
             return None
         keys = [stream_key(v) for v in value] if keyed else []
         shared = sorted(v for v, key in zip(value, keys) if keys.count(key) > 1)
         if shared:
             errors.append(
-                f"params.{name}: values {shared} share one random stream "
+                f"{name}: values {shared} share one random stream "
                 "(they round to one multiple of 1e-6)"
             )
             return None
@@ -144,151 +150,18 @@ def _number_list(name, lo=None, integer=False, keyed=False):
     return check
 
 
-def _flag(name):
-    def check(value, errors):
-        if not isinstance(value, bool):
-            errors.append(f"params.{name}: expected true/false, got {value!r}")
-            return None
-        return value
-
-    return check
+def _numbers(lo=None, integer=False, keyed=False):
+    return _list(lambda v: _number_problem(v, integer, lo), keyed)
 
 
-def _filters_list(allowed):
-    def check(value, errors):
-        if not isinstance(value, (list, tuple)) or not value:
-            errors.append("params.filters: expected a non-empty list of filter names")
-            return None
-        bad = [v for v in value if v not in allowed]
-        if bad:
-            errors.append(f"params.filters: unknown filter(s) {bad}; allowed: {sorted(allowed)}")
-            return None
-        repeated = sorted({v for v in value if value.count(v) > 1})
-        if repeated:
-            errors.append(f"params.filters: filter(s) {repeated} listed more than once")
-            return None
-        return list(value)
-
-    return check
+def _filters(*allowed):
+    return _list(lambda v: None if v in allowed else
+                 f"unknown filter {v!r}; allowed: {sorted(allowed)}")
 
 
-# Per-scenario parameter tables: {key: (default, checker)}.  Defaults follow
-# the published experiment tables, desk-scaled where noted in the README.
-_SCENARIOS: dict[str, dict] = {
-    "l63-limit-dist": {
-        "alpha": (10.0, _positive("alpha")),
-        "rho": (28.0, _positive("rho")),
-        "beta": (8.0 / 3.0, _positive("beta", lo=1e-12)),
-        "sigma": (0.01, _positive("sigma", lo=0.0)),
-        "tau": (0.2, _positive("tau", lo=1e-12)),
-        "t1": (1.0, _positive("t1", lo=1e-12)),
-        "dt": (0.01, _positive("dt", lo=1e-12)),
-        "n": (100_000, _positive("n", lo=2, integer=True)),
-        "x1_0": (1.5, _positive("x1_0", lo=-1e12)),
-        "x2_0": (1.5, _positive("x2_0", lo=-1e12)),
-        "x3_0": (25.0, _positive("x3_0", lo=-1e12)),
-        "sigma1_0": (0.1, _positive("sigma1_0", lo=0.0)),
-        "sigma3_0": (0.1, _positive("sigma3_0", lo=0.0)),
-        "lambdas": ([10.0, 3.0, 1.0, 0.5, 0.3], _number_list("lambdas", lo=1e-12, keyed=True)),
-        "bins": (200, _positive("bins", lo=10, integer=True)),
-        "filters": (["enkf", "tenkf", "pf"], _filters_list({"enkf", "tenkf", "pf"})),
-    },
-    "l96-rmse-sweep": {
-        "N": (36, _positive("N", lo=4, integer=True)),
-        "F": (8.0, _positive("F")),
-        "t_f": (15.0, _positive("t_f", lo=1e-12)),
-        "dt_obs": ([0.9], _number_list("dt_obs", lo=1e-12, keyed=True)),
-        "dt": (0.01, _positive("dt", lo=1e-12)),
-        "sigma": (0.01, _positive("sigma", lo=0.0)),
-        "tau": (0.05, _positive("tau", lo=1e-12)),
-        "n": ([100, 200, 400, 1000, 4000], _number_list("n", lo=2, integer=True)),
-        "target_ne": (50.0, _positive("target_ne", lo=1.0)),
-        "augment": (True, _flag("augment")),
-        "d_max": (3.0, _positive("d_max", lo=1e-12)),
-        "r_max": (3.0, _positive("r_max", lo=1.0)),
-        "sigma_p": (0.4, _positive("sigma_p", lo=0.0)),
-        "mu0": (1.0, _positive("mu0", lo=-1e12)),
-        "mu1": (0.1, _positive("mu1", lo=-1e12)),
-        "sigma0": (0.01, _positive("sigma0", lo=0.0)),
-        "filters": (["enkf", "tenkf"], _filters_list({"enkf", "tenkf"})),
-    },
-    "l96-adaptive-aug": {
-        "N": (36, _positive("N", lo=4, integer=True)),
-        "F": (8.0, _positive("F")),
-        "t_f": (32.0, _positive("t_f", lo=1e-12)),
-        "dt_obs": ([0.8], _number_list("dt_obs", lo=1e-12, keyed=True)),
-        "sigma": (0.0, _positive("sigma", lo=0.0)),
-        "tau": (0.05, _positive("tau", lo=1e-12)),
-        "n": (200, _positive("n", lo=2, integer=True)),
-        "target_ne": (50.0, _positive("target_ne", lo=1.0)),
-        "r_max": (3.0, _positive("r_max", lo=1.0)),
-        "d_max": (3.0, _positive("d_max", lo=1e-12)),
-        "sigma_p": (0.4, _positive("sigma_p", lo=0.0)),
-        "mu0": (1.0, _positive("mu0", lo=-1e12)),
-        "mu1": (0.1, _positive("mu1", lo=-1e12)),
-        "sigma0": (0.01, _positive("sigma0", lo=0.0)),
-        "rtol": (1e-6, _positive("rtol", lo=1e-14)),
-        "atol": (1e-9, _positive("atol", lo=1e-16)),
-        "dt_init": (0.01, _positive("dt_init", lo=1e-12)),
-        "filters": (["enkf", "tenkf"], _filters_list({"enkf", "tenkf"})),
-    },
-    "linear-gaussian-check": {
-        "A": (1.0, _positive("A", lo=-1e12)),
-        "Q": (0.01, _positive("Q", lo=0.0)),
-        "H": (1.0, _positive("H", lo=-1e12)),
-        "R": (0.04, _positive("R", lo=1e-12)),
-        "steps": (5, _positive("steps", lo=1, integer=True)),
-        "n": (100_000, _positive("n", lo=2, integer=True)),
-        "prior_mean": (0.0, _positive("prior_mean", lo=-1e12)),
-        "prior_var": (1.0, _positive("prior_var", lo=1e-12)),
-        "target_ne_fraction": (0.8, _positive("target_ne_fraction", lo=0.01, hi=1.0)),
-        "se_factor": (4.0, _positive("se_factor", lo=1e-12)),
-        "filters": (["enkf", "tenkf", "pf"], _filters_list({"enkf", "tenkf", "pf"})),
-    },
-    "bimodal-oracle-check": {
-        "points": (2048, _positive("points", lo=64, integer=True)),
-        "y_star": (1.5, _positive("y_star", lo=-1e12)),
-        "n": (100_000, _positive("n", lo=2, integer=True)),
-        "lambdas": ([10.0, 1.0, 0.3, 0.1, 0.03], _number_list("lambdas", lo=1e-12)),
-        "lam_large": (1e9, _positive("lam_large", lo=1.0)),
-        "lam_small": (0.02, _positive("lam_small", lo=1e-12)),
-        "sample_lam": (0.3, _positive("sample_lam", lo=1e-12)),
-        "ks_tol_large": (1e-4, _positive("ks_tol_large", lo=0.0)),
-        "ks_tol_small": (0.02, _positive("ks_tol_small", lo=0.0)),
-        "ks_tol_tenkf_sampling": (0.03, _positive("ks_tol_tenkf_sampling", lo=0.0)),
-        "ks_tol_pf_sampling": (0.02, _positive("ks_tol_pf_sampling", lo=0.0)),
-    },
-}
-
-_DEFAULT_REPLICATES = {
-    "l63-limit-dist": 1,
-    "l96-rmse-sweep": 30,
-    "l96-adaptive-aug": 10,
-    "linear-gaussian-check": 1,
-    "bimodal-oracle-check": 1,
-}
-
-
-def _cross_checks(scenario: str, params: dict, errors: list[str]):
-    if scenario in ("l96-rmse-sweep", "l96-adaptive-aug"):
-        ns = params.get("n")
-        ns = ns if isinstance(ns, list) else [ns]
-        target = params.get("target_ne")
-        if target is not None and ns and all(n is not None for n in ns):
-            bad = [n for n in ns if target > n]
-            if bad:
-                errors.append(
-                    f"params.target_ne: target_ne={target} exceeds ensemble size n={bad} "
-                    "(requires target_ne <= n)"
-                )
-        if params.get("N") is not None and params["N"] % 2:
-            errors.append("params.N: must be even (every other component is observed)")
-        # AssimilationProblem.n_steps is floor(t_f / dt_obs + 1e-9): keep it >= 1
-        t_f = params.get("t_f")
-        long = [dt for dt in params.get("dt_obs") or [] if t_f and t_f / dt + 1e-9 < 1]
-        if long:
-            errors.append(f"params.t_f: t_f={t_f} is shorter than dt_obs={long} "
-                          "(requires at least one observation)")
+def _is_count(v, below=math.inf) -> bool:
+    """Whether ``v`` is a non-negative integer (less than ``below``)."""
+    return not isinstance(v, bool) and isinstance(v, int) and 0 <= v < below
 
 
 def config_object(document) -> dict:
@@ -308,6 +181,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     All problems are collected and reported together.  A metadata document
     (with the configuration nested under ``"config"``) is accepted directly.
     """
+    from .scenarios import SCENARIOS  # scenarios imports this module
+
     raw = config_object(raw)
     errors: list[str] = []
     unknown = set(raw) - _TOP_LEVEL_KEYS
@@ -318,27 +193,30 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if version != CONFIG_VERSION:
         errors.append(f"config_version: expected {CONFIG_VERSION}, got {version!r}")
 
-    scenario = raw.get("scenario")
-    if scenario not in _SCENARIOS:
-        errors.append(f"scenario: unknown scenario {scenario!r}; known: {sorted(_SCENARIOS)}")
+    name = raw.get("scenario")
+    if name not in SCENARIOS:
+        errors.append(f"scenario: unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
         raise ConfigError(errors)
+    scenario = SCENARIOS[name]
 
     seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if not _is_count(seed, below=2**64):
         errors.append(f"seed: expected an unsigned 64-bit integer, got {seed!r}")
 
     out_dir = raw.get("out_dir", "results")
     if not isinstance(out_dir, str) or not out_dir:
         errors.append(f"out_dir: expected a non-empty string, got {out_dir!r}")
 
-    replicates = raw.get("replicates", _DEFAULT_REPLICATES[scenario])
-    if isinstance(replicates, bool) or not isinstance(replicates, int) or replicates < 0:
+    replicates = raw.get("replicates", scenario.replicates)
+    most = scenario.max_replicates
+    if not _is_count(replicates):
         errors.append(f"replicates: expected a non-negative integer, got {replicates!r}")
-    elif scenario == "bimodal-oracle-check" and replicates > 1:
-        errors.append(f"replicates: {scenario} runs at most 1 replicate, got {replicates}")
+    elif most is not None and replicates > most:
+        errors.append(f"replicates: {name} runs at most {most} replicate"
+                      f"{'' if most == 1 else 's'}, got {replicates}")
 
     threads = raw.get("threads", 0)
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 0:
+    if not _is_count(threads):
         errors.append(f"threads: expected a non-negative integer (0 = auto), got {threads!r}")
 
     stanza = raw.get("params", {})
@@ -346,32 +224,29 @@ def validate_config(raw: dict) -> ExperimentConfig:
         errors.append(f"params: expected an object, got {type(stanza).__name__}")
         stanza = {}
 
-    table = _SCENARIOS[scenario]
-    unknown_params = set(stanza) - set(table)
+    unknown_params = set(stanza) - set(scenario.params)
     if unknown_params:
-        errors.append(f"params: unknown key(s) for scenario {scenario}: {sorted(unknown_params)}")
+        errors.append(f"params: unknown key(s) for scenario {name}: {sorted(unknown_params)}")
 
     params: dict = {}
-    overrides: list[str] = []
-    for key, (default, checker) in table.items():
+    for key, (default, checker) in scenario.params.items():
         if key in stanza:
-            value = checker(stanza[key], errors)
-            overrides.append(key)
+            params[key] = checker(f"params.{key}", stanza[key], errors)
         else:
-            value = list(default) if isinstance(default, list) else default
-        params[key] = value
-    _cross_checks(scenario, params, errors)
+            params[key] = list(default) if isinstance(default, list) else default
+    if scenario.rule is not None:
+        scenario.rule(params, errors)
 
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(
-        scenario=scenario,
+        scenario=name,
         seed=seed,
         out_dir=out_dir,
         replicates=replicates,
         threads=threads,
         params=params,
-        overrides=sorted(overrides),
+        overrides=sorted(set(stanza) & set(scenario.params)),
     )
 
 

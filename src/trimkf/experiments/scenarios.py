@@ -1,20 +1,4 @@
-"""The experiment families behind the CLI.
-
-Five scenarios ship:
-
-* ``l63-limit-dist`` — one assimilation step of the stochastic Lorenz-63
-  system observed in its second component; emits posterior histograms for
-  the EnKF, the trimmed filter across a lambda sweep, and the particle
-  filter, plus KS distances to the particle-filter reference.
-* ``l96-rmse-sweep`` — stochastic Lorenz-96 twin experiments over grids of
-  ensemble size and observation interval; emits per-replicate time-averaged
-  RMSE and quantile summaries.
-* ``l96-adaptive-aug`` — deterministic Lorenz-96 with adaptive trimming and
-  ensemble augmentation; emits per-step traces and augmentation ratios.
-* ``linear-gaussian-check`` — all three filters against the exact Kalman
-  recursion on a scalar linear-Gaussian model, with pass/fail verdicts.
-* ``bimodal-oracle-check`` — quadrature bridging checks on the bimodal toy
-  joint plus sampling-vs-limit-density agreement, with pass/fail verdicts.
+"""The experiment families behind the CLI, each declared once in ``SCENARIOS``.
 
 Replicate ``m`` always derives its streams from ``(seed, m, ...)`` key
 material, so results are independent of worker scheduling and of which
@@ -56,13 +40,14 @@ from ..models import (
     select_observer,
 )
 from ..oracle import (
+    BIMODAL_Y_BOUND,
     bayes_posterior,
     bimodal_toy,
     enkf_limit_pdf,
     kalman_filter_sequence,
     tenkf_limit_pdf,
 )
-from .config import ExperimentConfig, stream_key
+from .config import ExperimentConfig, _filters, _flag, _number, _numbers, stream_key
 from .io import write_table
 
 __all__ = ["SCENARIOS", "Scenario", "ScenarioResult", "run_scenario"]
@@ -476,17 +461,65 @@ def _bimodal_replicate(cfg: ExperimentConfig, rep: int) -> dict:
 
 
 class Scenario(NamedTuple):
-    """A scenario as plain data: ``replicate(cfg, rep)`` returns one
-    replicate's rows as ``{file: rows}``, the optional ``finish(cfg, tables)``
-    derives more tables from the rows of all replicates, and ``tables`` gives
-    every result file's columns in write order.  The rows of a
-    ``checks.csv`` are the scenario's embedded checks."""
+    """A scenario as plain data, declared once.
+
+    ``replicate(cfg, rep)`` returns one replicate's rows as ``{file: rows}``,
+    the optional ``finish(cfg, tables)`` derives more tables from the rows of
+    all replicates, and ``tables`` gives every result file's columns in write
+    order.  The rows of a ``checks.csv`` are the scenario's embedded checks.
+    ``params`` is its parameter table ``{key: (default, checker)}`` (see
+    ``config``), ``replicates`` its default replicate count (which a config
+    may raise to ``max_replicates``, if set), and the optional
+    ``rule(params, errors)`` checks across parameters; a parameter that
+    failed its own check is None there.
+    """
 
     description: str
     replicate: Callable[[ExperimentConfig, int], dict]
     finish: Callable[[ExperimentConfig, dict], dict] | None
     tables: dict[str, list[str]]
+    params: dict[str, tuple]
+    replicates: int
+    max_replicates: int | None = None
+    rule: Callable[[dict, list[str]], None] | None = None
 
+
+def _l96_rule(p: dict, errors: list[str]) -> None:
+    """What both Lorenz-96 scenarios require across their parameters."""
+    sizes = p["n"] if isinstance(p["n"], list) else [p["n"]]
+    if p["target_ne"] is not None and None not in sizes:
+        bad = [n for n in sizes if p["target_ne"] > n]
+        if bad:
+            errors.append(
+                f"params.target_ne: target_ne={p['target_ne']} exceeds ensemble size n={bad} "
+                "(requires target_ne <= n)"
+            )
+    if p["N"] is not None and p["N"] % 2:
+        errors.append("params.N: must be even (every other component is observed)")
+    # AssimilationProblem.n_steps is floor(t_f / dt_obs + 1e-9): keep it >= 1
+    t_f = p["t_f"]
+    long = [dt for dt in p["dt_obs"] or [] if t_f and t_f / dt + 1e-9 < 1]
+    if long:
+        errors.append(f"params.t_f: t_f={t_f} is shorter than dt_obs={long} "
+                      "(requires at least one observation)")
+
+
+# Defaults follow the published experiment tables, desk-scaled where noted
+# in the README.  The two Lorenz-96 scenarios share the model, observation,
+# trimming, augmentation and initial-ensemble parameters.
+_L96_PARAMS = {
+    "N": (36, _number(lo=4, integer=True)),
+    "F": (8.0, _number()),
+    "tau": (0.05, _number(lo=1e-12)),
+    "target_ne": (50.0, _number(lo=1.0)),
+    "d_max": (3.0, _number(lo=1e-12)),
+    "r_max": (3.0, _number(lo=1.0)),
+    "sigma_p": (0.4, _number(lo=0.0)),
+    "mu0": (1.0, _number(lo=-1e12)),
+    "mu1": (0.1, _number(lo=-1e12)),
+    "sigma0": (0.01, _number(lo=0.0)),
+    "filters": (["enkf", "tenkf"], _filters("enkf", "tenkf")),
+}
 
 _CHECK_COLUMNS = ["check", "value", "tolerance", "ok"]
 
@@ -499,6 +532,25 @@ SCENARIOS = {
             "histograms.csv": ["replicate", "filter", "lam", "bin_lo", "bin_hi", "mass"],
             "ks.csv": ["replicate", "filter", "lam", "ks_to_pf"],
         },
+        params={
+            "alpha": (10.0, _number()),
+            "rho": (28.0, _number()),
+            "beta": (8.0 / 3.0, _number(lo=1e-12)),
+            "sigma": (0.01, _number(lo=0.0)),
+            "tau": (0.2, _number(lo=1e-12)),
+            "t1": (1.0, _number(lo=1e-12)),
+            "dt": (0.01, _number(lo=1e-12)),
+            "n": (100_000, _number(lo=2, integer=True)),
+            "x1_0": (1.5, _number(lo=-1e12)),
+            "x2_0": (1.5, _number(lo=-1e12)),
+            "x3_0": (25.0, _number(lo=-1e12)),
+            "sigma1_0": (0.1, _number(lo=0.0)),
+            "sigma3_0": (0.1, _number(lo=0.0)),
+            "lambdas": ([10.0, 3.0, 1.0, 0.5, 0.3], _numbers(lo=1e-12, keyed=True)),
+            "bins": (200, _number(lo=10, integer=True)),
+            "filters": (["enkf", "tenkf", "pf"], _filters("enkf", "tenkf", "pf")),
+        },
+        replicates=1,
     ),
     "l96-rmse-sweep": Scenario(
         "Stochastic Lorenz-96 twin experiments: RMSE over (n, dt_obs) grids",
@@ -510,6 +562,17 @@ SCENARIOS = {
             "quantiles.csv": ["filter", "n", "dt_obs", "q25", "q50", "q75"],
             "series.csv": ["replicate", "filter", "n", "dt_obs", "step", "time", "rmse"],
         },
+        params={
+            **_L96_PARAMS,
+            "t_f": (15.0, _number(lo=1e-12)),
+            "dt_obs": ([0.9], _numbers(lo=1e-12, keyed=True)),
+            "dt": (0.01, _number(lo=1e-12)),
+            "sigma": (0.01, _number(lo=0.0)),
+            "n": ([100, 200, 400, 1000, 4000], _numbers(lo=2, integer=True)),
+            "augment": (True, _flag),
+        },
+        replicates=30,
+        rule=_l96_rule,
     ),
     "l96-adaptive-aug": Scenario(
         "Deterministic Lorenz-96 with adaptive trimming and ensemble augmentation",
@@ -521,6 +584,19 @@ SCENARIOS = {
             "augmentation.csv": ["replicate", "filter", "dt_obs", "aug_ratio_time_avg",
                                  "rmse_time_avg", "rmse_mean_time_avg"],
         },
+        params={
+            **_L96_PARAMS,
+            "t_f": (32.0, _number(lo=1e-12)),
+            "dt_obs": ([0.8], _numbers(lo=1e-12, keyed=True)),
+            # the adaptive DP45 forecast is deterministic: only sigma = 0 runs
+            "sigma": (0.0, _number(lo=0.0, hi=0.0)),
+            "n": (200, _number(lo=2, integer=True)),
+            "rtol": (1e-6, _number(lo=1e-14)),
+            "atol": (1e-9, _number(lo=1e-16)),
+            "dt_init": (0.01, _number(lo=1e-12)),
+        },
+        replicates=10,
+        rule=_l96_rule,
     ),
     "linear-gaussian-check": Scenario(
         "Scalar linear-Gaussian equivalence check against the exact Kalman filter",
@@ -531,12 +607,42 @@ SCENARIOS = {
                                "mean_exact", "var_exact", "se_mean", "se_var", "ok"],
             "checks.csv": _CHECK_COLUMNS,
         },
+        params={
+            "A": (1.0, _number(lo=-1e12)),
+            "Q": (0.01, _number(lo=0.0)),
+            "H": (1.0, _number(lo=-1e12)),
+            "R": (0.04, _number(lo=1e-12)),
+            "steps": (5, _number(lo=1, integer=True)),
+            "n": (100_000, _number(lo=2, integer=True)),
+            "prior_mean": (0.0, _number(lo=-1e12)),
+            "prior_var": (1.0, _number(lo=1e-12)),
+            "target_ne_fraction": (0.8, _number(lo=0.01, hi=1.0)),
+            "se_factor": (4.0, _number(lo=1e-12)),
+            "filters": (["enkf", "tenkf", "pf"], _filters("enkf", "tenkf", "pf")),
+        },
+        replicates=1,
     ),
     "bimodal-oracle-check": Scenario(
         "Quadrature bridging and sampling checks on the bimodal toy problem",
         _bimodal_replicate,
         None,
         {"bridge.csv": ["lam", "ks_to_posterior"], "checks.csv": _CHECK_COLUMNS},
+        params={
+            "points": (2048, _number(lo=64, integer=True)),
+            # the joint is tabulated, and so can be conditioned, only on its y grid
+            "y_star": (1.5, _number(lo=-BIMODAL_Y_BOUND, hi=BIMODAL_Y_BOUND)),
+            "n": (100_000, _number(lo=2, integer=True)),
+            "lambdas": ([10.0, 1.0, 0.3, 0.1, 0.03], _numbers(lo=1e-12)),
+            "lam_large": (1e9, _number(lo=1.0)),
+            "lam_small": (0.02, _number(lo=1e-12)),
+            "sample_lam": (0.3, _number(lo=1e-12)),
+            "ks_tol_large": (1e-4, _number(lo=0.0)),
+            "ks_tol_small": (0.02, _number(lo=0.0)),
+            "ks_tol_tenkf_sampling": (0.03, _number(lo=0.0)),
+            "ks_tol_pf_sampling": (0.02, _number(lo=0.0)),
+        },
+        replicates=1,
+        max_replicates=1,
     ),
 }
 

@@ -30,6 +30,7 @@ __all__ = [
     "joint_from_conditional",
     "bimodal_toy",
     "BimodalToy",
+    "BIMODAL_Y_BOUND",
 ]
 
 class OracleError(ValueError):
@@ -390,26 +391,27 @@ def _norm_pdf(z, mu, var):
     return np.exp(-0.5 * (z - mu) ** 2 / var) / np.sqrt(2 * np.pi * var)
 
 
-def bimodal_toy(points: int = 2048, span_sds: float = 8.0, y_star: float = 1.5) -> BimodalToy:
+# The bimodal toy's grids span the prior mean 0 plus/minus 8 standard
+# deviations of X on the x axis and of Y on the y axis.
+_SPAN_SDS = 8.0
+_VAR_X = 0.25 + 4.0  # component variance plus mean spread
+BIMODAL_Y_BOUND = _SPAN_SDS * float(np.sqrt(_VAR_X + 0.25))  # the y grid is [-bound, bound]
+
+
+def bimodal_toy(points: int = 2048, y_star: float = 1.5) -> BimodalToy:
     """Build the bimodal mixture fixture on a regular grid.
 
-    The grid spans the prior mean plus/minus ``span_sds`` prior standard
-    deviations on both axes.  The exact gain ``cov(X, Y) / var(Y)`` of the
-    mixture is attached for the limit-density oracles.
+    The exact gain ``cov(X, Y) / var(Y)`` of the mixture is attached for
+    the limit-density oracles.
     """
-    var_x = 0.25 + 4.0  # component variance plus mean spread
-    sd_x = np.sqrt(var_x)
-    sd_y = np.sqrt(var_x + 0.25)
-    lo_x, hi_x = -span_sds * sd_x, span_sds * sd_x
-    lo_y, hi_y = -span_sds * sd_y, span_sds * sd_y
-
-    x = np.linspace(lo_x, hi_x, points)
+    hi_x = _SPAN_SDS * np.sqrt(_VAR_X)
+    x = np.linspace(-hi_x, hi_x, points)
     prior = DensityGrid(
         x, 0.5 * _norm_pdf(x, -2.0, 0.25) + 0.5 * _norm_pdf(x, 2.0, 0.25)
     ).normalized()
     joint = joint_from_conditional(
-        prior, lambda y, xx: _norm_pdf(y, xx, 0.25), lo_y, hi_y, points
+        prior, lambda y, xx: _norm_pdf(y, xx, 0.25), -BIMODAL_Y_BOUND, BIMODAL_Y_BOUND, points
     )
     # cov(X, Y) = var(X) for additive noise; gain = var(X) / var(Y).
-    gain = var_x / (var_x + 0.25)
+    gain = _VAR_X / (_VAR_X + 0.25)
     return BimodalToy(joint=joint, y_star=y_star, exact_gain=gain)

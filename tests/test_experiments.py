@@ -186,6 +186,49 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="unknown scenario"):
             validate_config({"scenario": "nope"})
 
+    def test_unknown_scenario_lists_every_scenario(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"scenario": "nope"})
+        assert err.value.problems == [
+            f"scenario: unknown scenario 'nope'; known: {sorted(SCENARIOS)}"]
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_defaults_given_as_overrides_validate_to_the_defaults(self, scenario):
+        defaults = validate_config({"scenario": scenario}).params
+        cfg = validate_config({"scenario": scenario,
+                               "params": json.loads(json.dumps(defaults))})
+        assert cfg.params == defaults
+        assert cfg.overrides == sorted(defaults)
+
+    @pytest.mark.parametrize("sigma", [0.01, -0.01])
+    def test_adaptive_aug_rejects_model_noise(self, sigma):
+        # its DP45 forecast is deterministic: every replicate would fail
+        with pytest.raises(ConfigError) as err:
+            validate_config({"scenario": "l96-adaptive-aug", "params": {"sigma": sigma}})
+        assert [p.split(":")[0] for p in err.value.problems] == ["params.sigma"]
+
+    @pytest.mark.parametrize("sigma", [0, 0.0])
+    def test_adaptive_aug_accepts_zero_noise(self, sigma):
+        # as every metadata.json of this scenario records it
+        cfg = validate_config({"scenario": "l96-adaptive-aug", "params": {"sigma": sigma}})
+        assert cfg.params["sigma"] == 0
+
+    @pytest.mark.parametrize("y_star", [20.0, -17.0])
+    def test_bimodal_y_star_off_the_grid_rejected(self, y_star):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"scenario": "bimodal-oracle-check", "params": {"y_star": y_star}})
+        assert [p.split(":")[0] for p in err.value.problems] == ["params.y_star"]
+
+    def test_bimodal_y_star_bound_is_the_grid_edge(self):
+        from trimkf.oracle import BIMODAL_Y_BOUND, bimodal_toy
+
+        y = bimodal_toy(points=64).joint.y
+        assert (y[0], y[-1]) == (-BIMODAL_Y_BOUND, BIMODAL_Y_BOUND)
+        for y_star in (16.0, BIMODAL_Y_BOUND, -BIMODAL_Y_BOUND):
+            cfg = validate_config({"scenario": "bimodal-oracle-check",
+                                   "params": {"y_star": y_star}})
+            assert cfg.params["y_star"] == y_star
+
     def test_version_check(self):
         with pytest.raises(ConfigError, match="config_version"):
             validate_config({"scenario": "l63-limit-dist",
@@ -253,6 +296,20 @@ class TestCli:
             "scenario": scenario, "params": {"t_f": 0.5, "dt_obs": [0.9]}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert "params.t_f: t_f=0.5 is shorter than dt_obs=[0.9]" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    @pytest.mark.parametrize("scenario, params, problem", [
+        # each of these would fail every replicate, or validation itself
+        ("l96-adaptive-aug", {"sigma": 0.01}, "params.sigma: "),
+        ("bimodal-oracle-check", {"y_star": 20.0}, "params.y_star: "),
+        ("l96-rmse-sweep", {"filters": [["enkf"]]}, "params.filters[0]: unknown filter"),
+    ])
+    def test_run_rejected_param_exit_1_writes_nothing(self, tmp_path, capsys,
+                                                      scenario, params, problem):
+        cfg = write_config(tmp_path / "c.json", {"scenario": scenario, "params": params})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert problem in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_non_utf8_config_exit_1(self, tmp_path, capsys):
