@@ -70,7 +70,7 @@ def _attractor_block(n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` members scattered around one state on the L96 attractor."""
     x = 8.0 + 0.01 * rng.standard_normal(DIM)
     x = integrate(lorenz96_model(Lorenz96Params(dim=DIM)), x, 0.0, 10.0,
-                  IntegratorConfig(scheme="rk4", dt=0.01))
+                  IntegratorConfig(scheme="stochastic-heun", dt=0.01))
     return x[:, None] + 0.5 * rng.standard_normal((DIM, n))
 
 
@@ -98,7 +98,7 @@ def _dp45_counts(model, x, t1, cfg) -> dict:
     dp_stages = integrators._dp_stages
     integrators._dp_stages = stages
     try:
-        integrate(DynModel(state_dim=model.state_dim, drift=drift), x, 0.0, t1, cfg)
+        integrate(DynModel(drift=drift), x, 0.0, t1, cfg)
     finally:
         integrators._dp_stages = dp_stages
     return {"drift_calls": calls, "attempts": attempts}
@@ -203,7 +203,7 @@ def main() -> None:
     trim = TrimConfig(target_ne=50.0)
     d = trim_distance(joint.observations, y_star, joint.observations.std(axis=1, ddof=1))
     layers["kalman_gain_36x1000"] = _measure(lambda: kalman_gain(joint), args.repeats)
-    layers["adapt_lambda_n1000"] = _measure(lambda: adapt_lambda(d, 50.0, trim), args.repeats)
+    layers["adapt_lambda_n1000"] = _measure(lambda: adapt_lambda(d, 50.0), args.repeats)
     layers["tenkf_update_36x1000"] = _measure(
         lambda: tenkf_update(joint, y_star, trim, step_rng), args.repeats
     )

@@ -39,7 +39,7 @@ from .filters import (
     trim_distance,
     trim_weights,
 )
-from .integrators import IntegratorConfig, IntegrationError, heun_sde_step, integrate, rk4_step
+from .integrators import IntegratorConfig, IntegrationError, heun_sde_step, integrate
 from .metrics import (
     ensemble_mean_rmse,
     ensemble_rmse,
@@ -70,7 +70,6 @@ from .oracle import (
     bayes_posterior,
     bimodal_toy,
     enkf_limit_pdf,
-    kalman_filter_exact,
     kalman_filter_sequence,
     tenkf_limit_pdf,
 )

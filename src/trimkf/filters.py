@@ -3,7 +3,8 @@
 The trimmed update follows its algorithm statement literally: the Kalman
 gain is estimated from the *untrimmed* forecast ensemble, distances to the
 measurement are turned into exponential weights with scale ``lambda``
-(optionally tuned by bisection to hit a target effective size), the joint
+(optionally tuned by bisection to hit a target effective size; the search
+interval, tolerance and iteration cap are module constants), the joint
 ensemble is bootstrap-resampled under those weights, and only then is the
 linear update applied.  Large ``lambda`` recovers the plain EnKF update up
 to resampling; small ``lambda`` approaches the exact Bayesian posterior.
@@ -27,7 +28,7 @@ from .ensemble import (
     normalize_weights,
     resample_indices,
 )
-from .integrators import IntegratorConfig, integrate
+from .integrators import IntegratorConfig, _require_finite, integrate
 from .models import DynModel, MeasModel, log_likelihood, observe
 
 __all__ = [
@@ -65,6 +66,12 @@ def _stage_error(stage: str, k: int, t: float, exc: Exception) -> AssimilationEr
     return AssimilationError(f"{stage} step {k} (t={t:.6g}): {type(exc).__name__}: {exc}")
 
 
+# Bisection of the trimming scale: search interval, n_e tolerance, iteration cap.
+LAM_BOUNDS = (1e-6, 1e6)
+NE_TOLERANCE = 0.05
+MAX_BISECT_ITERS = 60
+
+
 @dataclass(frozen=True)
 class TrimConfig:
     """Trimming scale and effective-size control.
@@ -77,20 +84,13 @@ class TrimConfig:
 
     lam: float = 1.0
     target_ne: float | None = None
-    lam_bounds: tuple[float, float] = (1e-6, 1e6)
-    ne_tolerance: float = 0.05
-    max_bisect_iters: int = 60
 
     def __post_init__(self):
+        _require_finite(self, "lam", "target_ne")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        lo, hi = self.lam_bounds
-        if not (0 < lo < hi):
-            raise ValueError("lam_bounds must satisfy 0 < lo < hi")
         if self.target_ne is not None and self.target_ne < 1:
             raise ValueError("target_ne must be at least 1")
-        if self.ne_tolerance <= 0:
-            raise ValueError("ne_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,7 @@ class AugmentConfig:
     sigma_p: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "d_max", "r_max", "sigma_p")
         if self.d_max <= 0:
             raise ValueError("d_max must be positive")
         if self.r_max < 1:
@@ -148,7 +149,7 @@ def forecast(
     """Propagate every member over the forecast horizon, then observe it.
 
     Members stay column-aligned between states and observations.  The whole
-    member block advances at once: fixed-step schemes are bit-identical to
+    member block advances at once: noiseless Heun is bit-identical to
     per-member stepping, and the adaptive scheme steps the block in lockstep
     with the worst member's error norm controlling the shared step.
     """
@@ -226,17 +227,13 @@ def trim_weights(d: np.ndarray, lam: float) -> np.ndarray:
     return normalize_weights(np.exp(logw))
 
 
-def adapt_lambda(
-    d: np.ndarray,
-    target_ne: float,
-    cfg: TrimConfig,
-) -> tuple[float, np.ndarray, str | None]:
+def adapt_lambda(d: np.ndarray, target_ne: float) -> tuple[float, np.ndarray, str | None]:
     """Tune the trimming scale so the effective size hits ``target_ne``.
 
     The effective size is non-decreasing in ``lambda``, so a bisection on
-    ``log(lambda)`` over ``cfg.lam_bounds`` converges; iteration stops when
-    ``|n_e - target| / target <= cfg.ne_tolerance`` or after
-    ``cfg.max_bisect_iters`` halvings.  If the target is unreachable at a
+    ``log(lambda)`` over ``LAM_BOUNDS`` converges; iteration stops when
+    ``|n_e - target| / target <= NE_TOLERANCE`` or after
+    ``MAX_BISECT_ITERS`` halvings.  If the target is unreachable at a
     bound, that bound is returned together with a diagnostic flag.
 
     Returns
@@ -248,7 +245,7 @@ def adapt_lambda(
     n = d.size
     if not 1 <= target_ne <= n:
         raise ValueError(f"target_ne must lie in [1, {n}], got {target_ne}")
-    lo, hi = cfg.lam_bounds
+    lo, hi = LAM_BOUNDS
     if np.all(d == d[0]):
         return hi, np.full(n, 1.0 / n), "no trim possible"
 
@@ -257,28 +254,28 @@ def adapt_lambda(
         return effective_size(w), w
 
     ne_hi, w_hi = ne_at(hi)
-    if ne_hi < target_ne * (1 - cfg.ne_tolerance):
+    if ne_hi < target_ne * (1 - NE_TOLERANCE):
         return hi, w_hi, "target above reach at lam_max"
-    if abs(ne_hi - target_ne) / target_ne <= cfg.ne_tolerance:
+    if abs(ne_hi - target_ne) / target_ne <= NE_TOLERANCE:
         # zero-trim already satisfies the target; prefer the mildest trim
         return hi, w_hi, None
     ne_lo, w_lo = ne_at(lo)
-    if ne_lo > target_ne * (1 + cfg.ne_tolerance):
+    if ne_lo > target_ne * (1 + NE_TOLERANCE):
         return lo, w_lo, "target below reach at lam_min"
 
     log_lo, log_hi = np.log10(lo), np.log10(hi)
     lam, w, ne = hi, w_hi, ne_hi
-    for _ in range(cfg.max_bisect_iters):
+    for _ in range(MAX_BISECT_ITERS):
         mid = 0.5 * (log_lo + log_hi)
         lam = 10.0 ** mid
         ne, w = ne_at(lam)
-        if abs(ne - target_ne) / target_ne <= cfg.ne_tolerance:
+        if abs(ne - target_ne) / target_ne <= NE_TOLERANCE:
             return lam, w, None
         if ne > target_ne:
             log_hi = mid
         else:
             log_lo = mid
-    return lam, w, "max_bisect_iters reached"
+    return lam, w, "bisection iteration cap reached"
 
 
 def tenkf_update(
@@ -304,7 +301,7 @@ def tenkf_update(
 
     flag = None
     if cfg.target_ne is not None:
-        lam, w, flag = adapt_lambda(d, min(cfg.target_ne, joint.size), cfg)
+        lam, w, flag = adapt_lambda(d, min(cfg.target_ne, joint.size))
     else:
         lam, w = cfg.lam, trim_weights(d, cfg.lam)
 
@@ -414,6 +411,13 @@ class AssimilationProblem:
     integrator: IntegratorConfig
     dt_obs: float
     t_f: float
+
+    def __post_init__(self):
+        _require_finite(self, "dt_obs", "t_f")
+        if self.dt_obs <= 0:
+            raise ValueError("dt_obs must be positive")
+        if self.t_f < 0:
+            raise ValueError("t_f must be non-negative")
 
     def n_steps(self) -> int:
         return int(np.floor(self.t_f / self.dt_obs + 1e-9))

@@ -1,4 +1,4 @@
-"""Time integration: stochastic Heun, fixed-step RK4, adaptive RK45.
+"""Time integration: fixed-step stochastic Heun and adaptive RK45.
 
 The stochastic Heun step uses a trapezoidal update of the drift and an
 Euler update of the noise, with the same Gaussian increment appearing in
@@ -12,16 +12,16 @@ stage.  DP45 thus calls the drift six times per attempt plus once per
 interval, and a drift must be a pure function of ``(x, t)``.
 
 A non-finite drift result raises ``IntegrationError`` naming its time and
-first bad member.  Heun and RK4 check each drift result as it is made, as
-does DP45 for the first drift of an interval.  A DP45 attempt is checked
+first bad member.  Heun checks each drift result as it is made, as does
+DP45 for the first drift of an interval.  A DP45 attempt is checked
 once, after its error norm, which every stage but stage 1 enters with a
 nonzero weight; stage 1 gets a test of its own.  Within an attempt the
 drift may therefore be called on a non-finite stage state before the
 attempt raises the error the first bad stage would have raised.
 
 All steppers accept states of shape ``(N,)`` or ``(N, n)`` (member columns)
-as long as the model drift is vectorized; fixed-step results on a batch are
-bit-identical to stepping each column alone.
+as long as the model drift is vectorized; without noise, Heun results on a
+batch are bit-identical to stepping each column alone.
 """
 
 from __future__ import annotations
@@ -37,15 +37,16 @@ __all__ = [
     "IntegratorConfig",
     "IntegrationError",
     "heun_sde_step",
-    "rk4_step",
     "integrate",
 ]
 
-SCHEMES = ("stochastic-heun", "rk4", "rk45-adaptive")
+SCHEMES = ("stochastic-heun", "rk45-adaptive")
 
 # Attempted adaptive steps per integration interval: a member diverging toward
 # a finite-time blow-up fails fast instead of grinding the step size down.
 MAX_ADAPTIVE_STEPS = 100_000
+# The adaptive controller fails rather than take a step shorter than this.
+MIN_ADAPTIVE_STEP = 1e-12
 
 
 class IntegrationError(RuntimeError):
@@ -53,26 +54,31 @@ class IntegrationError(RuntimeError):
     controller underflows its minimum step."""
 
 
+def _require_finite(cfg, *names: str) -> None:
+    """Raise ``ValueError`` for the first field in ``names`` set to a non-finite value."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Scheme selection and step-control parameters.
 
-    ``dt`` is the fixed step for the fixed-step schemes and the initial
-    step guess for the adaptive one, which fails below ``min_step``.
+    ``dt`` is the fixed step of stochastic Heun and the initial step guess
+    of the adaptive scheme, which fails below ``MIN_ADAPTIVE_STEP``.
     """
 
-    scheme: str = "rk4"
+    scheme: str = "stochastic-heun"
     dt: float = 0.01
     rtol: float = 1e-6
     atol: float = 1e-9
-    min_step: float = 1e-12
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        for name in ("dt", "rtol", "atol", "min_step"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _require_finite(self, "dt", "rtol", "atol")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.scheme == "rk45-adaptive" and (self.rtol <= 0 or self.atol <= 0):
@@ -138,34 +144,6 @@ def heun_sde_step(
     f1 += x
     f1 += dw
     return f1
-
-
-def rk4_step(model: DynModel, x: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """Classic fourth-order Runge-Kutta step (deterministic drift only).
-
-    Computes ``x + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` with the textbook operation
-    order, in place on the stage results; ``x`` is not modified.
-    """
-    x = np.asarray(x, dtype=float)
-    half = 0.5 * dt
-    k1 = _checked_drift(model, x, t)
-    xs = k1 * half
-    xs += x
-    k2 = _checked_drift(model, xs, t + half)
-    np.multiply(k2, half, out=xs)
-    xs += x
-    k3 = _checked_drift(model, xs, t + half)
-    np.multiply(k3, dt, out=xs)
-    xs += x
-    k4 = _checked_drift(model, xs, t + dt)
-    k2 *= 2.0
-    k2 += k1
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    k2 *= dt / 6.0
-    k2 += x
-    return k2
 
 
 # Dormand-Prince 5(4) tableau, in Python floats: a NumPy scalar costs more
@@ -270,9 +248,9 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
                 f"adaptive step budget exhausted ({MAX_ADAPTIVE_STEPS} steps) at t={t:.6g}"
             )
         dt = min(dt, t1 - t)
-        if dt < cfg.min_step:
+        if dt < MIN_ADAPTIVE_STEP:
             raise IntegrationError(
-                f"adaptive step underflow: dt={dt:.3e} < min_step={cfg.min_step:.3e} at t={t:.6g}"
+                f"adaptive step underflow: dt={dt:.3e} < {MIN_ADAPTIVE_STEP:.3e} at t={t:.6g}"
             )
         _dp_stages(drift, x, t, dt, k, x_new, err, tmp)
         # ratios = (err / (atol + rtol * max(|x|, |x_new|)))**2; max(sum) / N
@@ -321,9 +299,9 @@ def integrate(
 ) -> np.ndarray:
     """Advance a continuous-dynamics state from ``t0`` to ``t1``.
 
-    Fixed-step schemes land exactly on ``t1`` (a final partial step is
-    allowed).  Deterministic schemes require ``noise_intensity == 0``;
-    stochastic Heun requires an ``rng`` whenever noise is active.
+    Stochastic Heun lands exactly on ``t1`` (a final partial step is
+    allowed) and needs an ``rng`` whenever noise is active.  The adaptive
+    scheme is deterministic and requires ``noise_intensity == 0``.
     """
     if model.drift is None:
         raise IntegrationError("integrate requires a drift-based model")
@@ -333,24 +311,20 @@ def integrate(
     if t1 == t0:
         return x.copy()
 
-    if cfg.scheme == "stochastic-heun":
-        if model.noise_intensity > 0 and rng is None:
-            raise ValueError("stochastic integration needs an rng")
-        step, args = heun_sde_step, (rng,)
-    elif model.noise_intensity > 0:
-        raise IntegrationError(
-            f"scheme {cfg.scheme!r} is deterministic; model has noise_intensity > 0"
-        )
-    elif cfg.scheme == "rk45-adaptive":
+    if cfg.scheme == "rk45-adaptive":
+        if model.noise_intensity > 0:
+            raise IntegrationError(
+                f"scheme {cfg.scheme!r} is deterministic; model has noise_intensity > 0"
+            )
         with np.errstate(over="ignore", invalid="ignore"):
             return _rk45_adaptive(model, x, t0, t1, cfg)
-    else:
-        step, args = rk4_step, ()
+    if model.noise_intensity > 0 and rng is None:
+        raise ValueError("stochastic integration needs an rng")
     n_full, remainder = _fixed_grid_steps(t0, t1, cfg.dt)
     t = t0
     for _ in range(n_full):
-        x = step(model, x, t, cfg.dt, *args)
+        x = heun_sde_step(model, x, t, cfg.dt, rng)
         t += cfg.dt
     if remainder > 0.0:
-        x = step(model, x, t, remainder, *args)
+        x = heun_sde_step(model, x, t, remainder, rng)
     return x

@@ -92,9 +92,9 @@ def ks_distance(a, b) -> float:
     return max(d, float(np.max(np.abs(fa_left - fb_left))))
 
 
-def replicate_quantiles(values: np.ndarray, qs=(0.25, 0.5, 0.75)) -> np.ndarray:
-    """Linear-interpolation quantiles of per-replicate aggregates."""
+def replicate_quantiles(values: np.ndarray) -> np.ndarray:
+    """Linear-interpolation quartiles of per-replicate aggregates."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("need at least one replicate")
-    return np.quantile(values, np.asarray(qs, dtype=float), method="linear")
+    return np.quantile(values, (0.25, 0.5, 0.75), method="linear")

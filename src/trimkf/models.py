@@ -2,7 +2,8 @@
 
 A :class:`DynModel` either carries a drift field (continuous dynamics,
 advanced by the integrators module) or a one-shot ``transition`` map
-(discrete dynamics such as the linear-Gaussian reference model).  Drift
+(discrete dynamics such as the linear-Gaussian reference model); the
+state dimension is the leading axis of the states it is given.  Drift
 functions are vectorized over members: they accept ``(N,)`` or ``(N, n)``
 arrays and return the same shape, in an array the caller may overwrite (the
 integrators reuse drift results as work space; returning the input itself is
@@ -57,14 +58,11 @@ class DynModel:
     deterministic map: identical inputs give identical outputs.
     """
 
-    state_dim: int
     drift: Callable[[np.ndarray, float], np.ndarray] | None = None
     noise_intensity: float = 0.0
     transition: Callable[[np.ndarray, float, np.random.Generator], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.state_dim < 1:
-            raise ModelError("state_dim must be positive")
         if self.noise_intensity < 0:
             raise ModelError("noise_intensity must be non-negative")
         if (self.drift is None) == (self.transition is None):
@@ -166,13 +164,11 @@ def l96_drift(x: np.ndarray, p: Lorenz96Params) -> np.ndarray:
 
 
 def lorenz63_model(p: Lorenz63Params) -> DynModel:
-    return DynModel(state_dim=3, drift=lambda x, t: l63_drift(x, p), noise_intensity=p.sigma)
+    return DynModel(drift=lambda x, t: l63_drift(x, p), noise_intensity=p.sigma)
 
 
 def lorenz96_model(p: Lorenz96Params) -> DynModel:
-    return DynModel(
-        state_dim=p.dim, drift=lambda x, t: l96_drift(x, p), noise_intensity=p.sigma
-    )
+    return DynModel(drift=lambda x, t: l96_drift(x, p), noise_intensity=p.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +283,7 @@ def linear_gaussian_model(
             out = out + q_factor @ rng.standard_normal(out.shape)
         return out
 
-    dyn = DynModel(state_dim=n_state, transition=transition)
+    dyn = DynModel(transition=transition)
     meas = MeasModel(obs_dim=n_obs, h=lambda x: H @ np.asarray(x, dtype=float),
                      noise_std=np.sqrt(np.diag(R)))
     return dyn, meas

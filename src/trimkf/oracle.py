@@ -25,7 +25,6 @@ __all__ = [
     "bayes_posterior",
     "enkf_limit_pdf",
     "tenkf_limit_pdf",
-    "kalman_filter_exact",
     "kalman_filter_sequence",
     "joint_from_conditional",
     "bimodal_toy",
@@ -314,48 +313,28 @@ def tenkf_limit_pdf(
 # ---------------------------------------------------------------------------
 
 
-def kalman_filter_exact(
-    A: np.ndarray,
-    Q: np.ndarray,
-    H: np.ndarray,
-    R: np.ndarray,
-    mean: np.ndarray,
-    cov: np.ndarray,
-    y_star: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One forecast-update cycle of the exact Kalman filter.
-
-    Returns (forecast_mean, forecast_cov, posterior_mean, posterior_cov).
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
-
-    m_f = A @ mean
-    p_f = A @ cov @ A.T + Q
-    s = H @ p_f @ H.T + R
-    try:
-        gain = np.linalg.solve(s.T, (p_f @ H.T).T).T
-    except np.linalg.LinAlgError as exc:
-        raise OracleError(f"singular innovation covariance (cond={np.linalg.cond(s):.3e})") from exc
-    m_a = m_f + gain @ (y_star - H @ m_f)
-    p_a = (np.eye(cov.shape[0]) - gain @ H) @ p_f
-    return m_f, p_f, m_a, p_a
-
-
 def kalman_filter_sequence(A, Q, H, R, mean0, cov0, ys):
-    """Run the exact recursion over a sequence of measurements.
+    """Run the exact Kalman recursion over a sequence of measurements.
 
     Returns per-step lists of posterior means and covariances.
     """
+    A, Q, H, R = (np.atleast_2d(np.asarray(m, dtype=float)) for m in (A, Q, H, R))
+    mean = np.atleast_1d(np.asarray(mean0, dtype=float))
+    cov = np.atleast_2d(np.asarray(cov0, dtype=float))
+    eye = np.eye(cov.shape[0])
     means, covs = [], []
-    mean, cov = mean0, cov0
     for y in ys:
-        _, _, mean, cov = kalman_filter_exact(A, Q, H, R, mean, cov, y)
+        m_f = A @ mean
+        p_f = A @ cov @ A.T + Q
+        s = H @ p_f @ H.T + R
+        try:
+            gain = np.linalg.solve(s.T, (p_f @ H.T).T).T
+        except np.linalg.LinAlgError as exc:
+            raise OracleError(
+                f"singular innovation covariance (cond={np.linalg.cond(s):.3e})"
+            ) from exc
+        mean = m_f + gain @ (np.atleast_1d(np.asarray(y, dtype=float)) - H @ m_f)
+        cov = (eye - gain @ H) @ p_f
         means.append(mean)
         covs.append(cov)
     return means, covs

@@ -16,7 +16,14 @@ from scipy.stats import binomtest
 from trimkf.ensemble import Ensemble, JointEnsemble, effective_size
 from trimkf.experiments.config import validate_config
 from trimkf.experiments.scenarios import run_scenario
-from trimkf.filters import TrimConfig, adapt_lambda, pf_update, tenkf_update
+from trimkf.filters import (
+    MAX_BISECT_ITERS,
+    NE_TOLERANCE,
+    TrimConfig,
+    adapt_lambda,
+    pf_update,
+    tenkf_update,
+)
 from trimkf.integrators import IntegratorConfig, integrate
 from trimkf.metrics import ks_distance
 from trimkf.models import DynModel, MeasModel
@@ -195,12 +202,13 @@ def test_criterion_6_effective_size_control():
     """Over 200 random |N(0,1)| distance vectors of length 1000, the lambda
     bisection reaches the target effective size 50 within 5% relative error
     in at most 60 iterations, every time."""
+    # the stated tolerance and cap are the bisection's own constants
+    assert (NE_TOLERANCE, MAX_BISECT_ITERS) == (0.05, 60)
     rng = np.random.default_rng(606)
-    cfg = TrimConfig(target_ne=50.0, ne_tolerance=0.05, max_bisect_iters=60)
     worst = 0.0
     for _ in range(200):
         d = np.abs(rng.standard_normal(1000))
-        lam, w, flag = adapt_lambda(d, 50.0, cfg)
+        lam, w, flag = adapt_lambda(d, 50.0)
         assert flag is None, f"bisection flagged: {flag}"
         ne = effective_size(w)
         worst = max(worst, abs(ne - 50.0) / 50.0)
@@ -215,12 +223,12 @@ def test_criterion_8_integrator_orders():
     """The adaptive integrator reproduces e over unit time within 1e-6, and
     the stochastic Heun moment errors on the scalar linear SDE decay at
     least linearly over dt in {0.04, 0.02, 0.01}."""
-    m = DynModel(state_dim=1, drift=lambda x, t: x)
+    m = DynModel(drift=lambda x, t: x)
     cfg = IntegratorConfig(scheme="rk45-adaptive", dt=0.1, rtol=1e-8, atol=1e-10)
     e_err = abs(integrate(m, np.array([1.0]), 0.0, 1.0, cfg)[0] - np.e)
 
     a, sigma, t_end = 2.0, 0.05, 1.0
-    sde = DynModel(state_dim=1, drift=lambda x, t: a * x, noise_intensity=sigma)
+    sde = DynModel(drift=lambda x, t: a * x, noise_intensity=sigma)
     exact_mean = np.exp(a * t_end)
     exact_var = sigma**2 * (np.exp(2 * a * t_end) - 1) / (2 * a)
     n = 400_000

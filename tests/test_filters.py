@@ -1,14 +1,18 @@
 """Tests for the EnKF, trimmed EnKF, particle filter, and the run loop."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trimkf import filters
 from trimkf.ensemble import Ensemble, JointEnsemble, effective_size
 from trimkf.filters import (
+    LAM_BOUNDS,
+    NE_TOLERANCE,
     AssimilationError,
     AssimilationProblem,
     AugmentConfig,
@@ -37,16 +41,16 @@ def make_joint(x, y):
 
 class TestForecast:
     def test_zero_horizon_noiseless(self):
-        dyn = DynModel(state_dim=2, drift=lambda x, t: np.zeros_like(x))
+        dyn = DynModel(drift=lambda x, t: np.zeros_like(x))
         meas = select_observer(2, [0], noise_std=0.0)
         prior = Ensemble(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        j = forecast(prior, dyn, meas, IntegratorConfig(scheme="rk4", dt=0.1), 0.0,
+        j = forecast(prior, dyn, meas, IntegratorConfig(dt=0.1), 0.0,
                      np.random.default_rng(0))
         assert np.array_equal(j.states.members, prior.members)
         assert np.array_equal(j.observations, [[1.0, 2.0]])
 
     def test_identity_dynamics_keeps_states(self):
-        dyn = DynModel(state_dim=1, transition=lambda x, t, rng: x)
+        dyn = DynModel(transition=lambda x, t, rng: x)
         meas = select_observer(1, [0], noise_std=0.0)
         prior = Ensemble(np.array([[1.0, 2.0, 3.0]]))
         j = forecast(prior, dyn, meas, IntegratorConfig(), 1.0, np.random.default_rng(0))
@@ -177,18 +181,18 @@ class TestTrimWeights:
 class TestAdaptLambda:
     def test_target_n_uniform_at_upper_bound(self):
         # target equal to n is satisfied by the zero-trim boundary itself
-        cfg = TrimConfig(target_ne=4.0)
         d = np.array([0.0, 0.5, 1.0, 2.0])
-        lam, w, flag = adapt_lambda(d, 4.0, cfg)
-        assert lam == cfg.lam_bounds[1]
+        lam, w, flag = adapt_lambda(d, 4.0)
+        assert lam == LAM_BOUNDS[1]
         assert flag is None
         assert effective_size(w) > 3.9
         assert np.allclose(w, 0.25, atol=1e-6)
 
-    def test_two_member_closed_form(self):
+    def test_two_member_closed_form(self, monkeypatch):
         # d = (0, 1), target 1.6: w = 0.75 and lambda = 1 / ln 3
-        cfg = TrimConfig(target_ne=1.6, ne_tolerance=1e-6, max_bisect_iters=200)
-        lam, w, flag = adapt_lambda(np.array([0.0, 1.0]), 1.6, cfg)
+        monkeypatch.setattr(filters, "NE_TOLERANCE", 1e-6)
+        monkeypatch.setattr(filters, "MAX_BISECT_ITERS", 200)
+        lam, w, flag = adapt_lambda(np.array([0.0, 1.0]), 1.6)
         assert flag is None
         assert w == pytest.approx([0.75, 0.25], rel=1e-4)
         assert lam == pytest.approx(1.0 / np.log(3.0), rel=1e-3)
@@ -196,15 +200,13 @@ class TestAdaptLambda:
     def test_thousand_member_control(self):
         rng = np.random.default_rng(7)
         d = np.abs(rng.standard_normal(1000))
-        cfg = TrimConfig(target_ne=50.0)
-        lam, w, flag = adapt_lambda(d, 50.0, cfg)
+        lam, w, flag = adapt_lambda(d, 50.0)
         assert flag is None
         ne = effective_size(w)
-        assert abs(ne - 50.0) / 50.0 <= cfg.ne_tolerance
+        assert abs(ne - 50.0) / 50.0 <= NE_TOLERANCE
 
     def test_identical_distances_flagged(self):
-        cfg = TrimConfig(target_ne=2.0)
-        lam, w, flag = adapt_lambda(np.full(5, 3.0), 2.0, cfg)
+        lam, w, flag = adapt_lambda(np.full(5, 3.0), 2.0)
         assert flag == "no trim possible"
         assert np.allclose(w, 0.2)
 
@@ -226,8 +228,8 @@ class TestAdaptLambda:
     def test_meets_tolerance_or_flags(self, d, target_frac, tol, iters):
         d = np.array(d)
         target = 1.0 + target_frac * (d.size - 1)
-        cfg = TrimConfig(target_ne=target, ne_tolerance=tol, max_bisect_iters=iters)
-        lam, w, flag = adapt_lambda(d, target, cfg)
+        with mock.patch.multiple(filters, NE_TOLERANCE=tol, MAX_BISECT_ITERS=iters):
+            lam, w, flag = adapt_lambda(d, target)
         assert flag is not None or abs(effective_size(w) - target) / target <= tol
         assert w.shape == d.shape and np.all(w >= 0.0)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
@@ -448,6 +450,32 @@ def scalar_run(problem, method, rng, n=500):
     return run_assimilation(problem, method, rng, truth, initial)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("cls, field, value", [
+        (TrimConfig, "lam", np.nan), (TrimConfig, "lam", np.inf),
+        (TrimConfig, "target_ne", np.nan), (TrimConfig, "target_ne", np.inf),
+        (AugmentConfig, "d_max", np.nan), (AugmentConfig, "d_max", np.inf),
+        (AugmentConfig, "r_max", np.nan), (AugmentConfig, "r_max", np.inf),
+        (AugmentConfig, "sigma_p", np.nan), (AugmentConfig, "sigma_p", -np.inf),
+    ])
+    def test_non_finite_rejected(self, cls, field, value):
+        # nan passes every sign check; unchecked, d_max = nan grows every
+        # forecast to the r_max cap and r_max = inf overflows in augment_forecast
+        base = {"d_max": 1.0} if cls is AugmentConfig else {}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cls(**{**base, field: value})
+
+    @pytest.mark.parametrize("dt_obs, t_f, field", [
+        (0.0, 1.0, "dt_obs"), (-0.5, 1.0, "dt_obs"), (np.nan, 1.0, "dt_obs"),
+        (np.inf, 1.0, "dt_obs"), (1.0, np.inf, "t_f"), (1.0, np.nan, "t_f"),
+        (1.0, -1.0, "t_f"),
+    ])
+    def test_degenerate_timing_rejected(self, dt_obs, t_f, field):
+        dyn, meas = linear_gaussian_model([[1.0]], [[0.1]], [[1.0]], [[0.1]])
+        with pytest.raises(ValueError, match=field):
+            AssimilationProblem(dyn, meas, IntegratorConfig(), dt_obs, t_f)
+
+
 class TestRunAssimilation:
     def test_zero_steps_returns_prior_only(self):
         problem = scalar_problem(steps=0)
@@ -490,10 +518,10 @@ class TestRunAssimilation:
     def test_step_error_annotated(self):
         from trimkf.filters import TruthRun
 
-        dyn = DynModel(state_dim=1, drift=lambda x, t: x * np.where(t > 1.5, np.nan, 1.0))
+        dyn = DynModel(drift=lambda x, t: x * np.where(t > 1.5, np.nan, 1.0))
         meas = select_observer(1, [0], noise_std=0.1)
         problem = AssimilationProblem(
-            dyn=dyn, meas=meas, integrator=IntegratorConfig(scheme="rk4", dt=0.1),
+            dyn=dyn, meas=meas, integrator=IntegratorConfig(dt=0.1),
             dt_obs=1.0, t_f=3.0)
         rng = np.random.default_rng(0)
         initial = Ensemble(np.ones((1, 10)) + 0.01 * rng.standard_normal((1, 10)))
@@ -596,7 +624,7 @@ class TestStageErrors:
             return np.asarray(x, dtype=float)
 
         return AssimilationProblem(
-            dyn=DynModel(state_dim=1, transition=transition),
+            dyn=DynModel(transition=transition),
             meas=select_observer(1, [0], noise_std=0.1), integrator=IntegratorConfig(),
             dt_obs=1.0, t_f=3.0)
 

@@ -1,4 +1,4 @@
-"""Tests for the stochastic Heun, RK4, and adaptive RK45 steppers."""
+"""Tests for the stochastic Heun and adaptive RK45 steppers."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from trimkf.integrators import (
     _checked_drift,
     heun_sde_step,
     integrate,
-    rk4_step,
 )
 from trimkf.models import (
     DynModel,
@@ -26,12 +25,12 @@ from trimkf.models import (
 
 
 def scalar_model(a=1.0, sigma=0.0):
-    return DynModel(state_dim=1, drift=lambda x, t: a * x, noise_intensity=sigma)
+    return DynModel(drift=lambda x, t: a * x, noise_intensity=sigma)
 
 
 class TestHeunStep:
     def test_constant_dynamics_identity(self):
-        m = DynModel(state_dim=1, drift=lambda x, t: np.zeros_like(x))
+        m = DynModel(drift=lambda x, t: np.zeros_like(x))
         x = heun_sde_step(m, np.array([2.5]), 0.0, 0.1, np.random.default_rng(0))
         assert x == pytest.approx([2.5])
 
@@ -44,7 +43,7 @@ class TestHeunStep:
 
     def test_pure_noise_increment_variance(self):
         # f = 0, sigma = 1: x' - x = dW with variance dt
-        m = DynModel(state_dim=1, drift=lambda x, t: np.zeros_like(x), noise_intensity=1.0)
+        m = DynModel(drift=lambda x, t: np.zeros_like(x), noise_intensity=1.0)
         rng = np.random.default_rng(42)
         dt = 0.04
         n = 100_000
@@ -70,7 +69,7 @@ class TestHeunStep:
                 out[:, 1] = np.inf
             return out
 
-        m = DynModel(state_dim=1, drift=bad)
+        m = DynModel(drift=bad)
         with pytest.raises(IntegrationError, match="member 1"):
             heun_sde_step(m, np.zeros((1, 3)), 0.0, 0.1, np.random.default_rng(0))
 
@@ -79,7 +78,7 @@ class TestIntegrate:
     def test_zero_interval_returns_copy(self):
         m = scalar_model()
         x0 = np.array([1.0])
-        out = integrate(m, x0, 1.0, 1.0, IntegratorConfig(scheme="rk4", dt=0.1))
+        out = integrate(m, x0, 1.0, 1.0, IntegratorConfig(dt=0.1))
         assert np.array_equal(out, x0) and out is not x0
 
     def test_rk45_exponential_oracle(self):
@@ -100,9 +99,12 @@ class TestIntegrate:
             assert abs(o - exact) < 1e-6
 
     def test_rk4_vs_rk45_on_lorenz(self):
+        # an independent reference: 100 chained textbook RK4 steps
         dyn = lorenz63_model(Lorenz63Params())
         x0 = np.array([-5.9, -6.0, 24.0])
-        a = integrate(dyn, x0, 0.0, 1.0, IntegratorConfig(scheme="rk4", dt=0.01))
+        a = x0
+        for i in range(100):
+            a = _ref_rk4(dyn, a, i * 0.01, 0.01)
         b = integrate(dyn, x0, 0.0, 1.0,
                       IntegratorConfig(scheme="rk45-adaptive", dt=0.01, rtol=1e-9, atol=1e-12))
         assert np.allclose(a, b, atol=1e-3)
@@ -110,26 +112,26 @@ class TestIntegrate:
     def test_fixed_step_lands_exactly_with_partial_step(self):
         # 0.25 / 0.1 = 2 full steps plus a 0.05 partial step landing on t1
         m = scalar_model(a=1.0)
-        out = integrate(m, np.array([1.0]), 0.0, 0.25, IntegratorConfig(scheme="rk4", dt=0.1))
-        assert out[0] == pytest.approx(np.exp(0.25), rel=1e-6)
-        # against hand-chained steps: exp is approximated per RK4 truncation
+        out = integrate(m, np.array([1.0]), 0.0, 0.25, IntegratorConfig(dt=0.1))
+        assert out[0] == pytest.approx(np.exp(0.25), rel=1e-3)
+        # against hand-chained steps: exp is approximated per Heun truncation
         manual = np.array([1.0])
         for dt in (0.1, 0.1, 0.05):
-            manual = rk4_step(m, manual, 0.0, dt)
+            manual = heun_sde_step(m, manual, 0.0, dt, None)
         assert out[0] == manual[0]
 
     def test_noise_with_deterministic_scheme_rejected(self):
         m = scalar_model(sigma=0.5)
         with pytest.raises(IntegrationError):
-            integrate(m, np.array([1.0]), 0.0, 1.0, IntegratorConfig(scheme="rk4", dt=0.1),
-                      np.random.default_rng(0))
+            integrate(m, np.array([1.0]), 0.0, 1.0,
+                      IntegratorConfig(scheme="rk45-adaptive", dt=0.1), np.random.default_rng(0))
 
-    def test_step_underflow_raises(self):
-        # bounded but unresolvable oscillation forces dt below min_step
-        m = DynModel(state_dim=1, drift=lambda x, t: np.cos(1e7 * t) * np.ones_like(x))
-        cfg = IntegratorConfig(scheme="rk45-adaptive", dt=0.1, rtol=1e-10, atol=1e-12,
-                               min_step=1e-5)
-        with pytest.raises(IntegrationError, match="underflow"):
+    def test_step_underflow_raises(self, monkeypatch):
+        # bounded but unresolvable oscillation forces dt below the minimum step
+        monkeypatch.setattr(integrators, "MIN_ADAPTIVE_STEP", 1e-5)
+        m = DynModel(drift=lambda x, t: np.cos(1e7 * t) * np.ones_like(x))
+        cfg = IntegratorConfig(scheme="rk45-adaptive", dt=0.1, rtol=1e-10, atol=1e-12)
+        with pytest.raises(IntegrationError, match=r"underflow: dt=.* < 1\.000e-05"):
             integrate(m, np.array([1.0]), 0.0, 10.0, cfg)
 
     def test_step_budget_exhausted_raises(self, monkeypatch):
@@ -147,20 +149,23 @@ class TestIntegrate:
         assert np.array_equal(a, b)
 
     def test_batch_matches_per_member_for_fixed_step(self):
-        dyn = lorenz63_model(Lorenz63Params())
+        dyn = lorenz63_model(Lorenz63Params())  # sigma = 0
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, 6)) + np.array([[0.0], [0.0], [25.0]])
-        cfg = IntegratorConfig(scheme="rk4", dt=0.02)
+        cfg = IntegratorConfig(dt=0.02)
         batch = integrate(dyn, x, 0.0, 0.3, cfg)
         for i in range(6):
             single = integrate(dyn, x[:, i], 0.0, 0.3, cfg)
             assert np.array_equal(batch[:, i], single)
+            manual = x[:, i]
+            for k in range(15):
+                manual = heun_sde_step(dyn, manual, k * 0.02, 0.02, None)
+            assert np.array_equal(_bits(single), _bits(manual))
 
     @settings(max_examples=200, deadline=None)
-    @given(scheme=st.sampled_from(["stochastic-heun", "rk4"]),
-           t0=st.floats(-100.0, 100.0), span=st.floats(1e-3, 10.0),
+    @given(t0=st.floats(-100.0, 100.0), span=st.floats(1e-3, 10.0),
            dt_frac=st.floats(2e-3, 2.0), x0=st.floats(-100.0, 100.0))
-    def test_fixed_step_lands_on_t1(self, scheme, t0, span, dt_frac, x0):
+    def test_fixed_step_lands_on_t1(self, t0, span, dt_frac, x0):
         # dx/dt = 1 integrates exactly, so the result is x0 + (t1 - t0) up to
         # the rounding of the step sums, and the last step ends at t1
         times = []
@@ -171,8 +176,8 @@ class TestIntegrate:
 
         t1, dt = t0 + span, span * dt_frac
         tol = 1e-9 * max(dt, 1.0) + 1e-12 * (abs(t0) + abs(x0) + span)
-        out = integrate(DynModel(state_dim=1, drift=drift), np.array([x0]), t0, t1,
-                        IntegratorConfig(scheme=scheme, dt=dt))
+        out = integrate(DynModel(drift=drift), np.array([x0]), t0, t1,
+                        IntegratorConfig(dt=dt))
         assert out[0] == pytest.approx(x0 + (t1 - t0), rel=0, abs=tol)
         assert max(times) == pytest.approx(t1, rel=0, abs=tol)
 
@@ -241,20 +246,12 @@ class TestConfigValidation:
             IntegratorConfig(scheme="rk45-adaptive", rtol=0.0)
 
     @pytest.mark.parametrize("field, value", [
-        ("dt", np.nan), ("dt", np.inf), ("rtol", np.nan), ("atol", np.inf), ("min_step", np.nan),
+        ("dt", np.nan), ("dt", np.inf), ("rtol", np.nan), ("atol", np.inf),
     ])
     def test_non_finite_or_non_positive_rejected(self, field, value):
         # nan <= 0 is False, so a plain sign check lets nan through
         with pytest.raises(ValueError, match=field):
             IntegratorConfig(scheme="rk45-adaptive", **{field: value})
-
-
-def test_rk4_step_classic_order():
-    m = scalar_model(a=1.0)
-    # single RK4 step error on exp: O(dt^5)
-    for dt in (0.1, 0.05):
-        x = rk4_step(m, np.array([1.0]), 0.0, dt)
-        assert abs(x[0] - np.exp(dt)) < dt**5
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +272,7 @@ def _ref_heun(model, x, t, dt, rng):
 
 
 def _ref_rk4(model, x, t, dt):
+    """Classic RK4: an independent reference for DP45 on Lorenz-63."""
     f = model.drift
     k1 = f(x, t)
     k2 = f(x + 0.5 * dt * k1, t + 0.5 * dt)
@@ -353,7 +351,7 @@ def _dp45_vs_ref(model, x, t1, cfg):
             log.append(t)
             return model.drift(x, t)
 
-        return DynModel(state_dim=model.state_dim, drift=drift)
+        return DynModel(drift=drift)
 
     got = integrate(logged(calls["new"]), x, 0.0, t1, cfg)
     want, accepted, attempts = _ref_rk45(logged(calls["ref"]), x, 0.0, t1, cfg)
@@ -385,16 +383,6 @@ class TestFrozenReferences:
         got = heun_sde_step(l63, x, 0.0, 0.01, np.random.default_rng(7))
         want = _ref_heun(l63, x, 0.0, 0.01, np.random.default_rng(7))
         assert np.array_equal(_bits(got), _bits(want))
-
-    def test_rk4_matches_textbook_form_bitwise(self):
-        model, x = _l96_block(50, 2)
-        for dt in (0.01, 0.0037):
-            assert np.array_equal(_bits(rk4_step(model, x, 0.0, dt)),
-                                  _bits(_ref_rk4(model, x, 0.0, dt)))
-        l63 = lorenz63_model(Lorenz63Params())
-        x = np.array([-5.9, -6.0, 24.0])
-        assert np.array_equal(_bits(rk4_step(l63, x, 0.0, 0.01)),
-                              _bits(_ref_rk4(l63, x, 0.0, 0.01)))
 
     def test_dp45_matches_generator_sum_form(self):
         # Same states bit for bit and the same step sequence: the logged
@@ -429,7 +417,7 @@ class TestFrozenReferences:
 
 
 class TestInputNotModified:
-    @pytest.mark.parametrize("scheme", ["stochastic-heun", "rk4", "rk45-adaptive"])
+    @pytest.mark.parametrize("scheme", ["stochastic-heun", "rk45-adaptive"])
     def test_integrate_leaves_x0_alone(self, scheme):
         sigma = 0.01 if scheme == "stochastic-heun" else 0.0
         model, x0 = _l96_block(20, 4, sigma)
@@ -440,11 +428,11 @@ class TestInputNotModified:
             assert np.array_equal(x, before)
             assert not np.shares_memory(out, x)
 
-    @pytest.mark.parametrize("scheme", ["stochastic-heun", "rk4", "rk45-adaptive"])
+    @pytest.mark.parametrize("scheme", ["stochastic-heun", "rk45-adaptive"])
     def test_drift_returning_its_input(self, scheme):
         # dx/dt = x written as the identity: the drift result aliases the
         # stepper's own state buffer, which must not corrupt the step
-        m = DynModel(state_dim=1, drift=lambda x, t: x)
+        m = DynModel(drift=lambda x, t: x)
         x0 = np.array([1.0, 2.0])
         cfg = IntegratorConfig(scheme=scheme, dt=0.01, rtol=1e-10, atol=1e-12)
         out = integrate(m, x0, 0.0, 1.0, cfg, np.random.default_rng(0))
@@ -461,13 +449,13 @@ class TestNonFiniteDrift:
                 out[:, 2] = np.nan
             return out
 
-        m = DynModel(state_dim=2, drift=drift)
+        m = DynModel(drift=drift)
         cfg = IntegratorConfig(scheme="rk45-adaptive", dt=0.1)
         with pytest.raises(IntegrationError, match="member 2"):
             integrate(m, np.ones((2, 4)), 0.0, 1.0, cfg)
 
     def test_finite_drift_whose_sum_overflows_passes(self):
-        m = DynModel(state_dim=3, drift=lambda x, t: np.full_like(x, 1e308))
+        m = DynModel(drift=lambda x, t: np.full_like(x, 1e308))
         out = _checked_drift(m, np.zeros((3, 2)), 0.0)
         assert np.all(out == 1e308)
 
@@ -486,7 +474,7 @@ def _counted_drift(per_call):
         per_call(out, i)
         return out
 
-    return DynModel(state_dim=2, drift=drift)
+    return DynModel(drift=drift)
 
 
 def _ref_checked(model):
@@ -500,7 +488,7 @@ def _ref_checked(model):
             raise IntegrationError(f"non-finite drift at t={t:.6g} (member {bad[0]})")
         return f
 
-    return DynModel(state_dim=model.state_dim, drift=drift)
+    return DynModel(drift=drift)
 
 
 class TestDP45AttemptCheck:

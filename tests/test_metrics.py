@@ -109,12 +109,12 @@ class TestReplicateQuantiles:
         assert np.allclose(q, 3.0)
 
     def test_median_of_one_to_five(self):
-        q = replicate_quantiles(np.arange(1.0, 6.0), qs=(0.5,))
-        assert q[0] == pytest.approx(3.0)
+        q = replicate_quantiles(np.arange(1.0, 6.0))
+        assert q == pytest.approx([2.0, 3.0, 4.0])
 
     def test_linear_interpolation_convention(self):
-        q = replicate_quantiles(np.array([1.0, 2.0, 3.0, 4.0]), qs=(0.25,))
-        assert q[0] == pytest.approx(1.75)
+        q = replicate_quantiles(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert q == pytest.approx([1.75, 2.5, 3.25])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

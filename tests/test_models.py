@@ -282,16 +282,16 @@ class TestLinearGaussian:
 class TestDynModelContract:
     def test_exactly_one_flavor(self):
         with pytest.raises(ModelError):
-            DynModel(state_dim=1)
+            DynModel()
         with pytest.raises(ModelError):
-            DynModel(state_dim=1, drift=lambda x, t: x, transition=lambda x, t, r: x)
+            DynModel(drift=lambda x, t: x, transition=lambda x, t, r: x)
 
     def test_deterministic_map_reproducible(self):
         dyn = lorenz63_model(Lorenz63Params())  # sigma = 0
         meas = select_observer(3, [1], noise_std=0.0)
         from trimkf.integrators import IntegratorConfig, integrate
 
-        cfg = IntegratorConfig(scheme="rk4", dt=0.01)
+        cfg = IntegratorConfig(scheme="rk45-adaptive", dt=0.01)
         x0 = np.array([1.0, 1.0, 20.0])
         a = integrate(dyn, x0, 0.0, 0.5, cfg)
         b = integrate(dyn, x0, 0.0, 0.5, cfg)
@@ -301,4 +301,4 @@ class TestDynModelContract:
 
     def test_factories(self):
         assert lorenz63_model(Lorenz63Params(sigma=0.2)).noise_intensity == 0.2
-        assert lorenz96_model(Lorenz96Params(dim=8)).state_dim == 8
+        assert lorenz96_model(Lorenz96Params(dim=8)).drift(np.zeros(8), 0.0).shape == (8,)

@@ -15,7 +15,6 @@ from trimkf.oracle import (
     bimodal_toy,
     enkf_limit_pdf,
     joint_from_conditional,
-    kalman_filter_exact,
     kalman_filter_sequence,
     tenkf_limit_pdf,
 )
@@ -370,28 +369,64 @@ class TestJointGridChecks:
             JointGrid(x, y, np.ones((x.size, y.size)))
 
 
+def _ref_kalman_step(A, Q, H, R, mean, cov, y_star):
+    """Frozen reference: one forecast-update cycle of the exact Kalman
+    filter, converting its inputs on every call."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
+    m_f = A @ mean
+    p_f = A @ cov @ A.T + Q
+    s = H @ p_f @ H.T + R
+    gain = np.linalg.solve(s.T, (p_f @ H.T).T).T
+    m_a = m_f + gain @ (y_star - H @ m_f)
+    p_a = (np.eye(cov.shape[0]) - gain @ H) @ p_f
+    return m_a, p_a
+
+
+def _one_step(A, Q, H, R, mean, cov, y_star):
+    means, covs = kalman_filter_sequence(A, Q, H, R, mean, cov, [y_star])
+    return means[0], covs[0]
+
+
 class TestExactKalman:
     def test_uninformative_data_keeps_prior(self):
         m0, p0 = np.array([1.0]), np.array([[2.0]])
-        _, _, m, p = kalman_filter_exact([[1.0]], [[0.0]], [[1.0]], [[1e12]], m0, p0,
-                                         np.array([100.0]))
+        m, p = _one_step([[1.0]], [[0.0]], [[1.0]], [[1e12]], m0, p0, np.array([100.0]))
         assert m == pytest.approx(m0, rel=1e-6)
         assert p == pytest.approx(p0, rel=1e-6)
 
     def test_equal_variances_meet_in_middle(self):
         # prior N(mu0, s2), likelihood var s2: posterior var s2/2, mean midpoint
         s2 = 0.36
-        _, _, m, p = kalman_filter_exact([[1.0]], [[0.0]], [[1.0]], [[s2]],
-                                         np.array([2.0]), np.array([[s2]]),
-                                         np.array([3.0]))
+        m, p = _one_step([[1.0]], [[0.0]], [[1.0]], [[s2]],
+                         np.array([2.0]), np.array([[s2]]), np.array([3.0]))
         assert m[0] == pytest.approx(2.5)
         assert p[0, 0] == pytest.approx(s2 / 2)
 
     def test_exact_observation_pins_mean(self):
-        _, _, m, _ = kalman_filter_exact([[1.0]], [[0.0]], [[1.0]], [[1e-12]],
-                                         np.array([0.0]), np.array([[4.0]]),
-                                         np.array([1.7]))
+        m, _ = _one_step([[1.0]], [[0.0]], [[1.0]], [[1e-12]],
+                         np.array([0.0]), np.array([[4.0]]), np.array([1.7]))
         assert m[0] == pytest.approx(1.7, abs=1e-9)
+
+    @pytest.mark.parametrize("A, Q, H, R, mean0, cov0", [
+        ([[1.0]], [[0.01]], [[1.0]], [[0.04]], [0.0], [[1.0]]),
+        ([[0.9, 0.2], [-0.1, 0.95]], [[0.02, 0.005], [0.005, 0.03]], [[1.0, 0.5]],
+         [[0.05]], [0.3, -1.2], [[1.0, 0.3], [0.3, 2.0]]),
+    ], ids=["scalar", "2-state-1-obs"])
+    def test_sequence_matches_chained_reference_bitwise(self, A, Q, H, R, mean0, cov0):
+        ys = list(np.random.default_rng(11).standard_normal((6, 1)))
+        means, covs = kalman_filter_sequence(A, Q, H, R, mean0, cov0, ys)
+        mean, cov = mean0, cov0
+        assert len(means) == len(covs) == 6
+        for y, m, p in zip(ys, means, covs):
+            mean, cov = _ref_kalman_step(A, Q, H, R, mean, cov, y)
+            assert np.array_equal(m.view(np.uint64), mean.view(np.uint64))
+            assert np.array_equal(p.view(np.uint64), cov.view(np.uint64))
 
     def test_sequence_runner(self):
         means, covs = kalman_filter_sequence(
