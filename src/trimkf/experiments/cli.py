@@ -52,7 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", dest="out_dir", metavar="OUT",
                        help="override the output directory")
     run_p.add_argument("--replicates", type=int, help="override replicate count")
-    run_p.add_argument("--threads", type=int, help="worker threads (0 = auto)")
+    run_p.add_argument(
+        "--threads", type=int,
+        help="replicate worker threads (0 = one per usable CPU); a Heun forecast may "
+             "draw its noise on one more CPU when none is busy, with the same results",
+    )
 
     val_p = sub.add_parser("validate", help="validate a config file and echo the resolved values")
     val_p.add_argument("--config", required=True, help="path to a JSON config file")

@@ -7,7 +7,6 @@ other replicates run.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,7 @@ from ..filters import (
     simulate_truth,
     tenkf_update,
 )
-from ..integrators import IntegratorConfig
+from ..integrators import IntegratorConfig, hold_spare_cpus, usable_cpus
 from ..metrics import ks_distance, replicate_quantiles, time_avg_rmse
 from ..models import (
     Lorenz63Params,
@@ -93,8 +92,10 @@ def _map_replicates(fn, cfg: ExperimentConfig):
         except Exception as exc:
             return f"replicate {rep}: {type(exc).__name__}: {exc}"
 
-    workers = max(1, min(cfg.threads or os.cpu_count() or 1, cfg.replicates))  # 0: auto
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    workers = max(1, min(cfg.threads or usable_cpus(), cfg.replicates))  # 0: auto
+    # Every worker beyond the first keeps a CPU busy that a Heun forecast
+    # would otherwise draw its noise on.
+    with hold_spare_cpus(workers - 1), ThreadPoolExecutor(max_workers=workers) as pool:
         mapper = map if workers == 1 else pool.map
         outcomes = list(mapper(attempt, range(cfg.replicates)))
     tables: dict[str, list[dict]] = {}

@@ -22,11 +22,35 @@ attempt raises the error the first bad stage would have raised.
 All steppers accept states of shape ``(N,)`` or ``(N, n)`` (member columns)
 as long as the model drift is vectorized; without noise, Heun results on a
 batch are bit-identical to stepping each column alone.
+
+Where the Heun noise is drawn: each step draws its standard-normal
+increment from the caller's ``rng`` on the calling thread, unless the
+process has a spare CPU.  The draw does not depend on the state, so then
+``integrate`` draws the increments ahead on a helper thread while the
+calling thread computes the current step's drifts, in chunks of up to
+``NOISE_CHUNK_ELEMS`` numbers (several steps of a small state per chunk,
+one step of a large one), and hands them to ``heun_sde_step`` in step
+order.  The order cannot change: the increments are consecutive draws
+from one Generator, so drawing them in another order, count or stream
+would change the result bytes and the ``rng`` state after the call
+(``observe`` draws from it next).  A chunk of ``c`` steps is one
+``standard_normal`` fill of ``c`` increments, the same bits as ``c``
+calls.  The helper never draws past the interval's last step and is
+joined before ``integrate`` returns or raises.
+
+Spare CPUs are counted process-wide: the usable CPUs (``usable_cpus``)
+minus one.  Code that keeps more threads busy, such as the replicate pool,
+holds spare CPUs with ``hold_spare_cpus`` while it runs, and an
+integration that finds none draws on its own thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +71,9 @@ SCHEMES = ("stochastic-heun", "rk45-adaptive")
 MAX_ADAPTIVE_STEPS = 100_000
 # The adaptive controller fails rather than take a step shorter than this.
 MIN_ADAPTIVE_STEP = 1e-12
+# Most standard normals drawn at once for the Heun noise of one interval:
+# a chunk holds as many whole steps as fit, and at least one.
+NOISE_CHUNK_ELEMS = 1 << 14
 
 
 class IntegrationError(RuntimeError):
@@ -122,9 +149,12 @@ def heun_sde_step(
 
     Predictor ``xp = x + f(x,t) dt + s`` and corrector
     ``x + dt/2 (f(x,t) + f(xp, t+dt)) + s`` share the same noise increment
-    ``s = sigma sqrt(dt) zeta`` with standard-normal ``zeta`` per component.
-    ``x`` is not modified.
+    ``s = sigma sqrt(dt) zeta`` with standard-normal ``zeta`` per component,
+    taken from ``rng.standard_normal(x.shape)`` (which the step may scale in
+    place).  ``x`` is not modified.
     """
+    if model.noise_intensity > 0 and rng is None:
+        raise ValueError("stochastic integration needs an rng")
     # Each in-place operation below is the same IEEE operation on the same
     # operands as the textbook expression (addition and multiplication are
     # commutative), so the result is bit-identical to it.
@@ -321,10 +351,95 @@ def integrate(
     if model.noise_intensity > 0 and rng is None:
         raise ValueError("stochastic integration needs an rng")
     n_full, remainder = _fixed_grid_steps(t0, t1, cfg.dt)
-    t = t0
+    if model.noise_intensity > 0:
+        chunks = _chunk_sizes(x.shape, n_full + (remainder > 0.0))
+        # A helper pays off only when there is a next chunk to draw.
+        with hold_spare_cpus(1 if len(chunks) > 1 else 0) as spare:
+            if spare:
+                with ThreadPoolExecutor(1) as helper:
+                    noise = _Increments(rng, x.shape, chunks, helper)
+                    return _heun_steps(model, x, t0, cfg.dt, n_full, remainder, noise)
+    return _heun_steps(model, x, t0, cfg.dt, n_full, remainder, rng)
+
+
+def _heun_steps(model, x, t, dt, n_full, remainder, rng):
     for _ in range(n_full):
-        x = heun_sde_step(model, x, t, cfg.dt, rng)
-        t += cfg.dt
+        x = heun_sde_step(model, x, t, dt, rng)
+        t += dt
     if remainder > 0.0:
         x = heun_sde_step(model, x, t, remainder, rng)
     return x
+
+
+# ---------------------------------------------------------------------------
+# Heun noise drawn ahead on a spare CPU
+# ---------------------------------------------------------------------------
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS
+    reports one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS
+        return os.cpu_count() or 1
+
+
+_spare_lock = threading.Lock()
+_spare_cpus = usable_cpus() - 1
+
+
+@contextmanager
+def hold_spare_cpus(n: int):
+    """Take up to ``n`` of the process's spare CPUs for the ``with`` block
+    and yield how many were taken; they are given back when it exits."""
+    global _spare_cpus
+    with _spare_lock:
+        held = max(0, min(n, _spare_cpus))
+        _spare_cpus -= held
+    try:
+        yield held
+    finally:
+        with _spare_lock:
+            _spare_cpus += held
+
+
+def _chunk_sizes(shape: tuple, n_steps: int) -> list[int]:
+    """Steps per noise chunk: as many as ``NOISE_CHUNK_ELEMS`` numbers hold."""
+    per = max(1, min(n_steps, NOISE_CHUNK_ELEMS // max(1, math.prod(shape))))
+    return [per] * (n_steps // per) + ([n_steps % per] if n_steps % per else [])
+
+
+class _Increments:
+    """Stands in for the Generator that ``heun_sde_step`` draws from: each
+    ``standard_normal`` call returns the next step's increment.
+
+    The increments are drawn from ``rng`` a chunk at a time on the
+    ``helper`` executor, into two buffers used in turn: the next chunk is
+    drawn as soon as the current one is handed out, into the buffer that
+    held the chunk before, whose steps are done by then.  The buffers are
+    allocated here, on the calling thread, so the helper thread allocates
+    no array memory.
+    """
+
+    def __init__(self, rng, shape, chunks, helper):
+        self._rng, self._chunks = rng, chunks
+        self._bufs = [np.empty((chunks[0],) + shape) for _ in range(2)]
+        self._steps = self._generate(helper)
+
+    def _draw(self, i):
+        out = self._bufs[i % 2][: self._chunks[i]]
+        self._rng.standard_normal(out=out)
+        return out
+
+    def _generate(self, helper):
+        n = len(self._chunks)
+        pending = helper.submit(self._draw, 0)
+        for i in range(n):
+            chunk = pending.result()
+            if i + 1 < n:
+                pending = helper.submit(self._draw, i + 1)
+            yield from chunk
+
+    def standard_normal(self, shape):
+        return next(self._steps)

@@ -77,7 +77,7 @@ def ks_distance(a, b) -> float:
     Each argument is a sample (any array-like of numbers, tuples included,
     flattened) or a :class:`DensityGrid`.  The sup of the CDF difference is
     evaluated at all candidate points of both supports, approaching step
-    jumps from both sides.
+    jumps from both sides when a grid is involved.
     """
     xa, ca, step_a = _as_cdf(a)
     xb, cb, step_b = _as_cdf(b)
@@ -85,6 +85,11 @@ def ks_distance(a, b) -> float:
     fa = _interp_cdf(points, xa, ca, step_a)
     fb = _interp_cdf(points, xb, cb, step_b)
     d = float(np.max(np.abs(fa - fb)))
+    if step_a and step_b:
+        # Both CDFs are steps that only move at union points, so the pair
+        # just below a point is the pair at the union point below it, or
+        # (0, 0) below them all: the left limits add no new difference.
+        return d
     # At a step jump the sup may be attained just below the point.
     left = points - np.spacing(np.abs(points) + 1.0)
     fa_left = _interp_cdf(left, xa, ca, step_a)

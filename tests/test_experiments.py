@@ -6,11 +6,14 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import trimkf
+from trimkf import integrators
+from trimkf.experiments import scenarios
 from trimkf.experiments.cli import main
 from trimkf.experiments.config import (
     CONFIG_VERSION,
@@ -458,6 +461,39 @@ class TestReplicateFailures:
             reps = [k for k, _ in itertools.groupby(r.split(",")[0] for r in rows)]
             assert reps == ["0", "2"]
             assert rows == [r for r in self._rows(clean, name) if not r.startswith("1,")]
+
+    def test_pool_holds_spare_cpus_and_returns_them(self, tmp_path, monkeypatch):
+        # two workers keep the one spare CPU busy, also when a replicate fails
+        monkeypatch.setattr(integrators, "_spare_cpus", 1)
+        entry = SCENARIOS["l63-limit-dist"]
+        seen = []
+
+        def replicate(cfg, rep):
+            seen.append(integrators._spare_cpus)
+            if rep == 1:
+                raise RuntimeError("replicate blew up")
+            return entry.replicate(cfg, rep)
+
+        monkeypatch.setitem(SCENARIOS, "l63-limit-dist", entry._replace(replicate=replicate))
+        result = run_scenario(validate_config({**self.DOC, "out_dir": str(tmp_path)}))
+        assert result.replicate_failures == ["replicate 1: RuntimeError: replicate blew up"]
+        assert seen == [0, 0, 0]
+        assert integrators._spare_cpus == 1
+
+    def test_auto_threads_count_usable_cpus(self, tmp_path, monkeypatch):
+        # one usable CPU: threads 0 runs every replicate on the calling thread
+        monkeypatch.setattr(scenarios, "usable_cpus", lambda: 1)
+        entry = SCENARIOS["l63-limit-dist"]
+        threads = []
+
+        def replicate(cfg, rep):
+            threads.append(threading.get_ident())
+            return entry.replicate(cfg, rep)
+
+        monkeypatch.setitem(SCENARIOS, "l63-limit-dist", entry._replace(replicate=replicate))
+        doc = {**self.DOC, "threads": 0, "out_dir": str(tmp_path)}
+        assert not run_scenario(validate_config(doc)).replicate_failures
+        assert threads == [threading.get_ident()] * 3
 
     def test_cli_exits_2_naming_the_replicate(self, tmp_path, capsys, monkeypatch):
         self._fail_replicate_1(monkeypatch)

@@ -1,5 +1,9 @@
 """Tests for the stochastic Heun and adaptive RK45 steppers."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +17,9 @@ from trimkf.integrators import (
     IntegratorConfig,
     _checked_drift,
     heun_sde_step,
+    hold_spare_cpus,
     integrate,
+    usable_cpus,
 )
 from trimkf.models import (
     DynModel,
@@ -61,6 +67,11 @@ class TestHeunStep:
         x = heun_sde_step(m, np.array([0.0]), 0.0, dt, rng)
         expected = sigma * np.sqrt(dt) * zeta * (1 + a * dt / 2)
         assert x == pytest.approx(expected, rel=1e-12)
+
+    def test_noise_without_rng_rejected(self):
+        m = scalar_model(sigma=0.5)
+        with pytest.raises(ValueError, match="stochastic integration needs an rng"):
+            heun_sde_step(m, np.array([1.0]), 0.0, 0.1, None)
 
     def test_nonfinite_drift_names_member(self):
         def bad(x, t):
@@ -553,3 +564,156 @@ class TestDP45AttemptCheck:
 
         out = integrate(_counted_drift(spoil), np.zeros((2, 4)), 0.0, 1.0, self.CFG)
         assert np.all(np.isfinite(out))
+
+
+# ---------------------------------------------------------------------------
+# Heun noise drawn ahead on a spare CPU
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(params=["helper", "inline"])
+def noise_path(request, monkeypatch):
+    """Run the test with one spare CPU for the helper thread (whatever this
+    host has), or with every spare CPU held so that draws stay inline."""
+    if request.param == "helper":
+        monkeypatch.setattr(integrators, "_spare_cpus", 1)
+        yield request.param
+    else:
+        with hold_spare_cpus(usable_cpus()):
+            yield request.param
+
+
+def _thread_counting(model):
+    """``model`` with a drift that records ``threading.active_count()``."""
+    counts = []
+
+    def drift(x, t):
+        counts.append(threading.active_count())
+        return model.drift(x, t)
+
+    return DynModel(drift=drift, noise_intensity=model.noise_intensity), counts
+
+
+def _chained_heun(model, x, t0, t1, dt, rng):
+    """``heun_sde_step`` chained over ``integrate``'s grid, each step
+    drawing its own increment."""
+    n_full, remainder = integrators._fixed_grid_steps(t0, t1, dt)
+    t = t0
+    for _ in range(n_full):
+        x = heun_sde_step(model, x, t, dt, rng)
+        t += dt
+    if remainder > 0.0:
+        x = heun_sde_step(model, x, t, remainder, rng)
+    return x
+
+
+class TestNoisePrefetch:
+    @pytest.mark.parametrize(
+        "shape, t1, chunk_elems",
+        [
+            ((36,), 10.005, None),  # 1001 steps, 455 per chunk
+            ((36,), 0.505, 100),  # 2 steps per chunk, a last chunk of 1
+            ((36, 1000), 0.905, None),  # one step per chunk, partial last step
+            ((3, 20000), 0.5, None),
+        ],
+    )
+    def test_same_bits_as_chained_steps(self, noise_path, monkeypatch, shape, t1, chunk_elems):
+        if chunk_elems is not None:
+            monkeypatch.setattr(integrators, "NOISE_CHUNK_ELEMS", chunk_elems)
+        if shape[0] == 36:
+            model = lorenz96_model(Lorenz96Params(dim=36, sigma=0.5))
+            x0 = 8.0 + 3.0 * np.random.default_rng(12).standard_normal(shape)
+        else:
+            model = lorenz63_model(Lorenz63Params(sigma=1.0))
+            x0 = np.random.default_rng(12).standard_normal(shape) + [[0.0], [0.0], [25.0]]
+        cfg = IntegratorConfig(dt=0.01)
+        rng_ref, rng = np.random.default_rng(5), np.random.default_rng(5)
+        ref = _chained_heun(model, x0, 0.0, t1, cfg.dt, rng_ref)
+        counted, counts = _thread_counting(model)
+        spare_before, threads_before = integrators._spare_cpus, threading.active_count()
+        got = integrate(counted, x0, 0.0, t1, cfg, rng)
+        assert np.array_equal(_bits(got), _bits(ref))
+        # observe draws from the same rng next
+        assert np.array_equal(_bits(rng.standard_normal(8)), _bits(rng_ref.standard_normal(8)))
+        # a helper ran during the steps exactly when a spare CPU was free
+        assert max(counts) == threads_before + (noise_path == "helper")
+        assert threading.active_count() == threads_before
+        assert integrators._spare_cpus == spare_before
+
+    def test_single_chunk_draws_inline(self, monkeypatch):
+        # nothing to draw ahead: the spare CPU stays free
+        monkeypatch.setattr(integrators, "_spare_cpus", 1)
+        model, counts = _thread_counting(lorenz63_model(Lorenz63Params(sigma=1.0)))
+        threads_before = threading.active_count()
+        integrate(model, np.ones(3), 0.0, 0.5, IntegratorConfig(dt=0.01), np.random.default_rng(0))
+        assert max(counts) == threads_before
+
+    def test_failing_step_raises_and_cleans_up(self, noise_path):
+        base, x0 = _l96_block(1000, 3, sigma=0.5)
+
+        def drift(x, t):
+            f = base.drift(x, t)
+            if t > 0.3:
+                f[4, 7] = np.nan
+            return f
+
+        model = DynModel(drift=drift, noise_intensity=0.5)
+        cfg = IntegratorConfig(dt=0.01)
+        with pytest.raises(IntegrationError) as ref:
+            _chained_heun(model, x0, 0.0, 0.9, cfg.dt, np.random.default_rng(2))
+        spare_before, threads_before = integrators._spare_cpus, threading.active_count()
+        with pytest.raises(IntegrationError) as got:
+            integrate(model, x0, 0.0, 0.9, cfg, np.random.default_rng(2))
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).endswith("(member 7)")
+        assert threading.active_count() == threads_before
+        assert integrators._spare_cpus == spare_before
+
+
+class TestSpareCpus:
+    def test_usable_cpus_follows_affinity(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert usable_cpus() == len(os.sched_getaffinity(0))
+        else:
+            assert usable_cpus() == (os.cpu_count() or 1)
+
+    def test_hold_takes_at_most_the_free_count(self, monkeypatch):
+        monkeypatch.setattr(integrators, "_spare_cpus", 2)
+        with hold_spare_cpus(3) as outer:
+            assert outer == 2 and integrators._spare_cpus == 0
+            with hold_spare_cpus(1) as inner:
+                assert inner == 0
+        assert integrators._spare_cpus == 2
+        with pytest.raises(KeyError):
+            with hold_spare_cpus(1):
+                raise KeyError("boom")
+        assert integrators._spare_cpus == 2
+
+    def test_concurrent_holds_keep_the_count(self, monkeypatch):
+        # more threads than CPUs taking and returning CPUs with frequent
+        # switches: a lost update would leave the count off or over-lent
+        monkeypatch.setattr(integrators, "_spare_cpus", 3)
+        lent, lent_lock, over = [0], threading.Lock(), []
+
+        def work():
+            for _ in range(500):
+                with hold_spare_cpus(2) as held:
+                    with lent_lock:
+                        lent[0] += held
+                        over.append(lent[0] > 3)
+                    with lent_lock:
+                        lent[0] -= held
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert not any(over)
+        assert integrators._spare_cpus == 3

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimkf.ensemble import Ensemble
 from trimkf.metrics import (
+    _as_cdf,
+    _interp_cdf,
     ensemble_mean_rmse,
     ensemble_rmse,
     ks_distance,
@@ -101,6 +105,53 @@ class TestKsDistance:
         a = rng.standard_normal(400)
         b = rng.standard_normal(300) * 1.3
         assert ks_distance(a, b) == pytest.approx(ks_2samp(a, b).statistic, abs=1e-12)
+
+
+def _ref_ks_two_pass(a, b):
+    """Frozen copy of ``ks_distance`` evaluating every pair both at and
+    just below each union point, whatever the argument types."""
+    xa, ca, step_a = _as_cdf(a)
+    xb, cb, step_b = _as_cdf(b)
+    points = np.union1d(xa, xb)
+    fa = _interp_cdf(points, xa, ca, step_a)
+    fb = _interp_cdf(points, xb, cb, step_b)
+    d = float(np.max(np.abs(fa - fb)))
+    left = points - np.spacing(np.abs(points) + 1.0)
+    fa_left = _interp_cdf(left, xa, ca, step_a)
+    fb_left = _interp_cdf(left, xb, cb, step_b)
+    return max(d, float(np.max(np.abs(fa_left - fb_left))))
+
+
+def _nudged(base, k):
+    """``base`` moved ``k`` representable floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        base = np.nextafter(base, np.inf if k > 0 else -np.inf)
+    return float(base)
+
+
+# Ties, nextafter neighbours and clusters tighter than the left-limit offset
+# (spacing(|x| + 1)), mixed with arbitrary finite values.
+_ks_value = st.one_of(
+    st.builds(_nudged, st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e-300, -1e8]), st.integers(-3, 3)),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+_ks_sample = st.lists(_ks_value, min_size=1, max_size=40)
+
+
+class TestKsTwoSamplePass:
+    @settings(max_examples=300, deadline=None)
+    @given(a=_ks_sample, b=_ks_sample)
+    def test_matches_two_pass_reference_bitwise(self, a, b):
+        got, ref = ks_distance(a, b), _ref_ks_two_pass(a, b)
+        assert np.float64(got).view(np.uint64) == np.float64(ref).view(np.uint64)
+
+    def test_grid_keeps_left_limits(self):
+        # all sample mass at the top of a uniform grid: the sup, ~1, sits
+        # just below the jump, above the 0.995 of the grid's last interior node
+        grid = DensityGrid(np.linspace(0.0, 1.0, 201), np.ones(201)).normalized()
+        for sample in ([1.0], [1.0, 1.0]):
+            assert ks_distance(sample, grid) == _ref_ks_two_pass(sample, grid) > 0.999
+            assert ks_distance(grid, sample) == _ref_ks_two_pass(grid, sample) > 0.999
 
 
 class TestReplicateQuantiles:
