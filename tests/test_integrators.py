@@ -609,17 +609,14 @@ def _chained_heun(model, x, t0, t1, dt, rng):
 
 class TestNoisePrefetch:
     @pytest.mark.parametrize(
-        "shape, t1, chunk_elems",
+        "shape, t1, helper",
         [
-            ((36,), 10.005, None),  # 1001 steps, 455 per chunk
-            ((36,), 0.505, 100),  # 2 steps per chunk, a last chunk of 1
-            ((36, 1000), 0.905, None),  # one step per chunk, partial last step
-            ((3, 20000), 0.5, None),
+            ((36,), 10.005, False),  # 1001 steps, too small for a helper
+            ((36, 1000), 0.905, True),  # partial last step
+            ((3, 20000), 0.5, True),
         ],
     )
-    def test_same_bits_as_chained_steps(self, noise_path, monkeypatch, shape, t1, chunk_elems):
-        if chunk_elems is not None:
-            monkeypatch.setattr(integrators, "NOISE_CHUNK_ELEMS", chunk_elems)
+    def test_same_bits_as_chained_steps(self, noise_path, shape, t1, helper):
         if shape[0] == 36:
             model = lorenz96_model(Lorenz96Params(dim=36, sigma=0.5))
             x0 = 8.0 + 3.0 * np.random.default_rng(12).standard_normal(shape)
@@ -635,18 +632,26 @@ class TestNoisePrefetch:
         assert np.array_equal(_bits(got), _bits(ref))
         # observe draws from the same rng next
         assert np.array_equal(_bits(rng.standard_normal(8)), _bits(rng_ref.standard_normal(8)))
-        # a helper ran during the steps exactly when a spare CPU was free
-        assert max(counts) == threads_before + (noise_path == "helper")
+        # a helper ran during the steps exactly when a large block found a spare CPU
+        assert max(counts) == threads_before + (helper and noise_path == "helper")
+        # the first draw starts before the first drift
+        assert counts[0] == max(counts)
         assert threading.active_count() == threads_before
         assert integrators._spare_cpus == spare_before
 
-    def test_single_chunk_draws_inline(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "shape, t1",
+        [((3, 20000), 0.01), ((3, 20000), 0.004), ((2, 8191), 0.5)],  # one step; too small
+    )
+    def test_no_helper_without_a_next_large_draw(self, monkeypatch, shape, t1):
         # nothing to draw ahead: the spare CPU stays free
         monkeypatch.setattr(integrators, "_spare_cpus", 1)
-        model, counts = _thread_counting(lorenz63_model(Lorenz63Params(sigma=1.0)))
+        model, counts = _thread_counting(DynModel(drift=lambda x, t: -x, noise_intensity=1.0))
         threads_before = threading.active_count()
-        integrate(model, np.ones(3), 0.0, 0.5, IntegratorConfig(dt=0.01), np.random.default_rng(0))
+        cfg, rng = IntegratorConfig(dt=0.01), np.random.default_rng(0)
+        integrate(model, np.ones(shape), 0.0, t1, cfg, rng)
         assert max(counts) == threads_before
+        assert integrators._spare_cpus == 1
 
     def test_failing_step_raises_and_cleans_up(self, noise_path):
         base, x0 = _l96_block(1000, 3, sigma=0.5)
