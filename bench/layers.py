@@ -6,12 +6,14 @@ one stochastic-Heun forecast interval (90 steps of 0.01 on 36x1000, the
 at rtol 1e-6, atol 1e-9, the ``l96-adaptive-aug`` interval) on 36x200 (the
 forecast block) and on 36x600 (the block augmented threefold).
 For ``oracle-1e5``'s layers it times building the 2048-point bimodal joint,
-one trimmed limit density (lambda 0.3) on a fresh joint (built over the
-same arrays inside the timed call, so nothing is cached yet) and on a warm
-joint (a repeat call with the same gain and y*, so the shifted-conditional
-table is a cache hit and only the weighted row sum is timed), the Lorenz-63 drift and one stochastic-Heun step
-(dt 0.01, sigma 0.01) on a 3x1e5 block, and the KS distance between 1e5
-samples and the 2048-point limit density.
+the nine limit densities of ``bimodal-oracle-check`` in one ``limit_pdfs``
+call on a fresh joint (built over the same arrays inside the timed call, so
+its y-marginal is not cached yet; the last entry uses the marginal's scale
+in place of the sample's), with the ``tracemalloc`` peak of one extra
+untimed call on a joint built before tracing starts; then the Lorenz-63
+drift and one stochastic-Heun step (dt 0.01, sigma 0.01) on a 3x1e5
+block, and the KS distance between 1e5 samples and the 2048-point limit
+density.
 For the update path it times the sample Kalman gain, the lambda bisection
 (target n_e 50) and one trimmed update (with that bisection) on a 36x1000
 L96 joint observed at every other component, and multinomial resampling
@@ -42,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -61,7 +64,7 @@ from trimkf.models import (
     observe,
     select_observer,
 )
-from trimkf.oracle import JointGrid, bimodal_toy, tenkf_limit_pdf
+from trimkf.oracle import JointGrid, bimodal_toy, limit_pdfs, tenkf_limit_pdf
 
 DIM = 36
 
@@ -177,12 +180,16 @@ def main() -> None:
     layers["bimodal_toy_2048"] = _measure(lambda: bimodal_toy(points=2048), args.repeats)
     toy = bimodal_toy(points=2048)
     j, gain, y_star = toy.joint, toy.exact_gain, toy.y_star
-    layers["tenkf_limit_fresh_2048"] = _measure(
-        lambda: tenkf_limit_pdf(JointGrid(j.x, j.y, j.pdf), gain, y_star, 0.3), args.repeats
+    trims = [None, (1e9, None), (0.02, None)] + [
+        (lam, None) for lam in (10.0, 1.0, 0.3, 0.1, 0.03)] + [(0.3, None)]
+    layers["limit_pdfs_9_2048"] = _measure(
+        lambda: limit_pdfs(JointGrid(j.x, j.y, j.pdf), gain, y_star, trims), args.repeats
     )
-    layers["tenkf_limit_warm_2048"] = _measure(
-        lambda: tenkf_limit_pdf(j, gain, y_star, 0.3), args.repeats
-    )
+    fresh = JointGrid(j.x, j.y, j.pdf)
+    tracemalloc.start()
+    limit_pdfs(fresh, gain, y_star, trims)
+    layers["limit_pdfs_9_2048"]["traced_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
 
     p63 = Lorenz63Params(sigma=0.01)
     x = np.array([[1.5], [-1.5], [25.0]]) + rng.standard_normal((3, 100_000))

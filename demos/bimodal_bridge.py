@@ -13,24 +13,23 @@ matplotlib is available.
 """
 
 
-from trimkf import bayes_posterior, bimodal_toy, enkf_limit_pdf, ks_distance, tenkf_limit_pdf
+from trimkf import bayes_posterior, bimodal_toy, ks_distance, limit_pdfs
 
 LAMBDAS = [10.0, 1.0, 0.3, 0.1, 0.03]
 
 toy = bimodal_toy(points=2048)
 joint, gain, y_star = toy.joint, toy.exact_gain, toy.y_star
 posterior = bayes_posterior(joint, y_star)
-plain_limit = enkf_limit_pdf(joint, gain, y_star)
+# the plain limit and every trimmed curve in one pass over the joint
+plain_limit, *curve_list = limit_pdfs(joint, gain, y_star, [None] + [(lam, None) for lam in LAMBDAS])
+curves = dict(zip(LAMBDAS, curve_list))
 
 print(f"exact posterior: mean {posterior.mean():+.3f}, std {posterior.std():.3f}")
 print(f"plain-update limit: mean {plain_limit.mean():+.3f}, "
       f"KS to posterior {ks_distance(plain_limit, posterior):.4f}\n")
 
 print("lambda    KS(trimmed limit, posterior)")
-curves = {}
-for lam in LAMBDAS:
-    curve = tenkf_limit_pdf(joint, gain, y_star, lam)
-    curves[lam] = curve
+for lam, curve in curves.items():
     print(f"{lam:7.2f}   {ks_distance(curve, posterior):.4f}")
 
 try:

@@ -71,6 +71,7 @@ from .oracle import (
     bimodal_toy,
     enkf_limit_pdf,
     kalman_filter_sequence,
+    limit_pdfs,
     tenkf_limit_pdf,
 )
 

@@ -42,9 +42,8 @@ from ..oracle import (
     BIMODAL_Y_BOUND,
     bayes_posterior,
     bimodal_toy,
-    enkf_limit_pdf,
     kalman_filter_sequence,
-    tenkf_limit_pdf,
+    limit_pdfs,
 )
 from .config import ExperimentConfig, _filters, _flag, _number, _numbers, stream_key
 from .io import write_table
@@ -153,7 +152,8 @@ def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
             key += [] if lam is None else [stream_key(lam)]
             trim = None if lam is None else TrimConfig(lam=lam)
             state = FilterMethod(name, trim=trim).update(joint, y_star, meas, _rng(*key))
-            posteriors[(name, lam)] = state.posterior.members[1]
+            # a copy, so the whole posterior block is not kept alive
+            posteriors[(name, lam)] = state.posterior.members[1].copy()
 
     # One shared binning per replicate so histograms are comparable.
     pooled = np.concatenate(list(posteriors.values()))
@@ -423,25 +423,28 @@ def _bimodal_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     toy = bimodal_toy(points=int(p["points"]), y_star=p["y_star"])
     joint, gain, y_star = toy.joint, toy.exact_gain, toy.y_star
 
-    bayes = bayes_posterior(joint, y_star)
-    enkf_lim = enkf_limit_pdf(joint, gain, y_star)
-    ks_large = ks_distance(tenkf_limit_pdf(joint, gain, y_star, p["lam_large"]), enkf_lim)
-    ks_small = ks_distance(tenkf_limit_pdf(joint, gain, y_star, p["lam_small"]), bayes)
-    bridge = [ks_distance(tenkf_limit_pdf(joint, gain, y_star, lam), bayes)
-              for lam in p["lambdas"]]
-    bridge_rows = [{"lam": lam, "ks_to_posterior": ks} for lam, ks in zip(p["lambdas"], bridge)]
-
+    # The sampling update runs first, for the distance scale of its limit;
+    # every stream is keyed, so the order leaves the bytes alone.
     n = int(p["n"])
     x, y = toy.sample(n, _rng(cfg.seed, rep, 1))
     sample_joint = JointEnsemble(states=Ensemble(x[None, :]), observations=y[None, :])
     trim = TrimConfig(lam=p["sample_lam"])
     state = tenkf_update(sample_joint, np.array([y_star]), trim, _rng(cfg.seed, rep, 2))
     scale = float(state.distance_scale[0])
-    limit = tenkf_limit_pdf(joint, gain, y_star, p["sample_lam"], scale=scale)
-    ks_tenkf = ks_distance(state.posterior.members[0], limit)
-
     toy_meas = MeasModel(obs_dim=1, h=lambda s: s, noise_std=0.5)
     pf_state = pf_update(sample_joint, np.array([y_star]), toy_meas, _rng(cfg.seed, rep, 3))
+
+    bayes = bayes_posterior(joint, y_star)
+    enkf_lim, large, small, *curves, limit = limit_pdfs(
+        joint, gain, y_star,
+        [None, (p["lam_large"], None), (p["lam_small"], None)]
+        + [(lam, None) for lam in p["lambdas"]] + [(p["sample_lam"], scale)],
+    )
+    ks_large = ks_distance(large, enkf_lim)
+    ks_small = ks_distance(small, bayes)
+    bridge = [ks_distance(curve, bayes) for curve in curves]
+    bridge_rows = [{"lam": lam, "ks_to_posterior": ks} for lam, ks in zip(p["lambdas"], bridge)]
+    ks_tenkf = ks_distance(state.posterior.members[0], limit)
     ks_pf = ks_distance(pf_state.posterior.members[0], bayes)
     steps = list(zip(bridge, bridge[1:]))
     checks = [

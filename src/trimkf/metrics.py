@@ -61,6 +61,8 @@ def _as_cdf(dist) -> tuple[np.ndarray, np.ndarray, bool]:
     if samples.size == 0:
         raise ValueError("empty sample")
     s = np.sort(samples)
+    if np.isnan(s[-1]):  # NaN sorts last
+        raise ValueError("sample holds NaN")
     return s, np.arange(1, s.size + 1) / s.size, True
 
 
@@ -77,7 +79,8 @@ def ks_distance(a, b) -> float:
     Each argument is a sample (any array-like of numbers, tuples included,
     flattened) or a :class:`DensityGrid`.  The sup of the CDF difference is
     evaluated at all candidate points of both supports, approaching step
-    jumps from both sides when a grid is involved.
+    jumps from both sides when a grid is involved.  A sample holding NaN
+    raises ``ValueError``: it has no CDF.
     """
     xa, ca, step_a = _as_cdf(a)
     xb, cb, step_b = _as_cdf(b)

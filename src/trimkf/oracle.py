@@ -24,6 +24,7 @@ __all__ = [
     "OracleError",
     "bayes_posterior",
     "enkf_limit_pdf",
+    "limit_pdfs",
     "tenkf_limit_pdf",
     "kalman_filter_sequence",
     "joint_from_conditional",
@@ -65,8 +66,8 @@ class DensityGrid:
         _check_grid("grid", x)
         if pdf.shape != x.shape:
             raise OracleError("grid and density must be matching 1-D arrays")
-        if np.any(pdf < 0):
-            raise OracleError("density values must be non-negative")
+        if not (np.isfinite(pdf).all() and (pdf >= 0).all()):
+            raise OracleError("density values must be finite and non-negative")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "pdf", pdf)
 
@@ -111,8 +112,7 @@ class JointGrid:
     Immutable: ``x``, ``y`` and ``pdf`` are read-only views (the arrays
     passed in keep their flags and are not copied, so writing into them
     afterwards is the caller's error).  The unnormalized y-marginal is
-    computed once per joint, on first use, and the table of shifted
-    conditionals once per ``(gain, y*)``; only the latest such table is kept.
+    computed once per joint, on first use; nothing else is kept.
     """
 
     x: np.ndarray
@@ -127,8 +127,8 @@ class JointGrid:
         _check_grid("y", y)
         if pdf.shape != (x.size, y.size):
             raise OracleError(f"joint table must be (len(x), len(y)), got {pdf.shape}")
-        if np.any(pdf < 0):
-            raise OracleError("density values must be non-negative")
+        if not (np.isfinite(pdf).all() and (pdf >= 0).all()):
+            raise OracleError("density values must be finite and non-negative")
         object.__setattr__(self, "x", _read_only(x))
         object.__setattr__(self, "y", _read_only(y))
         object.__setattr__(self, "pdf", _read_only(pdf))
@@ -151,32 +151,6 @@ class JointGrid:
             terms = d[rows] * (upper[rows] + lower[rows]) / 2.0
             mass = np.concatenate([mass, terms]).sum(axis=0, keepdims=True)
         return _read_only(mass[0])
-
-    def _shifted_conditionals(self, gain: float, y_star: float) -> np.ndarray:
-        """The ``(len(y), len(x))`` table whose row ``j`` is column ``j``
-        shifted by ``gain * (y* - y_j)`` in x (linear interpolation, zero
-        outside the grid), read-only.
-
-        Cached for the latest ``(gain, y*)`` only: the EnKF limit and every
-        trimmed limit of one update share it.  At 2048 points it holds 32 MB.
-        """
-        key = (float(gain), float(y_star))
-        cached = self.__dict__.get("_shifted")
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        del cached
-        self.__dict__.pop("_shifted", None)  # free the old table before building
-        x = self.x
-        shifts = key[0] * (key[1] - self.y)
-        table = np.empty((self.y.size, x.size))
-        for lo in range(0, self.y.size, _ROW_BLOCK):
-            # np.interp would copy a strided column first
-            columns = np.ascontiguousarray(self.pdf[:, lo:lo + _ROW_BLOCK].T)
-            for j, column in enumerate(columns, start=lo):
-                table[j] = np.interp(x - shifts[j], x, column, left=0.0, right=0.0)
-        table = _read_only(table)
-        self.__dict__["_shifted"] = (key, table)
-        return table
 
     def marginal_x(self) -> DensityGrid:
         return DensityGrid(self.x, np.trapezoid(self.pdf, self.y, axis=1)).normalized()
@@ -244,41 +218,73 @@ def bayes_posterior(joint: JointGrid, y_star: float) -> DensityGrid:
     return grid.normalized()
 
 
-def _shifted_conditional_mixture(
-    joint: JointGrid, gain: float, y_star: float, y_weight: np.ndarray
-) -> DensityGrid:
-    """Quadrature of ``\\int p(x - K (y* - y) | y) w(y) dy`` on the x grid.
+def limit_pdfs(joint: JointGrid, gain: float, y_star: float, trims) -> list[DensityGrid]:
+    """Large-ensemble limit densities of the plain and trimmed linear updates
+    ``x + K (y* - y)`` for one ``(gain, y*)``, one per entry of ``trims``.
 
-    ``y_weight`` carries the full averaging weight (marginal density times
-    any reweighting); zero-marginal columns contribute nothing.  The
-    conditional ``p(x | y_j)`` is the j-th joint column divided by the
-    observation marginal, shifted by linear interpolation in x.  The terms
-    are added in increasing ``j`` onto zeros, a row block at a time with the
-    running sum as the block's first row, so the sum is sequential.
+    Each is the quadrature of ``\\int p(x - K (y* - y) | y) w(y) dy`` on the x
+    grid: the conditionals ``p(x | y_j)`` (the j-th joint column divided by
+    the observation marginal) shifted by ``K (y* - y_j)`` in x by linear
+    interpolation, averaged with weight ``w``.  An entry ``None`` is the
+    plain (EnKF) limit, ``w(y) = p(y)``; with ``K = 0`` it is the prior
+    marginal, and only at jointly Gaussian inputs is it the exact posterior.
+    An entry ``(lam, scale)`` is the trimmed limit,
+    ``w(y) = p(y) exp(-|y - y*| / (scale * lam))``, where ``scale=None``
+    means the standard deviation of the observation marginal (the
+    normalized-L1 distance).  Large ``lam`` recovers the plain limit, small
+    ``lam`` concentrates the weight at ``y*`` and recovers the posterior;
+    the trimming constant is absorbed by the final renormalization.
+
+    One pass over the joint in row blocks: each block's shifted
+    conditionals are interpolated once and added, weighted, to every
+    entry's running sum, so only one block is held whatever the number of
+    entries.  Per entry the terms are added in increasing ``j`` onto zeros,
+    with the running sum as each block's first row, so the sum is
+    sequential.  A column with zero weight or zero marginal gets the
+    coefficient 0.0; every shifted row is finite, so its term is a zero
+    that leaves the sum's bits as they are.
     """
-    marg_y = joint._y_mass
-    shifted = joint._shifted_conditionals(gain, y_star)
-    quad_w = np.full(joint.y.size, 1.0)
+    gain, y_star = float(gain), float(y_star)
+    x, y, marg_y = joint.x, joint.y, joint._y_mass
+    weights = np.empty((len(trims), y.size))
+    for k, trim in enumerate(trims):
+        if trim is None:
+            weights[k] = marg_y
+            continue
+        lam, scale = trim
+        if not (np.isfinite(lam) and lam > 0):
+            raise OracleError(f"lam must be finite and positive, got {lam}")
+        if scale is None:
+            scale = joint.marginal_y().std()
+        if not (np.isfinite(scale) and scale > 0):
+            raise OracleError(f"scale must be finite and positive, got {scale}")
+        d = np.abs(y - y_star) / scale
+        weights[k] = marg_y * np.exp(-(d - d.min()) / lam)
+    quad_w = np.full(y.size, 1.0)
     quad_w[0] = quad_w[-1] = 0.5  # trapezoid rule; dy absorbed by normalization
-    cols = np.nonzero((y_weight > 0) & (marg_y > 0))[0]
-    coef = (quad_w[cols] * y_weight[cols] / marg_y[cols])[:, None]
-    out = np.zeros((1, joint.x.size))
-    for lo in range(0, cols.size, _ROW_BLOCK):
-        hi = lo + _ROW_BLOCK
-        terms = coef[lo:hi] * shifted[cols[lo:hi]]
-        out = np.concatenate([out, terms]).sum(axis=0, keepdims=True)
-    return DensityGrid(joint.x, out[0]).normalized()
+    coef = np.zeros_like(weights)
+    np.divide(quad_w * weights, marg_y, out=coef, where=(weights > 0) & (marg_y > 0))
+
+    shifts = gain * (y_star - y)
+    sums = np.zeros((len(trims), x.size))
+    rows = np.empty((_ROW_BLOCK, x.size))
+    terms = np.empty((_ROW_BLOCK + 1, x.size))  # row 0 carries the running sum
+    for lo in range(0, y.size, _ROW_BLOCK):
+        # np.interp would copy a strided column first
+        columns = np.ascontiguousarray(joint.pdf[:, lo:lo + _ROW_BLOCK].T)
+        nb = columns.shape[0]
+        for i, column in enumerate(columns):
+            rows[i] = np.interp(x - shifts[lo + i], x, column, left=0.0, right=0.0)
+        for c, total in zip(coef, sums):
+            terms[0] = total
+            np.multiply(c[lo:lo + nb, None], rows[:nb], out=terms[1:nb + 1])
+            np.add.reduce(terms[:nb + 1], axis=0, out=total)
+    return [DensityGrid(x, total).normalized() for total in sums]
 
 
 def enkf_limit_pdf(joint: JointGrid, gain: float, y_star: float) -> DensityGrid:
-    """Large-ensemble limit of the linear update ``x + K (y* - y)``.
-
-    The density of the updated variable is the average of the conditionals
-    ``p(x | y)`` shifted by ``K (y* - y)``, weighted by the observation
-    marginal.  With ``K = 0`` it reduces to the prior marginal; only at
-    jointly Gaussian inputs does it match the exact posterior.
-    """
-    return _shifted_conditional_mixture(joint, gain, y_star, joint._y_mass)
+    """Large-ensemble limit of the linear update: ``limit_pdfs`` for ``[None]``."""
+    return limit_pdfs(joint, gain, y_star, [None])[0]
 
 
 def tenkf_limit_pdf(
@@ -288,24 +294,8 @@ def tenkf_limit_pdf(
     lam: float,
     scale: float | None = None,
 ) -> DensityGrid:
-    """Limit density of the trimmed update: the same shifted-conditional
-    mixture with averaging weight ``p(y) exp(-|y - y*| / (scale * lam))``.
-
-    ``scale`` is the distance normalization (defaults to the standard
-    deviation of the observation marginal, matching the normalized-L1
-    distance); the trimming normalization constant is absorbed by the final
-    renormalization.  Large ``lam`` recovers the plain limit density, small
-    ``lam`` concentrates the weight at ``y*`` and recovers the posterior.
-    """
-    if not (np.isfinite(lam) and lam > 0):
-        raise OracleError(f"lam must be finite and positive, got {lam}")
-    if scale is None:
-        scale = joint.marginal_y().std()
-    if not (np.isfinite(scale) and scale > 0):
-        raise OracleError(f"scale must be finite and positive, got {scale}")
-    d = np.abs(joint.y - y_star) / scale
-    trim = np.exp(-(d - d.min()) / lam)
-    return _shifted_conditional_mixture(joint, gain, y_star, joint._y_mass * trim)
+    """Limit density of the trimmed update: ``limit_pdfs`` for ``[(lam, scale)]``."""
+    return limit_pdfs(joint, gain, y_star, [(lam, scale)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -514,6 +515,21 @@ def test_replicates_and_configs_pickle():
         assert pickle.loads(pickle.dumps(cfg)) == cfg
     cfg = validate_config({"scenario": "l96-rmse-sweep", "params": {"n": [40, 60], "target_ne": 20.0}})
     assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name, bound_mib", [("bimodal-oracle-check", 48), ("l63-limit-dist", 30)])
+def test_replicate_traced_peak(name, bound_mib):
+    # At their defaults the bimodal check kept a 32 MiB table of shifted
+    # conditionals beside its 32 MiB joint (74.9 MiB), and the L63 check
+    # kept each whole (3, n) posterior alive for one row of it (34.9 MiB).
+    cfg = validate_config({"scenario": name, "seed": 0, "params": {}})
+    tracemalloc.start()
+    try:
+        SCENARIOS[name].replicate(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
 
 
 class TestExitCodes:

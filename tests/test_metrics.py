@@ -93,6 +93,21 @@ class TestKsDistance:
         assert d1 == pytest.approx(d2)
         assert 0.0 <= d1 <= 1.0
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([np.nan, 1.0, 2.0], [1.0, 2.0, 3.0]),
+            ([np.nan, np.nan], [1.0, 2.0]),
+            ([1.0, 2.0], [0.5, np.nan]),
+            ([np.nan, 0.5], DensityGrid(np.linspace(0, 1, 5), np.ones(5))),
+        ],
+        ids=["one-nan", "all-nan", "nan-second", "nan-vs-grid"],
+    )
+    def test_nan_sample_rejected(self, a, b):
+        # Read 0.333, 1.0 and nan before: NaN sorted last and took a CDF step.
+        with pytest.raises(ValueError, match="NaN"):
+            ks_distance(a, b)
+
     def test_tuple_of_samples_is_a_sample(self):
         # a 2-tuple is two sample values, not a (samples, weights) pair
         assert ks_distance((1.0, 2.0), np.array([1.0, 2.0])) == 0.0

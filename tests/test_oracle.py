@@ -1,6 +1,8 @@
 """Tests for the quadrature oracles: conditioning, limit mixtures, and the
 exact Kalman recursion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from trimkf.oracle import (
     enkf_limit_pdf,
     joint_from_conditional,
     kalman_filter_sequence,
+    limit_pdfs,
     tenkf_limit_pdf,
 )
 
@@ -50,6 +53,12 @@ class TestDensityGrid:
     def test_rejects_negative_density(self):
         with pytest.raises(OracleError):
             DensityGrid(np.linspace(0, 1, 5), np.array([1, -0.1, 1, 1, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_density(self, bad):
+        # NaN passed the non-negativity check and gave a nan CDF.
+        with pytest.raises(OracleError, match="finite"):
+            DensityGrid(np.linspace(0, 1, 5), np.array([1.0, bad, 1.0, 1.0, 1.0]))
 
     def test_rejects_irregular_grid(self):
         with pytest.raises(OracleError):
@@ -234,7 +243,7 @@ def _fresh(joint):
 
 
 class TestCachedJoint:
-    """The cached y-marginal and shifted-conditional table give the old bits."""
+    """The cached y-marginal and the limit densities give the old bits."""
 
     @pytest.mark.parametrize("points", [64, 512, 2048])
     def test_limits_bit_identical_to_per_column_loop(self, points):
@@ -277,8 +286,7 @@ class TestCachedJoint:
         _assert_same_grid(joint.marginal_y(), want)
 
     def test_two_gains_on_one_joint_bit_identical(self, toy):
-        # a new gain rebuilds the shifted table; going back to the first
-        # gain rebuilds it again, with the same bits
+        # calls with different gains on one joint keep nothing between them
         y_star = toy.y_star
         cases = [(toy.exact_gain, None, None), (0.4, 0.3, None), (0.4, None, None),
                  (toy.exact_gain, 0.05, 1.1)]
@@ -298,21 +306,71 @@ class TestCachedJoint:
         joint = JointGrid(toy.joint.x, toy.joint.y, table)
         gain, y_star = toy.exact_gain, toy.y_star
         tenkf_limit_pdf(joint, gain, y_star, 0.5)
-        cached = (joint._y_mass, joint._shifted_conditionals(gain, y_star))
-        for a in (joint.x, joint.y, joint.pdf) + cached:
+        enkf_limit_pdf(joint, 0.5 * gain, y_star)
+        for a in (joint.x, joint.y, joint.pdf, joint._y_mass):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             joint.pdf[0, 0] = 1.0
         assert table.flags.writeable and np.shares_memory(joint.pdf, table)
-        assert cached[1].shape == (joint.y.size, joint.x.size)
-        # the same (gain, y*) reuses the table; a new gain replaces it
-        enkf_limit_pdf(joint, gain, y_star)
-        assert joint._y_mass is cached[0]
-        assert joint._shifted_conditionals(gain, y_star) is cached[1]
-        rebuilt = joint._shifted_conditionals(0.5 * gain, y_star)
-        assert rebuilt is not cached[1] and not rebuilt.flags.writeable
-        assert joint._shifted_conditionals(0.5 * gain, y_star) is rebuilt
-        assert not np.array_equal(rebuilt, cached[1])
+        # the y-marginal is the only table a joint keeps
+        assert set(vars(joint)) == {"x", "y", "pdf", "_y_mass"}
+
+
+def _reference_batch(joint, gain, y_star, trims):
+    return [_reference_limit(joint, gain, y_star, *(t or (None, None))) for t in trims]
+
+
+class TestLimitBatch:
+    """One pass gives every limit density with the per-call bits."""
+
+    # 300 ends on a partial block; at lam 0.002 most weights underflow to 0
+    @pytest.mark.parametrize("points", [64, 300, 2048])
+    def test_bit_identical_to_reference_and_wrappers(self, points):
+        toy = bimodal_toy(points=points)
+        gain, y_star = toy.exact_gain, toy.y_star
+        trims = [None, (1e9, None), (0.02, None), (0.3, 1.3), (0.002, None), (0.3, None),
+                 (0.02, None)]
+        got = limit_pdfs(_fresh(toy.joint), gain, y_star, trims)
+        assert len(got) == len(trims)
+        for trim, g, want in zip(trims, got, _reference_batch(toy.joint, gain, y_star, trims)):
+            _assert_same_grid(g, want)
+            _assert_same_grid(g, _limit(_fresh(toy.joint), gain, y_star, *(trim or (None, None))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.sampled_from([16, 33, 64]),
+        gain=st.floats(-1.5, 1.5),
+        y_star=st.floats(-4.0, 4.0),
+        trims=st.lists(
+            st.one_of(st.none(), st.tuples(st.floats(1e-3, 1e6),
+                                           st.one_of(st.none(), st.floats(0.1, 5.0)))),
+            min_size=1, max_size=4),
+    )
+    def test_bit_identical_property(self, points, gain, y_star, trims):
+        joint = bimodal_toy(points=points).joint
+        try:
+            wants = _reference_batch(joint, gain, y_star, trims)
+        except OracleError:
+            with pytest.raises(OracleError):
+                limit_pdfs(_fresh(joint), gain, y_star, trims)
+            return
+        for got, want in zip(limit_pdfs(_fresh(joint), gain, y_star, trims), wants):
+            _assert_same_grid(got, want)
+
+    def test_nine_limits_hold_one_block(self, toy):
+        # The whole (len(y), len(x)) table of shifted conditionals would
+        # add 32 MiB at 2048 points.
+        joint = _fresh(toy.joint)
+        trims = [None, (1e9, None), (0.02, None)] + [
+            (lam, None) for lam in (10.0, 1.0, 0.3, 0.1, 0.03)] + [(0.3, 1.3)]
+        tracemalloc.start()  # the joint, made before, is not counted
+        try:
+            out = limit_pdfs(joint, toy.exact_gain, toy.y_star, trims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 9
+        assert peak < 2 * 2**20
 
 
 def _reference_bimodal_table(points, span_sds=8.0):
@@ -351,6 +409,14 @@ class TestJointFromConditional:
 
 
 class TestJointGridChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_rejects_bad_density(self, bad):
+        # A non-finite column would poison every limit density.
+        table = np.ones((5, 5))
+        table[2, 3] = bad
+        with pytest.raises(OracleError, match="finite and non-negative"):
+            JointGrid(np.linspace(-1, 1, 5), np.linspace(0, 1, 5), table)
+
     @pytest.mark.parametrize(
         "x, y",
         [
