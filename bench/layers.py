@@ -1,19 +1,21 @@
 """Layer microbenchmark of the forecast kernels and the quadrature oracles.
 
-Times the Lorenz-96 drift (36 dimensions, n = 200, 1000 and 3000 members),
-one stochastic-Heun forecast interval (90 steps of 0.01 on 36x1000, the
-``l96-rmse-sweep`` interval) and one adaptive DP45 interval (0.8 time units
-at rtol 1e-6, atol 1e-9, the ``l96-adaptive-aug`` interval) on 36x200 (the
-forecast block) and on 36x600 (the block augmented threefold).
+Times the Lorenz-96 drift (36 dimensions, n = 200, 1000 and 3000 members,
+written into one reused buffer), one stochastic-Heun forecast interval (90
+steps of 0.01, the ``l96-rmse-sweep`` interval) on 36x1000, 36x2000 and
+36x3000 (the block and its augmented sizes), and one adaptive DP45
+interval (0.8 time units at rtol 1e-6, atol 1e-9, the ``l96-adaptive-aug``
+interval) on 36x200 (the forecast block) and on 36x600 (the block
+augmented threefold).
 For ``oracle-1e5``'s layers it times building the 2048-point bimodal joint,
 the nine limit densities of ``bimodal-oracle-check`` in one ``limit_pdfs``
 call on a fresh joint (built over the same arrays inside the timed call, so
 its y-marginal is not cached yet; the last entry uses the marginal's scale
 in place of the sample's), with the ``tracemalloc`` peak of one extra
 untimed call on a joint built before tracing starts; then the Lorenz-63
-drift and one stochastic-Heun step (dt 0.01, sigma 0.01) on a 3x1e5
-block, and the KS distance between 1e5 samples and the 2048-point limit
-density.
+drift, one stochastic-Heun step and one forecast interval (100 steps; dt
+0.01, sigma 0.01, the ``l63-limit-dist`` interval) on a 3x1e5 block, and
+the KS distance between 1e5 samples and the 2048-point limit density.
 For the update path it times the sample Kalman gain, the lambda bisection
 (target n_e 50) and one trimmed update (with that bisection) on a 36x1000
 L96 joint observed at every other component, and multinomial resampling
@@ -78,20 +80,21 @@ def _attractor_block(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _drift_calls(x: np.ndarray, p: Lorenz96Params, calls: int) -> None:
-    # Many calls per run: one call at n=200 takes microseconds.  Results are
-    # dropped as they come, as a stepper drops them.
+    # Many calls per run: one call at n=200 takes microseconds.  Every call
+    # writes into the same buffer, as a stepper's work slot is reused.
+    out = np.empty_like(x)
     for _ in range(calls):
-        l96_drift(x, p)
+        l96_drift(x, p, out)
 
 
 def _dp45_counts(model, x, t1, cfg) -> dict:
     """Drift calls and attempted steps of one DP45 interval."""
     calls = attempts = 0
 
-    def drift(x, t):
+    def drift(x, t, out):
         nonlocal calls
         calls += 1
-        return model.drift(x, t)
+        return model.drift(x, t, out)
 
     def stages(*args):
         nonlocal attempts
@@ -167,6 +170,14 @@ def main() -> None:
     layers["heun_interval_90x_n1000"] = _measure(
         lambda: integrate(sde, x, 0.0, 0.9, heun, step_rng), args.repeats
     )
+    # The augmented sizes draw from generators of their own, so that every
+    # other layer keeps its inputs.
+    aug_rng = np.random.default_rng(args.seed + 2)
+    for n in (2000, 3000):
+        x = _attractor_block(n, aug_rng)
+        layers[f"heun_interval_90x_n{n}"] = _measure(
+            lambda x=x: integrate(sde, x, 0.0, 0.9, heun, aug_rng), args.repeats
+        )
 
     ode = lorenz96_model(p)
     dp45 = IntegratorConfig(scheme="rk45-adaptive", dt=0.01, rtol=1e-6, atol=1e-9)
@@ -193,10 +204,14 @@ def main() -> None:
 
     p63 = Lorenz63Params(sigma=0.01)
     x = np.array([[1.5], [-1.5], [25.0]]) + rng.standard_normal((3, 100_000))
-    layers["l63_drift_3x1e5"] = _measure(lambda: l63_drift(x, p63), args.repeats)
+    out = np.empty_like(x)
+    layers["l63_drift_3x1e5"] = _measure(lambda: l63_drift(x, p63, out), args.repeats)
     l63 = lorenz63_model(p63)
     layers["heun_step_3x1e5"] = _measure(
         lambda: heun_sde_step(l63, x, 0.0, 0.01, step_rng), args.repeats
+    )
+    layers["heun_interval_100x_3x1e5"] = _measure(
+        lambda: integrate(l63, x, 0.0, 1.0, heun, aug_rng), args.repeats
     )
 
     limit = tenkf_limit_pdf(j, gain, y_star, 0.3)

@@ -23,19 +23,32 @@ All steppers accept states of shape ``(N,)`` or ``(N, n)`` (member columns)
 as long as the model drift is vectorized; without noise, Heun results on a
 batch are bit-identical to stepping each column alone.
 
+Drifts write into buffers the steppers own (``drift(x, t, out)``, see
+``models``), and nothing is allocated per step.  A Heun ``integrate`` call
+(and ``heun_sde_step``, which is one step of it) runs in one workspace of
+state-sized arrays allocated once per call: two state slots used in turn,
+the first drift ``f0``, the predictor ``xp`` and the noise increment.  The
+second drift is written straight into the next state slot, and the last
+state slot is the result.  The slots are separate arrays, not one stacked
+block: freeing a block as large as a 3x1e5 workspace (14 MB) raises
+glibc's dynamic mmap and trim thresholds to its size, the heap then kept
+later temporaries resident, and the ``oracle-1e5`` benchmark (an L63
+forecast, then the quadrature oracles) peaked 13 MB higher.  DP45 writes each stage into one of seven preallocated
+arrays ``k`` and swaps ``k[0]`` and ``k[6]`` on acceptance.
+
 Where the Heun noise is drawn: each step draws its standard-normal
 increment from the caller's ``rng`` on the calling thread, unless the
 state is a large block (at least ``NOISE_HELPER_MIN_ELEMS`` numbers, over
 more than one step) and the process has a spare CPU.  The draw does not
 depend on the state, so then ``integrate`` draws each step's increment
-one step ahead on a helper thread while the calling thread computes the
-current step's drifts, and hands the increments to ``heun_sde_step`` in
-step order.  The order cannot change: the increments are consecutive
-draws from one Generator, so drawing them in another order, count or
-stream would change the result bytes and the ``rng`` state after the
-call (``observe`` draws from it next).  The helper never draws past the
-interval's last step and is joined before ``integrate`` returns or
-raises.
+one step ahead on a helper thread, into a second increment slot of the
+workspace, while the calling thread computes the current step's drifts,
+and hands the increments to the steps in order.  The order cannot change:
+the increments are consecutive draws from one Generator, so drawing them
+in another order, count or stream would change the result bytes and the
+``rng`` state after the call (``observe`` draws from it next).  The
+helper never draws past the interval's last step and is joined before
+``integrate`` returns or raises.
 
 Spare CPUs are counted process-wide: the usable CPUs (``usable_cpus``)
 minus one.  Code that keeps more threads busy, such as the replicate pool,
@@ -49,8 +62,9 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -121,21 +135,45 @@ def _nonfinite_drift(f: np.ndarray, t: float) -> IntegrationError:
     return IntegrationError(f"non-finite drift at t={t:.6g}")
 
 
-def _checked_drift(model: DynModel, x: np.ndarray, t: float) -> np.ndarray:
+def _drift_into(drift, x: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+    """``drift(x, t, out)``; a result other than ``out`` (the drift's input,
+    say) is copied into ``out``.  Returns ``out``."""
+    f = drift(x, t, out)
+    if f is not out:
+        np.copyto(out, f)
+    return out
+
+
+def _checked_drift(model: DynModel, x: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
     # Overflow here is a diagnosed failure mode (divergent member), not a bug:
     # evaluate quietly, then raise with the member index.  A finite sum proves
     # every entry finite; only a non-finite sum (a bad entry, or an overflow
     # of the sum itself) needs the full scan.
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.asarray(model.drift(x, t), dtype=float)
+        f = _drift_into(model.drift, x, t, out)
         total_finite = np.isfinite(f.sum())
     if not total_finite and not np.all(np.isfinite(f)):
         raise _nonfinite_drift(f, t)
-    # The steppers overwrite drift results in place; a drift that hands back
-    # its own input (dx/dt = x) must not alias a state buffer.
-    if np.may_share_memory(f, x):
-        f = f.copy()
     return f
+
+
+def _heun_step(model, x, t, dt, dw, f0, xp, out):
+    """One Heun step from ``x`` into ``out`` with the scaled increment
+    ``dw`` (0.0 without noise): predictor ``xp = x + f(x,t) dt + dw``,
+    corrector ``x + dt/2 (f(x,t) + f(xp, t+dt)) + dw``.  Each in-place
+    operation is the same IEEE operation on the same operands as that
+    expression (up to commuted operands), so the bits are the same.
+    """
+    _checked_drift(model, x, t, f0)
+    np.multiply(f0, dt, out=xp)
+    xp += x
+    xp += dw
+    _checked_drift(model, xp, t + dt, out)
+    out += f0
+    out *= 0.5 * dt
+    out += x
+    out += dw
+    return out
 
 
 def heun_sde_step(
@@ -147,33 +185,12 @@ def heun_sde_step(
 ) -> np.ndarray:
     """One stochastic Heun step of ``dx = f(x,t) dt + sigma dW``.
 
-    Predictor ``xp = x + f(x,t) dt + s`` and corrector
-    ``x + dt/2 (f(x,t) + f(xp, t+dt)) + s`` share the same noise increment
-    ``s = sigma sqrt(dt) zeta`` with standard-normal ``zeta`` per component,
-    taken from ``rng.standard_normal(x.shape)`` (which the step may scale in
-    place).  ``x`` is not modified.
+    Predictor and corrector share the same noise increment
+    ``dw = sigma sqrt(dt) zeta`` with standard-normal ``zeta`` per
+    component, drawn as ``rng.standard_normal(x.shape)`` would draw it.
+    ``x`` is not modified; the result is a new array.
     """
-    if model.noise_intensity > 0 and rng is None:
-        raise ValueError("stochastic integration needs an rng")
-    # Each in-place operation below is the same IEEE operation on the same
-    # operands as the textbook expression (addition and multiplication are
-    # commutative), so the result is bit-identical to it.
-    x = np.asarray(x, dtype=float)
-    f0 = _checked_drift(model, x, t)
-    if model.noise_intensity > 0:
-        dw = rng.standard_normal(x.shape)
-        dw *= model.noise_intensity * np.sqrt(dt)
-    else:
-        dw = 0.0
-    xp = f0 * dt
-    xp += x
-    xp += dw
-    f1 = _checked_drift(model, xp, t + dt)
-    f1 += f0
-    f1 *= 0.5 * dt
-    f1 += x
-    f1 += dw
-    return f1
+    return _heun(model, np.asarray(x, dtype=float), t, dt, 1, 0.0, rng)
 
 
 # Dormand-Prince 5(4) tableau, in Python floats: a NumPy scalar costs more
@@ -214,7 +231,8 @@ _PI_ALPHA, _PI_BETA = 0.7 / 5.0, 0.4 / 5.0
 def _dp_stages(drift, x, t, dt, k, x5, err, tmp):
     """One Dormand-Prince attempt from ``x`` given ``k[0] = f(x, t)``: the
     5th-order solution (the last stage state, as row 6 of the tableau is b)
-    into ``x5``, its drift into ``k[6]`` and the error estimate into ``err``.
+    into ``x5``, the stage drifts into ``k[1..6]`` and the error estimate
+    into ``err``.
 
     Each combination adds its nonzero terms left to right, scales by ``dt``
     and adds ``x``, the operation order of ``x + dt * sum(a_j k_j)``.  The
@@ -227,9 +245,7 @@ def _dp_stages(drift, x, t, dt, k, x5, err, tmp):
             x5 += tmp
         x5 *= dt
         x5 += x
-        f = np.asarray(drift(x5, t + c * dt), dtype=float)
-        # x5 is the next stage's work array (see _checked_drift).
-        k[s] = f.copy() if np.may_share_memory(f, x5) else f
+        _drift_into(drift, x5, t + c * dt, k[s])
     j, e = _DP_ERR_FIRST
     np.multiply(k[j], e, out=err)
     for j, e in _DP_ERR_REST:
@@ -256,9 +272,11 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
     A member block of shape (N, n) is stepped in lockstep: the controlling
     error norm is the worst per-member norm, so every member stays within
     tolerance while the whole block shares one step sequence.  The work
-    arrays belong to this call (replicates integrate on several threads at
-    once) and ``x`` itself is never written.  An accepted attempt's last
-    stage is the next one's first; a rejected one leaves ``k[0]`` as it is.
+    arrays, the seven stage drifts ``k`` among them, belong to this call
+    (replicates integrate on several threads at once) and ``x`` itself is
+    never written.  An accepted attempt's last stage is the next one's
+    first, so ``k[0]`` and ``k[6]`` swap; a rejected one leaves ``k[0]`` as
+    it is.
     Each attempt is checked once, on its error norm and ``k[1]``;
     ``integrate`` runs this with overflow and invalid operations quiet.
     """
@@ -266,7 +284,8 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
     x = x.copy()
     x_new, err, ratios, tmp, abs_new = (np.empty_like(x) for _ in range(5))
     abs_x = np.abs(x)
-    k = [_checked_drift(model, x, t0)] + [None] * 6
+    k = [np.empty_like(x) for _ in range(7)]
+    _checked_drift(model, x, t0, k[0])
     t = t0
     dt = min(cfg.dt, t1 - t0)
     prev_err_norm = 1.0
@@ -297,7 +316,7 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
             t += dt
             x, x_new = x_new, x
             abs_x, abs_new = abs_new, abs_x
-            k[0] = k[6]
+            k[0], k[6] = k[6], k[0]
             # PI controller: uses current and previous accepted error norms.
             factor = _SAFETY * (
                 (err_norm + 1e-16) ** -_PI_ALPHA * (prev_err_norm + 1e-16) ** _PI_BETA
@@ -348,28 +367,39 @@ def integrate(
             )
         with np.errstate(over="ignore", invalid="ignore"):
             return _rk45_adaptive(model, x, t0, t1, cfg)
-    if model.noise_intensity > 0 and rng is None:
-        raise ValueError("stochastic integration needs an rng")
     n_full, remainder = _fixed_grid_steps(t0, t1, cfg.dt)
-    if model.noise_intensity > 0:
-        n_steps = n_full + (remainder > 0.0)
-        # A helper pays off only for a large block with a next step to draw.
-        wanted = x.size >= NOISE_HELPER_MIN_ELEMS and n_steps > 1
-        with hold_spare_cpus(int(wanted)) as spare:
-            if spare:
-                with ThreadPoolExecutor(1) as helper:
-                    noise = _Increments(rng, x.shape, n_steps, helper)
-                    return _heun_steps(model, x, t0, cfg.dt, n_full, remainder, noise)
-    return _heun_steps(model, x, t0, cfg.dt, n_full, remainder, rng)
+    return _heun(model, x, t0, cfg.dt, n_full, remainder, rng)
 
 
-def _heun_steps(model, x, t, dt, n_full, remainder, rng):
-    for _ in range(n_full):
-        x = heun_sde_step(model, x, t, dt, rng)
-        t += dt
-    if remainder > 0.0:
-        x = heun_sde_step(model, x, t, remainder, rng)
-    return x
+def _heun(model, x, t, dt, n_full, remainder, rng):
+    """Stochastic Heun from ``x`` at ``t``: ``n_full`` steps of ``dt``, then
+    one of ``remainder`` if it is positive, in one workspace (see the module
+    docstring).  Returns a new array, also after no steps."""
+    noisy = model.noise_intensity > 0
+    if noisy and rng is None:
+        raise ValueError("stochastic integration needs an rng")
+    n_steps = n_full + (remainder > 0.0)
+    # A helper pays off only for a large block with a next step to draw.
+    wanted = noisy and x.size >= NOISE_HELPER_MIN_ELEMS and n_steps > 1
+    with hold_spare_cpus(int(wanted)) as spare, (
+        ThreadPoolExecutor(1) if spare else nullcontext()
+    ) as helper:
+        # 0 and 1 the state in turn, 2 f0, 3 xp, 4 (and 5) the noise
+        ws = [np.empty(x.shape) for _ in range(4 + noisy + spare)]
+        draw = None
+        if spare:
+            draw = _Increments(rng, ws[4:], n_steps, helper).draw
+        elif noisy:
+            draw = partial(rng.standard_normal, out=ws[4])
+        for i in range(n_steps):
+            h = dt if i < n_full else remainder
+            dw = 0.0
+            if draw is not None:
+                dw = draw()
+                dw *= model.noise_intensity * np.sqrt(h)
+            x = _heun_step(model, x, t, h, dw, ws[2], ws[3], ws[i % 2])
+            t += dt
+        return x if n_steps else x.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -406,20 +436,19 @@ def hold_spare_cpus(n: int):
 
 
 class _Increments:
-    """Stands in for the Generator that ``heun_sde_step`` draws from: each
-    ``standard_normal`` call returns the next step's increment.
+    """Hands out each step's standard-normal increment in turn (``draw``).
 
     The increments are drawn from ``rng`` one step ahead on the ``helper``
-    executor, into two buffers used in turn: step ``i + 1``'s draw starts
-    when step ``i``'s increment is handed out, into the buffer step
-    ``i - 1`` used, which is done by then.  The first draw starts here,
-    before the first drift runs.  The buffers are allocated here, on the
-    calling thread, so the helper thread allocates no array memory.
+    executor, into the two buffers ``bufs`` used in turn: step ``i + 1``'s
+    draw starts when step ``i``'s increment is handed out, into the buffer
+    step ``i - 1`` used, which is done by then.  The first draw starts here,
+    before the first drift runs.  The buffers are slots of the caller's
+    workspace, so the helper thread allocates no array memory.
     """
 
-    def __init__(self, rng, shape, n_steps, helper):
+    def __init__(self, rng, bufs, n_steps, helper):
         self._rng, self._helper, self._n_steps = rng, helper, n_steps
-        self._bufs = [np.empty(shape) for _ in range(2)]
+        self._bufs = bufs
         self._step = 0
         self._pending = helper.submit(self._draw, self._bufs[0])
 
@@ -427,7 +456,7 @@ class _Increments:
         self._rng.standard_normal(out=out)
         return out
 
-    def standard_normal(self, shape):
+    def draw(self):
         dw = self._pending.result()
         self._step += 1
         if self._step < self._n_steps:

@@ -4,10 +4,13 @@ A :class:`DynModel` either carries a drift field (continuous dynamics,
 advanced by the integrators module) or a one-shot ``transition`` map
 (discrete dynamics such as the linear-Gaussian reference model); the
 state dimension is the leading axis of the states it is given.  Drift
-functions are vectorized over members: they accept ``(N,)`` or ``(N, n)``
-arrays and return the same shape, in an array the caller may overwrite (the
-integrators reuse drift results as work space; returning the input itself is
-allowed, returning one cached array from every call is not).
+functions are vectorized over members and write into a buffer the caller
+owns: ``drift(x, t, out)`` is given a state ``x`` of shape ``(N,)`` or
+``(N, n)`` and an ``out`` of the same shape that does not overlap ``x``,
+and returns ``out`` filled with the derivative.  A drift may instead return
+another array of that shape, such as ``x`` itself; the integrators then
+copy it into ``out``.  They keep ``out`` and reuse it as work space, so a
+drift must not hold on to it between calls.
 
 Measurement models are additive diagonal Gaussian by default, matching
 ``y = h(x) + eps`` with ``eps ~ N(0, tau^2 I)``; a custom noise sampler can
@@ -48,7 +51,8 @@ class DynModel:
 
     Exactly one of two flavors applies:
 
-    * continuous: ``drift(x, t)`` gives the deterministic derivative and
+    * continuous: ``drift(x, t, out)`` gives the deterministic derivative
+      (see the module docstring for the ``out`` contract) and
       ``noise_intensity`` scales per-component Gaussian white noise; the
       integrators module advances the state.
     * discrete: ``transition(x, t, rng)`` maps the state over one whole
@@ -58,7 +62,7 @@ class DynModel:
     deterministic map: identical inputs give identical outputs.
     """
 
-    drift: Callable[[np.ndarray, float], np.ndarray] | None = None
+    drift: Callable[[np.ndarray, float, np.ndarray], np.ndarray] | None = None
     noise_intensity: float = 0.0
     transition: Callable[[np.ndarray, float, np.random.Generator], np.ndarray] | None = None
 
@@ -127,13 +131,13 @@ class Lorenz96Params:
             raise ModelError("cyclic coupling needs dim >= 4")
 
 
-def l63_drift(x: np.ndarray, p: Lorenz63Params) -> np.ndarray:
-    """Deterministic Lorenz-63 derivative; vectorized over member columns."""
+def l63_drift(x: np.ndarray, p: Lorenz63Params, out: np.ndarray) -> np.ndarray:
+    """Deterministic Lorenz-63 derivative of ``x`` into ``out``; vectorized
+    over member columns."""
     x = np.asarray(x, dtype=float)
-    # Filled in place: the same IEEE operations on the same operands as
-    # alpha*(x1-x0), x0*(rho-x2)-x1 and x0*x1-beta*x2, up to commuted
-    # products.  ``out[i, ...]`` stays a view even for a 1-D state.
-    out = np.empty((3,) + x.shape[1:])
+    # The same IEEE operations on the same operands as alpha*(x1-x0),
+    # x0*(rho-x2)-x1 and x0*x1-beta*x2, up to commuted products.
+    # ``out[i, ...]`` stays a view even for a 1-D state.
     d0, d1, d2 = out[0, ...], out[1, ...], out[2, ...]
     np.subtract(x[1], x[0], out=d0)
     d0 *= p.alpha
@@ -146,29 +150,32 @@ def l63_drift(x: np.ndarray, p: Lorenz63Params) -> np.ndarray:
     return out
 
 
-def l96_drift(x: np.ndarray, p: Lorenz96Params) -> np.ndarray:
-    """Lorenz-96 derivative with cyclic indexing; vectorized over columns."""
+def l96_drift(x: np.ndarray, p: Lorenz96Params, out: np.ndarray) -> np.ndarray:
+    """Lorenz-96 derivative ``(x_{j+1} - x_{j-2}) x_{j-1} + F - x_j`` of ``x``
+    into ``out``, with cyclic indexing; vectorized over member columns."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    # One cyclically padded copy [x_{N-2}, x_{N-1}, x_0, ..., x_{N-1}, x_0]
-    # makes x_{j-2}, x_{j-1}, x_j and x_{j+1} plain slices of it.
-    pad = np.empty((n + 3,) + x.shape[1:])
-    pad[2 : n + 2] = x
-    pad[:2] = x[n - 2 :]
-    pad[n + 2] = x[0]
-    out = np.subtract(pad[3:], pad[:n])
-    out *= pad[1 : n + 1]
+    # Each row is evaluated as ((x_{j+1} - x_{j-2}) * x_{j-1} + F) - x_j, in
+    # that order, which fixes its bits.  The differences of rows 2..n-2, 0..1
+    # and n-1 and the factors of rows 1..n-1 are slices of x, so seven ufunc
+    # calls fill ``out``.  ``out[j, ...]`` stays a view for a 1-D state.
+    np.subtract(x[3:], x[: n - 3], out=out[2 : n - 1])
+    np.subtract(x[1:3], x[n - 2 :], out=out[:2])
+    np.subtract(x[0], x[n - 3], out=out[n - 1, ...])
+    head, tail = out[0, ...], out[1:]
+    np.multiply(tail, x[: n - 1], out=tail)
+    np.multiply(head, x[n - 1], out=head)
     out += p.forcing
-    out -= pad[2 : n + 2]
+    out -= x
     return out
 
 
 def lorenz63_model(p: Lorenz63Params) -> DynModel:
-    return DynModel(drift=lambda x, t: l63_drift(x, p), noise_intensity=p.sigma)
+    return DynModel(drift=lambda x, t, out: l63_drift(x, p, out), noise_intensity=p.sigma)
 
 
 def lorenz96_model(p: Lorenz96Params) -> DynModel:
-    return DynModel(drift=lambda x, t: l96_drift(x, p), noise_intensity=p.sigma)
+    return DynModel(drift=lambda x, t, out: l96_drift(x, p, out), noise_intensity=p.sigma)
 
 
 # ---------------------------------------------------------------------------

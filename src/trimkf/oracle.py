@@ -66,7 +66,9 @@ class DensityGrid:
         _check_grid("grid", x)
         if pdf.shape != x.shape:
             raise OracleError("grid and density must be matching 1-D arrays")
-        if not (np.isfinite(pdf).all() and (pdf >= 0).all()):
+        # No full-size temporary: NaN propagates through min, -inf fails
+        # the sign test and +inf leaves max infinite.
+        if not (pdf.min() >= 0 and np.isfinite(pdf.max())):
             raise OracleError("density values must be finite and non-negative")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "pdf", pdf)
@@ -127,7 +129,7 @@ class JointGrid:
         _check_grid("y", y)
         if pdf.shape != (x.size, y.size):
             raise OracleError(f"joint table must be (len(x), len(y)), got {pdf.shape}")
-        if not (np.isfinite(pdf).all() and (pdf >= 0).all()):
+        if not (pdf.min() >= 0 and np.isfinite(pdf.max())):  # see DensityGrid
             raise OracleError("density values must be finite and non-negative")
         object.__setattr__(self, "x", _read_only(x))
         object.__setattr__(self, "y", _read_only(y))

@@ -223,12 +223,12 @@ def test_criterion_8_integrator_orders():
     """The adaptive integrator reproduces e over unit time within 1e-6, and
     the stochastic Heun moment errors on the scalar linear SDE decay at
     least linearly over dt in {0.04, 0.02, 0.01}."""
-    m = DynModel(drift=lambda x, t: x)
+    m = DynModel(drift=lambda x, t, out: x)
     cfg = IntegratorConfig(scheme="rk45-adaptive", dt=0.1, rtol=1e-8, atol=1e-10)
     e_err = abs(integrate(m, np.array([1.0]), 0.0, 1.0, cfg)[0] - np.e)
 
     a, sigma, t_end = 2.0, 0.05, 1.0
-    sde = DynModel(drift=lambda x, t: a * x, noise_intensity=sigma)
+    sde = DynModel(drift=lambda x, t, out: a * x, noise_intensity=sigma)
     exact_mean = np.exp(a * t_end)
     exact_var = sigma**2 * (np.exp(2 * a * t_end) - 1) / (2 * a)
     n = 400_000

@@ -41,7 +41,7 @@ def make_joint(x, y):
 
 class TestForecast:
     def test_zero_horizon_noiseless(self):
-        dyn = DynModel(drift=lambda x, t: np.zeros_like(x))
+        dyn = DynModel(drift=lambda x, t, out: np.zeros_like(x))
         meas = select_observer(2, [0], noise_std=0.0)
         prior = Ensemble(np.array([[1.0, 2.0], [3.0, 4.0]]))
         j = forecast(prior, dyn, meas, IntegratorConfig(dt=0.1), 0.0,
@@ -518,7 +518,7 @@ class TestRunAssimilation:
     def test_step_error_annotated(self):
         from trimkf.filters import TruthRun
 
-        dyn = DynModel(drift=lambda x, t: x * np.where(t > 1.5, np.nan, 1.0))
+        dyn = DynModel(drift=lambda x, t, out: x * np.where(t > 1.5, np.nan, 1.0))
         meas = select_observer(1, [0], noise_std=0.1)
         problem = AssimilationProblem(
             dyn=dyn, meas=meas, integrator=IntegratorConfig(dt=0.1),

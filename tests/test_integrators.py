@@ -3,6 +3,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,12 +32,12 @@ from trimkf.models import (
 
 
 def scalar_model(a=1.0, sigma=0.0):
-    return DynModel(drift=lambda x, t: a * x, noise_intensity=sigma)
+    return DynModel(drift=lambda x, t, out: a * x, noise_intensity=sigma)
 
 
 class TestHeunStep:
     def test_constant_dynamics_identity(self):
-        m = DynModel(drift=lambda x, t: np.zeros_like(x))
+        m = DynModel(drift=lambda x, t, out: np.zeros_like(x))
         x = heun_sde_step(m, np.array([2.5]), 0.0, 0.1, np.random.default_rng(0))
         assert x == pytest.approx([2.5])
 
@@ -49,7 +50,7 @@ class TestHeunStep:
 
     def test_pure_noise_increment_variance(self):
         # f = 0, sigma = 1: x' - x = dW with variance dt
-        m = DynModel(drift=lambda x, t: np.zeros_like(x), noise_intensity=1.0)
+        m = DynModel(drift=lambda x, t, out: np.zeros_like(x), noise_intensity=1.0)
         rng = np.random.default_rng(42)
         dt = 0.04
         n = 100_000
@@ -74,7 +75,7 @@ class TestHeunStep:
             heun_sde_step(m, np.array([1.0]), 0.0, 0.1, None)
 
     def test_nonfinite_drift_names_member(self):
-        def bad(x, t):
+        def bad(x, t, out):
             out = np.array(x, dtype=float, copy=True)
             if out.ndim == 2:
                 out[:, 1] = np.inf
@@ -140,7 +141,7 @@ class TestIntegrate:
     def test_step_underflow_raises(self, monkeypatch):
         # bounded but unresolvable oscillation forces dt below the minimum step
         monkeypatch.setattr(integrators, "MIN_ADAPTIVE_STEP", 1e-5)
-        m = DynModel(drift=lambda x, t: np.cos(1e7 * t) * np.ones_like(x))
+        m = DynModel(drift=lambda x, t, out: np.cos(1e7 * t) * np.ones_like(x))
         cfg = IntegratorConfig(scheme="rk45-adaptive", dt=0.1, rtol=1e-10, atol=1e-12)
         with pytest.raises(IntegrationError, match=r"underflow: dt=.* < 1\.000e-05"):
             integrate(m, np.array([1.0]), 0.0, 10.0, cfg)
@@ -181,7 +182,7 @@ class TestIntegrate:
         # the rounding of the step sums, and the last step ends at t1
         times = []
 
-        def drift(x, t):
+        def drift(x, t, out):
             times.append(t)
             return np.ones_like(x)
 
@@ -271,20 +272,27 @@ class TestConfigValidation:
 # ---------------------------------------------------------------------------
 
 
+def _fresh_drift(model, x, t):
+    """The model's drift at ``(x, t)`` into a buffer of its own."""
+    return model.drift(x, t, np.empty(np.shape(x)))
+
+
 def _ref_heun(model, x, t, dt, rng):
-    f0 = np.asarray(model.drift(x, t), dtype=float)
+    f0 = np.asarray(_fresh_drift(model, x, t), dtype=float)
     if model.noise_intensity > 0:
         dw = model.noise_intensity * np.sqrt(dt) * rng.standard_normal(x.shape)
     else:
         dw = 0.0
     predictor = x + f0 * dt + dw
-    f1 = np.asarray(model.drift(predictor, t + dt), dtype=float)
+    f1 = np.asarray(_fresh_drift(model, predictor, t + dt), dtype=float)
     return x + 0.5 * dt * (f0 + f1) + dw
 
 
 def _ref_rk4(model, x, t, dt):
     """Classic RK4: an independent reference for DP45 on Lorenz-63."""
-    f = model.drift
+    def f(x, t):
+        return _fresh_drift(model, x, t)
+
     k1 = f(x, t)
     k2 = f(x + 0.5 * dt * k1, t + 0.5 * dt)
     k3 = f(x + 0.5 * dt * k2, t + 0.5 * dt)
@@ -312,10 +320,10 @@ def _ref_rk45(model, x, t0, t1, cfg):
 
     def stages(x, t, dt):
         k = [None] * 7
-        k[0] = model.drift(x, t)
+        k[0] = _fresh_drift(model, x, t)
         for s in range(1, 7):
             xs = x + dt * sum(a * k[j] for j, a in enumerate(_REF_DP_A[s]) if a != 0.0)
-            k[s] = model.drift(xs, t + _REF_DP_C[s] * dt)
+            k[s] = _fresh_drift(model, xs, t + _REF_DP_C[s] * dt)
         x5 = x + dt * sum(b * ki for b, ki in zip(_REF_DP_B5, k) if b != 0.0)
         err = dt * sum(e * ki for e, ki in zip(_REF_DP_ERR, k) if e != 0.0)
         return x5, err
@@ -358,9 +366,9 @@ def _dp45_vs_ref(model, x, t1, cfg):
     calls = {"new": [], "ref": []}
 
     def logged(log):
-        def drift(x, t):
+        def drift(x, t, out):
             log.append(t)
-            return model.drift(x, t)
+            return model.drift(x, t, out)
 
         return DynModel(drift=drift)
 
@@ -439,11 +447,19 @@ class TestInputNotModified:
             assert np.array_equal(x, before)
             assert not np.shares_memory(out, x)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_span_below_grid_tolerance_returns_copy(self, sigma):
+        # a positive span too short for a step: no step is taken
+        m = DynModel(drift=lambda x, t, out: -x, noise_intensity=sigma)
+        x0 = np.array([1.0, 2.0])
+        out = integrate(m, x0, 0.0, 1e-12, IntegratorConfig(dt=0.01), np.random.default_rng(0))
+        assert np.array_equal(out, x0) and out is not x0
+
     @pytest.mark.parametrize("scheme", ["stochastic-heun", "rk45-adaptive"])
     def test_drift_returning_its_input(self, scheme):
         # dx/dt = x written as the identity: the drift result aliases the
         # stepper's own state buffer, which must not corrupt the step
-        m = DynModel(drift=lambda x, t: x)
+        m = DynModel(drift=lambda x, t, out: x)
         x0 = np.array([1.0, 2.0])
         cfg = IntegratorConfig(scheme=scheme, dt=0.01, rtol=1e-10, atol=1e-12)
         out = integrate(m, x0, 0.0, 1.0, cfg, np.random.default_rng(0))
@@ -454,7 +470,7 @@ class TestInputNotModified:
 class TestNonFiniteDrift:
     def test_later_dp45_stage_names_member(self):
         # stage 0 (at t = 0) is finite; member 2 turns non-finite from stage 1
-        def drift(x, t):
+        def drift(x, t, out):
             out = -np.asarray(x, dtype=float)
             if t > 0.0:
                 out[:, 2] = np.nan
@@ -466,8 +482,8 @@ class TestNonFiniteDrift:
             integrate(m, np.ones((2, 4)), 0.0, 1.0, cfg)
 
     def test_finite_drift_whose_sum_overflows_passes(self):
-        m = DynModel(drift=lambda x, t: np.full_like(x, 1e308))
-        out = _checked_drift(m, np.zeros((3, 2)), 0.0)
+        m = DynModel(drift=lambda x, t, out: np.full_like(x, 1e308))
+        out = _checked_drift(m, np.zeros((3, 2)), 0.0, np.empty((3, 2)))
         assert np.all(out == 1e308)
 
 
@@ -478,7 +494,7 @@ def _counted_drift(per_call):
     attempt, in both DP45 and ``_ref_rk45``."""
     calls = [0]
 
-    def drift(x, t):
+    def drift(x, t, out):
         i = calls[0]
         calls[0] += 1
         out = np.where(np.isfinite(x), -np.asarray(x, dtype=float), 0.0)
@@ -492,8 +508,8 @@ def _ref_checked(model):
     """The model with each drift result checked as it is made: the
     per-drift reference for the error DP45 raises once per attempt."""
 
-    def drift(x, t):
-        f = np.asarray(model.drift(x, t), dtype=float)
+    def drift(x, t, out):
+        f = np.asarray(model.drift(x, t, out), dtype=float)
         if not np.all(np.isfinite(f)):
             bad = np.nonzero(~np.all(np.isfinite(f), axis=0))[0]
             raise IntegrationError(f"non-finite drift at t={t:.6g} (member {bad[0]})")
@@ -587,9 +603,9 @@ def _thread_counting(model):
     """``model`` with a drift that records ``threading.active_count()``."""
     counts = []
 
-    def drift(x, t):
+    def drift(x, t, out):
         counts.append(threading.active_count())
-        return model.drift(x, t)
+        return model.drift(x, t, out)
 
     return DynModel(drift=drift, noise_intensity=model.noise_intensity), counts
 
@@ -646,7 +662,7 @@ class TestNoisePrefetch:
     def test_no_helper_without_a_next_large_draw(self, monkeypatch, shape, t1):
         # nothing to draw ahead: the spare CPU stays free
         monkeypatch.setattr(integrators, "_spare_cpus", 1)
-        model, counts = _thread_counting(DynModel(drift=lambda x, t: -x, noise_intensity=1.0))
+        model, counts = _thread_counting(DynModel(drift=lambda x, t, out: -x, noise_intensity=1.0))
         threads_before = threading.active_count()
         cfg, rng = IntegratorConfig(dt=0.01), np.random.default_rng(0)
         integrate(model, np.ones(shape), 0.0, t1, cfg, rng)
@@ -656,8 +672,8 @@ class TestNoisePrefetch:
     def test_failing_step_raises_and_cleans_up(self, noise_path):
         base, x0 = _l96_block(1000, 3, sigma=0.5)
 
-        def drift(x, t):
-            f = base.drift(x, t)
+        def drift(x, t, out):
+            f = base.drift(x, t, out)
             if t > 0.3:
                 f[4, 7] = np.nan
             return f
@@ -673,6 +689,26 @@ class TestNoisePrefetch:
         assert str(got.value).endswith("(member 7)")
         assert threading.active_count() == threads_before
         assert integrators._spare_cpus == spare_before
+
+
+def test_heun_interval_memory_does_not_grow_with_steps(noise_path):
+    # One workspace per call: the traced peak is the same for 10 and 90
+    # steps, and it is the workspace's five state-sized slots (six with a
+    # helper's second increment slot; the last state slot is returned), up
+    # to a few KiB of Python objects (the helper thread's among them).
+    model, x = _l96_block(1000, 6, sigma=0.5)
+    cfg, peaks = IntegratorConfig(dt=0.01), []
+    for t1 in (0.1, 0.9):
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            integrate(model, x, 0.0, t1, cfg, rng)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    slack = 16 * 2**10
+    assert abs(peaks[0] - peaks[1]) < slack
+    assert peaks[1] <= (5 + (noise_path == "helper")) * x.nbytes + slack
 
 
 class TestSpareCpus:

@@ -22,24 +22,34 @@ from trimkf.models import (
 L63_STD = Lorenz63Params(alpha=10.0, rho=28.0, beta=8.0 / 3.0)
 
 
+def _l63(x, p):
+    """``l63_drift`` into a fresh buffer."""
+    return l63_drift(x, p, np.empty(np.shape(x)))
+
+
+def _l96(x, p):
+    """``l96_drift`` into a fresh buffer."""
+    return l96_drift(x, p, np.empty(np.shape(x)))
+
+
 class TestLorenz63:
     def test_origin_is_fixed_point(self):
-        assert np.allclose(l63_drift(np.zeros(3), L63_STD), 0.0)
+        assert np.allclose(_l63(np.zeros(3), L63_STD), 0.0)
 
     def test_hand_value_ones(self):
-        out = l63_drift(np.array([1.0, 1.0, 1.0]), L63_STD)
+        out = _l63(np.array([1.0, 1.0, 1.0]), L63_STD)
         assert out == pytest.approx([0.0, 26.0, 1.0 - 8.0 / 3.0])
 
     def test_hand_value_second(self):
-        out = l63_drift(np.array([1.0, 1.0, 0.0]), L63_STD)
+        out = _l63(np.array([1.0, 1.0, 0.0]), L63_STD)
         assert out == pytest.approx([0.0, 27.0, 1.0])
 
     def test_vectorized_matches_columnwise(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 5))
-        batch = l63_drift(x, L63_STD)
+        batch = _l63(x, L63_STD)
         for i in range(5):
-            assert np.array_equal(batch[:, i], l63_drift(x[:, i], L63_STD))
+            assert np.array_equal(batch[:, i], _l63(x[:, i], L63_STD))
 
     def test_beta_must_be_positive(self):
         with pytest.raises(ModelError):
@@ -57,6 +67,22 @@ class TestLorenz63:
             ]
         )
 
+    @staticmethod
+    def _allocating_reference(x, p):
+        # Frozen: the drift as it was when it allocated its own output.
+        x = np.asarray(x, dtype=float)
+        out = np.empty((3,) + x.shape[1:])
+        d0, d1, d2 = out[0, ...], out[1, ...], out[2, ...]
+        np.subtract(x[1], x[0], out=d0)
+        d0 *= p.alpha
+        np.multiply(x[0], x[1], out=d1)
+        np.multiply(p.beta, x[2], out=d2)
+        np.subtract(d1, d2, out=d2)
+        np.subtract(p.rho, x[2], out=d1)
+        d1 *= x[0]
+        d1 -= x[1]
+        return out
+
     def test_bit_identical_to_stack_form(self):
         p = Lorenz63Params(alpha=10.0, rho=28.0, beta=8.0 / 3.0, sigma=0.5)
         rng = np.random.default_rng(63)
@@ -70,21 +96,23 @@ class TestLorenz63:
             "strided block": wide[:, ::2],
         }
         for name, x in inputs.items():
-            before = x.copy()
-            got, want = l63_drift(x, p), self._stack_reference(x, p)
-            assert got.shape == want.shape == x.shape, name
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+            before, out = x.copy(), np.empty(x.shape)
+            got = l63_drift(x, p, out)
+            assert got is out, name
+            for want in (self._stack_reference(x, p), self._allocating_reference(x, p)):
+                assert got.shape == want.shape == x.shape, name
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
             assert np.array_equal(x, before), name
 
 
 class TestLorenz96:
     def test_uniform_forcing_state_is_fixed_point(self):
         p = Lorenz96Params(dim=8, forcing=8.0)
-        assert np.allclose(l96_drift(np.full(8, 8.0), p), 0.0)
+        assert np.allclose(_l96(np.full(8, 8.0), p), 0.0)
 
     def test_zero_state_gives_pure_forcing(self):
         p = Lorenz96Params(dim=6, forcing=8.0)
-        assert np.allclose(l96_drift(np.zeros(6), p), 8.0)
+        assert np.allclose(_l96(np.zeros(6), p), 8.0)
 
     def test_hand_value_cyclic_wrap(self):
         # component-wise with cyclic indexing, F = 0, damping -x_j:
@@ -93,7 +121,7 @@ class TestLorenz96:
         # j=3: -x1*x2 + x2*x4 - x3 = -2 + 8 - 3 = 3
         # j=4: -x2*x3 + x3*x1 - x4 = -6 + 3 - 4 = -7
         p = Lorenz96Params(dim=4, forcing=0.0)
-        out = l96_drift(np.array([1.0, 2.0, 3.0, 4.0]), p)
+        out = _l96(np.array([1.0, 2.0, 3.0, 4.0]), p)
         assert out == pytest.approx([-5.0, -3.0, 3.0, -7.0])
 
     def test_rotation_equivariance(self):
@@ -101,8 +129,8 @@ class TestLorenz96:
         p = Lorenz96Params(dim=12, forcing=8.0)
         x = rng.standard_normal(12)
         for shift in (1, 3, 7):
-            rotated = l96_drift(np.roll(x, shift), p)
-            assert np.allclose(rotated, np.roll(l96_drift(x, p), shift), atol=1e-12)
+            rotated = _l96(np.roll(x, shift), p)
+            assert np.allclose(rotated, np.roll(_l96(x, p), shift), atol=1e-12)
 
     def test_needs_four_components(self):
         with pytest.raises(ModelError):
@@ -116,6 +144,22 @@ class TestLorenz96:
         xm1 = np.roll(x, 1, axis=0)
         xp1 = np.roll(x, -1, axis=0)
         return (xp1 - xm2) * xm1 + p.forcing - x
+
+    @staticmethod
+    def _padded_reference(x, p):
+        # Frozen: the drift as it was when it allocated a cyclically padded
+        # copy and its own output.
+        x = np.asarray(x, dtype=float)
+        n = x.shape[0]
+        pad = np.empty((n + 3,) + x.shape[1:])
+        pad[2 : n + 2] = x
+        pad[:2] = x[n - 2 :]
+        pad[n + 2] = x[0]
+        out = np.subtract(pad[3:], pad[:n])
+        out *= pad[1 : n + 1]
+        out += p.forcing
+        out -= pad[2 : n + 2]
+        return out
 
     @pytest.mark.parametrize("dim", [4, 5, 36, 40])
     def test_bit_identical_to_roll_form(self, dim):
@@ -131,10 +175,11 @@ class TestLorenz96:
             "strided block": wide[:, ::2],
         }
         for name, x in inputs.items():
-            before = x.copy()
-            got, want = l96_drift(x, p), self._roll_reference(x, p)
-            assert got.shape == x.shape, name
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+            before, out = x.copy(), np.empty(x.shape)
+            got = l96_drift(x, p, out)
+            assert got is out and got.shape == x.shape, name
+            for want in (self._roll_reference(x, p), self._padded_reference(x, p)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
             assert np.array_equal(x, before), name
 
 
@@ -149,7 +194,7 @@ class TestDriftJacobianChecks:
         a, r, b = L63_STD.alpha, L63_STD.rho, L63_STD.beta
         jac = np.array([[-a, a, 0.0], [r - x[2], -1.0, -x[0]], [x[1], x[0], -b]])
         h = 1e-5
-        numeric = (l63_drift(x + h * v, L63_STD) - l63_drift(x - h * v, L63_STD)) / (2 * h)
+        numeric = (_l63(x + h * v, L63_STD) - _l63(x - h * v, L63_STD)) / (2 * h)
         assert np.allclose(numeric, jac @ v, rtol=1e-6, atol=1e-8)
 
     def test_l96_directional_derivative(self):
@@ -162,7 +207,7 @@ class TestDriftJacobianChecks:
         vm2, vm1, vp1 = np.roll(v, 2), np.roll(v, 1), np.roll(v, -1)
         analytic = -xm1 * vm2 + (xp1 - xm2) * vm1 + xm1 * vp1 - v
         h = 1e-5
-        numeric = (l96_drift(x + h * v, p) - l96_drift(x - h * v, p)) / (2 * h)
+        numeric = (_l96(x + h * v, p) - _l96(x - h * v, p)) / (2 * h)
         assert np.allclose(numeric, analytic, rtol=1e-6, atol=1e-8)
 
 
@@ -284,7 +329,7 @@ class TestDynModelContract:
         with pytest.raises(ModelError):
             DynModel()
         with pytest.raises(ModelError):
-            DynModel(drift=lambda x, t: x, transition=lambda x, t, r: x)
+            DynModel(drift=lambda x, t, out: x, transition=lambda x, t, r: x)
 
     def test_deterministic_map_reproducible(self):
         dyn = lorenz63_model(Lorenz63Params())  # sigma = 0
@@ -301,4 +346,4 @@ class TestDynModelContract:
 
     def test_factories(self):
         assert lorenz63_model(Lorenz63Params(sigma=0.2)).noise_intensity == 0.2
-        assert lorenz96_model(Lorenz96Params(dim=8)).drift(np.zeros(8), 0.0).shape == (8,)
+        assert lorenz96_model(Lorenz96Params(dim=8)).drift(np.zeros(8), 0.0, np.empty(8)).shape == (8,)

@@ -54,7 +54,7 @@ class TestDensityGrid:
         with pytest.raises(OracleError):
             DensityGrid(np.linspace(0, 1, 5), np.array([1, -0.1, 1, 1, 1.0]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_rejects_non_finite_density(self, bad):
         # NaN passed the non-negativity check and gave a nan CDF.
         with pytest.raises(OracleError, match="finite"):
@@ -409,13 +409,27 @@ class TestJointFromConditional:
 
 
 class TestJointGridChecks:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, -1.0], ids=["nan", "inf", "-inf", "negative"])
     def test_rejects_bad_density(self, bad):
         # A non-finite column would poison every limit density.
         table = np.ones((5, 5))
         table[2, 3] = bad
         with pytest.raises(OracleError, match="finite and non-negative"):
             JointGrid(np.linspace(-1, 1, 5), np.linspace(0, 1, 5), table)
+
+    def test_check_makes_no_full_size_temporary(self):
+        # A boolean table at 2048 points is 4 MiB.
+        grid = np.linspace(-1, 1, 2048)
+        table = np.ones((grid.size, grid.size))
+        tracemalloc.start()
+        try:
+            JointGrid(grid, grid, table)
+            DensityGrid(grid, table[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
 
     @pytest.mark.parametrize(
         "x, y",
