@@ -13,9 +13,10 @@ call on a fresh joint (built over the same arrays inside the timed call, so
 its y-marginal is not cached yet; the last entry uses the marginal's scale
 in place of the sample's), with the ``tracemalloc`` peak of one extra
 untimed call on a joint built before tracing starts; then the Lorenz-63
-drift, one stochastic-Heun step and one forecast interval (100 steps; dt
-0.01, sigma 0.01, the ``l63-limit-dist`` interval) on a 3x1e5 block, and
-the KS distance between 1e5 samples and the 2048-point limit density.
+drift, one stochastic-Heun step (a one-step ``integrate`` call) and one
+forecast interval (100 steps; dt 0.01, sigma 0.01, the ``l63-limit-dist``
+interval) on a 3x1e5 block, and the KS distance between 1e5 samples and
+the 2048-point limit density.
 For the update path it times the sample Kalman gain, the lambda bisection
 (target n_e 50) and one trimmed update (with that bisection) on a 36x1000
 L96 joint observed at every other component, and multinomial resampling
@@ -53,7 +54,7 @@ import numpy as np
 from trimkf import integrators
 from trimkf.ensemble import Ensemble, JointEnsemble, kalman_gain, resample_indices
 from trimkf.filters import TrimConfig, adapt_lambda, tenkf_update, trim_distance
-from trimkf.integrators import IntegratorConfig, heun_sde_step, integrate
+from trimkf.integrators import IntegratorConfig, integrate
 from trimkf.metrics import ks_distance
 from trimkf.models import (
     DynModel,
@@ -66,7 +67,7 @@ from trimkf.models import (
     observe,
     select_observer,
 )
-from trimkf.oracle import JointGrid, bimodal_toy, limit_pdfs, tenkf_limit_pdf
+from trimkf.oracle import JointGrid, bimodal_toy, limit_pdfs
 
 DIM = 36
 
@@ -74,7 +75,7 @@ DIM = 36
 def _attractor_block(n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` members scattered around one state on the L96 attractor."""
     x = 8.0 + 0.01 * rng.standard_normal(DIM)
-    x = integrate(lorenz96_model(Lorenz96Params(dim=DIM)), x, 0.0, 10.0,
+    x = integrate(lorenz96_model(Lorenz96Params()), x, 0.0, 10.0,
                   IntegratorConfig(scheme="stochastic-heun", dt=0.01))
     return x[:, None] + 0.5 * rng.standard_normal((DIM, n))
 
@@ -156,14 +157,14 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     layers = {}
 
-    p = Lorenz96Params(dim=DIM)
+    p = Lorenz96Params()
     for n in (200, 1000, 3000):
         x = _attractor_block(n, rng)
         layers[f"l96_drift_n{n}_x100"] = _measure(
             lambda x=x: _drift_calls(x, p, 100), args.repeats
         )
 
-    sde = lorenz96_model(Lorenz96Params(dim=DIM, sigma=0.01))
+    sde = lorenz96_model(Lorenz96Params(sigma=0.01))
     heun = IntegratorConfig(scheme="stochastic-heun", dt=0.01)
     x = _attractor_block(1000, rng)
     step_rng = np.random.default_rng(args.seed + 1)
@@ -208,13 +209,13 @@ def main() -> None:
     layers["l63_drift_3x1e5"] = _measure(lambda: l63_drift(x, p63, out), args.repeats)
     l63 = lorenz63_model(p63)
     layers["heun_step_3x1e5"] = _measure(
-        lambda: heun_sde_step(l63, x, 0.0, 0.01, step_rng), args.repeats
+        lambda: integrate(l63, x, 0.0, 0.01, heun, step_rng), args.repeats
     )
     layers["heun_interval_100x_3x1e5"] = _measure(
         lambda: integrate(l63, x, 0.0, 1.0, heun, aug_rng), args.repeats
     )
 
-    limit = tenkf_limit_pdf(j, gain, y_star, 0.3)
+    [limit] = limit_pdfs(j, gain, y_star, [(0.3, None)])
     samples, _ = toy.sample(100_000, rng)
     layers["ks_distance_1e5"] = _measure(lambda: ks_distance(samples, limit), args.repeats)
 

@@ -39,7 +39,7 @@ from .filters import (
     trim_distance,
     trim_weights,
 )
-from .integrators import IntegratorConfig, IntegrationError, heun_sde_step, integrate
+from .integrators import IntegratorConfig, IntegrationError, integrate
 from .metrics import (
     ensemble_mean_rmse,
     ensemble_rmse,
@@ -69,10 +69,8 @@ from .oracle import (
     OracleError,
     bayes_posterior,
     bimodal_toy,
-    enkf_limit_pdf,
     kalman_filter_sequence,
     limit_pdfs,
-    tenkf_limit_pdf,
 )
 
 __version__ = "0.1.0"

@@ -208,7 +208,7 @@ def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], icfg: Integrato
     p = cfg.params
     dim = int(p["N"])
     obs_idx = np.arange(0, dim, 2)
-    dyn = lorenz96_model(Lorenz96Params(dim=dim, forcing=p["F"], sigma=p["sigma"]))
+    dyn = lorenz96_model(Lorenz96Params(forcing=p["F"], sigma=p["sigma"]))
     meas = select_observer(dim, obs_idx, noise_std=p["tau"])
     trim = TrimConfig(target_ne=p["target_ne"])
     aug = None

@@ -153,8 +153,8 @@ def forecast(
     per-member stepping, and the adaptive scheme steps the block in lockstep
     with the worst member's error norm controlling the shared step.
     """
-    if horizon < 0:
-        raise ValueError("forecast horizon must be non-negative")
+    if not (np.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"forecast horizon must be finite and non-negative, got {horizon!r}")
     states = _propagate(dyn, prior.members, t0, t0 + horizon, cfg, rng)
     obs = np.atleast_2d(observe(meas, states, rng))
     return JointEnsemble(states=Ensemble(states), observations=obs)

@@ -25,30 +25,31 @@ batch are bit-identical to stepping each column alone.
 
 Drifts write into buffers the steppers own (``drift(x, t, out)``, see
 ``models``), and nothing is allocated per step.  A Heun ``integrate`` call
-(and ``heun_sde_step``, which is one step of it) runs in one workspace of
-state-sized arrays allocated once per call: two state slots used in turn,
-the first drift ``f0``, the predictor ``xp`` and the noise increment.  The
-second drift is written straight into the next state slot, and the last
-state slot is the result.  The slots are separate arrays, not one stacked
-block: freeing a block as large as a 3x1e5 workspace (14 MB) raises
-glibc's dynamic mmap and trim thresholds to its size, the heap then kept
-later temporaries resident, and the ``oracle-1e5`` benchmark (an L63
-forecast, then the quadrature oracles) peaked 13 MB higher.  DP45 writes each stage into one of seven preallocated
-arrays ``k`` and swaps ``k[0]`` and ``k[6]`` on acceptance.
+runs in one workspace of state-sized arrays allocated once per call: two
+state slots used in turn, the first drift ``f0``, the predictor ``xp`` and
+the noise increment.  The second drift is written straight into the next
+state slot, and the last state slot is the result; a span of one ``dt``
+is one step.  The slots are separate arrays, not one stacked block:
+freeing a block as large as a 3x1e5 workspace (14 MB) raises glibc's
+dynamic mmap and trim thresholds to its size, the heap then kept later
+temporaries resident, and the ``oracle-1e5`` benchmark (an L63 forecast,
+then the quadrature oracles) peaked 13 MB higher.  DP45 writes each stage
+into one of seven preallocated arrays ``k`` and swaps ``k[0]`` and
+``k[6]`` on acceptance.
 
-Where the Heun noise is drawn: each step draws its standard-normal
-increment from the caller's ``rng`` on the calling thread, unless the
-state is a large block (at least ``NOISE_HELPER_MIN_ELEMS`` numbers, over
-more than one step) and the process has a spare CPU.  The draw does not
-depend on the state, so then ``integrate`` draws each step's increment
-one step ahead on a helper thread, into a second increment slot of the
-workspace, while the calling thread computes the current step's drifts,
-and hands the increments to the steps in order.  The order cannot change:
-the increments are consecutive draws from one Generator, so drawing them
-in another order, count or stream would change the result bytes and the
-``rng`` state after the call (``observe`` draws from it next).  The
-helper never draws past the interval's last step and is joined before
-``integrate`` returns or raises.
+Where the Heun noise is drawn: the steps take their standard-normal
+increments in order from an iterator, which draws each one from the
+caller's ``rng`` on the calling thread.  When the state is a large block
+(at least ``NOISE_HELPER_MIN_ELEMS`` numbers, over more than one step)
+and the process has a spare CPU, the iterator is ``_drawn_ahead``: it
+draws each increment one step ahead on a helper thread, into a second
+noise slot of the workspace, while the calling thread computes the
+current step's drifts.  The order cannot change: the increments are
+consecutive draws from one Generator, so drawing them in another order,
+count or stream would change the result bytes and the ``rng`` state
+after the call (``observe`` draws from it next).  The helper never draws
+past the interval's last step and is joined before ``integrate`` returns
+or raises.
 
 Spare CPUs are counted process-wide: the usable CPUs (``usable_cpus``)
 minus one.  Code that keeps more threads busy, such as the replicate pool,
@@ -58,13 +59,13 @@ integration that finds none draws on its own thread.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -73,7 +74,6 @@ from .models import DynModel
 __all__ = [
     "IntegratorConfig",
     "IntegrationError",
-    "heun_sde_step",
     "integrate",
 ]
 
@@ -174,23 +174,6 @@ def _heun_step(model, x, t, dt, dw, f0, xp, out):
     out += x
     out += dw
     return out
-
-
-def heun_sde_step(
-    model: DynModel,
-    x: np.ndarray,
-    t: float,
-    dt: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One stochastic Heun step of ``dx = f(x,t) dt + sigma dW``.
-
-    Predictor and corrector share the same noise increment
-    ``dw = sigma sqrt(dt) zeta`` with standard-normal ``zeta`` per
-    component, drawn as ``rng.standard_normal(x.shape)`` would draw it.
-    ``x`` is not modified; the result is a new array.
-    """
-    return _heun(model, np.asarray(x, dtype=float), t, dt, 1, 0.0, rng)
 
 
 # Dormand-Prince 5(4) tableau, in Python floats: a NumPy scalar costs more
@@ -354,6 +337,8 @@ def integrate(
     """
     if model.drift is None:
         raise IntegrationError("integrate requires a drift-based model")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0!r} and {t1!r}")
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
     x = np.asarray(x0, dtype=float)
@@ -367,17 +352,17 @@ def integrate(
             )
         with np.errstate(over="ignore", invalid="ignore"):
             return _rk45_adaptive(model, x, t0, t1, cfg)
-    n_full, remainder = _fixed_grid_steps(t0, t1, cfg.dt)
-    return _heun(model, x, t0, cfg.dt, n_full, remainder, rng)
+    return _heun(model, x, t0, t1, cfg.dt, rng)
 
 
-def _heun(model, x, t, dt, n_full, remainder, rng):
-    """Stochastic Heun from ``x`` at ``t``: ``n_full`` steps of ``dt``, then
-    one of ``remainder`` if it is positive, in one workspace (see the module
-    docstring).  Returns a new array, also after no steps."""
+def _heun(model, x, t, t1, dt, rng):
+    """Stochastic Heun from ``x`` at ``t`` to ``t1``: full steps of ``dt``,
+    then a partial one if the grid leaves one, in one workspace (see the
+    module docstring).  Returns a new array, also after no steps."""
     noisy = model.noise_intensity > 0
     if noisy and rng is None:
         raise ValueError("stochastic integration needs an rng")
+    n_full, remainder = _fixed_grid_steps(t, t1, dt)
     n_steps = n_full + (remainder > 0.0)
     # A helper pays off only for a large block with a next step to draw.
     wanted = noisy and x.size >= NOISE_HELPER_MIN_ELEMS and n_steps > 1
@@ -386,20 +371,33 @@ def _heun(model, x, t, dt, n_full, remainder, rng):
     ) as helper:
         # 0 and 1 the state in turn, 2 f0, 3 xp, 4 (and 5) the noise
         ws = [np.empty(x.shape) for _ in range(4 + noisy + spare)]
-        draw = None
         if spare:
-            draw = _Increments(rng, ws[4:], n_steps, helper).draw
+            draws = _drawn_ahead(rng, ws[4:], n_steps, helper)
         elif noisy:
-            draw = partial(rng.standard_normal, out=ws[4])
-        for i in range(n_steps):
+            draws = (rng.standard_normal(out=ws[4]) for _ in range(n_steps))
+        else:
+            draws = itertools.repeat(0.0, n_steps)
+        for i, dw in enumerate(draws):
             h = dt if i < n_full else remainder
-            dw = 0.0
-            if draw is not None:
-                dw = draw()
+            if noisy:
                 dw *= model.noise_intensity * np.sqrt(h)
             x = _heun_step(model, x, t, h, dw, ws[2], ws[3], ws[i % 2])
             t += dt
         return x if n_steps else x.copy()
+
+
+def _drawn_ahead(rng, bufs, n_steps, helper):
+    """The ``n_steps`` standard-normal increments of a Heun interval, drawn
+    from ``rng`` one step ahead on the ``helper`` executor into the two
+    workspace slots ``bufs`` in turn.  Step ``i + 1``'s draw is submitted
+    once step ``i``'s draw has finished, as its increment is handed out,
+    into the slot step ``i - 1`` used, which is done by then."""
+    pending = helper.submit(rng.standard_normal, out=bufs[0])
+    for i in range(1, n_steps + 1):
+        dw = pending.result()
+        if i < n_steps:
+            pending = helper.submit(rng.standard_normal, out=bufs[i % 2])
+        yield dw
 
 
 # ---------------------------------------------------------------------------
@@ -434,31 +432,3 @@ def hold_spare_cpus(n: int):
         with _spare_lock:
             _spare_cpus += held
 
-
-class _Increments:
-    """Hands out each step's standard-normal increment in turn (``draw``).
-
-    The increments are drawn from ``rng`` one step ahead on the ``helper``
-    executor, into the two buffers ``bufs`` used in turn: step ``i + 1``'s
-    draw starts when step ``i``'s increment is handed out, into the buffer
-    step ``i - 1`` used, which is done by then.  The first draw starts here,
-    before the first drift runs.  The buffers are slots of the caller's
-    workspace, so the helper thread allocates no array memory.
-    """
-
-    def __init__(self, rng, bufs, n_steps, helper):
-        self._rng, self._helper, self._n_steps = rng, helper, n_steps
-        self._bufs = bufs
-        self._step = 0
-        self._pending = helper.submit(self._draw, self._bufs[0])
-
-    def _draw(self, out):
-        self._rng.standard_normal(out=out)
-        return out
-
-    def draw(self):
-        dw = self._pending.result()
-        self._step += 1
-        if self._step < self._n_steps:
-            self._pending = self._helper.submit(self._draw, self._bufs[self._step % 2])
-        return dw

@@ -67,8 +67,8 @@ class DynModel:
     transition: Callable[[np.ndarray, float, np.random.Generator], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.noise_intensity < 0:
-            raise ModelError("noise_intensity must be non-negative")
+        if not (np.isfinite(self.noise_intensity) and self.noise_intensity >= 0):
+            raise ModelError("noise_intensity must be finite and non-negative")
         if (self.drift is None) == (self.transition is None):
             raise ModelError("exactly one of drift or transition must be given")
 
@@ -90,8 +90,8 @@ class MeasModel:
 
     def __post_init__(self):
         std = np.asarray(self.noise_std, dtype=float)
-        if np.any(std < 0):
-            raise ModelError("noise_std must be non-negative")
+        if not np.all(np.isfinite(std) & (std >= 0)):
+            raise ModelError("noise_std must be finite and non-negative")
         if std.ndim > 1 or (std.ndim == 1 and std.size not in (1, self.obs_dim)):
             raise ModelError(f"noise_std must be scalar or length {self.obs_dim}")
         object.__setattr__(self, "noise_std", std)
@@ -120,15 +120,10 @@ class Lorenz63Params:
 class Lorenz96Params:
     """Cyclically-coupled Lorenz-96 parameters.  The drift always carries
     the canonical linear damping term ``-x_j`` (required for the chaotic
-    N=36, F=8 regime)."""
+    N=36, F=8 regime); N is the leading axis of the state."""
 
-    dim: int = 36
     forcing: float = 8.0
     sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.dim < 4:
-            raise ModelError("cyclic coupling needs dim >= 4")
 
 
 def l63_drift(x: np.ndarray, p: Lorenz63Params, out: np.ndarray) -> np.ndarray:
@@ -155,6 +150,8 @@ def l96_drift(x: np.ndarray, p: Lorenz96Params, out: np.ndarray) -> np.ndarray:
     into ``out``, with cyclic indexing; vectorized over member columns."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
+    if n < 4:
+        raise ModelError(f"cyclic coupling needs at least 4 components, got {n}")
     # Each row is evaluated as ((x_{j+1} - x_{j-2}) * x_{j-1} + F) - x_j, in
     # that order, which fixes its bits.  The differences of rows 2..n-2, 0..1
     # and n-1 and the factors of rows 1..n-1 are slices of x, so seven ufunc
@@ -191,9 +188,9 @@ def select_observer(state_dim: int, indices, noise_std: float) -> MeasModel:
     (positions 0, 2, ..., N-2) and the Lorenz-63 experiment observes the
     second component (position 1).
     """
-    idx = np.asarray(indices, dtype=int)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ModelError("indices must be a non-empty 1-D sequence")
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+        raise ModelError(f"indices must be a non-empty 1-D integer sequence, got {indices!r}")
     if np.any(idx < 0) or np.any(idx >= state_dim):
         raise ModelError(f"indices out of range for state_dim={state_dim}")
     return MeasModel(obs_dim=idx.size, h=lambda x: np.asarray(x)[idx], noise_std=noise_std)

@@ -23,9 +23,7 @@ __all__ = [
     "JointGrid",
     "OracleError",
     "bayes_posterior",
-    "enkf_limit_pdf",
     "limit_pdfs",
-    "tenkf_limit_pdf",
     "kalman_filter_sequence",
     "joint_from_conditional",
     "bimodal_toy",
@@ -282,22 +280,6 @@ def limit_pdfs(joint: JointGrid, gain: float, y_star: float, trims) -> list[Dens
             np.multiply(c[lo:lo + nb, None], rows[:nb], out=terms[1:nb + 1])
             np.add.reduce(terms[:nb + 1], axis=0, out=total)
     return [DensityGrid(x, total).normalized() for total in sums]
-
-
-def enkf_limit_pdf(joint: JointGrid, gain: float, y_star: float) -> DensityGrid:
-    """Large-ensemble limit of the linear update: ``limit_pdfs`` for ``[None]``."""
-    return limit_pdfs(joint, gain, y_star, [None])[0]
-
-
-def tenkf_limit_pdf(
-    joint: JointGrid,
-    gain: float,
-    y_star: float,
-    lam: float,
-    scale: float | None = None,
-) -> DensityGrid:
-    """Limit density of the trimmed update: ``limit_pdfs`` for ``[(lam, scale)]``."""
-    return limit_pdfs(joint, gain, y_star, [(lam, scale)])[0]
 
 
 # ---------------------------------------------------------------------------

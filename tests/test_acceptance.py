@@ -27,7 +27,7 @@ from trimkf.filters import (
 from trimkf.integrators import IntegratorConfig, integrate
 from trimkf.metrics import ks_distance
 from trimkf.models import DynModel, MeasModel
-from trimkf.oracle import bayes_posterior, bimodal_toy, enkf_limit_pdf, tenkf_limit_pdf
+from trimkf.oracle import bayes_posterior, bimodal_toy, limit_pdfs
 
 pytestmark = pytest.mark.slow
 
@@ -79,14 +79,13 @@ def test_criterion_2_limit_density_bridging():
     toy = bimodal_toy(points=2048)
     joint, gain, y_star = toy.joint, toy.exact_gain, toy.y_star
     bayes = bayes_posterior(joint, y_star)
-    enkf_lim = enkf_limit_pdf(joint, gain, y_star)
+    lams = (1e9, 0.01, 10.0, 1.0, 0.3, 0.1, 0.03)
+    enkf_lim, lim_large, lim_small, *curve = limit_pdfs(
+        joint, gain, y_star, [None] + [(lam, None) for lam in lams])
 
-    ks_large = ks_distance(tenkf_limit_pdf(joint, gain, y_star, 1e9), enkf_lim)
-    ks_small = ks_distance(tenkf_limit_pdf(joint, gain, y_star, 0.01), bayes)
-    bridge = [
-        ks_distance(tenkf_limit_pdf(joint, gain, y_star, lam), bayes)
-        for lam in (10.0, 1.0, 0.3, 0.1, 0.03)
-    ]
+    ks_large = ks_distance(lim_large, enkf_lim)
+    ks_small = ks_distance(lim_small, bayes)
+    bridge = [ks_distance(lim, bayes) for lim in curve]
     monotone = all(b <= a for a, b in zip(bridge, bridge[1:]))
     elapsed = time.perf_counter() - start
     report(
@@ -115,7 +114,7 @@ def test_criterion_3_sampling_matches_limit_theory():
     st = tenkf_update(sample_joint, np.array([y_star]), TrimConfig(lam=lam),
                       np.random.default_rng([42, 0, 2]))
     scale = float(st.distance_scale[0])
-    limit = tenkf_limit_pdf(joint, gain, y_star, lam, scale=scale)
+    [limit] = limit_pdfs(joint, gain, y_star, [(lam, scale)])
     ks_tenkf = ks_distance(st.posterior.members[0], limit)
 
     meas = MeasModel(obs_dim=1, h=lambda s: s, noise_std=0.5)

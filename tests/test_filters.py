@@ -49,6 +49,22 @@ class TestForecast:
         assert np.array_equal(j.states.members, prior.members)
         assert np.array_equal(j.observations, [[1.0, 2.0]])
 
+    @pytest.mark.parametrize("scheme", ["stochastic-heun", "rk45-adaptive"])
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, -0.1])
+    def test_bad_horizon_rejected_before_any_drift(self, scheme, horizon):
+        # nan used to return the prior unchanged under DP45
+        calls = []
+
+        def drift(x, t, out):
+            calls.append(t)
+            return -x
+
+        meas = select_observer(1, [0], noise_std=0.0)
+        with pytest.raises(ValueError, match="forecast horizon must be finite and non-negative"):
+            forecast(Ensemble(np.ones((1, 3))), DynModel(drift=drift), meas,
+                     IntegratorConfig(scheme=scheme, dt=0.1), horizon, np.random.default_rng(0))
+        assert calls == []
+
     def test_identity_dynamics_keeps_states(self):
         dyn = DynModel(transition=lambda x, t, rng: x)
         meas = select_observer(1, [0], noise_std=0.0)

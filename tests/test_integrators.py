@@ -17,7 +17,6 @@ from trimkf.integrators import (
     IntegrationError,
     IntegratorConfig,
     _checked_drift,
-    heun_sde_step,
     hold_spare_cpus,
     integrate,
     usable_cpus,
@@ -35,17 +34,22 @@ def scalar_model(a=1.0, sigma=0.0):
     return DynModel(drift=lambda x, t, out: a * x, noise_intensity=sigma)
 
 
+def one_step(model, x, t, dt, rng):
+    """One stochastic Heun step of ``dt`` from ``(x, t)``."""
+    return integrate(model, x, t, t + dt, IntegratorConfig(dt=dt), rng)
+
+
 class TestHeunStep:
     def test_constant_dynamics_identity(self):
         m = DynModel(drift=lambda x, t, out: np.zeros_like(x))
-        x = heun_sde_step(m, np.array([2.5]), 0.0, 0.1, np.random.default_rng(0))
+        x = one_step(m, np.array([2.5]), 0.0, 0.1, np.random.default_rng(0))
         assert x == pytest.approx([2.5])
 
     def test_linear_drift_trapezoidal_expansion(self):
         # x' = x (1 + a dt + a^2 dt^2 / 2) for f = a x, sigma = 0
         a, dt = 0.7, 0.05
         m = scalar_model(a=a)
-        x = heun_sde_step(m, np.array([1.0]), 0.0, dt, np.random.default_rng(0))
+        x = one_step(m, np.array([1.0]), 0.0, dt, np.random.default_rng(0))
         assert x == pytest.approx([1.0 + a * dt + (a * dt) ** 2 / 2], rel=1e-14)
 
     def test_pure_noise_increment_variance(self):
@@ -54,7 +58,7 @@ class TestHeunStep:
         rng = np.random.default_rng(42)
         dt = 0.04
         n = 100_000
-        x = heun_sde_step(m, np.zeros((1, n)), 0.0, dt, rng)
+        x = one_step(m, np.zeros((1, n)), 0.0, dt, rng)
         var = x.var(ddof=1)
         assert abs(var - dt) < 3 * dt * np.sqrt(2.0 / n)
 
@@ -65,14 +69,14 @@ class TestHeunStep:
         m = scalar_model(a=a, sigma=sigma)
         rng = np.random.default_rng(3)
         zeta = np.random.default_rng(3).standard_normal((1,))
-        x = heun_sde_step(m, np.array([0.0]), 0.0, dt, rng)
+        x = one_step(m, np.array([0.0]), 0.0, dt, rng)
         expected = sigma * np.sqrt(dt) * zeta * (1 + a * dt / 2)
         assert x == pytest.approx(expected, rel=1e-12)
 
     def test_noise_without_rng_rejected(self):
         m = scalar_model(sigma=0.5)
         with pytest.raises(ValueError, match="stochastic integration needs an rng"):
-            heun_sde_step(m, np.array([1.0]), 0.0, 0.1, None)
+            one_step(m, np.array([1.0]), 0.0, 0.1, None)
 
     def test_nonfinite_drift_names_member(self):
         def bad(x, t, out):
@@ -83,7 +87,7 @@ class TestHeunStep:
 
         m = DynModel(drift=bad)
         with pytest.raises(IntegrationError, match="member 1"):
-            heun_sde_step(m, np.zeros((1, 3)), 0.0, 0.1, np.random.default_rng(0))
+            one_step(m, np.zeros((1, 3)), 0.0, 0.1, np.random.default_rng(0))
 
 
 class TestIntegrate:
@@ -129,8 +133,24 @@ class TestIntegrate:
         # against hand-chained steps: exp is approximated per Heun truncation
         manual = np.array([1.0])
         for dt in (0.1, 0.1, 0.05):
-            manual = heun_sde_step(m, manual, 0.0, dt, None)
+            manual = one_step(m, manual, 0.0, dt, None)
         assert out[0] == manual[0]
+
+    @pytest.mark.parametrize("scheme", ["stochastic-heun", "rk45-adaptive"])
+    @pytest.mark.parametrize("t0, t1", [
+        (0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0), (np.inf, np.inf),
+    ])
+    def test_non_finite_span_rejected_before_any_drift(self, scheme, t0, t1):
+        calls = []
+
+        def drift(x, t, out):
+            calls.append(t)
+            return -x
+
+        with pytest.raises(ValueError, match="t0 and t1 must be finite"):
+            integrate(DynModel(drift=drift), np.array([1.0]), t0, t1,
+                      IntegratorConfig(scheme=scheme, dt=0.1))
+        assert calls == []
 
     def test_noise_with_deterministic_scheme_rejected(self):
         m = scalar_model(sigma=0.5)
@@ -171,7 +191,7 @@ class TestIntegrate:
             assert np.array_equal(batch[:, i], single)
             manual = x[:, i]
             for k in range(15):
-                manual = heun_sde_step(dyn, manual, k * 0.02, 0.02, None)
+                manual = one_step(dyn, manual, k * 0.02, 0.02, None)
             assert np.array_equal(_bits(single), _bits(manual))
 
     @settings(max_examples=200, deadline=None)
@@ -354,7 +374,7 @@ def _bits(a):
 def _l96_block(n, seed, sigma=0.0):
     rng = np.random.default_rng(seed)
     x = 8.0 + 3.0 * rng.standard_normal((36, n))
-    return lorenz96_model(Lorenz96Params(dim=36, sigma=sigma)), x
+    return lorenz96_model(Lorenz96Params(sigma=sigma)), x
 
 
 def _dp45_vs_ref(model, x, t1, cfg):
@@ -394,12 +414,12 @@ class TestFrozenReferences:
         for sigma in (0.0, 0.01):
             model, x = _l96_block(50, 1, sigma)
             for dt in (0.01, 0.003):
-                got = heun_sde_step(model, x, 0.2, dt, np.random.default_rng(5))
+                got = one_step(model, x, 0.2, dt, np.random.default_rng(5))
                 want = _ref_heun(model, x, 0.2, dt, np.random.default_rng(5))
                 assert np.array_equal(_bits(got), _bits(want))
         l63 = lorenz63_model(Lorenz63Params(sigma=0.3))
         x = np.array([[1.5], [1.5], [25.0]]) + np.random.default_rng(2).standard_normal((3, 40))
-        got = heun_sde_step(l63, x, 0.0, 0.01, np.random.default_rng(7))
+        got = one_step(l63, x, 0.0, 0.01, np.random.default_rng(7))
         want = _ref_heun(l63, x, 0.0, 0.01, np.random.default_rng(7))
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -611,15 +631,15 @@ def _thread_counting(model):
 
 
 def _chained_heun(model, x, t0, t1, dt, rng):
-    """``heun_sde_step`` chained over ``integrate``'s grid, each step
-    drawing its own increment."""
+    """One-step ``integrate`` calls chained over ``integrate``'s grid, each
+    drawing its own increment inline: a one-step call starts no helper."""
     n_full, remainder = integrators._fixed_grid_steps(t0, t1, dt)
     t = t0
     for _ in range(n_full):
-        x = heun_sde_step(model, x, t, dt, rng)
+        x = one_step(model, x, t, dt, rng)
         t += dt
     if remainder > 0.0:
-        x = heun_sde_step(model, x, t, remainder, rng)
+        x = one_step(model, x, t, remainder, rng)
     return x
 
 
@@ -634,7 +654,7 @@ class TestNoisePrefetch:
     )
     def test_same_bits_as_chained_steps(self, noise_path, shape, t1, helper):
         if shape[0] == 36:
-            model = lorenz96_model(Lorenz96Params(dim=36, sigma=0.5))
+            model = lorenz96_model(Lorenz96Params(sigma=0.5))
             x0 = 8.0 + 3.0 * np.random.default_rng(12).standard_normal(shape)
         else:
             model = lorenz63_model(Lorenz63Params(sigma=1.0))

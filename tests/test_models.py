@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trimkf.integrators import IntegratorConfig, integrate
 from trimkf.models import (
     DynModel,
     Lorenz63Params,
@@ -107,11 +108,11 @@ class TestLorenz63:
 
 class TestLorenz96:
     def test_uniform_forcing_state_is_fixed_point(self):
-        p = Lorenz96Params(dim=8, forcing=8.0)
+        p = Lorenz96Params(forcing=8.0)
         assert np.allclose(_l96(np.full(8, 8.0), p), 0.0)
 
     def test_zero_state_gives_pure_forcing(self):
-        p = Lorenz96Params(dim=6, forcing=8.0)
+        p = Lorenz96Params(forcing=8.0)
         assert np.allclose(_l96(np.zeros(6), p), 8.0)
 
     def test_hand_value_cyclic_wrap(self):
@@ -120,21 +121,33 @@ class TestLorenz96:
         # j=2: -x4*x1 + x1*x3 - x2 = -4 + 3 - 2 = -3
         # j=3: -x1*x2 + x2*x4 - x3 = -2 + 8 - 3 = 3
         # j=4: -x2*x3 + x3*x1 - x4 = -6 + 3 - 4 = -7
-        p = Lorenz96Params(dim=4, forcing=0.0)
+        p = Lorenz96Params(forcing=0.0)
         out = _l96(np.array([1.0, 2.0, 3.0, 4.0]), p)
         assert out == pytest.approx([-5.0, -3.0, 3.0, -7.0])
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(1)
-        p = Lorenz96Params(dim=12, forcing=8.0)
+        p = Lorenz96Params(forcing=8.0)
         x = rng.standard_normal(12)
         for shift in (1, 3, 7):
             rotated = _l96(np.roll(x, shift), p)
             assert np.allclose(rotated, np.roll(_l96(x, p), shift), atol=1e-12)
 
     def test_needs_four_components(self):
-        with pytest.raises(ModelError):
-            Lorenz96Params(dim=3)
+        # a 3-row state would otherwise get a wrong derivative, [7, 6, 5]
+        with pytest.raises(ModelError, match="at least 4 components, got 3"):
+            _l96(np.array([1.0, 2.0, 3.0]), Lorenz96Params())
+
+    @pytest.mark.parametrize("dim", [4, 8, 36])
+    def test_dimension_is_the_state_rows(self, dim):
+        # the default parameters step a state of any size; the dimension is
+        # the state's leading axis
+        model = lorenz96_model(Lorenz96Params())
+        x = 8.0 + np.random.default_rng(dim).standard_normal((dim, 3))
+        out = integrate(model, x, 0.0, 0.05, IntegratorConfig(dt=0.01))
+        assert out.shape == (dim, 3) and np.all(np.isfinite(out))
+        f = model.drift(x, 0.0, np.empty_like(x))
+        assert np.array_equal(f, self._roll_reference(x, Lorenz96Params()))
 
     @staticmethod
     def _roll_reference(x, p):
@@ -163,7 +176,7 @@ class TestLorenz96:
 
     @pytest.mark.parametrize("dim", [4, 5, 36, 40])
     def test_bit_identical_to_roll_form(self, dim):
-        p = Lorenz96Params(dim=dim, forcing=8.0)
+        p = Lorenz96Params(forcing=8.0)
         rng = np.random.default_rng(dim)
         block = 8.0 + 3.0 * rng.standard_normal((dim, 7))
         wide = 8.0 + 3.0 * rng.standard_normal((dim, 9))
@@ -199,7 +212,7 @@ class TestDriftJacobianChecks:
 
     def test_l96_directional_derivative(self):
         rng = np.random.default_rng(4)
-        p = Lorenz96Params(dim=10, forcing=8.0)
+        p = Lorenz96Params(forcing=8.0)
         x = rng.standard_normal(10) * 3
         v = rng.standard_normal(10)
         v /= np.linalg.norm(v)
@@ -230,6 +243,17 @@ class TestObservation:
         draws = np.array([observe(m, x, rng)[0] for _ in range(10_000)])
         assert abs(draws.mean() - 6.0) < 3 * tau / np.sqrt(10_000)
         assert abs(draws.std(ddof=1) - tau) < 0.05 * tau
+
+    @pytest.mark.parametrize("std", [np.nan, np.inf, [0.1, np.nan], -0.5])
+    def test_bad_noise_std_rejected(self, std):
+        with pytest.raises(ModelError, match="noise_std must be finite and non-negative"):
+            MeasModel(obs_dim=2, h=lambda x: np.asarray(x)[:2], noise_std=std)
+
+    @pytest.mark.parametrize("indices", [[1.7], [1.0], [True], [], [[0, 1]]])
+    def test_non_integer_indices_rejected(self, indices):
+        # [1.7] would otherwise observe component 1
+        with pytest.raises(ModelError, match="non-empty 1-D integer sequence"):
+            select_observer(3, indices, noise_std=0.1)
 
     def test_batch_observation_shape(self):
         m = select_observer(4, [0, 2], noise_std=0.1)
@@ -325,6 +349,12 @@ class TestLinearGaussian:
 
 
 class TestDynModelContract:
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+    def test_bad_noise_intensity_rejected(self, sigma):
+        # nan would otherwise integrate as noiseless: nan > 0 is False
+        with pytest.raises(ModelError, match="noise_intensity must be finite and non-negative"):
+            DynModel(drift=lambda x, t, out: x, noise_intensity=sigma)
+
     def test_exactly_one_flavor(self):
         with pytest.raises(ModelError):
             DynModel()
@@ -334,8 +364,6 @@ class TestDynModelContract:
     def test_deterministic_map_reproducible(self):
         dyn = lorenz63_model(Lorenz63Params())  # sigma = 0
         meas = select_observer(3, [1], noise_std=0.0)
-        from trimkf.integrators import IntegratorConfig, integrate
-
         cfg = IntegratorConfig(scheme="rk45-adaptive", dt=0.01)
         x0 = np.array([1.0, 1.0, 20.0])
         a = integrate(dyn, x0, 0.0, 0.5, cfg)
@@ -346,4 +374,4 @@ class TestDynModelContract:
 
     def test_factories(self):
         assert lorenz63_model(Lorenz63Params(sigma=0.2)).noise_intensity == 0.2
-        assert lorenz96_model(Lorenz96Params(dim=8)).drift(np.zeros(8), 0.0, np.empty(8)).shape == (8,)
+        assert lorenz96_model(Lorenz96Params()).drift(np.zeros(8), 0.0, np.empty(8)).shape == (8,)

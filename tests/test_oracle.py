@@ -15,11 +15,9 @@ from trimkf.oracle import (
     OracleError,
     bayes_posterior,
     bimodal_toy,
-    enkf_limit_pdf,
     joint_from_conditional,
     kalman_filter_sequence,
     limit_pdfs,
-    tenkf_limit_pdf,
 )
 
 
@@ -128,68 +126,65 @@ class TestEnkfLimit:
         # with the exact gain, jointly Gaussian inputs make the limit exact
         joint, rho = gaussian_joint
         gain = rho  # cov(X,Y)/var(Y) for unit variances
-        lim = enkf_limit_pdf(joint, gain, 1.0)
+        [lim] = limit_pdfs(joint, gain, 1.0, [None])
         post = bayes_posterior(joint, 1.0)
         assert ks_distance(lim, post) < 1e-3
 
     def test_zero_gain_returns_prior_marginal(self, toy):
-        lim = enkf_limit_pdf(toy.joint, 0.0, toy.y_star)
+        [lim] = limit_pdfs(toy.joint, 0.0, toy.y_star, [None])
         assert ks_distance(lim, toy.joint.marginal_x()) < 1e-12
 
     def test_bimodal_bias_exists(self, toy):
-        lim = enkf_limit_pdf(toy.joint, toy.exact_gain, toy.y_star)
+        [lim] = limit_pdfs(toy.joint, toy.exact_gain, toy.y_star, [None])
         post = bayes_posterior(toy.joint, toy.y_star)
         assert ks_distance(lim, post) > 0.05
 
     def test_mean_shift_identity(self, toy):
         # mean of the limit density: prior mean + K (y* - mean of Y)
-        lim = enkf_limit_pdf(toy.joint, toy.exact_gain, toy.y_star)
+        [lim] = limit_pdfs(toy.joint, toy.exact_gain, toy.y_star, [None])
         mx, my = toy.joint.marginal_x(), toy.joint.marginal_y()
         expected = mx.mean() + toy.exact_gain * (toy.y_star - my.mean())
         assert lim.mean() == pytest.approx(expected, abs=2e-3)
 
     def test_integrates_to_one(self, toy):
-        lim = enkf_limit_pdf(toy.joint, toy.exact_gain, toy.y_star)
+        [lim] = limit_pdfs(toy.joint, toy.exact_gain, toy.y_star, [None])
         assert lim.mass() == pytest.approx(1.0, abs=1e-6)
+
+
+def _trimmed(toy, lams):
+    """The trimmed limits of the toy at each of ``lams``, in one call."""
+    return limit_pdfs(toy.joint, toy.exact_gain, toy.y_star, [(lam, None) for lam in lams])
 
 
 class TestTenkfLimit:
     def test_large_lambda_matches_enkf_limit(self, toy):
-        a = tenkf_limit_pdf(toy.joint, toy.exact_gain, toy.y_star, 1e9)
-        b = enkf_limit_pdf(toy.joint, toy.exact_gain, toy.y_star)
+        a, b = limit_pdfs(toy.joint, toy.exact_gain, toy.y_star, [(1e9, None), None])
         assert ks_distance(a, b) < 1e-6
 
     def test_small_lambda_matches_posterior(self, toy):
-        a = tenkf_limit_pdf(toy.joint, toy.exact_gain, toy.y_star, 1e-4)
+        [a] = _trimmed(toy, [1e-4])
         post = bayes_posterior(toy.joint, toy.y_star)
         assert ks_distance(a, post) < 0.02
 
     def test_intermediate_lambda_between_extremes(self, toy):
         post = bayes_posterior(toy.joint, toy.y_star)
-        ks_large = ks_distance(
-            tenkf_limit_pdf(toy.joint, toy.exact_gain, toy.y_star, 1e9), post)
-        ks_mid = ks_distance(
-            tenkf_limit_pdf(toy.joint, toy.exact_gain, toy.y_star, 0.3), post)
-        ks_small = ks_distance(
-            tenkf_limit_pdf(toy.joint, toy.exact_gain, toy.y_star, 1e-3), post)
+        ks_large, ks_mid, ks_small = (
+            ks_distance(lim, post) for lim in _trimmed(toy, [1e9, 0.3, 1e-3]))
         assert ks_small < ks_mid < ks_large
 
     def test_monotone_bridging(self, toy):
         post = bayes_posterior(toy.joint, toy.y_star)
-        kss = [
-            ks_distance(tenkf_limit_pdf(toy.joint, toy.exact_gain, toy.y_star, lam), post)
-            for lam in (10.0, 1.0, 0.3, 0.1, 0.03)
-        ]
+        kss = [ks_distance(lim, post) for lim in _trimmed(toy, [10.0, 1.0, 0.3, 0.1, 0.03])]
         assert all(b <= a + 1e-12 for a, b in zip(kss, kss[1:]))
 
     def test_requires_positive_lambda(self, toy):
         with pytest.raises(OracleError):
-            tenkf_limit_pdf(toy.joint, 1.0, toy.y_star, 0.0)
+            limit_pdfs(toy.joint, 1.0, toy.y_star, [(0.0, None)])
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_lambda(self, toy, lam):
         with pytest.raises(OracleError, match="lam"):
-            tenkf_limit_pdf(toy.joint, 1.0, toy.y_star, lam)
+            limit_pdfs(toy.joint, 1.0, toy.y_star, [(lam, None)])
 
     @pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf],
                              ids=["negative", "zero", "nan", "inf"])
@@ -197,7 +192,7 @@ class TestTenkfLimit:
         # A negative scale used to give far observations more weight; zero
         # and nan raised a misleading zero-mass error.
         with pytest.raises(OracleError, match="scale"):
-            tenkf_limit_pdf(toy.joint, 1.0, toy.y_star, 0.5, scale=scale)
+            limit_pdfs(toy.joint, 1.0, toy.y_star, [(0.5, scale)])
 
 
 def _reference_limit(joint, gain, y_star, lam=None, scale=None):
@@ -223,9 +218,8 @@ def _reference_limit(joint, gain, y_star, lam=None, scale=None):
 
 
 def _limit(joint, gain, y_star, lam=None, scale=None):
-    if lam is None:
-        return enkf_limit_pdf(joint, gain, y_star)
-    return tenkf_limit_pdf(joint, gain, y_star, lam, scale)
+    """One limit density from a one-entry ``limit_pdfs`` call."""
+    return limit_pdfs(joint, gain, y_star, [None if lam is None else (lam, scale)])[0]
 
 
 def _bits(a):
@@ -282,7 +276,7 @@ class TestCachedJoint:
         joint = _fresh(toy.joint)
         want = DensityGrid(joint.y, np.trapezoid(joint.pdf, joint.x, axis=0)).normalized()
         _assert_same_grid(joint.marginal_y(), want)
-        enkf_limit_pdf(joint, toy.exact_gain, toy.y_star)
+        limit_pdfs(joint, toy.exact_gain, toy.y_star, [None])
         _assert_same_grid(joint.marginal_y(), want)
 
     def test_two_gains_on_one_joint_bit_identical(self, toy):
@@ -305,8 +299,8 @@ class TestCachedJoint:
         table = np.array(toy.joint.pdf)
         joint = JointGrid(toy.joint.x, toy.joint.y, table)
         gain, y_star = toy.exact_gain, toy.y_star
-        tenkf_limit_pdf(joint, gain, y_star, 0.5)
-        enkf_limit_pdf(joint, 0.5 * gain, y_star)
+        limit_pdfs(joint, gain, y_star, [(0.5, None)])
+        limit_pdfs(joint, 0.5 * gain, y_star, [None])
         for a in (joint.x, joint.y, joint.pdf, joint._y_mass):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
