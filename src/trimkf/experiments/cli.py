@@ -54,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--replicates", type=int, help="override replicate count")
     run_p.add_argument(
         "--threads", type=int,
-        help="replicate worker threads (0 = one per usable CPU); a Heun forecast may "
-             "draw its noise on one more CPU when none is busy, with the same results",
+        help="replicate worker threads (0 = one per usable CPU); a Heun forecast draws its "
+             "noise on a second CPU when its worker's CPU share has one, with the same results",
     )
 
     val_p = sub.add_parser("validate", help="validate a config file and echo the resolved values")
@@ -77,14 +77,11 @@ def _cmd_run(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     try:
         result = run_scenario(cfg)
+        write_metadata(cfg.out_dir, cfg, __version__, time.perf_counter() - start,
+                       result.replicate_failures, result.checks)
     except Exception as exc:
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    wall = time.perf_counter() - start
-
-    write_metadata(
-        cfg.out_dir, cfg, __version__, wall, result.replicate_failures, result.checks
-    )
     for f in result.files:
         print(f"wrote {f}")
     print(f"wrote {cfg.out_dir}/metadata.json")

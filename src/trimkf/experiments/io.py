@@ -34,10 +34,7 @@ def write_table(path: Path, columns: list[str], rows: list[dict]) -> Path:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(format_value(row.get(c)) for c in columns))
-    try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"failed to write {path}: {exc}") from exc
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
@@ -65,8 +62,5 @@ def write_metadata(
     if checks is not None:
         doc["run"]["checks"] = checks
     path = out_dir / "metadata.json"
-    try:
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"failed to write {path}: {exc}") from exc
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path

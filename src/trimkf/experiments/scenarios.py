@@ -27,7 +27,7 @@ from ..filters import (
     simulate_truth,
     tenkf_update,
 )
-from ..integrators import IntegratorConfig, hold_spare_cpus, usable_cpus
+from ..integrators import IntegratorConfig, share_cpus, usable_cpus
 from ..metrics import ks_distance, replicate_quantiles, time_avg_rmse
 from ..models import (
     Lorenz63Params,
@@ -92,9 +92,9 @@ def _map_replicates(fn, cfg: ExperimentConfig):
             return f"replicate {rep}: {type(exc).__name__}: {exc}"
 
     workers = max(1, min(cfg.threads or usable_cpus(), cfg.replicates))  # 0: auto
-    # Every worker beyond the first keeps a CPU busy that a Heun forecast
-    # would otherwise draw its noise on.
-    with hold_spare_cpus(workers - 1), ThreadPoolExecutor(max_workers=workers) as pool:
+    # Each pool thread's forecasts may use an equal share of the CPUs, at least its own.
+    share = max(1, usable_cpus() // workers)
+    with ThreadPoolExecutor(workers, initializer=share_cpus, initargs=(share,)) as pool:
         mapper = map if workers == 1 else pool.map
         outcomes = list(mapper(attempt, range(cfg.replicates)))
     tables: dict[str, list[dict]] = {}

@@ -41,20 +41,21 @@ Where the Heun noise is drawn: the steps take their standard-normal
 increments in order from an iterator, which draws each one from the
 caller's ``rng`` on the calling thread.  When the state is a large block
 (at least ``NOISE_HELPER_MIN_ELEMS`` numbers, over more than one step)
-and the process has a spare CPU, the iterator is ``_drawn_ahead``: it
-draws each increment one step ahead on a helper thread, into a second
-noise slot of the workspace, while the calling thread computes the
-current step's drifts.  The order cannot change: the increments are
-consecutive draws from one Generator, so drawing them in another order,
-count or stream would change the result bytes and the ``rng`` state
-after the call (``observe`` draws from it next).  The helper never draws
-past the interval's last step and is joined before ``integrate`` returns
-or raises.
+and the calling thread's CPU share is more than one CPU, the iterator is
+``_drawn_ahead``: it draws each increment one step ahead on a helper
+thread, into a second noise slot of the workspace, while the calling
+thread computes the current step's drifts.  The order cannot change: the
+increments are consecutive draws from one Generator, so drawing them in
+another order, count or stream would change the result bytes and the
+``rng`` state after the call (``observe`` draws from it next).  The
+helper never draws past the interval's last step and is joined before
+``integrate`` returns or raises.
 
-Spare CPUs are counted process-wide: the usable CPUs (``usable_cpus``)
-minus one.  Code that keeps more threads busy, such as the replicate pool,
-holds spare CPUs with ``hold_spare_cpus`` while it runs, and an
-integration that finds none draws on its own thread.
+A thread's share is set once with ``share_cpus`` (the replicate pool gives
+each worker ``max(1, usable CPUs // workers)``); a thread never given one
+may use every usable CPU, so library code that calls ``integrate`` from
+threads of its own calls ``share_cpus`` in each.  CPUs left over go unused:
+with 3 CPUs and 2 workers, neither worker ever starts a helper.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,14 +365,12 @@ def _heun(model, x, t, t1, dt, rng):
         raise ValueError("stochastic integration needs an rng")
     n_full, remainder = _fixed_grid_steps(t, t1, dt)
     n_steps = n_full + (remainder > 0.0)
-    # A helper pays off only for a large block with a next step to draw.
-    wanted = noisy and x.size >= NOISE_HELPER_MIN_ELEMS and n_steps > 1
-    with hold_spare_cpus(int(wanted)) as spare, (
-        ThreadPoolExecutor(1) if spare else nullcontext()
-    ) as helper:
+    # A helper pays off for a large block with a next step to draw and a second CPU.
+    helped = noisy and x.size >= NOISE_HELPER_MIN_ELEMS and n_steps > 1 and thread_cpus() > 1
+    with ThreadPoolExecutor(1) if helped else nullcontext() as helper:
         # 0 and 1 the state in turn, 2 f0, 3 xp, 4 (and 5) the noise
-        ws = [np.empty(x.shape) for _ in range(4 + noisy + spare)]
-        if spare:
+        ws = [np.empty(x.shape) for _ in range(4 + noisy + helped)]
+        if helped:
             draws = _drawn_ahead(rng, ws[4:], n_steps, helper)
         elif noisy:
             draws = (rng.standard_normal(out=ws[4]) for _ in range(n_steps))
@@ -401,7 +400,7 @@ def _drawn_ahead(rng, bufs, n_steps, helper):
 
 
 # ---------------------------------------------------------------------------
-# Heun noise drawn ahead on a spare CPU
+# CPU shares for the Heun noise helper
 # ---------------------------------------------------------------------------
 
 
@@ -414,21 +413,15 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_spare_lock = threading.Lock()
-_spare_cpus = usable_cpus() - 1
+_share = threading.local()
 
 
-@contextmanager
-def hold_spare_cpus(n: int):
-    """Take up to ``n`` of the process's spare CPUs for the ``with`` block
-    and yield how many were taken; they are given back when it exits."""
-    global _spare_cpus
-    with _spare_lock:
-        held = max(0, min(n, _spare_cpus))
-        _spare_cpus -= held
-    try:
-        yield held
-    finally:
-        with _spare_lock:
-            _spare_cpus += held
+def share_cpus(n: int) -> None:
+    """Let the calling thread's forecasts use ``n`` CPUs, its own included."""
+    _share.cpus = n
 
+
+def thread_cpus() -> int:
+    """The calling thread's CPU share: what ``share_cpus`` gave it, else every usable CPU."""
+    cpus = getattr(_share, "cpus", None)
+    return usable_cpus() if cpus is None else cpus

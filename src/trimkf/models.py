@@ -102,6 +102,13 @@ class MeasModel:
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(params) -> None:
+    """Raise ``ModelError`` naming the first non-finite field of ``params``."""
+    for name, value in vars(params).items():
+        if not np.isfinite(value):
+            raise ModelError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Lorenz63Params:
     """Three-variable Lorenz convection parameters plus model-noise scale."""
@@ -112,6 +119,7 @@ class Lorenz63Params:
     sigma: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.beta <= 0:
             raise ModelError("beta must be positive")
 
@@ -124,6 +132,8 @@ class Lorenz96Params:
 
     forcing: float = 8.0
     sigma: float = 0.0
+
+    __post_init__ = _require_finite
 
 
 def l63_drift(x: np.ndarray, p: Lorenz63Params, out: np.ndarray) -> np.ndarray:

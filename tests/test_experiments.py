@@ -1,5 +1,6 @@
 """Tests for config validation, the CLI surface, and scenario outputs."""
 
+import errno
 import itertools
 import json
 import os
@@ -21,6 +22,7 @@ from trimkf.experiments.config import (
     ConfigError,
     validate_config,
 )
+from trimkf.experiments.io import write_metadata, write_table
 from trimkf.experiments.scenarios import SCENARIOS, run_scenario
 
 
@@ -409,6 +411,38 @@ class TestScenarioDeterminism:
         assert a == b
 
 
+def test_helper_and_inline_forecasts_write_the_same_bytes(tmp_path, monkeypatch):
+    # 36x500 members (18,000 numbers) reach the noise helper.  With two
+    # usable CPUs, one worker keeps both and draws ahead on a helper, and
+    # each of two workers gets one and draws inline.  The last run uses
+    # this process's own CPUs: on one usable CPU it draws inline.
+    helpers = []
+
+    class Counting(integrators.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            helpers[-1] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(integrators, "ThreadPoolExecutor", Counting)
+    own_cpus = integrators.usable_cpus()
+    outputs = []
+    for threads, cpus in ((1, 2), (2, 2), (1, own_cpus)):
+        monkeypatch.setattr(scenarios, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(integrators, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"run{len(outputs)}"
+        helpers.append(0)
+        result = run_scenario(validate_config({
+            "scenario": "l96-rmse-sweep", "seed": 11, "replicates": 2, "threads": threads,
+            "out_dir": str(out), "params": {"n": [500], "t_f": 0.9},
+        }))
+        assert not result.replicate_failures
+        outputs.append({f.name: f.read_bytes() for f in result.files})
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert helpers[0] > 0 and helpers[1] == 0
+    assert (helpers[2] > 0) == (own_cpus > 1)
+
+
 class TestReplicateIndependence:
     def test_dropping_replicates_preserves_earlier_ones(self, tmp_path):
         from trimkf.experiments.config import validate_config
@@ -463,23 +497,31 @@ class TestReplicateFailures:
             assert reps == ["0", "2"]
             assert rows == [r for r in self._rows(clean, name) if not r.startswith("1,")]
 
-    def test_pool_holds_spare_cpus_and_returns_them(self, tmp_path, monkeypatch):
-        # two workers keep the one spare CPU busy, also when a replicate fails
-        monkeypatch.setattr(integrators, "_spare_cpus", 1)
-        entry = SCENARIOS["l63-limit-dist"]
+    @pytest.mark.parametrize(
+        "cpus, threads, share", [(4, 2, 2), (2, 2, 1), (2, 4, 1), (3, 2, 1), (3, 1, 3)]
+    )
+    def test_each_replicate_sees_its_cpu_share(self, tmp_path, monkeypatch, cpus, threads, share):
+        # a pool thread gets an equal share of the CPUs and at least one (a
+        # CPU left over goes unused); one worker runs on the calling thread,
+        # which may use every CPU; the replicates after a failing one keep
+        # their share
+        monkeypatch.setattr(scenarios, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(integrators, "usable_cpus", lambda: cpus)
         seen = []
 
         def replicate(cfg, rep):
-            seen.append(integrators._spare_cpus)
+            seen.append(integrators.thread_cpus())
             if rep == 1:
                 raise RuntimeError("replicate blew up")
-            return entry.replicate(cfg, rep)
+            return {}
 
+        entry = SCENARIOS["l63-limit-dist"]
         monkeypatch.setitem(SCENARIOS, "l63-limit-dist", entry._replace(replicate=replicate))
-        result = run_scenario(validate_config({**self.DOC, "out_dir": str(tmp_path)}))
+        doc = {**self.DOC, "replicates": 4, "threads": threads, "out_dir": str(tmp_path)}
+        result = run_scenario(validate_config(doc))
         assert result.replicate_failures == ["replicate 1: RuntimeError: replicate blew up"]
-        assert seen == [0, 0, 0]
-        assert integrators._spare_cpus == 1
+        assert seen == [share] * 4
+        assert integrators.thread_cpus() == cpus
 
     def test_auto_threads_count_usable_cpus(self, tmp_path, monkeypatch):
         # one usable CPU: threads 0 runs every replicate on the calling thread
@@ -542,6 +584,31 @@ class TestExitCodes:
             "params": {"n": 2000, "steps": 2, "se_factor": 0.001},
         })
         assert main(["run", "--config", cfg]) == 3
+
+
+class TestResultWrites:
+    DOC = {"scenario": "l63-limit-dist", "seed": 2, "params": {"n": 300, "bins": 10}}
+
+    def test_write_errors_keep_their_type(self, tmp_path):
+        (tmp_path / "t.csv").mkdir()
+        with pytest.raises(IsADirectoryError) as exc:
+            write_table(tmp_path / "t.csv", ["a"], [{"a": 1}])
+        assert exc.value.errno == errno.EISDIR
+        (tmp_path / "metadata.json").mkdir()
+        cfg = validate_config({**self.DOC, "out_dir": str(tmp_path)})
+        with pytest.raises(IsADirectoryError) as exc:
+            write_metadata(tmp_path, cfg, "0", 1.0, [])
+        assert exc.value.errno == errno.EISDIR
+
+    @pytest.mark.parametrize("name", ["ks.csv", "metadata.json"])
+    def test_cli_exits_2_when_a_result_cannot_be_written(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        cfg = write_config(tmp_path / "c.json", {**self.DOC, "out_dir": str(out)})
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: IsADirectoryError: ")
+        assert name in err and "Traceback" not in err
 
 
 class TestFormatting:

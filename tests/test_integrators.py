@@ -1,7 +1,6 @@
 """Tests for the stochastic Heun and adaptive RK45 steppers."""
 
 import os
-import sys
 import threading
 import tracemalloc
 
@@ -17,8 +16,9 @@ from trimkf.integrators import (
     IntegrationError,
     IntegratorConfig,
     _checked_drift,
-    hold_spare_cpus,
     integrate,
+    share_cpus,
+    thread_cpus,
     usable_cpus,
 )
 from trimkf.models import (
@@ -603,20 +603,18 @@ class TestDP45AttemptCheck:
 
 
 # ---------------------------------------------------------------------------
-# Heun noise drawn ahead on a spare CPU
+# Heun noise drawn ahead on a second CPU of the thread's share
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(params=["helper", "inline"])
 def noise_path(request, monkeypatch):
-    """Run the test with one spare CPU for the helper thread (whatever this
-    host has), or with every spare CPU held so that draws stay inline."""
-    if request.param == "helper":
-        monkeypatch.setattr(integrators, "_spare_cpus", 1)
-        yield request.param
-    else:
-        with hold_spare_cpus(usable_cpus()):
-            yield request.param
+    """Run the test with a share of two CPUs, so that a large block's noise
+    is drawn on a helper thread (whatever this host has), or of one CPU, so
+    that draws stay inline."""
+    monkeypatch.setattr(integrators._share, "cpus", 2 if request.param == "helper" else 1,
+                        raising=False)
+    return request.param
 
 
 def _thread_counting(model):
@@ -663,31 +661,29 @@ class TestNoisePrefetch:
         rng_ref, rng = np.random.default_rng(5), np.random.default_rng(5)
         ref = _chained_heun(model, x0, 0.0, t1, cfg.dt, rng_ref)
         counted, counts = _thread_counting(model)
-        spare_before, threads_before = integrators._spare_cpus, threading.active_count()
+        threads_before = threading.active_count()
         got = integrate(counted, x0, 0.0, t1, cfg, rng)
         assert np.array_equal(_bits(got), _bits(ref))
         # observe draws from the same rng next
         assert np.array_equal(_bits(rng.standard_normal(8)), _bits(rng_ref.standard_normal(8)))
-        # a helper ran during the steps exactly when a large block found a spare CPU
+        # a helper ran during the steps exactly when a large block had a second CPU
         assert max(counts) == threads_before + (helper and noise_path == "helper")
         # the first draw starts before the first drift
         assert counts[0] == max(counts)
         assert threading.active_count() == threads_before
-        assert integrators._spare_cpus == spare_before
 
     @pytest.mark.parametrize(
         "shape, t1",
         [((3, 20000), 0.01), ((3, 20000), 0.004), ((2, 8191), 0.5)],  # one step; too small
     )
     def test_no_helper_without_a_next_large_draw(self, monkeypatch, shape, t1):
-        # nothing to draw ahead: the spare CPU stays free
-        monkeypatch.setattr(integrators, "_spare_cpus", 1)
+        # nothing to draw ahead: the second CPU of the share stays free
+        monkeypatch.setattr(integrators._share, "cpus", 2, raising=False)
         model, counts = _thread_counting(DynModel(drift=lambda x, t, out: -x, noise_intensity=1.0))
         threads_before = threading.active_count()
         cfg, rng = IntegratorConfig(dt=0.01), np.random.default_rng(0)
         integrate(model, np.ones(shape), 0.0, t1, cfg, rng)
         assert max(counts) == threads_before
-        assert integrators._spare_cpus == 1
 
     def test_failing_step_raises_and_cleans_up(self, noise_path):
         base, x0 = _l96_block(1000, 3, sigma=0.5)
@@ -702,13 +698,12 @@ class TestNoisePrefetch:
         cfg = IntegratorConfig(dt=0.01)
         with pytest.raises(IntegrationError) as ref:
             _chained_heun(model, x0, 0.0, 0.9, cfg.dt, np.random.default_rng(2))
-        spare_before, threads_before = integrators._spare_cpus, threading.active_count()
+        threads_before = threading.active_count()
         with pytest.raises(IntegrationError) as got:
             integrate(model, x0, 0.0, 0.9, cfg, np.random.default_rng(2))
         assert str(got.value) == str(ref.value)
         assert str(got.value).endswith("(member 7)")
         assert threading.active_count() == threads_before
-        assert integrators._spare_cpus == spare_before
 
 
 def test_heun_interval_memory_does_not_grow_with_steps(noise_path):
@@ -731,50 +726,28 @@ def test_heun_interval_memory_does_not_grow_with_steps(noise_path):
     assert peaks[1] <= (5 + (noise_path == "helper")) * x.nbytes + slack
 
 
-class TestSpareCpus:
+class TestCpuShare:
     def test_usable_cpus_follows_affinity(self):
         if hasattr(os, "sched_getaffinity"):
             assert usable_cpus() == len(os.sched_getaffinity(0))
         else:
             assert usable_cpus() == (os.cpu_count() or 1)
 
-    def test_hold_takes_at_most_the_free_count(self, monkeypatch):
-        monkeypatch.setattr(integrators, "_spare_cpus", 2)
-        with hold_spare_cpus(3) as outer:
-            assert outer == 2 and integrators._spare_cpus == 0
-            with hold_spare_cpus(1) as inner:
-                assert inner == 0
-        assert integrators._spare_cpus == 2
-        with pytest.raises(KeyError):
-            with hold_spare_cpus(1):
-                raise KeyError("boom")
-        assert integrators._spare_cpus == 2
+    def test_share_belongs_to_the_thread(self, monkeypatch):
+        # a thread never given a share may use every usable CPU
+        monkeypatch.setattr(integrators, "usable_cpus", lambda: 3)
+        seen = []
 
-    def test_concurrent_holds_keep_the_count(self, monkeypatch):
-        # more threads than CPUs taking and returning CPUs with frequent
-        # switches: a lost update would leave the count off or over-lent
-        monkeypatch.setattr(integrators, "_spare_cpus", 3)
-        lent, lent_lock, over = [0], threading.Lock(), []
+        def other(n):
+            seen.append(thread_cpus())
+            if n is not None:
+                share_cpus(n)
+                seen.append(thread_cpus())
 
-        def work():
-            for _ in range(500):
-                with hold_spare_cpus(2) as held:
-                    with lent_lock:
-                        lent[0] += held
-                        over.append(lent[0] > 3)
-                    with lent_lock:
-                        lent[0] -= held
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=work) for _ in range(8)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(w.is_alive() for w in workers)
-        assert not any(over)
-        assert integrators._spare_cpus == 3
+        for n in (None, 1, 2):
+            worker = threading.Thread(target=other, args=(n,))
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        # each new thread starts without the share the last one set
+        assert seen == [3, 3, 1, 3, 2]

@@ -106,6 +106,23 @@ class TestLorenz63:
             assert np.array_equal(x, before), name
 
 
+@pytest.mark.parametrize(
+    "params, field, value",
+    [
+        (Lorenz63Params, "alpha", np.nan),
+        (Lorenz63Params, "rho", np.inf),
+        (Lorenz63Params, "beta", np.nan),
+        (Lorenz63Params, "sigma", -np.inf),
+        (Lorenz96Params, "forcing", np.nan),
+        (Lorenz96Params, "sigma", np.inf),
+    ],
+)
+def test_non_finite_field_is_named(params, field, value):
+    # rejected when built, not at the first drift as an IntegrationError
+    with pytest.raises(ModelError, match=f"^{field} must be finite, got "):
+        params(**{field: value})
+
+
 class TestLorenz96:
     def test_uniform_forcing_state_is_fixed_point(self):
         p = Lorenz96Params(forcing=8.0)
