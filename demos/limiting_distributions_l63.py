@@ -6,55 +6,42 @@ forecast marginal is visibly non-Gaussian, so the plain ensemble update is
 biased; trimming with decreasing lambda walks the posterior from the EnKF
 answer to the particle-filter (exact Bayes) answer.
 
-Runs at a reduced ensemble size in a few seconds; writes
-``l63_limiting_distributions.png`` when matplotlib is available.
+Runs the ``l63-limit-dist`` scenario through the public runner at a reduced
+ensemble size in a few seconds, prints its ``ks.csv`` and, when matplotlib
+is available, draws ``histograms.csv`` into
+``l63_limiting_distributions.png``.
 """
 
-import numpy as np
+import csv
+import tempfile
+from pathlib import Path
 
-from trimkf import (
-    Ensemble, IntegratorConfig, Lorenz63Params, TrimConfig,
-    enkf_update, forecast, integrate, ks_distance, lorenz63_model,
-    pf_update, select_observer, tenkf_update,
-)
+from trimkf.experiments import run_scenario, validate_config
 
 N_MEMBERS = 40_000
-TAU = 0.2
-LAMBDAS = [10.0, 3.0, 1.0, 0.5, 0.3]
 
-rng = np.random.default_rng([25, 0, 0])
-dyn = lorenz63_model(Lorenz63Params(sigma=0.01))
-meas = select_observer(3, [1], noise_std=TAU)
-cfg = IntegratorConfig(scheme="stochastic-heun", dt=0.01)
 
-# Truth: drawn near (1.5, 1.5, 25), observed at t=0 to anchor the prior,
-# then advanced to t=1 where the assimilated measurement is taken.
-truth0 = np.array([1.5, 1.5, 25.0]) + 0.1 * rng.standard_normal(3)
-y0 = truth0[1] + TAU * rng.standard_normal()
-truth1 = integrate(dyn, truth0, 0.0, 1.0, cfg, rng)
-y_star = np.array([truth1[1] + TAU * rng.standard_normal()])
-print(f"truth x2(1) = {truth1[1]:+.3f}, measured y* = {y_star[0]:+.3f}")
+def read_table(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
-rng_fc = np.random.default_rng([25, 0, 1])
-members = np.empty((3, N_MEMBERS))
-members[0] = 1.5 + 0.1 * rng_fc.standard_normal(N_MEMBERS)
-members[1] = y0 + TAU * rng_fc.standard_normal(N_MEMBERS)
-members[2] = 25.0 + 0.1 * rng_fc.standard_normal(N_MEMBERS)
-joint = forecast(Ensemble(members), dyn, meas, cfg, 1.0, rng_fc)
 
-pf = pf_update(joint, y_star, meas, np.random.default_rng([25, 0, 3]))
-reference = pf.posterior.members[1]
-print(f"particle filter reference: effective size {pf.n_e:.0f}")
+def label(row):
+    return f"tenkf lam={float(row['lam'])}" if row["lam"] else row["filter"]
 
-posteriors = {"enkf": enkf_update(joint, y_star).posterior.members[1]}
-for lam in LAMBDAS:
-    st = tenkf_update(joint, y_star, TrimConfig(lam=lam),
-                      np.random.default_rng([25, 0, 2, int(lam * 1e6)]))
-    posteriors[f"tenkf lam={lam}"] = st.posterior.members[1]
 
-print("\nKS distance to the particle-filter posterior (x2 marginal):")
-for name, sample in posteriors.items():
-    print(f"  {name:16s} {ks_distance(sample, reference):.4f}")
+with tempfile.TemporaryDirectory() as out:
+    cfg = validate_config({"scenario": "l63-limit-dist", "seed": 25, "out_dir": out,
+                           "params": {"n": N_MEMBERS}})
+    result = run_scenario(cfg)
+    if result.replicate_failures:
+        raise SystemExit("\n".join(result.replicate_failures))
+    ks_rows = read_table(Path(out) / "ks.csv")
+    hist_rows = read_table(Path(out) / "histograms.csv")
+
+print("KS distance to the particle-filter posterior (x2 marginal):")
+for row in ks_rows:
+    print(f"  {label(row):16s} {float(row['ks_to_pf']):.4f}")
 
 try:
     import matplotlib
@@ -62,16 +49,23 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
+    # each filter's posterior density on the replicate's shared bins
+    curves = {}
+    for row in hist_rows:
+        lo, hi, mass = (float(row[k]) for k in ("bin_lo", "bin_hi", "mass"))
+        edges, density = curves.setdefault(label(row), ([lo], []))
+        edges.append(hi)
+        density.append(mass / (hi - lo))
+    lams = cfg.params["lambdas"]
+
     fig, ax = plt.subplots(figsize=(8, 4.5))
-    lo, hi = np.percentile(reference, [0.2, 99.8])
-    bins = np.linspace(lo - 0.3, hi + 0.3, 120)
-    ax.hist(reference, bins=bins, density=True, alpha=0.35, label="PF (exact limit)")
-    ax.hist(posteriors["enkf"], bins=bins, density=True, histtype="step",
-            lw=2, label="EnKF")
-    for lam in (LAMBDAS[0], LAMBDAS[-1]):
-        ax.hist(posteriors[f"tenkf lam={lam}"], bins=bins, density=True,
-                histtype="step", lw=1.2, label=f"TEnKF lam={lam}")
-    ax.axvline(y_star[0], color="k", ls=":", label="measurement")
+    edges, density = curves["pf"]
+    ax.stairs(density, edges, fill=True, alpha=0.35, label="PF (exact limit)")
+    edges, density = curves["enkf"]
+    ax.stairs(density, edges, lw=2, label="EnKF")
+    for lam in (lams[0], lams[-1]):
+        edges, density = curves[f"tenkf lam={float(lam)}"]
+        ax.stairs(density, edges, lw=1.2, label=f"TEnKF lam={lam}")
     ax.set_xlabel("x2 at t=1")
     ax.set_ylabel("posterior density")
     ax.legend(frameon=False)

@@ -194,7 +194,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         errors.append(f"config_version: expected {CONFIG_VERSION}, got {version!r}")
 
     name = raw.get("scenario")
-    if name not in SCENARIOS:
+    if not isinstance(name, str) or name not in SCENARIOS:
         errors.append(f"scenario: unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
         raise ConfigError(errors)
     scenario = SCENARIOS[name]

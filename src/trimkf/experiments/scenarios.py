@@ -113,40 +113,37 @@ def _map_replicates(fn, cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
+# The published setting: Lorenz63Params's alpha, rho and beta with model
+# noise 0.01 on Heun steps of 0.01, one observation at t=1, and a truth and
+# members drawn around (1.5, 1.5, 25) with spread 0.1.
+_L63_MODEL = Lorenz63Params(sigma=0.01)
+_HEUN = IntegratorConfig(scheme="stochastic-heun", dt=0.01)
+_L63_T1, _L63_X0, _L63_SD0 = 1.0, (1.5, 1.5, 25.0), 0.1
+
+
 def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     p = cfg.params
-    dyn = lorenz63_model(
-        Lorenz63Params(alpha=p["alpha"], rho=p["rho"], beta=p["beta"], sigma=p["sigma"])
-    )
+    dyn = lorenz63_model(_L63_MODEL)
     meas = select_observer(3, [1], noise_std=p["tau"])
-    icfg = IntegratorConfig(scheme="stochastic-heun", dt=p["dt"])
     n = int(p["n"])
 
     rng_t = _rng(cfg.seed, rep, _STREAM_TRUTH)
-    truth0 = np.array(
-        [
-            p["x1_0"] + p["sigma1_0"] * rng_t.standard_normal(),
-            p["x2_0"] + p["sigma1_0"] * rng_t.standard_normal(),
-            p["x3_0"] + p["sigma3_0"] * rng_t.standard_normal(),
-        ]
-    )
+    truth0 = np.array([x + _L63_SD0 * rng_t.standard_normal() for x in _L63_X0])
     # One observation interval: the measurement at t1 is the one assimilated.
-    truth = simulate_truth(AssimilationProblem(dyn, meas, icfg, p["t1"], p["t1"]), truth0, rng_t)
+    truth = simulate_truth(AssimilationProblem(dyn, meas, _HEUN, _L63_T1, _L63_T1), truth0, rng_t)
     y0, y_star = truth.y0[0], truth.observations[:, 0]
 
     rng_fc = _rng(cfg.seed, rep, _STREAM_FILTER["enkf"])
     members = np.empty((3, n))
-    members[0] = p["x1_0"] + p["sigma1_0"] * rng_fc.standard_normal(n)
+    members[0] = _L63_X0[0] + _L63_SD0 * rng_fc.standard_normal(n)
     members[1] = y0 + p["tau"] * rng_fc.standard_normal(n)
-    members[2] = p["x3_0"] + p["sigma3_0"] * rng_fc.standard_normal(n)
-    joint = forecast(Ensemble(members), dyn, meas, icfg, p["t1"], rng_fc)
+    members[2] = _L63_X0[2] + _L63_SD0 * rng_fc.standard_normal(n)
+    joint = forecast(Ensemble(members), dyn, meas, _HEUN, _L63_T1, rng_fc)
 
     # Every update sees the same forecast.  Output order is fixed: the
     # PF reference, the EnKF, then the trimmed filter's lambda sweep.
     posteriors = {}
     for name, lams in (("pf", [None]), ("enkf", [None]), ("tenkf", p["lambdas"])):
-        if name not in p["filters"]:
-            continue
         for lam in lams:
             key = [cfg.seed, rep, _STREAM_FILTER[name]]
             key += [] if lam is None else [stream_key(lam)]
@@ -162,7 +159,7 @@ def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     edges = np.linspace(lo - pad, hi + pad, int(p["bins"]) + 1)
 
     hist_rows, ks_rows = [], []
-    reference = posteriors.get(("pf", None))
+    reference = posteriors[("pf", None)]
     for (name, lam), sample in posteriors.items():
         counts, _ = np.histogram(sample, bins=edges)
         masses = counts / sample.size
@@ -177,7 +174,7 @@ def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
                     "mass": float(masses[b]),
                 }
             )
-        if reference is not None and not (name == "pf" and lam is None):
+        if name != "pf":
             ks_rows.append(
                 {
                     "replicate": rep,
@@ -194,8 +191,19 @@ def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], icfg: IntegratorConfig,
-              augment: bool):
+# The published setting: forcing 8 (Lorenz96Params's default), observation
+# noise tau, augmentation within d_max of the measurement from initial
+# conditions perturbed by sigma_p, and a start at mu0 + mu1 z + sigma0 e.
+# l96-rmse-sweep adds model noise 0.01 on Heun steps; l96-adaptive-aug has
+# none, so that its forecasts can take adaptive DP45 steps.
+_L96_TAU, _L96_D_MAX, _L96_SIGMA_P = 0.05, 3.0, 0.4
+_L96_MU0, _L96_MU1, _L96_SIGMA0 = 1.0, 0.1, 0.01
+_L96_SDE, _L96_ODE = Lorenz96Params(sigma=0.01), Lorenz96Params(sigma=0.0)
+_DP45 = IntegratorConfig(scheme="rk45-adaptive", dt=0.01, rtol=1e-6, atol=1e-9)
+
+
+def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], model: Lorenz96Params,
+              icfg: IntegratorConfig, augment: bool):
     """Yield ``(dt_obs, n, filter, run)`` for every filter run of replicate
     ``rep``; all runs at one ``dt_obs`` share one truth.  The trimmed filter
     also augments when ``augment`` is set.
@@ -208,12 +216,12 @@ def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], icfg: Integrato
     p = cfg.params
     dim = int(p["N"])
     obs_idx = np.arange(0, dim, 2)
-    dyn = lorenz96_model(Lorenz96Params(forcing=p["F"], sigma=p["sigma"]))
-    meas = select_observer(dim, obs_idx, noise_std=p["tau"])
+    dyn = lorenz96_model(model)
+    meas = select_observer(dim, obs_idx, noise_std=_L96_TAU)
     trim = TrimConfig(target_ne=p["target_ne"])
     aug = None
     if augment:
-        aug = AugmentConfig(d_max=p["d_max"], r_max=p["r_max"], sigma_p=p["sigma_p"])
+        aug = AugmentConfig(d_max=_L96_D_MAX, r_max=p["r_max"], sigma_p=_L96_SIGMA_P)
     methods = {
         name: FilterMethod(name, trim=trim, augment=aug if name == "tenkf" else None)
         for name in p["filters"]
@@ -221,13 +229,13 @@ def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], icfg: Integrato
     for dt_obs in p["dt_obs"]:
         problem = AssimilationProblem(dyn, meas, icfg, dt_obs, p["t_f"])
         rng_t = _rng(cfg.seed, rep, _STREAM_TRUTH, stream_key(dt_obs))
-        base = p["mu0"] + p["mu1"] * rng_t.standard_normal()
-        truth = simulate_truth(problem, base + p["sigma0"] * rng_t.standard_normal(dim), rng_t)
+        base = _L96_MU0 + _L96_MU1 * rng_t.standard_normal()
+        truth = simulate_truth(problem, base + _L96_SIGMA0 * rng_t.standard_normal(dim), rng_t)
         for n in sizes:
             for name in p["filters"]:
                 rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name], n, stream_key(dt_obs))
-                members = base + p["sigma0"] * rng_f.standard_normal((dim, n))
-                members[obs_idx] = truth.y0[:, None] + p["tau"] * rng_f.standard_normal(
+                members = base + _L96_SIGMA0 * rng_f.standard_normal((dim, n))
+                members[obs_idx] = truth.y0[:, None] + _L96_TAU * rng_f.standard_normal(
                     (obs_idx.size, n)
                 )
                 run = run_assimilation(problem, methods[name], rng_f, truth, Ensemble(members))
@@ -236,9 +244,8 @@ def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], icfg: Integrato
 
 def _l96_rmse_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     p = cfg.params
-    icfg = IntegratorConfig(scheme="stochastic-heun", dt=p["dt"])
     rows, series = [], []
-    for dt_obs, n, name, run in _l96_runs(cfg, rep, p["n"], icfg, p["augment"]):
+    for dt_obs, n, name, run in _l96_runs(cfg, rep, p["n"], _L96_SDE, _HEUN, p["augment"]):
         rows.append(
             {
                 "replicate": rep,
@@ -295,13 +302,9 @@ def _l96_rmse_quantiles(cfg: ExperimentConfig, tables: dict) -> dict:
 
 
 def _l96_aug_replicate(cfg: ExperimentConfig, rep: int) -> dict:
-    p = cfg.params
-    icfg = IntegratorConfig(
-        scheme="rk45-adaptive", dt=p["dt_init"], rtol=p["rtol"], atol=p["atol"]
-    )
-    n = int(p["n"])
+    n = int(cfg.params["n"])
     traces, summaries = [], []
-    for dt_obs, _, name, run in _l96_runs(cfg, rep, [n], icfg, augment=True):
+    for dt_obs, _, name, run in _l96_runs(cfg, rep, [n], _L96_ODE, _DP45, augment=True):
         ratios = []
         for k, state in enumerate(run.steps):
             ratios.append(state.n_forecast / n)
@@ -352,27 +355,31 @@ def _gain_noise_term(joint: JointEnsemble, y_star: float) -> float:
     return (y_star - y.mean()) ** 2 * (1 - rho2) * c_xx / (joint.size * c_yy)
 
 
+# The published prior N(0, 1); the trimmed filter keeps an effective size of 0.8 n.
+_LG_PRIOR_MEAN, _LG_PRIOR_VAR, _LG_TARGET_NE_FRACTION = 0.0, 1.0, 0.8
+
+
 def _lingauss_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     p = cfg.params
     A, Q, H, R = (np.array([[p[k]]]) for k in ("A", "Q", "H", "R"))
     dyn, meas = linear_gaussian_model(A, Q, H, R)
     problem = AssimilationProblem(dyn, meas, IntegratorConfig(), 1.0, float(p["steps"]))
     n = int(p["n"])
-    prior_sd = float(np.sqrt(p["prior_var"]))
-    trim = TrimConfig(target_ne=max(2.0, p["target_ne_fraction"] * n))
+    prior_sd = float(np.sqrt(_LG_PRIOR_VAR))
+    trim = TrimConfig(target_ne=max(2.0, _LG_TARGET_NE_FRACTION * n))
 
     rng_t = _rng(cfg.seed, rep, _STREAM_TRUTH)
-    truth0 = np.array([p["prior_mean"] + prior_sd * rng_t.standard_normal()])
+    truth0 = np.array([_LG_PRIOR_MEAN + prior_sd * rng_t.standard_normal()])
     truth = simulate_truth(problem, truth0, rng_t)  # its y0 draw is unused here
     means, covs = kalman_filter_sequence(
         A, Q, H, R,
-        np.array([p["prior_mean"]]), np.array([[p["prior_var"]]]),
+        np.array([_LG_PRIOR_MEAN]), np.array([[_LG_PRIOR_VAR]]),
         list(truth.observations.T),
     )
     rows, checks = [], []
     for name in p["filters"]:
         rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name])
-        initial = Ensemble(p["prior_mean"] + prior_sd * rng_f.standard_normal((1, n)))
+        initial = Ensemble(_LG_PRIOR_MEAN + prior_sd * rng_f.standard_normal((1, n)))
         steps = assimilate(problem, FilterMethod(name, trim=trim), rng_f, truth, initial)
         for k, joint, state in steps:
             y_star = truth.observations[:, k]
@@ -418,6 +425,12 @@ def _lingauss_replicate(cfg: ExperimentConfig, rep: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# The small lambda of the posterior check and the KS tolerances of the checks.
+_BIMODAL_LAM_SMALL = 0.02
+_KS_TOL_LARGE, _KS_TOL_SMALL = 1e-4, 0.02
+_KS_TOL_TENKF_SAMPLING, _KS_TOL_PF_SAMPLING = 0.03, 0.02
+
+
 def _bimodal_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     p = cfg.params
     toy = bimodal_toy(points=int(p["points"]), y_star=p["y_star"])
@@ -437,7 +450,7 @@ def _bimodal_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     bayes = bayes_posterior(joint, y_star)
     enkf_lim, large, small, *curves, limit = limit_pdfs(
         joint, gain, y_star,
-        [None, (p["lam_large"], None), (p["lam_small"], None)]
+        [None, (p["lam_large"], None), (_BIMODAL_LAM_SMALL, None)]
         + [(lam, None) for lam in p["lambdas"]] + [(p["sample_lam"], scale)],
     )
     ks_large = ks_distance(large, enkf_lim)
@@ -448,13 +461,13 @@ def _bimodal_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     ks_pf = ks_distance(pf_state.posterior.members[0], bayes)
     steps = list(zip(bridge, bridge[1:]))
     checks = [
-        _below("tenkf-limit-large-lam-matches-enkf", ks_large, p["ks_tol_large"]),
-        _below("tenkf-limit-small-lam-matches-posterior", ks_small, p["ks_tol_small"]),
+        _below("tenkf-limit-large-lam-matches-enkf", ks_large, _KS_TOL_LARGE),
+        _below("tenkf-limit-small-lam-matches-posterior", ks_small, _KS_TOL_SMALL),
         {"check": "bridge-ks-non-increasing-as-lam-decreases",
          "value": max(b - a for a, b in steps), "tolerance": 0.0,
          "ok": all(b <= a + 1e-12 for a, b in steps)},
-        _below("tenkf-sampling-matches-limit", ks_tenkf, p["ks_tol_tenkf_sampling"]),
-        _below("pf-sampling-matches-posterior", ks_pf, p["ks_tol_pf_sampling"]),
+        _below("tenkf-sampling-matches-limit", ks_tenkf, _KS_TOL_TENKF_SAMPLING),
+        _below("pf-sampling-matches-posterior", ks_pf, _KS_TOL_PF_SAMPLING),
     ]
     return {"bridge.csv": bridge_rows, "checks.csv": checks}
 
@@ -509,19 +522,13 @@ def _l96_rule(p: dict, errors: list[str]) -> None:
 
 
 # Defaults follow the published experiment tables, desk-scaled where noted
-# in the README.  The two Lorenz-96 scenarios share the model, observation,
-# trimming, augmentation and initial-ensemble parameters.
+# in the README; the rest of each published setting is a module constant
+# beside the scenario that reads it.  The two Lorenz-96 scenarios share the
+# state size, the trimming target, the augmentation cap and the filters.
 _L96_PARAMS = {
     "N": (36, _number(lo=4, integer=True)),
-    "F": (8.0, _number()),
-    "tau": (0.05, _number(lo=1e-12)),
     "target_ne": (50.0, _number(lo=1.0)),
-    "d_max": (3.0, _number(lo=1e-12)),
     "r_max": (3.0, _number(lo=1.0)),
-    "sigma_p": (0.4, _number(lo=0.0)),
-    "mu0": (1.0, _number(lo=-1e12)),
-    "mu1": (0.1, _number(lo=-1e12)),
-    "sigma0": (0.01, _number(lo=0.0)),
     "filters": (["enkf", "tenkf"], _filters("enkf", "tenkf")),
 }
 
@@ -537,22 +544,10 @@ SCENARIOS = {
             "ks.csv": ["replicate", "filter", "lam", "ks_to_pf"],
         },
         params={
-            "alpha": (10.0, _number()),
-            "rho": (28.0, _number()),
-            "beta": (8.0 / 3.0, _number(lo=1e-12)),
-            "sigma": (0.01, _number(lo=0.0)),
             "tau": (0.2, _number(lo=1e-12)),
-            "t1": (1.0, _number(lo=1e-12)),
-            "dt": (0.01, _number(lo=1e-12)),
             "n": (100_000, _number(lo=2, integer=True)),
-            "x1_0": (1.5, _number(lo=-1e12)),
-            "x2_0": (1.5, _number(lo=-1e12)),
-            "x3_0": (25.0, _number(lo=-1e12)),
-            "sigma1_0": (0.1, _number(lo=0.0)),
-            "sigma3_0": (0.1, _number(lo=0.0)),
             "lambdas": ([10.0, 3.0, 1.0, 0.5, 0.3], _numbers(lo=1e-12, keyed=True)),
             "bins": (200, _number(lo=10, integer=True)),
-            "filters": (["enkf", "tenkf", "pf"], _filters("enkf", "tenkf", "pf")),
         },
         replicates=1,
     ),
@@ -570,8 +565,6 @@ SCENARIOS = {
             **_L96_PARAMS,
             "t_f": (15.0, _number(lo=1e-12)),
             "dt_obs": ([0.9], _numbers(lo=1e-12, keyed=True)),
-            "dt": (0.01, _number(lo=1e-12)),
-            "sigma": (0.01, _number(lo=0.0)),
             "n": ([100, 200, 400, 1000, 4000], _numbers(lo=2, integer=True)),
             "augment": (True, _flag),
         },
@@ -592,12 +585,7 @@ SCENARIOS = {
             **_L96_PARAMS,
             "t_f": (32.0, _number(lo=1e-12)),
             "dt_obs": ([0.8], _numbers(lo=1e-12, keyed=True)),
-            # the adaptive DP45 forecast is deterministic: only sigma = 0 runs
-            "sigma": (0.0, _number(lo=0.0, hi=0.0)),
             "n": (200, _number(lo=2, integer=True)),
-            "rtol": (1e-6, _number(lo=1e-14)),
-            "atol": (1e-9, _number(lo=1e-16)),
-            "dt_init": (0.01, _number(lo=1e-12)),
         },
         replicates=10,
         rule=_l96_rule,
@@ -618,9 +606,6 @@ SCENARIOS = {
             "R": (0.04, _number(lo=1e-12)),
             "steps": (5, _number(lo=1, integer=True)),
             "n": (100_000, _number(lo=2, integer=True)),
-            "prior_mean": (0.0, _number(lo=-1e12)),
-            "prior_var": (1.0, _number(lo=1e-12)),
-            "target_ne_fraction": (0.8, _number(lo=0.01, hi=1.0)),
             "se_factor": (4.0, _number(lo=1e-12)),
             "filters": (["enkf", "tenkf", "pf"], _filters("enkf", "tenkf", "pf")),
         },
@@ -638,12 +623,7 @@ SCENARIOS = {
             "n": (100_000, _number(lo=2, integer=True)),
             "lambdas": ([10.0, 1.0, 0.3, 0.1, 0.03], _numbers(lo=1e-12)),
             "lam_large": (1e9, _number(lo=1.0)),
-            "lam_small": (0.02, _number(lo=1e-12)),
             "sample_lam": (0.3, _number(lo=1e-12)),
-            "ks_tol_large": (1e-4, _number(lo=0.0)),
-            "ks_tol_small": (0.02, _number(lo=0.0)),
-            "ks_tol_tenkf_sampling": (0.03, _number(lo=0.0)),
-            "ks_tol_pf_sampling": (0.02, _number(lo=0.0)),
         },
         replicates=1,
         max_replicates=1,

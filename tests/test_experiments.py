@@ -39,14 +39,8 @@ def test_runtime_does_not_load_scipy():
 class TestValidateConfig:
     def test_empty_l63_stanza_gets_table_defaults(self):
         cfg = validate_config({"scenario": "l63-limit-dist"})
-        p = cfg.params
-        assert p["alpha"] == 10.0
-        assert p["rho"] == 28.0
-        assert p["beta"] == pytest.approx(8.0 / 3.0)
-        assert p["sigma"] == 0.01
-        assert p["tau"] == 0.2
-        assert p["t1"] == 1.0
-        assert p["dt"] == 0.01
+        assert cfg.params == {"tau": 0.2, "n": 100_000, "lambdas": [10.0, 3.0, 1.0, 0.5, 0.3],
+                              "bins": 200}
         assert cfg.overrides == []
 
     def test_target_ne_above_n_rejected_naming_both(self):
@@ -198,6 +192,34 @@ class TestValidateConfig:
         assert err.value.problems == [
             f"scenario: unknown scenario 'nope'; known: {sorted(SCENARIOS)}"]
 
+    @pytest.mark.parametrize("name", [["l63-limit-dist"], {"l63-limit-dist": 1}],
+                             ids=["list", "dict"])
+    def test_non_string_scenario_is_unknown(self, name):
+        # an unhashable name used to raise TypeError from the SCENARIOS lookup
+        with pytest.raises(ConfigError) as err:
+            validate_config({"scenario": name})
+        assert err.value.problems == [
+            f"scenario: unknown scenario {name!r}; known: {sorted(SCENARIOS)}"]
+
+    @pytest.mark.parametrize("scenario, removed", [
+        ("l63-limit-dist", ["alpha", "rho", "beta", "sigma", "t1", "dt", "x1_0", "x2_0",
+                            "x3_0", "sigma1_0", "sigma3_0", "filters"]),
+        ("l96-rmse-sweep", ["F", "tau", "d_max", "sigma_p", "mu0", "mu1", "sigma0", "dt",
+                            "sigma"]),
+        ("l96-adaptive-aug", ["F", "tau", "d_max", "sigma_p", "mu0", "mu1", "sigma0", "sigma",
+                              "rtol", "atol", "dt_init"]),
+        ("linear-gaussian-check", ["prior_mean", "prior_var", "target_ne_fraction"]),
+        ("bimodal-oracle-check", ["lam_small", "ks_tol_large", "ks_tol_small",
+                                  "ks_tol_tenkf_sampling", "ks_tol_pf_sampling"]),
+    ])
+    def test_fixed_constants_are_unknown_keys(self, scenario, removed):
+        # each is a module constant of the published setting: a config (or a
+        # metadata.json written when they were keys) that sets one is rejected
+        with pytest.raises(ConfigError) as err:
+            validate_config({"scenario": scenario, "params": dict.fromkeys(removed, 1.0)})
+        assert err.value.problems == [
+            f"params: unknown key(s) for scenario {scenario}: {sorted(removed)}"]
+
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_defaults_given_as_overrides_validate_to_the_defaults(self, scenario):
         defaults = validate_config({"scenario": scenario}).params
@@ -206,18 +228,14 @@ class TestValidateConfig:
         assert cfg.params == defaults
         assert cfg.overrides == sorted(defaults)
 
-    @pytest.mark.parametrize("sigma", [0.01, -0.01])
-    def test_adaptive_aug_rejects_model_noise(self, sigma):
-        # its DP45 forecast is deterministic: every replicate would fail
-        with pytest.raises(ConfigError) as err:
-            validate_config({"scenario": "l96-adaptive-aug", "params": {"sigma": sigma}})
-        assert [p.split(":")[0] for p in err.value.problems] == ["params.sigma"]
-
-    @pytest.mark.parametrize("sigma", [0, 0.0])
-    def test_adaptive_aug_accepts_zero_noise(self, sigma):
-        # as every metadata.json of this scenario records it
-        cfg = validate_config({"scenario": "l96-adaptive-aug", "params": {"sigma": sigma}})
-        assert cfg.params["sigma"] == 0
+    @pytest.mark.parametrize("sigma", [0.01, -0.01, 0, 0.0])
+    def test_l96_model_noise_is_an_unknown_key(self, sigma):
+        # fixed per scenario: 0.01 for the Heun sweep, 0 for the DP45 runs
+        for scenario in ("l96-rmse-sweep", "l96-adaptive-aug"):
+            with pytest.raises(ConfigError) as err:
+                validate_config({"scenario": scenario, "params": {"sigma": sigma}})
+            assert err.value.problems == [
+                f"params: unknown key(s) for scenario {scenario}: ['sigma']"]
 
     @pytest.mark.parametrize("y_star", [20.0, -17.0])
     def test_bimodal_y_star_off_the_grid_rejected(self, y_star):
@@ -263,7 +281,18 @@ class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"scenario": "l63-limit-dist"})
         assert main(["validate", "--config", cfg]) == 0
-        assert "alpha" in capsys.readouterr().out
+        assert "params.lambdas = [10.0, 3.0, 1.0, 0.5, 0.3]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", [["l63-limit-dist"], {"l63-limit-dist": 1}],
+                             ids=["list", "dict"])
+    def test_non_string_scenario_exit_1(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path / "c.json", {"scenario": name})
+        for argv in (["validate", "--config", cfg],
+                     ["run", "--config", cfg, "--out", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "scenario: unknown scenario" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_validate_bad_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json",
@@ -306,7 +335,7 @@ class TestCli:
 
     @pytest.mark.parametrize("scenario, params, problem", [
         # each of these would fail every replicate, or validation itself
-        ("l96-adaptive-aug", {"sigma": 0.01}, "params.sigma: "),
+        ("l96-adaptive-aug", {"r_max": 0.5}, "params.r_max: "),
         ("bimodal-oracle-check", {"y_star": 20.0}, "params.y_star: "),
         ("l96-rmse-sweep", {"filters": [["enkf"]]}, "params.filters[0]: unknown filter"),
     ])
