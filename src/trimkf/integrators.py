@@ -51,11 +51,11 @@ another order, count or stream would change the result bytes and the
 helper never draws past the interval's last step and is joined before
 ``integrate`` returns or raises.
 
-A thread's share is set once with ``share_cpus`` (the replicate pool gives
-each worker ``max(1, usable CPUs // workers)``); a thread never given one
+A thread's share is set with ``share_cpus`` (the scenarios' thread map
+gives each thread ``max(1, share // threads)``); a thread never given one
 may use every usable CPU, so library code that calls ``integrate`` from
 threads of its own calls ``share_cpus`` in each.  CPUs left over go unused:
-with 3 CPUs and 2 workers, neither worker ever starts a helper.
+with 3 CPUs and 2 threads, neither thread ever starts a helper.
 """
 
 from __future__ import annotations
@@ -416,9 +416,10 @@ def usable_cpus() -> int:
 _share = threading.local()
 
 
-def share_cpus(n: int) -> None:
-    """Let the calling thread's forecasts use ``n`` CPUs, its own included."""
-    _share.cpus = n
+def share_cpus(n: int | None) -> int | None:
+    """Give the calling thread ``n`` CPUs, its own included (None: all); return its old share."""
+    old, _share.cpus = getattr(_share, "cpus", None), n
+    return old
 
 
 def thread_cpus() -> int:

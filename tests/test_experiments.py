@@ -8,13 +8,14 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import trimkf
-from trimkf import integrators
+from trimkf import filters, integrators
 from trimkf.experiments import scenarios
 from trimkf.experiments.cli import main
 from trimkf.experiments.config import (
@@ -243,6 +244,18 @@ class TestValidateConfig:
             validate_config({"scenario": "bimodal-oracle-check", "params": {"y_star": y_star}})
         assert [p.split(":")[0] for p in err.value.problems] == ["params.y_star"]
 
+    def test_bimodal_single_lambda_rejected(self):
+        # one lambda used to validate and then fail every replicate in the
+        # bridge check ("max() arg is an empty sequence")
+        with pytest.raises(ConfigError) as err:
+            validate_config({"scenario": "bimodal-oracle-check", "params": {"lambdas": [0.3]}})
+        assert err.value.problems == [
+            "params.lambdas: the bridge check compares neighbouring values, "
+            "so at least two are needed"]
+        cfg = validate_config({"scenario": "bimodal-oracle-check",
+                               "params": {"lambdas": [0.3, 0.1]}})
+        assert cfg.params["lambdas"] == [0.3, 0.1]
+
     def test_bimodal_y_star_bound_is_the_grid_edge(self):
         from trimkf.oracle import BIMODAL_Y_BOUND, bimodal_toy
 
@@ -338,10 +351,13 @@ class TestCli:
         ("l96-adaptive-aug", {"r_max": 0.5}, "params.r_max: "),
         ("bimodal-oracle-check", {"y_star": 20.0}, "params.y_star: "),
         ("l96-rmse-sweep", {"filters": [["enkf"]]}, "params.filters[0]: unknown filter"),
+        ("bimodal-oracle-check", {"lambdas": [0.3]}, "params.lambdas: the bridge check"),
     ])
     def test_run_rejected_param_exit_1_writes_nothing(self, tmp_path, capsys,
                                                       scenario, params, problem):
         cfg = write_config(tmp_path / "c.json", {"scenario": scenario, "params": params})
+        assert main(["validate", "--config", cfg]) == 1
+        assert problem in capsys.readouterr().err
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert problem in err and "Traceback" not in err
@@ -573,6 +589,136 @@ class TestReplicateFailures:
         assert main(["run", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "FAILED replicate 1: RuntimeError: replicate blew up" in err
+
+
+class TestSharedMap:
+    """``scenarios._map_shared``: the one map that runs replicates and the
+    independent units of a replicate, the calling thread among its threads."""
+
+    def test_results_come_back_in_item_order(self):
+        def slow_first(i):  # the first items finish last
+            time.sleep(0.002 * (8 - i))
+            return i * i
+
+        for workers in (1, 2, 3, 8):
+            assert scenarios._map_shared(slow_first, range(8), workers) == [
+                i * i for i in range(8)]
+        assert scenarios._map_shared(slow_first, [], 2) == []
+
+    def test_every_item_runs_once_under_frequent_switches(self):
+        # more threads than CPUs, switching every microsecond: an item taken
+        # twice or skipped would show in the calls
+        calls = []
+
+        def fn(i):
+            calls.append(i)
+            return -i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = scenarios._map_shared(fn, range(3000), 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [-i for i in range(3000)]
+        assert sorted(calls) == list(range(3000))
+
+    def test_lowest_index_failure_is_raised_with_its_cause(self):
+        def fn(i):
+            if i == 1:
+                time.sleep(0.05)  # fails after item 3 has failed
+                try:
+                    raise KeyError("inner")
+                except KeyError as exc:
+                    raise ValueError("item 1") from exc
+            if i == 3:
+                raise RuntimeError("item 3")
+            return i
+
+        for workers in (1, 4):
+            with pytest.raises(ValueError, match="item 1") as err:
+                scenarios._map_shared(fn, range(6), workers)
+            assert isinstance(err.value.__cause__, KeyError)
+
+    def test_no_item_starts_after_a_failure(self):
+        started = []
+
+        def fn(i):
+            started.append(i)
+            if i == 0:
+                raise RuntimeError("first")
+
+        with pytest.raises(RuntimeError, match="first"):
+            scenarios._map_shared(fn, range(50), 1)
+        assert started == [0]
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_caller_share_is_restored(self, monkeypatch, fail):
+        monkeypatch.setattr(integrators._share, "cpus", 5, raising=False)
+
+        def fn(i):
+            if fail and i == 2:
+                raise RuntimeError("boom")
+
+        try:
+            scenarios._map_shared(fn, range(4), 2)
+        except RuntimeError:
+            assert fail
+        assert integrators.thread_cpus() == 5
+
+    @pytest.mark.parametrize("share, workers, each", [(5, 2, 2), (2, 2, 1), (2, 3, 1),
+                                                      (4, 4, 1), (4, 1, 4)])
+    def test_each_thread_holds_its_part_of_the_share(self, monkeypatch, share, workers, each):
+        # every thread takes one item and waits for the others, so each item
+        # runs on its own thread, the calling thread among them
+        monkeypatch.setattr(integrators._share, "cpus", share, raising=False)
+        barrier = threading.Barrier(workers, timeout=10)
+
+        def fn(i):
+            barrier.wait()
+            return threading.get_ident(), integrators.thread_cpus()
+
+        seen = scenarios._map_shared(fn, range(workers), workers)
+        assert [cpus for _, cpus in seen] == [each] * workers
+        assert len({ident for ident, _ in seen}) == workers
+        assert threading.get_ident() in {ident for ident, _ in seen}
+        assert integrators.thread_cpus() == share
+
+
+def test_units_on_every_cpu_share_write_the_same_bytes(tmp_path, monkeypatch):
+    # The L63 updates and summaries and the linear-Gaussian filter runs go
+    # through the shared map with the replicate's CPU share; at n=4000
+    # (above OpenBLAS's threading threshold) concurrent updates must not
+    # move the bytes.  At a share of 2 the updates run on two threads.
+    update = filters.tenkf_update
+    threads = []
+
+    def traced(*args, **kwargs):
+        threads.append(threading.get_ident())
+        time.sleep(0.005)  # lets the other thread take the next update
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(filters, "tenkf_update", traced)
+    docs = [
+        {"scenario": "l63-limit-dist", "seed": 2, "params": {"n": 4000, "bins": 20}},
+        {"scenario": "linear-gaussian-check", "seed": 2, "params": {"n": 4000, "steps": 3}},
+    ]
+    outputs, used = [], []
+    for share in (1, 2, 3):
+        monkeypatch.setattr(integrators._share, "cpus", share, raising=False)
+        threads.clear()
+        out = {}
+        for doc in docs:
+            result = run_scenario(validate_config(
+                {**doc, "replicates": 1, "threads": 1, "out_dir": str(tmp_path / f"{share}")}))
+            assert not result.replicate_failures
+            out.update({f"{doc['scenario']}/{f.name}": f.read_bytes() for f in result.files})
+        outputs.append(out)
+        used.append(len(set(threads)))
+        assert integrators.thread_cpus() == share
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert used[0] == 1 and used[1] == 2
 
 
 def test_replicates_and_configs_pickle():
