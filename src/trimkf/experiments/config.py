@@ -83,7 +83,7 @@ def stream_key(value: float) -> int:
     return int(round(float(value) * 1e6))
 
 
-def _number_problem(v, integer=False, lo=None, hi=None):
+def _number_problem(v, integer=False, lo=None):
     """Why ``v`` is not an acceptable number (``NaN``/``Infinity`` are not), or None."""
     if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
         return f"expected {'an integer' if integer else 'a number'}, got {v!r}"
@@ -91,8 +91,6 @@ def _number_problem(v, integer=False, lo=None, hi=None):
         return f"must be finite, got {v!r}"
     if lo is not None and v < lo:
         return f"must be >= {lo}, got {v!r}"
-    if hi is not None and v > hi:
-        return f"must be <= {hi}, got {v!r}"
     return None
 
 
@@ -110,26 +108,25 @@ def _scalar(problem):
     return check
 
 
-def _number(lo=None, hi=None, integer=False):
-    return _scalar(lambda v: _number_problem(v, integer, lo, hi))
+def _number(lo=None, integer=False):
+    return _scalar(lambda v: _number_problem(v, integer, lo))
 
 
 _flag = _scalar(lambda v: None if isinstance(v, bool) else f"expected true/false, got {v!r}")
 
 
-def _list(entry, keyed=False):
-    """A non-empty list of distinct entries, each one acceptable to
-    ``entry(v)`` (which returns why not, or None).  A repeated entry would
-    rerun the same random streams and count its results twice.  The entries
-    of a ``keyed`` list each key a random stream by ``stream_key``, so they
-    must not share a key either."""
+def _numbers(lo=None, integer=False):
+    """A non-empty list of distinct numbers, each acceptable to ``_number``.
+    Each entry keys random streams, so a repeated entry would rerun the same
+    streams and count its results twice; entries must not share a
+    ``stream_key`` either (distinct integers never do)."""
 
     def check(name, value, errors):
         if not isinstance(value, (list, tuple)) or not value:
             errors.append(f"{name}: expected a non-empty list")
             return None
         for i, v in enumerate(value):
-            why = entry(v)
+            why = _number_problem(v, integer, lo)
             if why:
                 errors.append(f"{name}[{i}]: {why}")
                 return None
@@ -137,7 +134,7 @@ def _list(entry, keyed=False):
         if repeated:
             errors.append(f"{name}: value(s) {repeated} listed more than once")
             return None
-        keys = [stream_key(v) for v in value] if keyed else []
+        keys = [stream_key(v) for v in value]
         shared = sorted(v for v, key in zip(value, keys) if keys.count(key) > 1)
         if shared:
             errors.append(
@@ -148,15 +145,6 @@ def _list(entry, keyed=False):
         return list(value)
 
     return check
-
-
-def _numbers(lo=None, integer=False, keyed=False):
-    return _list(lambda v: _number_problem(v, integer, lo), keyed)
-
-
-def _filters(*allowed):
-    return _list(lambda v: None if v in allowed else
-                 f"unknown filter {v!r}; allowed: {sorted(allowed)}")
 
 
 def _is_count(v, below=math.inf) -> bool:

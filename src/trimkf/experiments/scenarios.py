@@ -38,14 +38,8 @@ from ..models import (
     lorenz96_model,
     select_observer,
 )
-from ..oracle import (
-    BIMODAL_Y_BOUND,
-    bayes_posterior,
-    bimodal_toy,
-    kalman_filter_sequence,
-    limit_pdfs,
-)
-from .config import ExperimentConfig, _filters, _flag, _number, _numbers, stream_key
+from ..oracle import bayes_posterior, bimodal_toy, kalman_filter_sequence, limit_pdfs
+from .config import ExperimentConfig, _flag, _number, _numbers, stream_key
 from .io import write_table
 
 __all__ = ["SCENARIOS", "Scenario", "ScenarioResult", "run_scenario"]
@@ -152,17 +146,17 @@ def _join(parts) -> dict:
 
 
 # The published setting: Lorenz63Params's alpha, rho and beta with model
-# noise 0.01 on Heun steps of 0.01, one observation at t=1, and a truth and
-# members drawn around (1.5, 1.5, 25) with spread 0.1.
+# noise 0.01 on Heun steps of 0.01, one observation of x2 at t=1 with noise
+# tau, and a truth and members drawn around (1.5, 1.5, 25) with spread 0.1.
 _L63_MODEL = Lorenz63Params(sigma=0.01)
 _HEUN = IntegratorConfig(scheme="stochastic-heun", dt=0.01)
-_L63_T1, _L63_X0, _L63_SD0 = 1.0, (1.5, 1.5, 25.0), 0.1
+_L63_T1, _L63_X0, _L63_SD0, _L63_TAU = 1.0, (1.5, 1.5, 25.0), 0.1, 0.2
 
 
 def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     p = cfg.params
     dyn = lorenz63_model(_L63_MODEL)
-    meas = select_observer(3, [1], noise_std=p["tau"])
+    meas = select_observer(3, [1], noise_std=_L63_TAU)
     n = int(p["n"])
 
     rng_t = _rng(cfg.seed, rep, _STREAM_TRUTH)
@@ -174,7 +168,7 @@ def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     rng_fc = _rng(cfg.seed, rep, _STREAM_FILTER["enkf"])
     members = np.empty((3, n))
     members[0] = _L63_X0[0] + _L63_SD0 * rng_fc.standard_normal(n)
-    members[1] = y0 + p["tau"] * rng_fc.standard_normal(n)
+    members[1] = y0 + _L63_TAU * rng_fc.standard_normal(n)
     members[2] = _L63_X0[2] + _L63_SD0 * rng_fc.standard_normal(n)
     joint = forecast(Ensemble(members), dyn, meas, _HEUN, _L63_T1, rng_fc)
 
@@ -222,11 +216,13 @@ def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# The published setting: forcing 8 (Lorenz96Params's default), observation
-# noise tau, augmentation within d_max of the measurement from initial
+# The published setting: N=36 components with forcing 8 (Lorenz96Params's
+# default), every other one observed with noise tau, the EnKF against the
+# trimmed filter, augmentation within d_max of the measurement from initial
 # conditions perturbed by sigma_p, and a start at mu0 + mu1 z + sigma0 e.
 # l96-rmse-sweep adds model noise 0.01 on Heun steps; l96-adaptive-aug has
 # none, so that its forecasts can take adaptive DP45 steps.
+_L96_N, _L96_FILTERS = 36, ("enkf", "tenkf")
 _L96_TAU, _L96_D_MAX, _L96_SIGMA_P = 0.05, 3.0, 0.4
 _L96_MU0, _L96_MU1, _L96_SIGMA0 = 1.0, 0.1, 0.01
 _L96_SDE, _L96_ODE = Lorenz96Params(sigma=0.01), Lorenz96Params(sigma=0.0)
@@ -245,7 +241,7 @@ def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], model: Lorenz96
     time-zero measurement in the observed ones.
     """
     p = cfg.params
-    dim = int(p["N"])
+    dim = _L96_N
     obs_idx = np.arange(0, dim, 2)
     dyn = lorenz96_model(model)
     meas = select_observer(dim, obs_idx, noise_std=_L96_TAU)
@@ -255,7 +251,7 @@ def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], model: Lorenz96
         aug = AugmentConfig(d_max=_L96_D_MAX, r_max=p["r_max"], sigma_p=_L96_SIGMA_P)
     methods = {
         name: FilterMethod(name, trim=trim, augment=aug if name == "tenkf" else None)
-        for name in p["filters"]
+        for name in _L96_FILTERS
     }
     for dt_obs in p["dt_obs"]:
         problem = AssimilationProblem(dyn, meas, icfg, dt_obs, p["t_f"])
@@ -263,7 +259,7 @@ def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], model: Lorenz96
         base = _L96_MU0 + _L96_MU1 * rng_t.standard_normal()
         truth = simulate_truth(problem, base + _L96_SIGMA0 * rng_t.standard_normal(dim), rng_t)
         for n in sizes:
-            for name in p["filters"]:
+            for name in _L96_FILTERS:
                 rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name], n, stream_key(dt_obs))
                 members = base + _L96_SIGMA0 * rng_f.standard_normal((dim, n))
                 members[obs_idx] = truth.y0[:, None] + _L96_TAU * rng_f.standard_normal(
@@ -308,7 +304,7 @@ def _l96_rmse_quantiles(cfg: ExperimentConfig, tables: dict) -> dict:
     quant_rows = []
     for dt_obs in p["dt_obs"]:
         for n in p["n"]:
-            for name in p["filters"]:
+            for name in _L96_FILTERS:
                 vals = np.array(
                     [
                         r["rmse_time_avg"]
@@ -386,8 +382,16 @@ def _gain_noise_term(joint: JointEnsemble, y_star: float) -> float:
     return (y_star - y.mean()) ** 2 * (1 - rho2) * c_xx / (joint.size * c_yy)
 
 
-# The published prior N(0, 1); the trimmed filter keeps an effective size of 0.8 n.
-_LG_PRIOR_MEAN, _LG_PRIOR_VAR, _LG_TARGET_NE_FRACTION = 0.0, 1.0, 0.8
+# The published prior N(0, 1), the three filters checked, and the trimmed
+# filter's effective size of 0.8 n.
+_LG_PRIOR_MEAN, _LG_PRIOR_VAR, _LG_FILTERS = 0.0, 1.0, ("enkf", "tenkf", "pf")
+_LG_TARGET_NE_FRACTION = 0.8
+
+
+def _z(deviation: float, se: float) -> float:
+    """``deviation / se``; a posterior collapsed to one value has a zero
+    standard error, over which a deviation is infinite and none is 0."""
+    return deviation / se if se else (np.inf if deviation else 0.0)
 
 
 def _lingauss_replicate(cfg: ExperimentConfig, rep: int) -> dict:
@@ -437,13 +441,13 @@ def _lingauss_replicate(cfg: ExperimentConfig, rep: int) -> dict:
                          "var_exact": exact_var, "se_mean": se_mean, "se_var": se_var,
                          "ok": bool(ok)})
             # one check per row: the larger of its two z-scores
-            z = max(abs(est_mean - exact_mean) / se_mean, abs(est_var - exact_var) / se_var)
+            z = max(_z(abs(est_mean - exact_mean), se_mean), _z(abs(est_var - exact_var), se_var))
             checks.append({"check": f"{name}-step{k + 1}-rep{rep}", "value": z,
                            "tolerance": p["se_factor"], "ok": bool(ok)})
         return {"comparison.csv": rows, "checks.csv": checks}
 
     # Each filter draws from its own keyed stream, so the runs share the thread's CPUs.
-    return _join(_map_shared(run, p["filters"], thread_cpus()))
+    return _join(_map_shared(run, _LG_FILTERS, thread_cpus()))
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +455,17 @@ def _lingauss_replicate(cfg: ExperimentConfig, rep: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# The small lambda of the posterior check and the KS tolerances of the checks.
-_BIMODAL_LAM_SMALL = 0.02
+# The published measurement, the bridge's lambdas, the large and small lambda
+# of the limit checks, the sampling update's lambda, and the KS tolerances.
+_BIMODAL_Y_STAR, _BIMODAL_LAMBDAS = 1.5, (10.0, 1.0, 0.3, 0.1, 0.03)
+_BIMODAL_LAM_LARGE, _BIMODAL_LAM_SMALL, _BIMODAL_SAMPLE_LAM = 1e9, 0.02, 0.3
 _KS_TOL_LARGE, _KS_TOL_SMALL = 1e-4, 0.02
 _KS_TOL_TENKF_SAMPLING, _KS_TOL_PF_SAMPLING = 0.03, 0.02
 
 
 def _bimodal_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     p = cfg.params
-    toy = bimodal_toy(points=int(p["points"]), y_star=p["y_star"])
+    toy = bimodal_toy(points=int(p["points"]), y_star=_BIMODAL_Y_STAR)
     joint, gain, y_star = toy.joint, toy.exact_gain, toy.y_star
 
     # The sampling update runs first, for the distance scale of its limit;
@@ -467,7 +473,7 @@ def _bimodal_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     n = int(p["n"])
     x, y = toy.sample(n, _rng(cfg.seed, rep, 1))
     sample_joint = JointEnsemble(states=Ensemble(x[None, :]), observations=y[None, :])
-    trim = TrimConfig(lam=p["sample_lam"])
+    trim = TrimConfig(lam=_BIMODAL_SAMPLE_LAM)
     state = tenkf_update(sample_joint, np.array([y_star]), trim, _rng(cfg.seed, rep, 2))
     scale = float(state.distance_scale[0])
     toy_meas = MeasModel(obs_dim=1, h=lambda s: s, noise_std=0.5)
@@ -476,13 +482,14 @@ def _bimodal_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     bayes = bayes_posterior(joint, y_star)
     enkf_lim, large, small, *curves, limit = limit_pdfs(
         joint, gain, y_star,
-        [None, (p["lam_large"], None), (_BIMODAL_LAM_SMALL, None)]
-        + [(lam, None) for lam in p["lambdas"]] + [(p["sample_lam"], scale)],
+        [None, (_BIMODAL_LAM_LARGE, None), (_BIMODAL_LAM_SMALL, None)]
+        + [(lam, None) for lam in _BIMODAL_LAMBDAS] + [(_BIMODAL_SAMPLE_LAM, scale)],
     )
     ks_large = ks_distance(large, enkf_lim)
     ks_small = ks_distance(small, bayes)
     bridge = [ks_distance(curve, bayes) for curve in curves]
-    bridge_rows = [{"lam": lam, "ks_to_posterior": ks} for lam, ks in zip(p["lambdas"], bridge)]
+    bridge_rows = [{"lam": lam, "ks_to_posterior": ks}
+                   for lam, ks in zip(_BIMODAL_LAMBDAS, bridge)]
     ks_tenkf = ks_distance(state.posterior.members[0], limit)
     ks_pf = ks_distance(pf_state.posterior.members[0], bayes)
     steps = list(zip(bridge, bridge[1:]))
@@ -537,8 +544,6 @@ def _l96_rule(p: dict, errors: list[str]) -> None:
                 f"params.target_ne: target_ne={p['target_ne']} exceeds ensemble size n={bad} "
                 "(requires target_ne <= n)"
             )
-    if p["N"] is not None and p["N"] % 2:
-        errors.append("params.N: must be even (every other component is observed)")
     # AssimilationProblem.n_steps is floor(t_f / dt_obs + 1e-9): keep it >= 1
     t_f = p["t_f"]
     long = [dt for dt in p["dt_obs"] or [] if t_f and t_f / dt + 1e-9 < 1]
@@ -547,22 +552,13 @@ def _l96_rule(p: dict, errors: list[str]) -> None:
                       "(requires at least one observation)")
 
 
-def _bimodal_rule(p: dict, errors: list[str]) -> None:
-    """The bridge check compares neighbouring lambdas: it needs two."""
-    if p["lambdas"] is not None and len(p["lambdas"]) < 2:
-        errors.append("params.lambdas: the bridge check compares neighbouring values, "
-                      "so at least two are needed")
-
-
 # Defaults follow the published experiment tables, desk-scaled where noted
 # in the README; the rest of each published setting is a module constant
 # beside the scenario that reads it.  The two Lorenz-96 scenarios share the
-# state size, the trimming target, the augmentation cap and the filters.
+# trimming target and the augmentation cap.
 _L96_PARAMS = {
-    "N": (36, _number(lo=4, integer=True)),
     "target_ne": (50.0, _number(lo=1.0)),
     "r_max": (3.0, _number(lo=1.0)),
-    "filters": (["enkf", "tenkf"], _filters("enkf", "tenkf")),
 }
 
 _CHECK_COLUMNS = ["check", "value", "tolerance", "ok"]
@@ -577,9 +573,8 @@ SCENARIOS = {
             "ks.csv": ["replicate", "filter", "lam", "ks_to_pf"],
         },
         params={
-            "tau": (0.2, _number(lo=1e-12)),
             "n": (100_000, _number(lo=2, integer=True)),
-            "lambdas": ([10.0, 3.0, 1.0, 0.5, 0.3], _numbers(lo=1e-12, keyed=True)),
+            "lambdas": ([10.0, 3.0, 1.0, 0.5, 0.3], _numbers(lo=1e-12)),
             "bins": (200, _number(lo=10, integer=True)),
         },
         replicates=1,
@@ -597,7 +592,7 @@ SCENARIOS = {
         params={
             **_L96_PARAMS,
             "t_f": (15.0, _number(lo=1e-12)),
-            "dt_obs": ([0.9], _numbers(lo=1e-12, keyed=True)),
+            "dt_obs": ([0.9], _numbers(lo=1e-12)),
             "n": ([100, 200, 400, 1000, 4000], _numbers(lo=2, integer=True)),
             "augment": (True, _flag),
         },
@@ -617,7 +612,7 @@ SCENARIOS = {
         params={
             **_L96_PARAMS,
             "t_f": (32.0, _number(lo=1e-12)),
-            "dt_obs": ([0.8], _numbers(lo=1e-12, keyed=True)),
+            "dt_obs": ([0.8], _numbers(lo=1e-12)),
             "n": (200, _number(lo=2, integer=True)),
         },
         replicates=10,
@@ -640,7 +635,6 @@ SCENARIOS = {
             "steps": (5, _number(lo=1, integer=True)),
             "n": (100_000, _number(lo=2, integer=True)),
             "se_factor": (4.0, _number(lo=1e-12)),
-            "filters": (["enkf", "tenkf", "pf"], _filters("enkf", "tenkf", "pf")),
         },
         replicates=1,
     ),
@@ -651,16 +645,10 @@ SCENARIOS = {
         {"bridge.csv": ["lam", "ks_to_posterior"], "checks.csv": _CHECK_COLUMNS},
         params={
             "points": (2048, _number(lo=64, integer=True)),
-            # the joint is tabulated, and so can be conditioned, only on its y grid
-            "y_star": (1.5, _number(lo=-BIMODAL_Y_BOUND, hi=BIMODAL_Y_BOUND)),
             "n": (100_000, _number(lo=2, integer=True)),
-            "lambdas": ([10.0, 1.0, 0.3, 0.1, 0.03], _numbers(lo=1e-12)),
-            "lam_large": (1e9, _number(lo=1.0)),
-            "sample_lam": (0.3, _number(lo=1e-12)),
         },
         replicates=1,
         max_replicates=1,
-        rule=_bimodal_rule,
     ),
 }
 

@@ -73,6 +73,11 @@ def _interp_cdf(x, support, cdf, is_step):
     return np.interp(x, support, cdf, left=0.0, right=1.0)
 
 
+def _sup_gap(points, a, b) -> float:
+    """The largest ``|F_a - F_b|`` over ``points``, for ``_as_cdf`` triples."""
+    return float(np.max(np.abs(_interp_cdf(points, *a) - _interp_cdf(points, *b))))
+
+
 def ks_distance(a, b) -> float:
     """Kolmogorov-Smirnov distance between two 1-D distributions.
 
@@ -82,22 +87,17 @@ def ks_distance(a, b) -> float:
     jumps from both sides when a grid is involved.  A sample holding NaN
     raises ``ValueError``: it has no CDF.
     """
-    xa, ca, step_a = _as_cdf(a)
-    xb, cb, step_b = _as_cdf(b)
-    points = np.union1d(xa, xb)
-    fa = _interp_cdf(points, xa, ca, step_a)
-    fb = _interp_cdf(points, xb, cb, step_b)
-    d = float(np.max(np.abs(fa - fb)))
-    if step_a and step_b:
-        # Both CDFs are steps that only move at union points, so the pair
-        # just below a point is the pair at the union point below it, or
+    a, b = _as_cdf(a), _as_cdf(b)
+    # The sup over both supports is the larger of the sups over each: no
+    # sorted union of the supports, nor a joined copy of them, is needed.
+    d = max(_sup_gap(a[0], a, b), _sup_gap(b[0], a, b))
+    if a[2] and b[2]:
+        # Both CDFs are steps that only move at support points, so the pair
+        # just below a point is the pair at the support point below it, or
         # (0, 0) below them all: the left limits add no new difference.
         return d
     # At a step jump the sup may be attained just below the point.
-    left = points - np.spacing(np.abs(points) + 1.0)
-    fa_left = _interp_cdf(left, xa, ca, step_a)
-    fb_left = _interp_cdf(left, xb, cb, step_b)
-    return max(d, float(np.max(np.abs(fa_left - fb_left))))
+    return max(d, *(_sup_gap(x - np.spacing(np.abs(x) + 1.0), a, b) for x in (a[0], b[0])))
 
 
 def replicate_quantiles(values: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ __all__ = [
     "joint_from_conditional",
     "bimodal_toy",
     "BimodalToy",
-    "BIMODAL_Y_BOUND",
 ]
 
 class OracleError(ValueError):
@@ -348,7 +347,7 @@ def _norm_pdf(z, mu, var):
 # deviations of X on the x axis and of Y on the y axis.
 _SPAN_SDS = 8.0
 _VAR_X = 0.25 + 4.0  # component variance plus mean spread
-BIMODAL_Y_BOUND = _SPAN_SDS * float(np.sqrt(_VAR_X + 0.25))  # the y grid is [-bound, bound]
+_BIMODAL_Y_BOUND = _SPAN_SDS * float(np.sqrt(_VAR_X + 0.25))  # the y grid is [-bound, bound]
 
 
 def bimodal_toy(points: int = 2048, y_star: float = 1.5) -> BimodalToy:
@@ -363,7 +362,7 @@ def bimodal_toy(points: int = 2048, y_star: float = 1.5) -> BimodalToy:
         x, 0.5 * _norm_pdf(x, -2.0, 0.25) + 0.5 * _norm_pdf(x, 2.0, 0.25)
     ).normalized()
     joint = joint_from_conditional(
-        prior, lambda y, xx: _norm_pdf(y, xx, 0.25), -BIMODAL_Y_BOUND, BIMODAL_Y_BOUND, points
+        prior, lambda y, xx: _norm_pdf(y, xx, 0.25), -_BIMODAL_Y_BOUND, _BIMODAL_Y_BOUND, points
     )
     # cov(X, Y) = var(X) for additive noise; gain = var(X) / var(Y).
     gain = _VAR_X / (_VAR_X + 0.25)

@@ -38,10 +38,22 @@ def test_runtime_does_not_load_scipy():
 
 
 class TestValidateConfig:
-    def test_empty_l63_stanza_gets_table_defaults(self):
-        cfg = validate_config({"scenario": "l63-limit-dist"})
-        assert cfg.params == {"tau": 0.2, "n": 100_000, "lambdas": [10.0, 3.0, 1.0, 0.5, 0.3],
-                              "bins": 200}
+    TABLE_DEFAULTS = {
+        "l63-limit-dist": {"n": 100_000, "lambdas": [10.0, 3.0, 1.0, 0.5, 0.3], "bins": 200},
+        "l96-rmse-sweep": {"target_ne": 50.0, "r_max": 3.0, "t_f": 15.0, "dt_obs": [0.9],
+                           "n": [100, 200, 400, 1000, 4000], "augment": True},
+        "l96-adaptive-aug": {"target_ne": 50.0, "r_max": 3.0, "t_f": 32.0, "dt_obs": [0.8],
+                             "n": 200},
+        "linear-gaussian-check": {"A": 1.0, "Q": 0.01, "H": 1.0, "R": 0.04, "steps": 5,
+                                  "n": 100_000, "se_factor": 4.0},
+        "bimodal-oracle-check": {"points": 2048, "n": 100_000},
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_empty_stanza_gets_table_defaults(self, scenario):
+        # pins each scenario's keys: a new key needs an edit here
+        cfg = validate_config({"scenario": scenario})
+        assert list(cfg.params.items()) == list(self.TABLE_DEFAULTS[scenario].items())
         assert cfg.overrides == []
 
     def test_target_ne_above_n_rejected_naming_both(self):
@@ -58,7 +70,8 @@ class TestValidateConfig:
             validate_config({"scenario": "l96-adaptive-aug", "params": {"r_max": 0.5}})
 
     def test_bimodal_check_runs_at_most_one_replicate(self):
-        # its streams do not depend on the replicate: more would repeat one run
+        # bridge.csv has no replicate column: the rows of a second replicate
+        # could not be told from the first's
         for reps in (0, 1):
             assert validate_config({"scenario": "bimodal-oracle-check",
                                     "replicates": reps}).replicates == reps
@@ -73,13 +86,6 @@ class TestValidateConfig:
             validate_config({"scenario": "l63-limit-dist", "params": {"bogus": 1}})
         with pytest.raises(ConfigError, match="unknown top-level"):
             validate_config({"scenario": "l63-limit-dist", "bogus": 1})
-
-    @pytest.mark.parametrize("scenario", ["linear-gaussian-check", "l96-rmse-sweep"])
-    def test_duplicate_filters_rejected(self, scenario):
-        # a repeated name would re-run the same stream and write duplicate rows
-        with pytest.raises(ConfigError, match=r"\['enkf'\] listed more than once"):
-            validate_config({"scenario": scenario,
-                             "params": {"filters": ["enkf", "tenkf", "enkf"]}})
 
     def test_non_integer_ensemble_size_rejected(self):
         # the run would cast it to 100 while metadata.json records 100.5
@@ -120,27 +126,14 @@ class TestValidateConfig:
                                    "params": {"dt_obs": [0.8, 0.8000001]}}))
         assert main(["validate", "--config", str(cfg)]) == 1
 
-    def test_unkeyed_list_may_hold_close_entries(self):
-        # the bimodal check's lambdas only select limit densities, no streams
-        cfg = validate_config({"scenario": "bimodal-oracle-check",
-                               "params": {"lambdas": [1e-7, 3e-7]}})
-        assert cfg.params["lambdas"] == [1e-7, 3e-7]
-
-    @pytest.mark.parametrize("scenario", ["l96-rmse-sweep", "l96-adaptive-aug"])
-    def test_odd_state_dimension_rejected(self, scenario):
-        with pytest.raises(ConfigError) as err:
-            validate_config({"scenario": scenario, "params": {"N": 37}})
-        assert err.value.problems == [
-            "params.N: must be even (every other component is observed)"]
-
     def test_non_finite_scalar_param_rejected(self):
         # json.loads reads NaN and Infinity; nan < lo is False
-        doc = json.loads('{"scenario": "bimodal-oracle-check",'
-                         ' "params": {"lam_large": NaN, "sample_lam": Infinity}}')
+        doc = json.loads('{"scenario": "linear-gaussian-check",'
+                         ' "params": {"se_factor": NaN, "Q": Infinity}}')
         with pytest.raises(ConfigError) as err:
             validate_config(doc)
-        assert err.value.problems == ["params.lam_large: must be finite, got nan",
-                                      "params.sample_lam: must be finite, got inf"]
+        assert err.value.problems == ["params.Q: must be finite, got inf",
+                                      "params.se_factor: must be finite, got nan"]
 
     def test_non_finite_list_param_rejected(self):
         doc = json.loads('{"scenario": "l96-rmse-sweep", "params": {"dt_obs": [0.9, NaN]}}')
@@ -153,7 +146,7 @@ class TestValidateConfig:
                 "scenario": "l63-limit-dist",
                 "seed": -1,
                 "replicates": -2,
-                "params": {"tau": -0.5, "n": 1},
+                "params": {"bins": 5, "n": 1},
             })
         assert len(err.value.problems) >= 4
 
@@ -173,8 +166,8 @@ class TestValidateConfig:
         assert cfg.params["t_f"] == 0.9
 
     def test_overrides_recorded(self):
-        cfg = validate_config({"scenario": "l63-limit-dist", "params": {"n": 500, "tau": 0.3}})
-        assert cfg.overrides == ["n", "tau"]
+        cfg = validate_config({"scenario": "l63-limit-dist", "params": {"n": 500, "bins": 30}})
+        assert cfg.overrides == ["bins", "n"]
 
     def test_metadata_document_accepted_directly(self):
         cfg = validate_config({"scenario": "bimodal-oracle-check"})
@@ -204,14 +197,15 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("scenario, removed", [
         ("l63-limit-dist", ["alpha", "rho", "beta", "sigma", "t1", "dt", "x1_0", "x2_0",
-                            "x3_0", "sigma1_0", "sigma3_0", "filters"]),
+                            "x3_0", "sigma1_0", "sigma3_0", "filters", "tau"]),
         ("l96-rmse-sweep", ["F", "tau", "d_max", "sigma_p", "mu0", "mu1", "sigma0", "dt",
-                            "sigma"]),
+                            "sigma", "N", "filters"]),
         ("l96-adaptive-aug", ["F", "tau", "d_max", "sigma_p", "mu0", "mu1", "sigma0", "sigma",
-                              "rtol", "atol", "dt_init"]),
-        ("linear-gaussian-check", ["prior_mean", "prior_var", "target_ne_fraction"]),
+                              "rtol", "atol", "dt_init", "N", "filters"]),
+        ("linear-gaussian-check", ["prior_mean", "prior_var", "target_ne_fraction", "filters"]),
         ("bimodal-oracle-check", ["lam_small", "ks_tol_large", "ks_tol_small",
-                                  "ks_tol_tenkf_sampling", "ks_tol_pf_sampling"]),
+                                  "ks_tol_tenkf_sampling", "ks_tol_pf_sampling", "y_star",
+                                  "lambdas", "lam_large", "sample_lam"]),
     ])
     def test_fixed_constants_are_unknown_keys(self, scenario, removed):
         # each is a module constant of the published setting: a config (or a
@@ -237,34 +231,6 @@ class TestValidateConfig:
                 validate_config({"scenario": scenario, "params": {"sigma": sigma}})
             assert err.value.problems == [
                 f"params: unknown key(s) for scenario {scenario}: ['sigma']"]
-
-    @pytest.mark.parametrize("y_star", [20.0, -17.0])
-    def test_bimodal_y_star_off_the_grid_rejected(self, y_star):
-        with pytest.raises(ConfigError) as err:
-            validate_config({"scenario": "bimodal-oracle-check", "params": {"y_star": y_star}})
-        assert [p.split(":")[0] for p in err.value.problems] == ["params.y_star"]
-
-    def test_bimodal_single_lambda_rejected(self):
-        # one lambda used to validate and then fail every replicate in the
-        # bridge check ("max() arg is an empty sequence")
-        with pytest.raises(ConfigError) as err:
-            validate_config({"scenario": "bimodal-oracle-check", "params": {"lambdas": [0.3]}})
-        assert err.value.problems == [
-            "params.lambdas: the bridge check compares neighbouring values, "
-            "so at least two are needed"]
-        cfg = validate_config({"scenario": "bimodal-oracle-check",
-                               "params": {"lambdas": [0.3, 0.1]}})
-        assert cfg.params["lambdas"] == [0.3, 0.1]
-
-    def test_bimodal_y_star_bound_is_the_grid_edge(self):
-        from trimkf.oracle import BIMODAL_Y_BOUND, bimodal_toy
-
-        y = bimodal_toy(points=64).joint.y
-        assert (y[0], y[-1]) == (-BIMODAL_Y_BOUND, BIMODAL_Y_BOUND)
-        for y_star in (16.0, BIMODAL_Y_BOUND, -BIMODAL_Y_BOUND):
-            cfg = validate_config({"scenario": "bimodal-oracle-check",
-                                   "params": {"y_star": y_star}})
-            assert cfg.params["y_star"] == y_star
 
     def test_version_check(self):
         with pytest.raises(ConfigError, match="config_version"):
@@ -314,7 +280,7 @@ class TestCli:
 
     def test_non_finite_param_exit_1(self, tmp_path):
         cfg = tmp_path / "c.json"
-        cfg.write_text('{"scenario": "bimodal-oracle-check", "params": {"lam_large": NaN}}')
+        cfg.write_text('{"scenario": "linear-gaussian-check", "params": {"se_factor": NaN}}')
         assert main(["run", "--config", str(cfg)]) == 1
 
     def test_bimodal_replicates_override_exit_1(self, tmp_path, capsys):
@@ -349,9 +315,9 @@ class TestCli:
     @pytest.mark.parametrize("scenario, params, problem", [
         # each of these would fail every replicate, or validation itself
         ("l96-adaptive-aug", {"r_max": 0.5}, "params.r_max: "),
-        ("bimodal-oracle-check", {"y_star": 20.0}, "params.y_star: "),
-        ("l96-rmse-sweep", {"filters": [["enkf"]]}, "params.filters[0]: unknown filter"),
-        ("bimodal-oracle-check", {"lambdas": [0.3]}, "params.lambdas: the bridge check"),
+        ("bimodal-oracle-check", {"y_star": 20.0}, "params: unknown key(s)"),
+        ("l96-rmse-sweep", {"filters": [["enkf"]]}, "params: unknown key(s)"),
+        ("bimodal-oracle-check", {"lambdas": [0.3]}, "params: unknown key(s)"),
     ])
     def test_run_rejected_param_exit_1_writes_nothing(self, tmp_path, capsys,
                                                       scenario, params, problem):
@@ -759,6 +725,28 @@ class TestExitCodes:
             "params": {"n": 2000, "steps": 2, "se_factor": 0.001},
         })
         assert main(["run", "--config", cfg]) == 3
+
+    def test_collapsed_posterior_fails_its_check_exits_3(self, tmp_path, capsys):
+        # at n=2 the particle filter's posterior collapses to one value: a zero
+        # standard error, which used to fail the replicate with ZeroDivisionError
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", {
+            "scenario": "linear-gaussian-check", "seed": 0, "out_dir": str(out),
+            "params": {"n": 2, "steps": 1},
+        })
+        assert main(["run", "--config", cfg]) == 3
+        assert "FAILED" not in capsys.readouterr().err
+        rows = (out / "checks.csv").read_text().splitlines()
+        assert any(row.split(",")[1] == "inf" for row in rows[1:])
+
+    def test_exact_zero_state_passes_exit_0(self, tmp_path):
+        # A=0, Q=0: every filter and the Kalman recursion put all mass at 0,
+        # so every deviation and standard error is 0
+        cfg = write_config(tmp_path / "c.json", {
+            "scenario": "linear-gaussian-check", "seed": 0, "out_dir": str(tmp_path / "out"),
+            "params": {"n": 100, "A": 0.0, "Q": 0.0},
+        })
+        assert main(["run", "--config", cfg]) == 0
 
 
 class TestResultWrites:

@@ -153,12 +153,37 @@ _ks_value = st.one_of(
 _ks_sample = st.lists(_ks_value, min_size=1, max_size=40)
 
 
+@st.composite
+def _grid_and_tied_sample(draw):
+    """A density grid, and a sample whose values repeat and sit on its nodes."""
+    size = draw(st.integers(2, 30))
+    x = (draw(st.sampled_from([0.0, -1.0, 2.5, 1e-300]))
+         + draw(st.sampled_from([1.0, 0.25, 1e-3])) * np.arange(size))
+    pdf = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size).filter(any))
+    nodes = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=40))
+    extra = draw(st.lists(_ks_value, max_size=10))
+    return DensityGrid(x, np.array(pdf, dtype=float)), [float(x[i]) for i in nodes] + extra
+
+
+def _same_bits(got, ref):
+    return np.float64(got).view(np.uint64) == np.float64(ref).view(np.uint64)
+
+
 class TestKsTwoSamplePass:
     @settings(max_examples=300, deadline=None)
     @given(a=_ks_sample, b=_ks_sample)
     def test_matches_two_pass_reference_bitwise(self, a, b):
-        got, ref = ks_distance(a, b), _ref_ks_two_pass(a, b)
-        assert np.float64(got).view(np.uint64) == np.float64(ref).view(np.uint64)
+        assert _same_bits(ks_distance(a, b), _ref_ks_two_pass(a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_grid_and_tied_sample())
+    def test_grid_and_tied_sample_match_union_reference_bitwise(self, case):
+        # ks_distance takes the sup over each support in turn; the reference
+        # takes it over their sorted union
+        grid, sample = case
+        other = DensityGrid(grid.x, grid.pdf[::-1])  # every node tied with grid's
+        for a, b in ((grid, sample), (sample, grid), (grid, other)):
+            assert _same_bits(ks_distance(a, b), _ref_ks_two_pass(a, b))
 
     def test_grid_keeps_left_limits(self):
         # all sample mass at the top of a uniform grid: the sup, ~1, sits
