@@ -7,12 +7,19 @@ steps of 0.01, the ``l96-rmse-sweep`` interval) on 36x1000, 36x2000 and
 interval (0.8 time units at rtol 1e-6, atol 1e-9, the ``l96-adaptive-aug``
 interval) on 36x200 (the forecast block) and on 36x600 (the block
 augmented threefold).
-For ``oracle-1e5``'s layers it times building the 2048-point bimodal joint,
-the nine limit densities of ``bimodal-oracle-check`` in one ``limit_pdfs``
-call on a fresh joint (built over the same arrays inside the timed call, so
-its y-marginal is not cached yet; the last entry uses the marginal's scale
-in place of the sample's), with the ``tracemalloc`` peak of one extra
-untimed call on a joint built before tracing starts; then the Lorenz-63
+For ``oracle-1e5``'s layers it times building the 2048-point bimodal joint
+(in product form: the prior, the conditional and the total, with its
+y-marginal), and the scenario's own path on it: that build, the Bayes
+posterior and the nine limit densities of ``bimodal-oracle-check`` in one
+``limit_pdfs`` call (the last entry uses the marginal's scale in place of
+the sample's), with the ``tracemalloc`` peak of one extra untimed run.
+Beside it, the same nine limits on the table form: the joint's table is
+built once before timing, and a fresh ``JointGrid`` over it is made inside
+the timed call, so its y-marginal is not cached yet; the ``tracemalloc``
+peak is that of one extra untimed call on a joint made before tracing
+starts.
+The oracle layers run on every usable CPU, as the scenario does on a
+one-replicate run.  Then the Lorenz-63
 drift, one stochastic-Heun step (a one-step ``integrate`` call) and one
 forecast interval (100 steps; dt 0.01, sigma 0.01, the ``l63-limit-dist``
 interval) on a 3x1e5 block, and the KS distance between 1e5 samples and
@@ -67,7 +74,7 @@ from trimkf.models import (
     observe,
     select_observer,
 )
-from trimkf.oracle import JointGrid, bimodal_toy, limit_pdfs
+from trimkf.oracle import JointGrid, bayes_posterior, bimodal_toy, limit_pdfs
 
 DIM = 36
 
@@ -127,6 +134,16 @@ def _measure(fn, repeats: int) -> dict:
         "minflt_per_run": (after.ru_minflt - before.ru_minflt) / repeats,
         "sys_s_per_run": (after.ru_stime - before.ru_stime) / repeats,
     }
+
+
+def _traced_peak(fn) -> float:
+    """The ``tracemalloc`` peak of one call of ``fn``, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _import_layer(repeats: int) -> dict:
@@ -194,14 +211,22 @@ def main() -> None:
     j, gain, y_star = toy.joint, toy.exact_gain, toy.y_star
     trims = [None, (1e9, None), (0.02, None)] + [
         (lam, None) for lam in (10.0, 1.0, 0.3, 0.1, 0.03)] + [(0.3, None)]
+
+    def bimodal_path():
+        path = bimodal_toy(points=2048)
+        bayes_posterior(path.joint, y_star)
+        limit_pdfs(path.joint, gain, y_star, trims)
+
+    layers["bimodal_path_2048"] = _measure(bimodal_path, args.repeats)
+    layers["bimodal_path_2048"]["traced_peak_mib"] = _traced_peak(bimodal_path)
+    table = j.pdf  # built on every read of a product-form joint
     layers["limit_pdfs_9_2048"] = _measure(
-        lambda: limit_pdfs(JointGrid(j.x, j.y, j.pdf), gain, y_star, trims), args.repeats
+        lambda: limit_pdfs(JointGrid(j.x, j.y, table), gain, y_star, trims), args.repeats
     )
-    fresh = JointGrid(j.x, j.y, j.pdf)
-    tracemalloc.start()
-    limit_pdfs(fresh, gain, y_star, trims)
-    layers["limit_pdfs_9_2048"]["traced_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
-    tracemalloc.stop()
+    fresh = JointGrid(j.x, j.y, table)
+    layers["limit_pdfs_9_2048"]["traced_peak_mib"] = _traced_peak(
+        lambda: limit_pdfs(fresh, gain, y_star, trims))
+    del table, fresh
 
     p63 = Lorenz63Params(sigma=0.01)
     x = np.array([[1.5], [-1.5], [25.0]]) + rng.standard_normal((3, 100_000))

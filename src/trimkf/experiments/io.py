@@ -9,6 +9,7 @@ resolved configuration (reusable as a config file) and run bookkeeping.
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -25,6 +26,12 @@ def format_value(v) -> str:
     if v is None:
         return ""
     return str(v)
+
+
+def _strict(v):
+    """``v`` for strict JSON: a non-finite float becomes the string that
+    ``checks.csv`` holds (``inf``, ``-inf`` or ``nan``)."""
+    return format_value(v) if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def write_table(path: Path, columns: list[str], rows: list[dict]) -> Path:
@@ -60,7 +67,8 @@ def write_metadata(
         },
     }
     if checks is not None:
-        doc["run"]["checks"] = checks
+        doc["run"]["checks"] = [{k: _strict(v) for k, v in row.items()} for row in checks]
     path = out_dir / "metadata.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
     return path

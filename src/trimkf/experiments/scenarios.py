@@ -7,7 +7,6 @@ other replicates run.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -27,7 +26,7 @@ from ..filters import (
     simulate_truth,
     tenkf_update,
 )
-from ..integrators import IntegratorConfig, share_cpus, thread_cpus, usable_cpus
+from ..integrators import IntegratorConfig, _map_shared, thread_cpus, usable_cpus
 from ..metrics import ks_distance, replicate_quantiles, time_avg_rmse
 from ..models import (
     Lorenz63Params,
@@ -66,53 +65,6 @@ class ScenarioResult:
     files: list[Path]
     replicate_failures: list[str]
     checks: list[dict] | None = None
-
-
-def _map_shared(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]`` on up to ``workers`` threads, the
-    calling thread among them (one worker starts no thread).
-
-    Threads take items in turn, each holding ``max(1, thread_cpus() //
-    workers)`` of the caller's CPU share while it works; the caller's own
-    share is restored afterwards.  Once an item raises no new item starts,
-    and the exception of the lowest-index failed item is raised, as the
-    serial loop would raise it.  The caller works rather than waits because
-    each other thread allocates from its own malloc arena, whose freed
-    temporaries stay resident: on ``oracle-1e5`` (2 CPUs) two threads beside an
-    idle caller peaked at 89.7 MB, the caller and one thread at 84-89 MB.
-    """
-    items = list(items)
-    workers = max(1, min(workers, len(items)))
-    share = max(1, thread_cpus() // workers)
-    results, errors = [None] * len(items), {}
-    order, lock = iter(range(len(items))), threading.Lock()
-
-    def work():
-        own = share_cpus(share)
-        try:
-            while not errors:
-                with lock:
-                    i = next(order, None)
-                if i is None:
-                    return
-                try:
-                    results[i] = fn(items[i])
-                except BaseException as exc:  # the caller raises it, after the join
-                    errors[i] = exc
-        finally:
-            share_cpus(own)
-
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
 
 
 def _map_replicates(fn, cfg: ExperimentConfig):

@@ -6,6 +6,9 @@ large-ensemble limit density of the linear ensemble update (a mixture of
 shifted conditionals weighted by the observation marginal), its trimmed
 counterpart (the same mixture with the marginal reweighted by the trimming
 function), and the exact Kalman recursion for linear-Gaussian models.
+A joint built from a prior and a conditional keeps its factors, not a
+table, and is evaluated in blocks, so the conditional must be elementwise
+in its broadcast arguments.
 
 These oracles are deliberately independent of the ensemble code paths they
 validate: they never touch samples except where the contract says so.
@@ -13,10 +16,13 @@ validate: they never touch samples except where the contract says so.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .integrators import _map_shared, thread_cpus
 
 __all__ = [
     "DensityGrid",
@@ -43,6 +49,28 @@ def _check_grid(name: str, grid: np.ndarray) -> None:
         raise OracleError(f"{name} must be an increasing, regular grid")
 
 
+def _check_density(values: np.ndarray) -> None:
+    # No full-size temporary: NaN propagates through min, -inf fails the
+    # sign test and +inf leaves max infinite.
+    if not (values.min() >= 0 and np.isfinite(values.max())):
+        raise OracleError("density values must be finite and non-negative")
+
+
+def _trapezoid_terms(block: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The trapezoid rule's terms along each row of ``block`` for the node
+    spacings ``step``, as ``np.trapezoid`` makes them, in one new array."""
+    terms = block[:, 1:] + block[:, :-1]
+    terms *= step
+    terms /= 2.0
+    return terms
+
+
+def _row_integrals(block: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """``np.trapezoid(block, axis=1)`` over nodes spaced ``step``, with its
+    bits: its terms are a new contiguous array, summed pairwise per row."""
+    return np.add.reduce(_trapezoid_terms(block, step), axis=1)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """A read-only view of ``a``; ``a`` itself keeps its flags."""
     view = a.view()
@@ -63,10 +91,7 @@ class DensityGrid:
         _check_grid("grid", x)
         if pdf.shape != x.shape:
             raise OracleError("grid and density must be matching 1-D arrays")
-        # No full-size temporary: NaN propagates through min, -inf fails
-        # the sign test and +inf leaves max infinite.
-        if not (pdf.min() >= 0 and np.isfinite(pdf.max())):
-            raise OracleError("density values must be finite and non-negative")
+        _check_density(pdf)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "pdf", pdf)
 
@@ -99,19 +124,36 @@ class DensityGrid:
         return c / c[-1]
 
 
-# Rows per block wherever a whole joint table is built or reduced: 256 KB
-# blocks at 2048 points; 2 MB blocks left ~5 MB resident after a build.
+# Rows or columns per block wherever a joint is built or read: 256 KB blocks
+# at 2048 points; 2 MB blocks left ~5 MB resident after a build.
 _ROW_BLOCK = 16
+
+
+def _map_blocks(fn, size: int) -> list:
+    """``[fn(lo) for lo in range(0, size, _ROW_BLOCK)]`` on the calling
+    thread's CPU share: one pass over independent blocks."""
+    return _map_shared(fn, range(0, size, _ROW_BLOCK), thread_cpus())
 
 
 @dataclass(frozen=True)
 class JointGrid:
-    """A 2-D joint density ``p(x, y)`` tabulated on a regular product grid.
+    """A 2-D joint density ``p(x, y)`` on a regular product grid.
 
-    Immutable: ``x``, ``y`` and ``pdf`` are read-only views (the arrays
-    passed in keep their flags and are not copied, so writing into them
-    afterwards is the caller's error).  The unnormalized y-marginal is
-    computed once per joint, on first use; nothing else is kept.
+    ``JointGrid(x, y, pdf)`` keeps the table ``pdf``.  Immutable: ``x``,
+    ``y`` and ``pdf`` are read-only views (the arrays passed in keep their
+    flags and are not copied, so writing into them afterwards is the
+    caller's error).  The unnormalized y-marginal is computed once per
+    joint, on first use.
+
+    ``joint_from_conditional`` gives the product form, which keeps the
+    prior, the conditional and the normalizing total instead of a table,
+    and computes its y-marginal when it is made.  Its ``cond_pdf`` must be
+    elementwise in its broadcast arguments (see there).  Its ``pdf`` builds
+    the table on every read and does not keep it.
+
+    The oracles read either form only through ``_block``, in row blocks or
+    y-major column blocks of ``_ROW_BLOCK``: each pass is a map over
+    independent blocks on the calling thread's CPU share.
     """
 
     x: np.ndarray
@@ -126,36 +168,72 @@ class JointGrid:
         _check_grid("y", y)
         if pdf.shape != (x.size, y.size):
             raise OracleError(f"joint table must be (len(x), len(y)), got {pdf.shape}")
-        if not (pdf.min() >= 0 and np.isfinite(pdf.max())):  # see DensityGrid
-            raise OracleError("density values must be finite and non-negative")
+        _check_density(pdf)
         object.__setattr__(self, "x", _read_only(x))
         object.__setattr__(self, "y", _read_only(y))
         object.__setattr__(self, "pdf", _read_only(pdf))
 
+    def _block(self, lo: int, hi: int, by_y: bool = False) -> np.ndarray:
+        """Rows ``lo:hi`` of the table, or with ``by_y`` its columns
+        ``lo:hi`` as rows (y-major): here read-only views of the table."""
+        return self.pdf[:, lo:hi].T if by_y else self.pdf[lo:hi]
+
     @cached_property
     def _y_mass(self) -> np.ndarray:
         """Trapezoid integral over x of every column: the y-marginal before
-        normalization (read-only).
+        normalization (read-only).  Each block's values are checked to be
+        finite and non-negative on the way.
 
         The same bits as ``np.trapezoid(pdf, x, axis=0)``, which sums its
-        terms along axis 0 in row order; here the terms are made one row
-        block at a time and each block is summed with the running total as
-        its first row, so no full-size temporary is made.
+        terms along axis 0 in row order; here each column block's terms are
+        summed in x order by ``np.add.accumulate``, which is sequential.
         """
-        d = np.diff(self.x)[:, None]
-        upper, lower = self.pdf[1:], self.pdf[:-1]
-        mass = np.empty((0, self.y.size))
-        for lo in range(0, d.shape[0], _ROW_BLOCK):
-            rows = slice(lo, lo + _ROW_BLOCK)
-            terms = d[rows] * (upper[rows] + lower[rows]) / 2.0
-            mass = np.concatenate([mass, terms]).sum(axis=0, keepdims=True)
-        return _read_only(mass[0])
+        dx = np.diff(self.x)
+
+        def column_mass(lo):
+            columns = self._block(lo, lo + _ROW_BLOCK, by_y=True)
+            _check_density(columns)
+            terms = _trapezoid_terms(columns, dx)
+            return np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
+
+        return _read_only(np.concatenate(_map_blocks(column_mass, self.y.size)))
 
     def marginal_x(self) -> DensityGrid:
-        return DensityGrid(self.x, np.trapezoid(self.pdf, self.y, axis=1)).normalized()
+        dy = np.diff(self.y)
+        rows = _map_blocks(
+            lambda lo: _row_integrals(self._block(lo, lo + _ROW_BLOCK), dy), self.x.size)
+        return DensityGrid(self.x, np.concatenate(rows)).normalized()
 
     def marginal_y(self) -> DensityGrid:
         return DensityGrid(self.y, self._y_mass).normalized()
+
+
+class _ProductJoint(JointGrid):
+    """``p(x, y) = p(x) p(y | x) / total``, kept as its factors: each block
+    is evaluated anew where it is read (see ``joint_from_conditional``)."""
+
+    def __init__(self, prior: DensityGrid, y: np.ndarray, cond_pdf, total: float):
+        _check_grid("y", y)
+        object.__setattr__(self, "x", _read_only(prior.x))
+        object.__setattr__(self, "y", _read_only(y))
+        self._prior, self._cond, self._total = _read_only(prior.pdf), cond_pdf, total
+        self._y_mass  # its pass checks every value now, not at first use
+
+    @property
+    def pdf(self) -> np.ndarray:
+        """The whole table, built on every read and not kept (for tests and
+        plots; the oracles read blocks)."""
+        blocks = [self._block(lo, lo + _ROW_BLOCK) for lo in range(0, self.x.size, _ROW_BLOCK)]
+        return _read_only(np.concatenate(blocks))
+
+    def _block(self, lo: int, hi: int, by_y: bool = False) -> np.ndarray:
+        x, y, prior = self.x, self.y, self._prior
+        if by_y:
+            block = np.multiply(self._cond(y[lo:hi, None], x[None, :]), prior)
+        else:
+            block = np.multiply(prior[lo:hi, None], self._cond(y[None, :], x[lo:hi, None]))
+        block /= self._total
+        return block
 
 
 def joint_from_conditional(
@@ -167,27 +245,31 @@ def joint_from_conditional(
 ) -> JointGrid:
     """Build ``p(x, y) = p(x) p(y | x)`` from a prior grid and a conditional.
 
-    ``cond_pdf(y, x)`` must broadcast over a ``(len(x), len(y))`` evaluation;
-    it is called on blocks of rows, so its temporaries stay block-sized.
-    The table is normalized to unit mass (trapezoid rule in y, then x) and is
-    the same as that of the whole-table expression, bit for bit.
+    ``cond_pdf(y, x)`` must be elementwise in its broadcast arguments: its
+    value at each ``(x, y)`` pair may not depend on the shapes it is called
+    with.  It is called on row blocks (``y`` of shape ``(1, len(y))``, ``x``
+    of ``(rows, 1)``) and on y-major column blocks (``(columns, 1)`` and
+    ``(1, len(x))``), possibly from several threads at once, so its
+    temporaries stay block-sized.  The joint is normalized to unit mass
+    (trapezoid rule in y, then x) and keeps no table: it holds the prior,
+    the conditional and the normalizing total, and every value it gives is
+    that of the whole-table expression, bit for bit.
     """
     x = prior.x
     y = np.linspace(y_lo, y_hi, points or x.size)
-    table = np.empty((x.size, y.size))
-    row_mass = np.empty(x.size)
-    for lo in range(0, x.size, _ROW_BLOCK):
+    dy = np.diff(y)
+
+    def row_mass(lo):
         rows = slice(lo, lo + _ROW_BLOCK)
         cond = cond_pdf(y[None, :], x[rows, None])
         if np.shape(cond)[-1:] != y.shape:
             raise OracleError(f"cond_pdf must give {y.size} columns, got shape {np.shape(cond)}")
-        np.multiply(prior.pdf[rows, None], cond, out=table[rows])
-        row_mass[rows] = np.trapezoid(table[rows], y, axis=1)
-    total = np.trapezoid(row_mass, x)
+        return _row_integrals(prior.pdf[rows, None] * cond, dy)
+
+    total = np.trapezoid(np.concatenate(_map_blocks(row_mass, x.size)), x)
     if total <= 0:
         raise OracleError("cannot normalize a zero-mass joint density")
-    table /= total
-    return JointGrid(x, y, table)
+    return _ProductJoint(prior, y, cond_pdf, total)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +285,10 @@ def _slice_at(joint: JointGrid, y_star: float) -> np.ndarray:
         raise OracleError(f"y*={y_star} outside the tabulated range [{y[0]}, {y[-1]}]")
     j = min(int(np.searchsorted(y, y_star)), y.size - 1)
     if j == 0:
-        return joint.pdf[:, 0]
+        return joint._block(0, 1, by_y=True)[0]
     frac = (y_star - y[j - 1]) / (y[j] - y[j - 1])
-    return (1 - frac) * joint.pdf[:, j - 1] + frac * joint.pdf[:, j]
+    below, above = joint._block(j - 1, j + 1, by_y=True)
+    return (1 - frac) * below + frac * above
 
 
 def bayes_posterior(joint: JointGrid, y_star: float) -> DensityGrid:
@@ -234,14 +317,15 @@ def limit_pdfs(joint: JointGrid, gain: float, y_star: float, trims) -> list[Dens
     ``lam`` concentrates the weight at ``y*`` and recovers the posterior;
     the trimming constant is absorbed by the final renormalization.
 
-    One pass over the joint in row blocks: each block's shifted
+    One pass over the joint in column blocks: each block's shifted
     conditionals are interpolated once and added, weighted, to every
-    entry's running sum, so only one block is held whatever the number of
-    entries.  Per entry the terms are added in increasing ``j`` onto zeros,
-    with the running sum as each block's first row, so the sum is
-    sequential.  A column with zero weight or zero marginal gets the
-    coefficient 0.0; every shifted row is finite, so its term is a zero
-    that leaves the sum's bits as they are.
+    entry's running sum, so each thread holds one block whatever the
+    number of entries.  The blocks are interpolated on the calling thread's
+    CPU share, but added in block order: per entry the terms are added in
+    increasing ``j`` onto zeros, with the running sum as each block's first
+    row, so the sum is sequential.  A column with zero weight or zero
+    marginal gets the coefficient 0.0; every shifted row is finite, so its
+    term is a zero that leaves the sum's bits as they are.
     """
     gain, y_star = float(gain), float(y_star)
     x, y, marg_y = joint.x, joint.y, joint._y_mass
@@ -261,23 +345,41 @@ def limit_pdfs(joint: JointGrid, gain: float, y_star: float, trims) -> list[Dens
         weights[k] = marg_y * np.exp(-(d - d.min()) / lam)
     quad_w = np.full(y.size, 1.0)
     quad_w[0] = quad_w[-1] = 0.5  # trapezoid rule; dy absorbed by normalization
-    coef = np.zeros_like(weights)
-    np.divide(quad_w * weights, marg_y, out=coef, where=(weights > 0) & (marg_y > 0))
+    # the coefficients quad_w * w / p(y), made in place of the weights
+    coef, positive = weights, (weights > 0) & (marg_y > 0)
+    coef *= quad_w
+    np.divide(coef, marg_y, out=coef, where=positive)
+    coef[~positive] = 0.0
 
     shifts = gain * (y_star - y)
     sums = np.zeros((len(trims), x.size))
-    rows = np.empty((_ROW_BLOCK, x.size))
-    terms = np.empty((_ROW_BLOCK + 1, x.size))  # row 0 carries the running sum
-    for lo in range(0, y.size, _ROW_BLOCK):
-        # np.interp would copy a strided column first
-        columns = np.ascontiguousarray(joint.pdf[:, lo:lo + _ROW_BLOCK].T)
-        nb = columns.shape[0]
-        for i, column in enumerate(columns):
-            rows[i] = np.interp(x - shifts[lo + i], x, column, left=0.0, right=0.0)
-        for c, total in zip(coef, sums):
-            terms[0] = total
-            np.multiply(c[lo:lo + nb, None], rows[:nb], out=terms[1:nb + 1])
-            np.add.reduce(terms[:nb + 1], axis=0, out=total)
+    # The blocks add in turn, so one buffer serves them all; row 0 carries
+    # the running sum.
+    terms = np.empty((_ROW_BLOCK + 1, x.size))
+    # added[k] is released once block k has added (or failed: the map then
+    # raises its error, so the sums are never read)
+    added = [threading.Lock() for _ in range(0, y.size, _ROW_BLOCK)]
+    for lock in added:
+        lock.acquire()
+
+    def add_block(lo):
+        try:
+            # contiguous, as np.interp would copy a strided column; each
+            # column is replaced by its shifted conditional
+            shifted = np.require(joint._block(lo, lo + _ROW_BLOCK, by_y=True), requirements="CW")
+            nb = shifted.shape[0]
+            for i, column in enumerate(shifted):
+                shifted[i] = np.interp(x - shifts[lo + i], x, column, left=0.0, right=0.0)
+            if lo:
+                added[lo // _ROW_BLOCK - 1].acquire()
+            for c, total in zip(coef, sums):
+                terms[0] = total
+                np.multiply(c[lo:lo + nb, None], shifted, out=terms[1:nb + 1])
+                np.add.reduce(terms[:nb + 1], axis=0, out=total)
+        finally:
+            added[lo // _ROW_BLOCK].release()
+
+    _map_blocks(add_block, y.size)
     return [DensityGrid(x, total).normalized() for total in sums]
 
 
@@ -324,7 +426,7 @@ class BimodalToy:
 
     Prior ``X ~ 0.5 N(-2, 0.25) + 0.5 N(2, 0.25)``, observation
     ``Y = X + N(0, 0.25)``, default measurement ``y* = 1.5``.  Exposes the
-    tabulated joint plus a sampler aligned with it.
+    joint (in product form) plus a sampler aligned with it.
     """
 
     joint: JointGrid
@@ -340,7 +442,16 @@ class BimodalToy:
 
 
 def _norm_pdf(z, mu, var):
-    return np.exp(-0.5 * (z - mu) ** 2 / var) / np.sqrt(2 * np.pi * var)
+    """``exp(-0.5 * (z - mu) ** 2 / var) / sqrt(2 pi var)`` for a scalar
+    ``var``, with the same bits: each step is applied in place to the one
+    array that ``z - mu`` allocates."""
+    out = np.subtract(z, mu)
+    np.square(out, out=out)
+    np.multiply(out, -0.5, out=out)
+    np.divide(out, var, out=out)
+    np.exp(out, out=out)
+    np.divide(out, np.sqrt(2 * np.pi * var), out=out)
+    return out
 
 
 # The bimodal toy's grids span the prior mean 0 plus/minus 8 standard

@@ -558,8 +558,9 @@ class TestReplicateFailures:
 
 
 class TestSharedMap:
-    """``scenarios._map_shared``: the one map that runs replicates and the
-    independent units of a replicate, the calling thread among its threads."""
+    """``integrators._map_shared``: the one map that runs replicates, the
+    independent units of a replicate and the oracle's block passes, the
+    calling thread among its threads."""
 
     def test_results_come_back_in_item_order(self):
         def slow_first(i):  # the first items finish last
@@ -567,9 +568,9 @@ class TestSharedMap:
             return i * i
 
         for workers in (1, 2, 3, 8):
-            assert scenarios._map_shared(slow_first, range(8), workers) == [
+            assert integrators._map_shared(slow_first, range(8), workers) == [
                 i * i for i in range(8)]
-        assert scenarios._map_shared(slow_first, [], 2) == []
+        assert integrators._map_shared(slow_first, [], 2) == []
 
     def test_every_item_runs_once_under_frequent_switches(self):
         # more threads than CPUs, switching every microsecond: an item taken
@@ -583,7 +584,7 @@ class TestSharedMap:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out = scenarios._map_shared(fn, range(3000), 8)
+            out = integrators._map_shared(fn, range(3000), 8)
         finally:
             sys.setswitchinterval(interval)
         assert out == [-i for i in range(3000)]
@@ -603,7 +604,7 @@ class TestSharedMap:
 
         for workers in (1, 4):
             with pytest.raises(ValueError, match="item 1") as err:
-                scenarios._map_shared(fn, range(6), workers)
+                integrators._map_shared(fn, range(6), workers)
             assert isinstance(err.value.__cause__, KeyError)
 
     def test_no_item_starts_after_a_failure(self):
@@ -615,7 +616,7 @@ class TestSharedMap:
                 raise RuntimeError("first")
 
         with pytest.raises(RuntimeError, match="first"):
-            scenarios._map_shared(fn, range(50), 1)
+            integrators._map_shared(fn, range(50), 1)
         assert started == [0]
 
     @pytest.mark.parametrize("fail", [False, True])
@@ -627,7 +628,7 @@ class TestSharedMap:
                 raise RuntimeError("boom")
 
         try:
-            scenarios._map_shared(fn, range(4), 2)
+            integrators._map_shared(fn, range(4), 2)
         except RuntimeError:
             assert fail
         assert integrators.thread_cpus() == 5
@@ -644,7 +645,7 @@ class TestSharedMap:
             barrier.wait()
             return threading.get_ident(), integrators.thread_cpus()
 
-        seen = scenarios._map_shared(fn, range(workers), workers)
+        seen = integrators._map_shared(fn, range(workers), workers)
         assert [cpus for _, cpus in seen] == [each] * workers
         assert len({ident for ident, _ in seen}) == workers
         assert threading.get_ident() in {ident for ident, _ in seen}
@@ -700,11 +701,12 @@ def test_replicates_and_configs_pickle():
     assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
-@pytest.mark.parametrize("name, bound_mib", [("bimodal-oracle-check", 48), ("l63-limit-dist", 30)])
+@pytest.mark.parametrize("name, bound_mib", [("bimodal-oracle-check", 16), ("l63-limit-dist", 30)])
 def test_replicate_traced_peak(name, bound_mib):
     # At their defaults the bimodal check kept a 32 MiB table of shifted
-    # conditionals beside its 32 MiB joint (74.9 MiB), and the L63 check
-    # kept each whole (3, n) posterior alive for one row of it (34.9 MiB).
+    # conditionals beside its 32 MiB joint (74.9 MiB), then the joint alone
+    # (41.9 MiB); the L63 check kept each whole (3, n) posterior alive for
+    # one row of it (34.9 MiB).
     cfg = validate_config({"scenario": name, "seed": 0, "params": {}})
     tracemalloc.start()
     try:
@@ -738,6 +740,15 @@ class TestExitCodes:
         assert "FAILED" not in capsys.readouterr().err
         rows = (out / "checks.csv").read_text().splitlines()
         assert any(row.split(",")[1] == "inf" for row in rows[1:])
+        # metadata.json is strict JSON (it wrote ``Infinity``), with the
+        # same strings for non-finite values as checks.csv
+
+        def refuse(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        doc = json.loads((out / "metadata.json").read_text(), parse_constant=refuse)
+        values = [row["value"] for row in doc["run"]["checks"]]
+        assert "inf" in values and all(isinstance(v, (float, str)) for v in values)
 
     def test_exact_zero_state_passes_exit_0(self, tmp_path):
         # A=0, Q=0: every filter and the Kalman recursion put all mass at 0,

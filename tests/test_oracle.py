@@ -1,6 +1,8 @@
 """Tests for the quadrature oracles: conditioning, limit mixtures, and the
 exact Kalman recursion."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trimkf import integrators
 from trimkf.metrics import ks_distance
 from trimkf.oracle import (
     DensityGrid,
@@ -400,6 +403,124 @@ class TestJointFromConditional:
         prior = DensityGrid(np.linspace(-1, 1, 5), np.ones(5))
         with pytest.raises(OracleError):
             joint_from_conditional(prior, cond, -1, 1, 7)
+
+
+# The nine limit densities of the bimodal scenario, in its order.
+_SCENARIO_TRIMS = [None, (1e9, None), (0.02, None)] + [
+    (lam, None) for lam in (10.0, 1.0, 0.3, 0.1, 0.03)] + [(0.3, 1.3)]
+
+
+def _norm_pdf_where(bad, y0, x0):
+    """The bimodal conditional with the value ``bad`` at the one pair (x0, y0)."""
+    return lambda y, xx: np.where((y == y0) & (xx == x0), bad, norm_pdf(y, xx, 0.25))
+
+
+class TestProductJoint:
+    """``joint_from_conditional`` keeps the prior, the conditional and the
+    total, not a table, and reads the joint in blocks on the caller's CPU
+    share: every consumer gives the bits of the tabulated joint."""
+
+    @pytest.mark.parametrize("share", [1, 2])
+    @pytest.mark.parametrize("points", [64, 300, 2048])  # 300 ends on a partial block
+    def test_every_consumer_gives_the_table_bits(self, monkeypatch, points, share):
+        monkeypatch.setattr(integrators._share, "cpus", share, raising=False)
+        toy = bimodal_toy(points=points)
+        product = toy.joint
+        table = JointGrid(product.x, product.y, product.pdf)
+        assert set(vars(product)) == {"x", "y", "_prior", "_cond", "_total", "_y_mass"}
+        assert product.pdf is not product.pdf  # built on every read, never kept
+        assert np.array_equal(_bits(product._y_mass), _bits(table._y_mass))
+        for got, want in [(product.marginal_x(), table.marginal_x()),
+                          (product.marginal_y(), table.marginal_y())]:
+            _assert_same_grid(got, want)
+        _assert_same_grid(
+            product.marginal_x(),
+            DensityGrid(table.x, np.trapezoid(table.pdf, table.y, axis=1)).normalized())
+        # between two nodes, on a node, and on the first node (one column)
+        for y_star in (toy.y_star, product.y[points // 3], product.y[0]):
+            _assert_same_grid(bayes_posterior(product, y_star), bayes_posterior(table, y_star))
+        gain, y_star = toy.exact_gain, toy.y_star
+        for got, want in zip(limit_pdfs(product, gain, y_star, _SCENARIO_TRIMS),
+                             limit_pdfs(table, gain, y_star, _SCENARIO_TRIMS)):
+            _assert_same_grid(got, want)
+
+    def test_limits_on_many_threads_under_frequent_switches(self, monkeypatch):
+        # more threads than CPUs, switching every microsecond: a block added
+        # out of turn would move the bits of the serial sums
+        toy = bimodal_toy(points=300)
+        gain, y_star = toy.exact_gain, toy.y_star
+        monkeypatch.setattr(integrators._share, "cpus", 1, raising=False)
+        wants = limit_pdfs(toy.joint, gain, y_star, _SCENARIO_TRIMS)
+        monkeypatch.setattr(integrators._share, "cpus", 8, raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            gots = limit_pdfs(toy.joint, gain, y_star, _SCENARIO_TRIMS)
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(gots, wants):
+            _assert_same_grid(got, want)
+
+    def test_failed_block_raises_without_a_hang(self, monkeypatch):
+        # a block that fails in the limit pass still passes the turn on, so
+        # the blocks after it finish and its error is raised
+        monkeypatch.setattr(integrators._share, "cpus", 2, raising=False)
+        x = np.linspace(-8, 8, 200)
+        prior = DensityGrid(x, norm_pdf(x, 0.0, 1.0)).normalized()
+        armed = []
+
+        def cond(y, xx):
+            if armed and y.shape[0] > 1 and y[0, 0] == armed[0]:
+                raise RuntimeError("block failed")
+            return norm_pdf(y, xx, 1.0)
+
+        joint = joint_from_conditional(prior, cond, -8, 8, 200)
+        armed.append(joint.y[32])  # the third column block
+        errors = []
+
+        def run():
+            try:
+                limit_pdfs(joint, 0.5, 1.0, [None, (0.3, None)])
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert [str(e) for e in errors] == ["block failed"]
+
+    @pytest.mark.parametrize("share", [1, 2])
+    def test_scenario_path_traced_peak(self, monkeypatch, share):
+        # with the table, the build alone held 32 MiB
+        monkeypatch.setattr(integrators._share, "cpus", share, raising=False)
+        tracemalloc.start()
+        try:
+            toy = bimodal_toy(points=2048)
+            bayes_posterior(toy.joint, toy.y_star)
+            out = limit_pdfs(toy.joint, toy.exact_gain, toy.y_star, _SCENARIO_TRIMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 9
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("share", [1, 2])
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")  # inf / inf
+    def test_bad_conditional_value_rejected(self, monkeypatch, share, bad):
+        # the check runs on the normalized values, as it did on the table
+        monkeypatch.setattr(integrators._share, "cpus", share, raising=False)
+        toy = bimodal_toy(points=300)
+        prior = DensityGrid(toy.joint.x, toy.joint.marginal_x().pdf)
+        cond = _norm_pdf_where(bad, toy.joint.y[150], toy.joint.x[140])
+        with pytest.raises(OracleError, match="finite and non-negative"):
+            joint_from_conditional(prior, cond, toy.joint.y[0], toy.joint.y[-1], 300)
+
+    def test_negative_conditional_rejected_as_zero_mass(self):
+        prior = DensityGrid(np.linspace(-1, 1, 40), np.ones(40))
+        with pytest.raises(OracleError, match="zero-mass"):
+            joint_from_conditional(prior, lambda y, xx: -norm_pdf(y, xx, 0.25), -1, 1, 40)
 
 
 class TestJointGridChecks:
