@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--threads", type=int,
         help="replicate worker threads (0 = one per usable CPU); a worker's CPU share draws "
-             "Heun noise ahead and runs a replicate's independent updates, with the same results",
+             "Heun noise ahead and runs a replicate's independent updates and the oracle's "
+             "block passes, with the same results",
     )
 
     val_p = sub.add_parser("validate", help="validate a config file and echo the resolved values")

@@ -20,11 +20,13 @@ override in the run metadata.  Unknown keys anywhere are rejected.  A run's
 emitted ``metadata.json`` wraps the fully resolved configuration under a
 ``"config"`` key and can be passed straight back to ``run --config``.
 
-Each scenario declares its parameter table ``{key: (default, checker)}``,
+Each scenario declares its parameter table ``{key: (default, lowest)}``,
 its default replicate count and its cross-field rule in its
 ``scenarios.SCENARIOS`` entry; this module checks the document around it.
-A checker is called as ``checker(name, value, errors)``: it returns the
-accepted value, or appends its problems to ``errors`` and returns None.
+A default's type decides what may replace it: a ``bool`` takes true/false,
+an ``int`` an integer >= lowest, a ``float`` a finite number >= lowest,
+and a list a non-empty list of distinct entries of its first entry's kind,
+each >= lowest, no two of which share a ``stream_key``.
 """
 
 from __future__ import annotations
@@ -83,68 +85,41 @@ def stream_key(value: float) -> int:
     return int(round(float(value) * 1e6))
 
 
-def _number_problem(v, integer=False, lo=None):
+def _number_problem(v, integer, lo):
     """Why ``v`` is not an acceptable number (``NaN``/``Infinity`` are not), or None."""
     if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
         return f"expected {'an integer' if integer else 'a number'}, got {v!r}"
     if isinstance(v, float) and not math.isfinite(v):
         return f"must be finite, got {v!r}"
-    if lo is not None and v < lo:
+    if v < lo:
         return f"must be >= {lo}, got {v!r}"
     return None
 
 
-def _scalar(problem):
-    """A checker that rejects a value for the reason ``problem(value)``
-    gives, and accepts it when that is None."""
-
-    def check(name, value, errors):
-        why = problem(value)
+def _param_problem(name: str, v, default, lo):
+    """Why ``v`` is not acceptable for the parameter ``name`` whose table
+    entry is ``(default, lo)`` (see the module docstring), or None.  List
+    entries key random streams: a repeat would count its results twice."""
+    if isinstance(default, bool):
+        return None if isinstance(v, bool) else f"{name}: expected true/false, got {v!r}"
+    if not isinstance(default, list):
+        why = _number_problem(v, isinstance(default, int), lo)
+        return why and f"{name}: {why}"
+    if not isinstance(v, (list, tuple)) or not v:
+        return f"{name}: expected a non-empty list"
+    for i, entry in enumerate(v):
+        why = _number_problem(entry, isinstance(default[0], int), lo)
         if why:
-            errors.append(f"{name}: {why}")
-            return None
-        return value
-
-    return check
-
-
-def _number(lo=None, integer=False):
-    return _scalar(lambda v: _number_problem(v, integer, lo))
-
-
-_flag = _scalar(lambda v: None if isinstance(v, bool) else f"expected true/false, got {v!r}")
-
-
-def _numbers(lo=None, integer=False):
-    """A non-empty list of distinct numbers, each acceptable to ``_number``.
-    Each entry keys random streams, so a repeated entry would rerun the same
-    streams and count its results twice; entries must not share a
-    ``stream_key`` either (distinct integers never do)."""
-
-    def check(name, value, errors):
-        if not isinstance(value, (list, tuple)) or not value:
-            errors.append(f"{name}: expected a non-empty list")
-            return None
-        for i, v in enumerate(value):
-            why = _number_problem(v, integer, lo)
-            if why:
-                errors.append(f"{name}[{i}]: {why}")
-                return None
-        repeated = sorted({v for v in value if value.count(v) > 1})
-        if repeated:
-            errors.append(f"{name}: value(s) {repeated} listed more than once")
-            return None
-        keys = [stream_key(v) for v in value]
-        shared = sorted(v for v, key in zip(value, keys) if keys.count(key) > 1)
-        if shared:
-            errors.append(
-                f"{name}: values {shared} share one random stream "
-                "(they round to one multiple of 1e-6)"
-            )
-            return None
-        return list(value)
-
-    return check
+            return f"{name}[{i}]: {why}"
+    repeated = sorted({e for e in v if v.count(e) > 1})
+    if repeated:
+        return f"{name}: value(s) {repeated} listed more than once"
+    keys = [stream_key(e) for e in v]
+    shared = sorted(e for e, key in zip(v, keys) if keys.count(key) > 1)
+    if shared:
+        return (f"{name}: values {shared} share one random stream "
+                "(they round to one multiple of 1e-6)")
+    return None
 
 
 def _is_count(v, below=math.inf) -> bool:
@@ -217,11 +192,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
         errors.append(f"params: unknown key(s) for scenario {name}: {sorted(unknown_params)}")
 
     params: dict = {}
-    for key, (default, checker) in scenario.params.items():
-        if key in stanza:
-            params[key] = checker(f"params.{key}", stanza[key], errors)
-        else:
-            params[key] = list(default) if isinstance(default, list) else default
+    for key, (default, lo) in scenario.params.items():
+        value = stanza.get(key, default)
+        why = _param_problem(f"params.{key}", value, default, lo)
+        if why:
+            errors.append(why)
+        params[key] = None if why else list(value) if isinstance(default, list) else value
     if scenario.rule is not None:
         scenario.rule(params, errors)
 

@@ -26,7 +26,7 @@ from ..filters import (
     simulate_truth,
     tenkf_update,
 )
-from ..integrators import IntegratorConfig, _map_shared, thread_cpus, usable_cpus
+from ..integrators import IntegratorConfig, _map_shared, usable_cpus
 from ..metrics import ks_distance, replicate_quantiles, time_avg_rmse
 from ..models import (
     Lorenz63Params,
@@ -38,7 +38,7 @@ from ..models import (
     select_observer,
 )
 from ..oracle import bayes_posterior, bimodal_toy, kalman_filter_sequence, limit_pdfs
-from .config import ExperimentConfig, _flag, _number, _numbers, stream_key
+from .config import ExperimentConfig, stream_key
 from .io import write_table
 
 __all__ = ["SCENARIOS", "Scenario", "ScenarioResult", "run_scenario"]
@@ -141,7 +141,7 @@ def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
         state = FilterMethod(name, trim=trim).update(joint, y_star, meas, _rng(*key))
         posteriors[i][:] = state.posterior.members[1]
 
-    _map_shared(update, range(len(runs)), thread_cpus())
+    _map_shared(update, range(len(runs)))
 
     # One shared binning per replicate so histograms are comparable.
     lo, hi = min(s.min() for s in posteriors), max(s.max() for s in posteriors)
@@ -153,7 +153,7 @@ def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
         return masses, (ks_distance(posteriors[i], posteriors[0]) if i else None)
 
     hist_rows, ks_rows = [], []
-    summaries = _map_shared(summarize, range(len(runs)), thread_cpus())
+    summaries = _map_shared(summarize, range(len(runs)))
     for (name, lam), (masses, ks) in zip(runs, summaries):
         hist_rows += [{"replicate": rep, "filter": name, "lam": lam, "bin_lo": float(a),
                        "bin_hi": float(b), "mass": float(m)}
@@ -399,7 +399,7 @@ def _lingauss_replicate(cfg: ExperimentConfig, rep: int) -> dict:
         return {"comparison.csv": rows, "checks.csv": checks}
 
     # Each filter draws from its own keyed stream, so the runs share the thread's CPUs.
-    return _join(_map_shared(run, _LG_FILTERS, thread_cpus()))
+    return _join(_map_shared(run, _LG_FILTERS))
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +469,11 @@ class Scenario(NamedTuple):
     the optional ``finish(cfg, tables)`` derives more tables from the rows of
     all replicates, and ``tables`` gives every result file's columns in write
     order.  The rows of a ``checks.csv`` are the scenario's embedded checks.
-    ``params`` is its parameter table ``{key: (default, checker)}`` (see
-    ``config``), ``replicates`` its default replicate count (which a config
-    may raise to ``max_replicates``, if set), and the optional
-    ``rule(params, errors)`` checks across parameters; a parameter that
-    failed its own check is None there.
+    ``params`` is its parameter table ``{key: (default, lowest)}``, each
+    checked by its default's type (see ``config``), ``replicates`` its
+    default replicate count (which a config may raise to ``max_replicates``,
+    if set), and the optional ``rule(params, errors)`` checks across
+    parameters; a parameter that failed its own check is None there.
     """
 
     description: str
@@ -509,8 +509,8 @@ def _l96_rule(p: dict, errors: list[str]) -> None:
 # beside the scenario that reads it.  The two Lorenz-96 scenarios share the
 # trimming target and the augmentation cap.
 _L96_PARAMS = {
-    "target_ne": (50.0, _number(lo=1.0)),
-    "r_max": (3.0, _number(lo=1.0)),
+    "target_ne": (50.0, 1.0),
+    "r_max": (3.0, 1.0),
 }
 
 _CHECK_COLUMNS = ["check", "value", "tolerance", "ok"]
@@ -525,9 +525,9 @@ SCENARIOS = {
             "ks.csv": ["replicate", "filter", "lam", "ks_to_pf"],
         },
         params={
-            "n": (100_000, _number(lo=2, integer=True)),
-            "lambdas": ([10.0, 3.0, 1.0, 0.5, 0.3], _numbers(lo=1e-12)),
-            "bins": (200, _number(lo=10, integer=True)),
+            "n": (100_000, 2),
+            "lambdas": ([10.0, 3.0, 1.0, 0.5, 0.3], 1e-12),
+            "bins": (200, 10),
         },
         replicates=1,
     ),
@@ -543,10 +543,10 @@ SCENARIOS = {
         },
         params={
             **_L96_PARAMS,
-            "t_f": (15.0, _number(lo=1e-12)),
-            "dt_obs": ([0.9], _numbers(lo=1e-12)),
-            "n": ([100, 200, 400, 1000, 4000], _numbers(lo=2, integer=True)),
-            "augment": (True, _flag),
+            "t_f": (15.0, 1e-12),
+            "dt_obs": ([0.9], 1e-12),
+            "n": ([100, 200, 400, 1000, 4000], 2),
+            "augment": (True, None),
         },
         replicates=30,
         rule=_l96_rule,
@@ -563,9 +563,9 @@ SCENARIOS = {
         },
         params={
             **_L96_PARAMS,
-            "t_f": (32.0, _number(lo=1e-12)),
-            "dt_obs": ([0.8], _numbers(lo=1e-12)),
-            "n": (200, _number(lo=2, integer=True)),
+            "t_f": (32.0, 1e-12),
+            "dt_obs": ([0.8], 1e-12),
+            "n": (200, 2),
         },
         replicates=10,
         rule=_l96_rule,
@@ -580,13 +580,13 @@ SCENARIOS = {
             "checks.csv": _CHECK_COLUMNS,
         },
         params={
-            "A": (1.0, _number(lo=-1e12)),
-            "Q": (0.01, _number(lo=0.0)),
-            "H": (1.0, _number(lo=-1e12)),
-            "R": (0.04, _number(lo=1e-12)),
-            "steps": (5, _number(lo=1, integer=True)),
-            "n": (100_000, _number(lo=2, integer=True)),
-            "se_factor": (4.0, _number(lo=1e-12)),
+            "A": (1.0, -1e12),
+            "Q": (0.01, 0.0),
+            "H": (1.0, -1e12),
+            "R": (0.04, 1e-12),
+            "steps": (5, 1),
+            "n": (100_000, 2),
+            "se_factor": (4.0, 1e-12),
         },
         replicates=1,
     ),
@@ -596,8 +596,8 @@ SCENARIOS = {
         None,
         {"bridge.csv": ["lam", "ks_to_posterior"], "checks.csv": _CHECK_COLUMNS},
         params={
-            "points": (2048, _number(lo=64, integer=True)),
-            "n": (100_000, _number(lo=2, integer=True)),
+            "points": (2048, 64),
+            "n": (100_000, 2),
         },
         replicates=1,
         max_replicates=1,

@@ -430,21 +430,23 @@ def thread_cpus() -> int:
     return usable_cpus() if cpus is None else cpus
 
 
-def _map_shared(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]`` on up to ``workers`` threads, the
-    calling thread among them (one worker starts no thread).
+def _map_shared(fn, items, workers: int | None = None) -> list:
+    """``[fn(item) for item in items]`` on the calling thread and up to
+    ``workers - 1`` others (``workers`` defaults to the caller's CPU share).
 
     Threads take items in turn, each holding ``max(1, thread_cpus() //
     workers)`` of the caller's CPU share while it works; the caller's own
-    share is restored afterwards.  Once an item raises no new item starts,
-    and the exception of the lowest-index failed item is raised, as the
-    serial loop would raise it.  The caller works rather than waits because
-    each other thread allocates from its own malloc arena, whose freed
-    temporaries stay resident: on ``oracle-1e5`` (2 CPUs) two threads beside an
-    idle caller peaked at 89.7 MB, the caller and one thread at 84-89 MB.
+    share is restored afterwards.  Once an item raises, or a thread fails
+    to start, no new item starts; the started threads are joined and the
+    start's failure, else that of the lowest-index failed item, is raised
+    as the serial loop would raise it.  The caller works rather than waits
+    because each other thread allocates from its own malloc arena, whose
+    freed temporaries stay resident: on ``oracle-1e5`` (2 CPUs) two threads
+    beside an idle caller peaked at 89.7 MB, the caller and one thread at
+    84-89 MB.
     """
     items = list(items)
-    workers = max(1, min(workers, len(items)))
+    workers = max(1, min(workers or thread_cpus(), len(items)))
     share = max(1, thread_cpus() // workers)
     results, errors = [None] * len(items), {}
     order, lock = iter(range(len(items))), threading.Lock()
@@ -464,11 +466,16 @@ def _map_shared(fn, items, workers: int) -> list:
         finally:
             share_cpus(own)
 
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for t in helpers:
-        t.start()
+    helpers = []
     try:
+        for _ in range(workers - 1):
+            t = threading.Thread(target=work)
+            t.start()
+            helpers.append(t)
         work()
+    except BaseException:  # a start failed (or the caller was interrupted): no new item starts
+        errors[-1] = None
+        raise
     finally:
         for t in helpers:
             t.join()

@@ -17,12 +17,12 @@ validate: they never touch samples except where the contract says so.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .integrators import _map_shared, thread_cpus
+from .integrators import _map_shared
 
 __all__ = [
     "DensityGrid",
@@ -78,9 +78,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityGrid:
-    """A 1-D probability density tabulated on a regular grid."""
+    """A 1-D probability density tabulated on a regular grid; equal only to itself."""
 
     x: np.ndarray
     pdf: np.ndarray
@@ -129,21 +129,15 @@ class DensityGrid:
 _ROW_BLOCK = 16
 
 
-def _map_blocks(fn, size: int) -> list:
-    """``[fn(lo) for lo in range(0, size, _ROW_BLOCK)]`` on the calling
-    thread's CPU share: one pass over independent blocks."""
-    return _map_shared(fn, range(0, size, _ROW_BLOCK), thread_cpus())
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointGrid:
     """A 2-D joint density ``p(x, y)`` on a regular product grid.
 
     ``JointGrid(x, y, pdf)`` keeps the table ``pdf``.  Immutable: ``x``,
     ``y`` and ``pdf`` are read-only views (the arrays passed in keep their
     flags and are not copied, so writing into them afterwards is the
-    caller's error).  The unnormalized y-marginal is computed once per
-    joint, on first use.
+    caller's error); equal only to itself, and its ``repr`` leaves out the
+    table.  The unnormalized y-marginal is computed once, on first use.
 
     ``joint_from_conditional`` gives the product form, which keeps the
     prior, the conditional and the normalizing total instead of a table,
@@ -158,7 +152,7 @@ class JointGrid:
 
     x: np.ndarray
     y: np.ndarray
-    pdf: np.ndarray  # shape (len(x), len(y))
+    pdf: np.ndarray = field(repr=False)  # shape (len(x), len(y))
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -196,12 +190,13 @@ class JointGrid:
             terms = _trapezoid_terms(columns, dx)
             return np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
 
-        return _read_only(np.concatenate(_map_blocks(column_mass, self.y.size)))
+        masses = _map_shared(column_mass, range(0, self.y.size, _ROW_BLOCK))
+        return _read_only(np.concatenate(masses))
 
     def marginal_x(self) -> DensityGrid:
         dy = np.diff(self.y)
-        rows = _map_blocks(
-            lambda lo: _row_integrals(self._block(lo, lo + _ROW_BLOCK), dy), self.x.size)
+        rows = _map_shared(lambda lo: _row_integrals(self._block(lo, lo + _ROW_BLOCK), dy),
+                           range(0, self.x.size, _ROW_BLOCK))
         return DensityGrid(self.x, np.concatenate(rows)).normalized()
 
     def marginal_y(self) -> DensityGrid:
@@ -266,7 +261,7 @@ def joint_from_conditional(
             raise OracleError(f"cond_pdf must give {y.size} columns, got shape {np.shape(cond)}")
         return _row_integrals(prior.pdf[rows, None] * cond, dy)
 
-    total = np.trapezoid(np.concatenate(_map_blocks(row_mass, x.size)), x)
+    total = np.trapezoid(np.concatenate(_map_shared(row_mass, range(0, x.size, _ROW_BLOCK))), x)
     if total <= 0:
         raise OracleError("cannot normalize a zero-mass joint density")
     return _ProductJoint(prior, y, cond_pdf, total)
@@ -379,7 +374,7 @@ def limit_pdfs(joint: JointGrid, gain: float, y_star: float, trims) -> list[Dens
         finally:
             added[lo // _ROW_BLOCK].release()
 
-    _map_blocks(add_block, y.size)
+    _map_shared(add_block, range(0, y.size, _ROW_BLOCK))
     return [DensityGrid(x, total).normalized() for total in sums]
 
 

@@ -3,6 +3,7 @@
 import errno
 import itertools
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -55,6 +56,44 @@ class TestValidateConfig:
         cfg = validate_config({"scenario": scenario})
         assert list(cfg.params.items()) == list(self.TABLE_DEFAULTS[scenario].items())
         assert cfg.overrides == []
+        # a default's type decides its check, and 15 == 15.0
+        def kind(v):
+            return [type(e) for e in v] if isinstance(v, list) else type(v)
+
+        assert [kind(v) for v in cfg.params.values()] == [
+            kind(v) for v in self.TABLE_DEFAULTS[scenario].values()]
+
+    @pytest.mark.parametrize("scenario, key", [
+        (scenario, key) for scenario in sorted(SCENARIOS) for key in SCENARIOS[scenario].params])
+    def test_default_decides_the_check(self, scenario, key):
+        default, lo = SCENARIOS[scenario].params[key]
+        name = f"params.{key}"
+
+        def problems(value):
+            try:
+                validate_config({"scenario": scenario, "params": {key: value}})
+            except ConfigError as err:
+                return err.problems
+            return []
+
+        if isinstance(default, bool):
+            assert lo is None and problems(not default) == []
+            assert problems(1) == [f"{name}: expected true/false, got 1"]
+            return
+        if isinstance(default, list):
+            first = default[0]
+            assert problems([]) == [f"{name}: expected a non-empty list"]
+            assert problems([first, first]) == [
+                f"{name}: value(s) [{first!r}] listed more than once"]
+            wrap, name = (lambda v: [v]), f"{name}[0]"
+        else:
+            first, wrap = default, (lambda v: v)
+        if isinstance(first, int):
+            assert problems(wrap(first + 0.5)) == [
+                f"{name}: expected an integer, got {first + 0.5!r}"]
+        else:
+            assert problems(wrap(math.ceil(first))) == []
+        assert problems(wrap(lo - 1)) == [f"{name}: must be >= {lo}, got {lo - 1!r}"]
 
     def test_target_ne_above_n_rejected_naming_both(self):
         with pytest.raises(ConfigError) as err:
@@ -618,6 +657,28 @@ class TestSharedMap:
         with pytest.raises(RuntimeError, match="first"):
             integrators._map_shared(fn, range(50), 1)
         assert started == [0]
+
+    def test_a_thread_that_fails_to_start_stops_the_map(self, monkeypatch):
+        # the second start fails: the one helper started is joined and takes
+        # no item after the failure (two threads asked for, one started)
+        start, started, done = threading.Thread.start, [], []
+
+        def start_once(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        def fn(i):
+            time.sleep(0.05)
+            done.append(i)
+
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            integrators._map_shared(fn, range(20), 3)
+        monkeypatch.undo()
+        assert len(started) == 1 and not started[0].is_alive()
+        assert len(done) <= 1
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_caller_share_is_restored(self, monkeypatch, fail):

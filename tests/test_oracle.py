@@ -546,6 +546,24 @@ class TestJointGridChecks:
             tracemalloc.stop()
         assert peak < 0.5 * 2**20
 
+    def test_repr_leaves_out_the_table_and_grids_compare_by_identity(self):
+        # the product form's pdf builds a 32 MiB table at 2048 points, and
+        # comparing or hashing whole arrays raised
+        joint = bimodal_toy(2048).joint
+        tracemalloc.start()
+        try:
+            text = repr(joint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        table = JointGrid(np.arange(3.0), np.arange(3.0), np.ones((3, 3)))
+        assert "pdf" not in text and "pdf" not in repr(table)
+        grid = bayes_posterior(joint, 1.5)
+        for a, b in ((joint, bimodal_toy(2048).joint), (grid, DensityGrid(grid.x, grid.pdf))):
+            assert a == a and a != b
+            assert hash(a) == hash(a) and len({a, b}) == 2
+
     @pytest.mark.parametrize(
         "x, y",
         [
