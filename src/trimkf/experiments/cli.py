@@ -54,9 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--replicates", type=int, help="override replicate count")
     run_p.add_argument(
         "--threads", type=int,
-        help="replicate worker threads (0 = one per usable CPU); a worker's CPU share draws "
-             "Heun noise ahead and runs a replicate's independent updates and the oracle's "
-             "block passes, with the same results",
+        help="replicate workers (0 = one per usable CPU): threads, or forked processes for "
+             "l96-adaptive-aug; a worker's CPU share draws Heun noise ahead and runs a "
+             "replicate's independent updates, DP45 filter runs and the oracle's block "
+             "passes, with the same results",
     )
 
     val_p = sub.add_parser("validate", help="validate a config file and echo the resolved values")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import resource
 import time
 from pathlib import Path
 
@@ -45,6 +46,12 @@ def write_table(path: Path, columns: list[str], rows: list[dict]) -> Path:
     return path
 
 
+def _peak_rss_mb(who: int) -> float:
+    """``ru_maxrss`` of ``who`` (``RUSAGE_SELF`` or ``RUSAGE_CHILDREN``) in
+    MiB; Linux reports it in KiB."""
+    return resource.getrusage(who).ru_maxrss / 1024.0
+
+
 def write_metadata(
     out_dir: Path,
     config: ExperimentConfig,
@@ -53,7 +60,12 @@ def write_metadata(
     replicate_failures: list[str],
     checks: list[dict] | None = None,
 ) -> Path:
-    """Emit ``metadata.json``: resolved config, overrides, and run record."""
+    """Emit ``metadata.json``: resolved config, overrides, and run record.
+
+    The record's ``peak_rss_mb`` holds the peak resident memory so far of
+    this process (``process``) and of its largest child process waited for,
+    such as a forked replicate worker (``workers``; 0 if there was none).
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -64,6 +76,10 @@ def write_metadata(
             "wall_clock_s": wall_clock_s,
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "replicate_failures": list(replicate_failures),
+            "peak_rss_mb": {
+                "process": _peak_rss_mb(resource.RUSAGE_SELF),
+                "workers": _peak_rss_mb(resource.RUSAGE_CHILDREN),
+            },
         },
     }
     if checks is not None:

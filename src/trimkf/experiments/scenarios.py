@@ -2,7 +2,11 @@
 
 Replicate ``m`` always derives its streams from ``(seed, m, ...)`` key
 material, so results are independent of worker scheduling and of which
-other replicates run.
+other replicates run.  The replicates run on the ``threads`` replicate
+workers of ``integrators._map_shared``: threads, except for
+``l96-adaptive-aug``, whose DP45 forecasts run in forked worker processes,
+its replicates and, on a replicate's CPU share of two or more, its filter
+runs.
 """
 
 from __future__ import annotations
@@ -67,10 +71,11 @@ class ScenarioResult:
     checks: list[dict] | None = None
 
 
-def _map_replicates(fn, cfg: ExperimentConfig):
-    """Run ``fn(cfg, rep)`` for every replicate on ``cfg.threads`` threads (0:
-    one per usable CPU) and join its row tables in replicate order; a failing
-    replicate is recorded and skipped, the rest keep running."""
+def _map_replicates(fn, cfg: ExperimentConfig, forked: bool):
+    """Run ``fn(cfg, rep)`` for every replicate on ``cfg.threads`` workers (0:
+    one per usable CPU), threads or with ``forked`` processes, and join its
+    row tables in replicate order; a failing replicate is recorded and
+    skipped, the rest keep running."""
 
     def attempt(rep):
         try:
@@ -78,7 +83,7 @@ def _map_replicates(fn, cfg: ExperimentConfig):
         except Exception as exc:
             return f"replicate {rep}: {type(exc).__name__}: {exc}"
 
-    outcomes = _map_shared(attempt, range(cfg.replicates), cfg.threads or usable_cpus())
+    outcomes = _map_shared(attempt, range(cfg.replicates), cfg.threads or usable_cpus(), forked)
     failures = [out for out in outcomes if isinstance(out, str)]
     return _join(out for out in outcomes if not isinstance(out, str)), failures
 
@@ -182,15 +187,18 @@ _DP45 = IntegratorConfig(scheme="rk45-adaptive", dt=0.01, rtol=1e-6, atol=1e-9)
 
 
 def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], model: Lorenz96Params,
-              icfg: IntegratorConfig, augment: bool):
-    """Yield ``(dt_obs, n, filter, run)`` for every filter run of replicate
-    ``rep``; all runs at one ``dt_obs`` share one truth.  The trimmed filter
-    also augments when ``augment`` is set.
+              icfg: IntegratorConfig, augment: bool, rows, forked: bool = False) -> dict:
+    """The row tables ``rows(rep, dt_obs, n, filter, run)`` of every filter
+    run of replicate ``rep``, joined in (dt_obs, n, filter) order.  The
+    trimmed filter also augments when ``augment`` is set.
 
     The truth starts at ``mu0 + mu1 z + sigma0 e`` with one shared scalar
-    ``z``.  Each run's members share the truth's ``mu0 + mu1 z`` in the
-    unobserved components and scatter with noise ``tau`` around the truth's
-    time-zero measurement in the observed ones.
+    ``z``, and all runs at one ``dt_obs`` share it; each truth is simulated
+    once, before any run.  Each run's members share the truth's ``mu0 +
+    mu1 z`` in the unobserved components and scatter with noise ``tau``
+    around the truth's time-zero measurement in the observed ones.  The
+    runs go one after another on the calling thread, or with ``forked``
+    through the thread map's forked workers on the replicate's CPU share.
     """
     p = cfg.params
     dim = _L96_N
@@ -205,49 +213,47 @@ def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], model: Lorenz96
         name: FilterMethod(name, trim=trim, augment=aug if name == "tenkf" else None)
         for name in _L96_FILTERS
     }
+    units = []
     for dt_obs in p["dt_obs"]:
         problem = AssimilationProblem(dyn, meas, icfg, dt_obs, p["t_f"])
         rng_t = _rng(cfg.seed, rep, _STREAM_TRUTH, stream_key(dt_obs))
         base = _L96_MU0 + _L96_MU1 * rng_t.standard_normal()
         truth = simulate_truth(problem, base + _L96_SIGMA0 * rng_t.standard_normal(dim), rng_t)
-        for n in sizes:
-            for name in _L96_FILTERS:
-                rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name], n, stream_key(dt_obs))
-                members = base + _L96_SIGMA0 * rng_f.standard_normal((dim, n))
-                members[obs_idx] = truth.y0[:, None] + _L96_TAU * rng_f.standard_normal(
-                    (obs_idx.size, n)
-                )
-                run = run_assimilation(problem, methods[name], rng_f, truth, Ensemble(members))
-                yield dt_obs, n, name, run
+        units += [(problem, base, truth, n, name) for n in sizes for name in _L96_FILTERS]
+
+    def run(unit):
+        problem, base, truth, n, name = unit
+        dt_obs = problem.dt_obs
+        rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name], n, stream_key(dt_obs))
+        members = base + _L96_SIGMA0 * rng_f.standard_normal((dim, n))
+        members[obs_idx] = truth.y0[:, None] + _L96_TAU * rng_f.standard_normal(
+            (obs_idx.size, n)
+        )
+        return rows(rep, dt_obs, n, name,
+                    run_assimilation(problem, methods[name], rng_f, truth, Ensemble(members)))
+
+    if not forked:
+        return _join(map(run, units))
+    # A trimmed run, which augments, carries about 3/4 of a DP45 replicate's
+    # work: the trimmed runs start first.
+    order = sorted(range(len(units)), key=lambda i: units[i][-1] != "tenkf")
+    parts = _map_shared(run, [units[i] for i in order], forked=True)
+    return _join(part for _, part in sorted(zip(order, parts)))
+
+
+def _l96_rmse_rows(rep: int, dt_obs: float, n: int, name: str, run) -> dict:
+    key = {"replicate": rep, "filter": name, "n": n, "dt_obs": dt_obs}
+    return {
+        "rmse.csv": [{**key, "rmse_time_avg": time_avg_rmse(run.rmse),
+                      "rmse_mean_time_avg": time_avg_rmse(run.rmse_mean)}],
+        "series.csv": [{**key, "step": k + 1, "time": float(t), "rmse": float(run.rmse[k])}
+                       for k, t in enumerate(run.truth.times[1:])],
+    }
 
 
 def _l96_rmse_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     p = cfg.params
-    rows, series = [], []
-    for dt_obs, n, name, run in _l96_runs(cfg, rep, p["n"], _L96_SDE, _HEUN, p["augment"]):
-        rows.append(
-            {
-                "replicate": rep,
-                "filter": name,
-                "n": n,
-                "dt_obs": dt_obs,
-                "rmse_time_avg": time_avg_rmse(run.rmse),
-                "rmse_mean_time_avg": time_avg_rmse(run.rmse_mean),
-            }
-        )
-        for k, t in enumerate(run.truth.times[1:]):
-            series.append(
-                {
-                    "replicate": rep,
-                    "filter": name,
-                    "n": n,
-                    "dt_obs": dt_obs,
-                    "step": k + 1,
-                    "time": float(t),
-                    "rmse": float(run.rmse[k]),
-                }
-            )
-    return {"rmse.csv": rows, "series.csv": series}
+    return _l96_runs(cfg, rep, p["n"], _L96_SDE, _HEUN, p["augment"], _l96_rmse_rows)
 
 
 def _l96_rmse_quantiles(cfg: ExperimentConfig, tables: dict) -> dict:
@@ -280,39 +286,21 @@ def _l96_rmse_quantiles(cfg: ExperimentConfig, tables: dict) -> dict:
     return {"quantiles.csv": quant_rows}
 
 
+def _l96_aug_rows(rep: int, dt_obs: float, n: int, name: str, run) -> dict:
+    key = {"replicate": rep, "filter": name, "dt_obs": dt_obs}
+    traces = [{**key, "step": k + 1, "time": float(run.truth.times[k + 1]),
+               "n_forecast": s.n_forecast, "n_d": s.n_d, "n_aug": s.n_forecast, "n_e": s.n_e,
+               "lam": s.lambda_used, "rmse": float(run.rmse[k])}
+              for k, s in enumerate(run.steps)]
+    summary = {**key, "aug_ratio_time_avg": float(np.mean([s.n_forecast / n for s in run.steps])),
+               "rmse_time_avg": time_avg_rmse(run.rmse),
+               "rmse_mean_time_avg": time_avg_rmse(run.rmse_mean)}
+    return {"traces.csv": traces, "augmentation.csv": [summary]}
+
+
 def _l96_aug_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     n = int(cfg.params["n"])
-    traces, summaries = [], []
-    for dt_obs, _, name, run in _l96_runs(cfg, rep, [n], _L96_ODE, _DP45, augment=True):
-        ratios = []
-        for k, state in enumerate(run.steps):
-            ratios.append(state.n_forecast / n)
-            traces.append(
-                {
-                    "replicate": rep,
-                    "filter": name,
-                    "dt_obs": dt_obs,
-                    "step": k + 1,
-                    "time": float(run.truth.times[k + 1]),
-                    "n_forecast": state.n_forecast,
-                    "n_d": state.n_d,
-                    "n_aug": state.n_forecast,
-                    "n_e": state.n_e,
-                    "lam": state.lambda_used,
-                    "rmse": float(run.rmse[k]),
-                }
-            )
-        summaries.append(
-            {
-                "replicate": rep,
-                "filter": name,
-                "dt_obs": dt_obs,
-                "aug_ratio_time_avg": float(np.mean(ratios)),
-                "rmse_time_avg": time_avg_rmse(run.rmse),
-                "rmse_mean_time_avg": time_avg_rmse(run.rmse_mean),
-            }
-        )
-    return {"traces.csv": traces, "augmentation.csv": summaries}
+    return _l96_runs(cfg, rep, [n], _L96_ODE, _DP45, True, _l96_aug_rows, forked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +462,8 @@ class Scenario(NamedTuple):
     default replicate count (which a config may raise to ``max_replicates``,
     if set), and the optional ``rule(params, errors)`` checks across
     parameters; a parameter that failed its own check is None there.
+    With ``forked`` its replicates run in forked worker processes (see
+    ``integrators._map_shared``), not threads.
     """
 
     description: str
@@ -484,6 +474,7 @@ class Scenario(NamedTuple):
     replicates: int
     max_replicates: int | None = None
     rule: Callable[[dict, list[str]], None] | None = None
+    forked: bool = False
 
 
 def _l96_rule(p: dict, errors: list[str]) -> None:
@@ -569,6 +560,7 @@ SCENARIOS = {
         },
         replicates=10,
         rule=_l96_rule,
+        forked=True,
     ),
     "linear-gaussian-check": Scenario(
         "Scalar linear-Gaussian equivalence check against the exact Kalman filter",
@@ -614,7 +606,7 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     if cfg.replicates == 0:
         return ScenarioResult(files=[], replicate_failures=[])
     scenario = SCENARIOS[cfg.scenario]
-    tables, failures = _map_replicates(scenario.replicate, cfg)
+    tables, failures = _map_replicates(scenario.replicate, cfg, scenario.forked)
     if scenario.finish is not None:
         tables.update(scenario.finish(cfg, tables))
     files = [

@@ -57,17 +57,22 @@ oracle's block passes, gives each of its threads ``max(1, share //
 threads)``.  A thread never given a share may use every usable CPU, so
 library code that calls ``integrate`` from threads of its own calls
 ``share_cpus`` in each.  CPUs left over go unused:
-with 3 CPUs and 2 threads, neither thread ever starts a helper.
+with 3 CPUs and 2 threads, neither thread ever starts a helper.  Asked to,
+the map runs its helpers' items in forked worker processes instead, each
+holding the same part of the share: the DP45 scenario's replicates and
+filter runs go there, as DP45 on small blocks does not run faster on
+threads (see ``_map_shared``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import mmap
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -430,55 +435,121 @@ def thread_cpus() -> int:
     return usable_cpus() if cpus is None else cpus
 
 
-def _map_shared(fn, items, workers: int | None = None) -> list:
+def _map_shared(fn, items, workers: int | None = None, forked: bool = False) -> list:
     """``[fn(item) for item in items]`` on the calling thread and up to
-    ``workers - 1`` others (``workers`` defaults to the caller's CPU share).
+    ``workers - 1`` helpers (``workers`` defaults to the caller's CPU share):
+    threads, or with ``forked`` worker processes.
 
-    Threads take items in turn, each holding ``max(1, thread_cpus() //
+    Workers take items in turn, each holding ``max(1, thread_cpus() //
     workers)`` of the caller's CPU share while it works; the caller's own
-    share is restored afterwards.  Once an item raises, or a thread fails
-    to start, no new item starts; the started threads are joined and the
+    share is restored afterwards.  Once an item raises, or a helper fails
+    to start, no new item starts; the started helpers are joined and the
     start's failure, else that of the lowest-index failed item, is raised
     as the serial loop would raise it.  The caller works rather than waits
     because each other thread allocates from its own malloc arena, whose
     freed temporaries stay resident: on ``oracle-1e5`` (2 CPUs) two threads
     beside an idle caller peaked at 89.7 MB, the caller and one thread at
     84-89 MB.
+
+    With ``forked`` the helpers are worker processes forked from the caller
+    as the map starts, so ``fn`` and the items need not pickle; what an item
+    returns or raises does (an error keeps its type, message and cause).
+    Each worker sends its results once no item is left, and the caller
+    receives them on its own thread after its own items; a worker that ends
+    without sending (killed, or its results do not pickle) fails the map
+    with ``RuntimeError``.  DP45 on small
+    blocks is about 100 short ufunc calls per attempt, each holding the
+    interpreter lock: two threads run it 1.7x slower than one, two
+    processes in parallel.  The start method is ``fork``: ``forkserver`` and
+    ``spawn`` ran an ``l96-adaptive-aug`` run in 1.17-1.51 and 1.28-1.58 s
+    against fork's 1.13-1.32 s, and left ``multiprocessing``'s resource
+    tracker (and the fork server) running until the interpreter exits.  A
+    process that runs another thread is not forked, as a lock that thread
+    holds would be copied held: its items all run on the calling thread.
+    Workers inherit the caller's BLAS threads, so their results have the
+    bits of the in-process path.
     """
     items = list(items)
     workers = max(1, min(workers or thread_cpus(), len(items)))
+    if forked and threading.active_count() > 1:
+        workers = 1
     share = max(1, thread_cpus() // workers)
-    results, errors = [None] * len(items), {}
-    order, lock = iter(range(len(items))), threading.Lock()
+    forked = forked and workers > 1
+    if forked:
+        import multiprocessing  # only here: the import costs every run 10 ms of set-up
+
+        ctx = multiprocessing.get_context("fork")
+        # the next item's index, in memory the forked workers share
+        lock, taken = ctx.Lock(), memoryview(mmap.mmap(-1, 8)).cast("q")
+    else:
+        lock, taken = threading.Lock(), [0]
+    done, errors = {}, {}
+
+    def stop():  # no item starts after this
+        with lock:
+            taken[0] = len(items)
 
     def work():
         own = share_cpus(share)
         try:
-            while not errors:
+            while True:
                 with lock:
-                    i = next(order, None)
-                if i is None:
+                    i = taken[0]
+                    taken[0] = i + 1
+                if i >= len(items):
                     return
                 try:
-                    results[i] = fn(items[i])
+                    done[i] = fn(items[i])
                 except BaseException as exc:  # the caller raises it, after the join
                     errors[i] = exc
+                    stop()
         finally:
             share_cpus(own)
 
-    helpers = []
-    try:
-        for _ in range(workers - 1):
-            t = threading.Thread(target=work)
-            t.start()
-            helpers.append(t)
+    def child(conn):  # a forked worker: its items, then what they gave to the caller
         work()
-    except BaseException:  # a start failed (or the caller was interrupted): no new item starts
-        errors[-1] = None
-        raise
-    finally:
-        for t in helpers:
-            t.join()
+        conn.send((done, {i: (exc, exc.__cause__) for i, exc in errors.items()}))
+
+    def start():
+        """Start one helper; return what joins it."""
+        if not forked:
+            thread = threading.Thread(target=work)
+            thread.start()
+            return thread.join
+        recv, send = ctx.Pipe(duplex=False)
+        worker = ctx.Process(target=child, args=(send,))
+        try:
+            worker.start()
+        except BaseException:
+            recv.close()
+            raise
+        finally:
+            send.close()
+
+        def join():
+            try:
+                with recv:
+                    got, failed = recv.recv()
+            except EOFError:  # it died, or what it had to send did not pickle
+                got, failed = {}, {-1: (RuntimeError("a worker process ended without "
+                                                     "sending its results"), None)}
+            finally:
+                worker.join()
+            done.update(got)
+            for i, (exc, cause) in failed.items():
+                exc.__cause__ = cause
+                errors[i] = exc
+
+        return join
+
+    with ExitStack() as joins:
+        try:
+            for _ in range(workers - 1):
+                joins.callback(start())
+            work()
+        except BaseException:  # a start failed (or the caller was interrupted)
+            stop()
+            raise
     if errors:
         raise errors[min(errors)]
-    return results
+    return [done[i] for i in range(len(items))]

@@ -163,13 +163,22 @@ def l96_drift(x: np.ndarray, p: Lorenz96Params, out: np.ndarray) -> np.ndarray:
     if n < 4:
         raise ModelError(f"cyclic coupling needs at least 4 components, got {n}")
     # Each row is evaluated as ((x_{j+1} - x_{j-2}) * x_{j-1} + F) - x_j, in
-    # that order, which fixes its bits.  The differences of rows 2..n-2, 0..1
-    # and n-1 and the factors of rows 1..n-1 are slices of x, so seven ufunc
-    # calls fill ``out``.  ``out[j, ...]`` stays a view for a 1-D state.
+    # that order, which fixes its bits.  On a 1-D state (the truth) a ufunc
+    # call costs more than its arithmetic, so x_{j+1}, x_{j-2} and x_{j-1}
+    # are slices of one cyclically padded copy: the copy and four calls.
+    if x.ndim == 1:
+        pad = np.concatenate((x[n - 2 :], x, x[:1]))
+        np.subtract(pad[3:], pad[:n], out=out)
+        np.multiply(out, pad[1 : n + 1], out=out)
+        out += p.forcing
+        out -= x
+        return out
+    # A block reads the differences of rows 2..n-2, 0..1 and n-1 and the
+    # factors of rows 1..n-1 as slices of x, so seven ufunc calls fill ``out``.
     np.subtract(x[3:], x[: n - 3], out=out[2 : n - 1])
     np.subtract(x[1:3], x[n - 2 :], out=out[:2])
-    np.subtract(x[0], x[n - 3], out=out[n - 1, ...])
-    head, tail = out[0, ...], out[1:]
+    np.subtract(x[0], x[n - 3], out=out[n - 1])
+    head, tail = out[0], out[1:]
     np.multiply(tail, x[: n - 1], out=tail)
     np.multiply(head, x[n - 1], out=head)
     out += p.forcing

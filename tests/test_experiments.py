@@ -4,6 +4,7 @@ import errno
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -281,6 +282,13 @@ class TestValidateConfig:
         a = validate_config({"scenario": "l96-rmse-sweep"})
         a.params["n"].append(123)
         assert 123 not in validate_config({"scenario": "l96-rmse-sweep"}).params["n"]
+
+
+def assert_no_child_process():
+    """No worker process is left: none alive, none left to reap."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def write_config(path: Path, doc) -> str:
@@ -606,10 +614,12 @@ class TestSharedMap:
             time.sleep(0.002 * (8 - i))
             return i * i
 
-        for workers in (1, 2, 3, 8):
-            assert integrators._map_shared(slow_first, range(8), workers) == [
+        for workers, forked in itertools.product((1, 2, 3, 8), (False, True)):
+            assert integrators._map_shared(slow_first, range(8), workers, forked) == [
                 i * i for i in range(8)]
         assert integrators._map_shared(slow_first, [], 2) == []
+        assert integrators._map_shared(slow_first, [], 2, forked=True) == []
+        assert_no_child_process()
 
     def test_every_item_runs_once_under_frequent_switches(self):
         # more threads than CPUs, switching every microsecond: an item taken
@@ -641,10 +651,12 @@ class TestSharedMap:
                 raise RuntimeError("item 3")
             return i
 
-        for workers in (1, 4):
+        # a forked worker sends the error back with its type and cause
+        for workers, forked in itertools.product((1, 4), (False, True)):
             with pytest.raises(ValueError, match="item 1") as err:
-                integrators._map_shared(fn, range(6), workers)
+                integrators._map_shared(fn, range(6), workers, forked)
             assert isinstance(err.value.__cause__, KeyError)
+            assert_no_child_process()
 
     def test_no_item_starts_after_a_failure(self):
         started = []
@@ -688,11 +700,12 @@ class TestSharedMap:
             if fail and i == 2:
                 raise RuntimeError("boom")
 
-        try:
-            integrators._map_shared(fn, range(4), 2)
-        except RuntimeError:
-            assert fail
-        assert integrators.thread_cpus() == 5
+        for forked in (False, True):
+            try:
+                integrators._map_shared(fn, range(4), 2, forked)
+            except RuntimeError:
+                assert fail
+            assert integrators.thread_cpus() == 5
 
     @pytest.mark.parametrize("share, workers, each", [(5, 2, 2), (2, 2, 1), (2, 3, 1),
                                                       (4, 4, 1), (4, 1, 4)])
@@ -711,6 +724,143 @@ class TestSharedMap:
         assert len({ident for ident, _ in seen}) == workers
         assert threading.get_ident() in {ident for ident, _ in seen}
         assert integrators.thread_cpus() == share
+
+
+class TestForkedMap:
+    """``integrators._map_shared`` with ``forked``: the helpers are forked
+    worker processes, which the DP45 scenario's replicates and filter runs
+    use."""
+
+    def test_items_run_once_each_in_worker_processes(self, tmp_path, monkeypatch):
+        # more workers than CPUs take items off one shared counter: every
+        # item is logged once, by the process that ran it, and each process
+        # holds its part of the caller's share
+        monkeypatch.setattr(integrators._share, "cpus", 6, raising=False)
+        log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def fn(i):
+            os.write(log, f"{i} {os.getpid()}\n".encode())
+            return -i, integrators.thread_cpus()
+
+        try:
+            out = integrators._map_shared(fn, range(3000), 3, forked=True)
+        finally:
+            os.close(log)
+        assert out == [(-i, 2) for i in range(3000)]
+        lines = [line.split() for line in (tmp_path / "log").read_text().splitlines()]
+        assert sorted(int(i) for i, _ in lines) == list(range(3000))
+        assert len({pid for _, pid in lines}) > 1
+        assert integrators.thread_cpus() == 6
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("how", ["exit", "unpicklable"])
+    def test_a_worker_that_sends_no_results_fails_the_map(self, how):
+        # a worker that dies, or whose results do not pickle (its traceback
+        # goes to stderr), sends nothing: the map raises once it is joined
+        caller = os.getpid()
+
+        def fn(i):
+            time.sleep(0.05)  # lets the worker take an item
+            if os.getpid() == caller:
+                return i
+            if how == "exit":
+                os._exit(3)
+            return lambda: i
+
+        with pytest.raises(RuntimeError, match="worker process ended without sending"):
+            integrators._map_shared(fn, range(4), 2, forked=True)
+        assert_no_child_process()
+
+    def test_another_thread_keeps_the_items_on_the_calling_thread(self):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            pids = integrators._map_shared(lambda i: os.getpid(), range(4), 2, forked=True)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert pids == [os.getpid()] * 4
+
+
+def _aug_doc(out, threads):
+    return {"scenario": "l96-adaptive-aug", "seed": 3, "replicates": 2,
+            "threads": threads, "out_dir": str(out),
+            "params": {"dt_obs": [0.4, 0.8], "t_f": 1.6, "n": 40, "target_ne": 20.0}}
+
+
+def _use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(scenarios, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(integrators, "usable_cpus", lambda: cpus)
+
+
+# (threads, usable CPUs): one replicate worker with a share of 2 forks a
+# worker for its filter runs, two fork a worker for the replicates, and one
+# with a share of 1 runs everything on the calling thread
+FORKED_LAYOUTS = [(1, 2), (2, 2), (1, 1)]
+
+
+def test_forked_dp45_runs_write_the_same_bytes(tmp_path, monkeypatch):
+    outputs = []
+    for threads, cpus in FORKED_LAYOUTS + [(1, integrators.usable_cpus())]:
+        _use_cpus(monkeypatch, cpus)
+        result = run_scenario(validate_config(_aug_doc(tmp_path / str(len(outputs)), threads)))
+        assert not result.replicate_failures
+        assert_no_child_process()
+        outputs.append({f.name: f.read_bytes() for f in result.files})
+    assert len(outputs[0]) == 2
+    assert all(out == outputs[0] for out in outputs)
+
+
+def test_forked_failures_read_as_in_process(tmp_path, monkeypatch):
+    # a drift that fails on every member block after t=0.5 fails all filter
+    # runs; forked workers inherit the patched drift, so a failure in a
+    # worker gives the replicate_failures of a failure on the calling thread
+    log = tmp_path / "failed"
+
+    def failing_model(p):
+        def drift(x, t, out):
+            trimkf.models.l96_drift(x, p, out)
+            if x.ndim == 2 and t > 0.5:
+                out[0, 0] = math.nan
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+            return out
+
+        return trimkf.models.DynModel(drift=drift, noise_intensity=p.sigma)
+
+    monkeypatch.setattr(scenarios, "lorenz96_model", failing_model)
+    failures = []
+    for threads, cpus in FORKED_LAYOUTS:
+        _use_cpus(monkeypatch, cpus)
+        result = run_scenario(validate_config(_aug_doc(tmp_path / str(len(failures)), threads)))
+        assert_no_child_process()
+        failures.append(result.replicate_failures)
+    assert [f.split(":")[0] for f in failures[0]] == ["replicate 0", "replicate 1"]
+    assert "IntegrationError: non-finite drift" in failures[0][0]
+    assert all(f == failures[0] for f in failures)
+    assert len(set(log.read_text().split())) > 1  # some failed in a worker
+
+
+def test_metadata_records_peak_rss_of_process_and_workers(tmp_path, monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    cfg = write_config(tmp_path / "c.json", _aug_doc(out1, threads=2))
+    assert main(["run", "--config", cfg]) == 0
+    assert_no_child_process()
+
+    def refuse(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    meta = json.loads((out1 / "metadata.json").read_text(), parse_constant=refuse)
+    peak = meta["run"]["peak_rss_mb"]
+    assert set(peak) == {"process", "workers"}
+    assert peak["process"] > 1.0 and peak["workers"] > 1.0
+    meta["config"]["out_dir"] = str(out2)
+    assert main(["run", "--config", write_config(tmp_path / "meta.json", meta)]) == 0
+    for name in ("traces.csv", "augmentation.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_units_on_every_cpu_share_write_the_same_bytes(tmp_path, monkeypatch):
@@ -750,8 +900,8 @@ def test_units_on_every_cpu_share_write_the_same_bytes(tmp_path, monkeypatch):
 
 
 def test_replicates_and_configs_pickle():
-    # what a process pool sends to its workers: the registered functions
-    # by reference and the validated config by value
+    # the registered functions pickle by reference and the validated config
+    # by value, as a pool that does not fork its workers would send them
     for entry in SCENARIOS.values():
         for fn in filter(None, (entry.replicate, entry.finish)):
             assert pickle.loads(pickle.dumps(fn)) is fn

@@ -212,6 +212,17 @@ class TestLorenz96:
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
             assert np.array_equal(x, before), name
 
+    @pytest.mark.parametrize("dim", [4, 8, 36])
+    def test_1d_path_matches_block_columns(self, dim):
+        # a 1-D state takes its own path (a padded copy); each column of a
+        # block must get the same bits from it
+        p = Lorenz96Params(forcing=8.0)
+        block = 8.0 + 3.0 * np.random.default_rng(dim).standard_normal((dim, 6))
+        want = l96_drift(block, p, np.empty(block.shape))
+        for j in range(block.shape[1]):
+            got = l96_drift(block[:, j].copy(), p, np.empty(dim))
+            assert np.array_equal(got.view(np.uint64), want[:, j].view(np.uint64)), j
+
 
 class TestDriftJacobianChecks:
     """Analytic directional derivatives vs central differences at h = 1e-5."""
