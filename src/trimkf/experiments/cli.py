@@ -54,10 +54,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--replicates", type=int, help="override replicate count")
     run_p.add_argument(
         "--threads", type=int,
-        help="replicate workers (0 = one per usable CPU): threads, or forked processes for "
-             "l96-adaptive-aug; a worker's CPU share draws Heun noise ahead and runs a "
-             "replicate's independent updates, DP45 filter runs and the oracle's block "
-             "passes, with the same results",
+        help="workers (0 = one per usable CPU) for the replicates, or for the Lorenz-96 "
+             "truths and filter runs of all replicates: threads, each with a CPU share "
+             "that draws Heun noise ahead and runs a replicate's independent updates and "
+             "the oracle's block passes; l96-adaptive-aug's go to THREADS x max(1, "
+             "CPUs // THREADS) processes, the caller and forked workers, one CPU each; "
+             "the results are the same",
     )
 
     val_p = sub.add_parser("validate", help="validate a config file and echo the resolved values")

@@ -64,7 +64,7 @@ def write_metadata(
 
     The record's ``peak_rss_mb`` holds the peak resident memory so far of
     this process (``process``) and of its largest child process waited for,
-    such as a forked replicate worker (``workers``; 0 if there was none).
+    such as a forked worker (``workers``; 0 if there was none).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -2,16 +2,19 @@
 
 Replicate ``m`` always derives its streams from ``(seed, m, ...)`` key
 material, so results are independent of worker scheduling and of which
-other replicates run.  The replicates run on the ``threads`` replicate
-workers of ``integrators._map_shared``: threads, except for
-``l96-adaptive-aug``, whose DP45 forecasts run in forked worker processes,
-its replicates and, on a replicate's CPU share of two or more, its filter
-runs.
+other replicates run.  Every scenario's work goes through one unit map,
+``_map_units``, on the ``threads`` workers of ``integrators._map_shared``:
+a replicate is one unit, except in the two Lorenz-96 scenarios, which map
+the truths of every replicate and then every ``(replicate, dt_obs, n,
+filter)`` run, so that no worker idles behind one replicate's longest run.
+The workers are threads, except for ``l96-adaptive-aug``, whose DP45
+forecasts run in forked worker processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -71,21 +74,46 @@ class ScenarioResult:
     checks: list[dict] | None = None
 
 
-def _map_replicates(fn, cfg: ExperimentConfig, forked: bool):
-    """Run ``fn(cfg, rep)`` for every replicate on ``cfg.threads`` workers (0:
-    one per usable CPU), threads or with ``forked`` processes, and join its
-    row tables in replicate order; a failing replicate is recorded and
-    skipped, the rest keep running."""
+def _map_units(fn, units, cfg: ExperimentConfig, forked: bool) -> list:
+    """``[fn(unit) for unit in units]``, where a unit that raises gives
+    ``"Type: message"`` and the other units keep running.
 
-    def attempt(rep):
+    The units run on ``cfg.threads`` threads (0: one per usable CPU), the
+    calling one among them, each with ``max(1, cpus // threads)`` CPUs.
+    With ``forked`` each thread's CPUs become as many processes, the caller
+    and workers forked from it, ``threads * max(1, cpus // threads)`` in
+    all, each with one CPU: so ``threads: 1`` uses every usable CPU.
+    """
+
+    def attempt(unit):
         try:
-            return fn(cfg, rep)
+            return fn(unit)
         except Exception as exc:
-            return f"replicate {rep}: {type(exc).__name__}: {exc}"
+            return f"{type(exc).__name__}: {exc}"
 
-    outcomes = _map_shared(attempt, range(cfg.replicates), cfg.threads or usable_cpus(), forked)
-    failures = [out for out in outcomes if isinstance(out, str)]
-    return _join(out for out in outcomes if not isinstance(out, str)), failures
+    cpus = usable_cpus()
+    workers = cfg.threads or cpus
+    if forked:
+        workers *= max(1, cpus // workers)
+    return _map_shared(attempt, units, workers, forked)
+
+
+def _first_failures(reps, outcomes, failed: dict) -> dict:
+    """``failed`` (``{rep: message}``) with the first failed outcome of each
+    replicate not in it yet; ``reps`` gives each outcome's replicate."""
+    for rep, out in zip(reps, outcomes):
+        if isinstance(out, str):
+            failed.setdefault(rep, f"replicate {rep}: {out}")
+    return failed
+
+
+def _joined(reps, parts, failed: dict) -> tuple[dict, list[str]]:
+    """The row tables of ``parts`` joined in order, leaving out every
+    replicate that failed before (``failed``) or in ``parts``, and each
+    failed replicate's first failure, in replicate order."""
+    _first_failures(reps, parts, failed)
+    tables = _join(part for rep, part in zip(reps, parts) if rep not in failed)
+    return tables, [failed[rep] for rep in sorted(failed)]
 
 
 def _join(parts) -> dict:
@@ -186,19 +214,26 @@ _L96_SDE, _L96_ODE = Lorenz96Params(sigma=0.01), Lorenz96Params(sigma=0.0)
 _DP45 = IntegratorConfig(scheme="rk45-adaptive", dt=0.01, rtol=1e-6, atol=1e-9)
 
 
-def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], model: Lorenz96Params,
-              icfg: IntegratorConfig, augment: bool, rows, forked: bool = False) -> dict:
+def _l96_runs(cfg: ExperimentConfig, forked: bool, sizes: list[int], model: Lorenz96Params,
+              icfg: IntegratorConfig, augment: bool, rows) -> tuple[dict, list[str]]:
     """The row tables ``rows(rep, dt_obs, n, filter, run)`` of every filter
-    run of replicate ``rep``, joined in (dt_obs, n, filter) order.  The
-    trimmed filter also augments when ``augment`` is set.
+    run of every replicate, joined in (rep, dt_obs, n, filter) order, and
+    the replicate failures.  The trimmed filter also augments when
+    ``augment`` is set.
 
-    The truth starts at ``mu0 + mu1 z + sigma0 e`` with one shared scalar
-    ``z``, and all runs at one ``dt_obs`` share it; each truth is simulated
-    once, before any run.  Each run's members share the truth's ``mu0 +
-    mu1 z`` in the unobserved components and scatter with noise ``tau``
-    around the truth's time-zero measurement in the observed ones.  The
-    runs go one after another on the calling thread, or with ``forked``
-    through the thread map's forked workers on the replicate's CPU share.
+    Replicate ``rep``'s truth at one ``dt_obs`` starts at ``mu0 + mu1 z +
+    sigma0 e`` with one shared scalar ``z``, and all its runs at that
+    ``dt_obs`` share it.  Each run's members share the truth's ``mu0 + mu1
+    z`` in the unobserved components and scatter with noise ``tau`` around
+    the truth's time-zero measurement in the observed ones.
+
+    The truths of all replicates go through the unit map first (the
+    problems hold the model's drift, a closure that does not pickle, so
+    the caller keeps them).  Then every run of every replicate whose truths
+    all succeeded goes through it in one map, the trimmed runs first: a
+    trimmed DP45 run, which augments, carries about 3/4 of its replicate's
+    work.  A replicate reports its first failed truth, else its first
+    failed run in (dt_obs, n, filter) order, and writes no rows.
     """
     p = cfg.params
     dim = _L96_N
@@ -213,32 +248,38 @@ def _l96_runs(cfg: ExperimentConfig, rep: int, sizes: list[int], model: Lorenz96
         name: FilterMethod(name, trim=trim, augment=aug if name == "tenkf" else None)
         for name in _L96_FILTERS
     }
-    units = []
-    for dt_obs in p["dt_obs"]:
-        problem = AssimilationProblem(dyn, meas, icfg, dt_obs, p["t_f"])
+    problems = {dt_obs: AssimilationProblem(dyn, meas, icfg, dt_obs, p["t_f"])
+                for dt_obs in p["dt_obs"]}
+
+    def simulate(key):  # the base of (rep, dt_obs)'s members, and its truth
+        rep, dt_obs = key
         rng_t = _rng(cfg.seed, rep, _STREAM_TRUTH, stream_key(dt_obs))
         base = _L96_MU0 + _L96_MU1 * rng_t.standard_normal()
-        truth = simulate_truth(problem, base + _L96_SIGMA0 * rng_t.standard_normal(dim), rng_t)
-        units += [(problem, base, truth, n, name) for n in sizes for name in _L96_FILTERS]
+        return base, simulate_truth(problems[dt_obs],
+                                    base + _L96_SIGMA0 * rng_t.standard_normal(dim), rng_t)
+
+    keys = [(rep, dt_obs) for rep in range(cfg.replicates) for dt_obs in p["dt_obs"]]
+    simulated = _map_units(simulate, keys, cfg, forked)
+    failed = _first_failures([rep for rep, _ in keys], simulated, {})
+    truths = dict(zip(keys, simulated))
 
     def run(unit):
-        problem, base, truth, n, name = unit
-        dt_obs = problem.dt_obs
+        rep, dt_obs, n, name = unit
+        base, truth = truths[rep, dt_obs]
         rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name], n, stream_key(dt_obs))
         members = base + _L96_SIGMA0 * rng_f.standard_normal((dim, n))
         members[obs_idx] = truth.y0[:, None] + _L96_TAU * rng_f.standard_normal(
             (obs_idx.size, n)
         )
-        return rows(rep, dt_obs, n, name,
-                    run_assimilation(problem, methods[name], rng_f, truth, Ensemble(members)))
+        return rows(rep, dt_obs, n, name, run_assimilation(
+            problems[dt_obs], methods[name], rng_f, truth, Ensemble(members)))
 
-    if not forked:
-        return _join(map(run, units))
-    # A trimmed run, which augments, carries about 3/4 of a DP45 replicate's
-    # work: the trimmed runs start first.
+    units = [(rep, dt_obs, n, name) for rep, dt_obs in keys if rep not in failed
+             for n in sizes for name in _L96_FILTERS]
     order = sorted(range(len(units)), key=lambda i: units[i][-1] != "tenkf")
-    parts = _map_shared(run, [units[i] for i in order], forked=True)
-    return _join(part for _, part in sorted(zip(order, parts)))
+    parts = _map_units(run, [units[i] for i in order], cfg, forked)
+    parts = [part for _, part in sorted(zip(order, parts))]
+    return _joined([rep for rep, *_ in units], parts, failed)
 
 
 def _l96_rmse_rows(rep: int, dt_obs: float, n: int, name: str, run) -> dict:
@@ -251,9 +292,9 @@ def _l96_rmse_rows(rep: int, dt_obs: float, n: int, name: str, run) -> dict:
     }
 
 
-def _l96_rmse_replicate(cfg: ExperimentConfig, rep: int) -> dict:
+def _l96_rmse_runs(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     p = cfg.params
-    return _l96_runs(cfg, rep, p["n"], _L96_SDE, _HEUN, p["augment"], _l96_rmse_rows)
+    return _l96_runs(cfg, False, p["n"], _L96_SDE, _HEUN, p["augment"], _l96_rmse_rows)
 
 
 def _l96_rmse_quantiles(cfg: ExperimentConfig, tables: dict) -> dict:
@@ -298,9 +339,11 @@ def _l96_aug_rows(rep: int, dt_obs: float, n: int, name: str, run) -> dict:
     return {"traces.csv": traces, "augmentation.csv": [summary]}
 
 
-def _l96_aug_replicate(cfg: ExperimentConfig, rep: int) -> dict:
+def _l96_aug_runs(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
+    """DP45 on small blocks is about 100 short ufunc calls per attempt, which
+    do not run faster on threads: the truths and runs go to forked workers."""
     n = int(cfg.params["n"])
-    return _l96_runs(cfg, rep, [n], _L96_ODE, _DP45, True, _l96_aug_rows, forked=True)
+    return _l96_runs(cfg, True, [n], _L96_ODE, _DP45, True, _l96_aug_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -454,27 +497,29 @@ class Scenario(NamedTuple):
     """A scenario as plain data, declared once.
 
     ``replicate(cfg, rep)`` returns one replicate's rows as ``{file: rows}``,
-    the optional ``finish(cfg, tables)`` derives more tables from the rows of
-    all replicates, and ``tables`` gives every result file's columns in write
+    each replicate one unit of ``_map_units`` on threads; a scenario whose
+    replicates split into independent runs gives None there and
+    ``runs(cfg)``, which maps the runs of all replicates and returns their
+    joined rows and the replicate failures.  The optional
+    ``finish(cfg, tables)`` derives more tables from the rows of all
+    replicates, and ``tables`` gives every result file's columns in write
     order.  The rows of a ``checks.csv`` are the scenario's embedded checks.
     ``params`` is its parameter table ``{key: (default, lowest)}``, each
     checked by its default's type (see ``config``), ``replicates`` its
     default replicate count (which a config may raise to ``max_replicates``,
     if set), and the optional ``rule(params, errors)`` checks across
     parameters; a parameter that failed its own check is None there.
-    With ``forked`` its replicates run in forked worker processes (see
-    ``integrators._map_shared``), not threads.
     """
 
     description: str
-    replicate: Callable[[ExperimentConfig, int], dict]
+    replicate: Callable[[ExperimentConfig, int], dict] | None
     finish: Callable[[ExperimentConfig, dict], dict] | None
     tables: dict[str, list[str]]
     params: dict[str, tuple]
     replicates: int
     max_replicates: int | None = None
     rule: Callable[[dict, list[str]], None] | None = None
-    forked: bool = False
+    runs: Callable[[ExperimentConfig], tuple[dict, list[str]]] | None = None
 
 
 def _l96_rule(p: dict, errors: list[str]) -> None:
@@ -524,7 +569,7 @@ SCENARIOS = {
     ),
     "l96-rmse-sweep": Scenario(
         "Stochastic Lorenz-96 twin experiments: RMSE over (n, dt_obs) grids",
-        _l96_rmse_replicate,
+        None,
         _l96_rmse_quantiles,
         {
             "rmse.csv": ["replicate", "filter", "n", "dt_obs", "rmse_time_avg",
@@ -541,10 +586,11 @@ SCENARIOS = {
         },
         replicates=30,
         rule=_l96_rule,
+        runs=_l96_rmse_runs,
     ),
     "l96-adaptive-aug": Scenario(
         "Deterministic Lorenz-96 with adaptive trimming and ensemble augmentation",
-        _l96_aug_replicate,
+        None,
         None,
         {
             "traces.csv": ["replicate", "filter", "dt_obs", "step", "time", "n_forecast",
@@ -560,7 +606,7 @@ SCENARIOS = {
         },
         replicates=10,
         rule=_l96_rule,
-        forked=True,
+        runs=_l96_aug_runs,
     ),
     "linear-gaussian-check": Scenario(
         "Scalar linear-Gaussian equivalence check against the exact Kalman filter",
@@ -606,7 +652,12 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     if cfg.replicates == 0:
         return ScenarioResult(files=[], replicate_failures=[])
     scenario = SCENARIOS[cfg.scenario]
-    tables, failures = _map_replicates(scenario.replicate, cfg, scenario.forked)
+    if scenario.runs is not None:
+        tables, failures = scenario.runs(cfg)
+    else:
+        reps = range(cfg.replicates)
+        parts = _map_units(partial(scenario.replicate, cfg), reps, cfg, forked=False)
+        tables, failures = _joined(reps, parts, {})
     if scenario.finish is not None:
         tables.update(scenario.finish(cfg, tables))
     files = [

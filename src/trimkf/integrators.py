@@ -52,16 +52,17 @@ helper never draws past the interval's last step and is joined before
 ``integrate`` returns or raises.
 
 A thread's share is set with ``share_cpus``.  The thread map
-``_map_shared``, which runs the scenarios' replicates and units and the
+``_map_shared``, which runs the scenarios' units (a replicate, or a
+Lorenz-96 truth or filter run), a replicate's independent updates and the
 oracle's block passes, gives each of its threads ``max(1, share //
 threads)``.  A thread never given a share may use every usable CPU, so
 library code that calls ``integrate`` from threads of its own calls
 ``share_cpus`` in each.  CPUs left over go unused:
 with 3 CPUs and 2 threads, neither thread ever starts a helper.  Asked to,
 the map runs its helpers' items in forked worker processes instead, each
-holding the same part of the share: the DP45 scenario's replicates and
-filter runs go there, as DP45 on small blocks does not run faster on
-threads (see ``_map_shared``).
+holding the same part of the share: the DP45 scenario's truths and filter
+runs go there, one CPU to a process, as DP45 on small blocks does not run
+faster on threads (see ``_map_shared``).
 """
 
 from __future__ import annotations

@@ -728,7 +728,7 @@ class TestSharedMap:
 
 class TestForkedMap:
     """``integrators._map_shared`` with ``forked``: the helpers are forked
-    worker processes, which the DP45 scenario's replicates and filter runs
+    worker processes, which the DP45 scenario's truths and filter runs
     use."""
 
     def test_items_run_once_each_in_worker_processes(self, tmp_path, monkeypatch):
@@ -784,10 +784,20 @@ class TestForkedMap:
         assert pids == [os.getpid()] * 4
 
 
+# Both Lorenz-96 scenarios at a size whose runs take a few tens of ms.
+_L96_DOCS = {
+    "l96-adaptive-aug": {"dt_obs": [0.4, 0.8], "t_f": 1.6, "n": 40, "target_ne": 20.0},
+    "l96-rmse-sweep": {"dt_obs": [0.3, 0.6], "t_f": 1.2, "n": [40, 60], "target_ne": 20.0},
+}
+
+
+def _l96_doc(scenario, out, threads, replicates):
+    return {"scenario": scenario, "seed": 3, "replicates": replicates, "threads": threads,
+            "out_dir": str(out), "params": dict(_L96_DOCS[scenario])}
+
+
 def _aug_doc(out, threads):
-    return {"scenario": "l96-adaptive-aug", "seed": 3, "replicates": 2,
-            "threads": threads, "out_dir": str(out),
-            "params": {"dt_obs": [0.4, 0.8], "t_f": 1.6, "n": 40, "target_ne": 20.0}}
+    return _l96_doc("l96-adaptive-aug", out, threads, replicates=2)
 
 
 def _use_cpus(monkeypatch, cpus):
@@ -795,10 +805,10 @@ def _use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(integrators, "usable_cpus", lambda: cpus)
 
 
-# (threads, usable CPUs): one replicate worker with a share of 2 forks a
-# worker for its filter runs, two fork a worker for the replicates, and one
-# with a share of 1 runs everything on the calling thread
-FORKED_LAYOUTS = [(1, 2), (2, 2), (1, 1)]
+# (threads, usable CPUs): the DP45 truths and runs go to threads * max(1,
+# CPUs // threads) processes, the caller among them: one process on one CPU
+# runs everything on the calling thread, the others fork 1 or 2 workers
+FORKED_LAYOUTS = [(1, 2), (2, 2), (1, 1), (3, 2), (1, 3)]
 
 
 def test_forked_dp45_runs_write_the_same_bytes(tmp_path, monkeypatch):
@@ -841,6 +851,133 @@ def test_forked_failures_read_as_in_process(tmp_path, monkeypatch):
     assert "IntegrationError: non-finite drift" in failures[0][0]
     assert all(f == failures[0] for f in failures)
     assert len(set(log.read_text().split())) > 1  # some failed in a worker
+
+
+def _replicate_of(rng) -> int:
+    """The replicate a scenario's keyed stream ``(seed, rep, ...)`` belongs to."""
+    return rng.bit_generator.seed_seq.entropy[1]
+
+
+@pytest.mark.parametrize("scenario", sorted(_L96_DOCS))
+def test_forked_and_threaded_unit_failures_read_the_same_on_every_layout(
+        tmp_path, monkeypatch, scenario):
+    # replicate 0's truth at its second dt_obs fails, and every EnKF and
+    # trimmed update of replicate 1 fails with its own message.  The trimmed
+    # runs start first, but a replicate reports its truth's failure, else its
+    # first failed run in (dt_obs, n, filter) order: here the first EnKF
+    # run.  The failed replicates write no rows; replicate 2 keeps its own.
+    clean = run_scenario(validate_config(_l96_doc(scenario, tmp_path / "clean", 1, 3)))
+    assert not clean.replicate_failures
+    running = threading.local()
+    truth, run = scenarios.simulate_truth, scenarios.run_assimilation
+    enkf, tenkf = filters.enkf_update, filters.tenkf_update
+
+    def failing_truth(problem, truth0, rng):
+        if _replicate_of(rng) == 0 and problem.dt_obs == _L96_DOCS[scenario]["dt_obs"][-1]:
+            raise RuntimeError(f"truth failed at dt_obs={problem.dt_obs}")
+        return truth(problem, truth0, rng)
+
+    def traced_run(problem, method, rng, *args):
+        running.rep = _replicate_of(rng)
+        return run(problem, method, rng, *args)
+
+    def failing(name, update):
+        def wrapper(joint, *args, **kwargs):
+            if running.rep == 1:
+                raise RuntimeError(f"{name} failed at n={joint.size}")
+            return update(joint, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(scenarios, "simulate_truth", failing_truth)
+    monkeypatch.setattr(scenarios, "run_assimilation", traced_run)
+    monkeypatch.setattr(filters, "enkf_update", failing("enkf", enkf))
+    monkeypatch.setattr(filters, "tenkf_update", failing("tenkf", tenkf))
+    dt0, dt1 = _L96_DOCS[scenario]["dt_obs"]
+    expected = [f"replicate 0: RuntimeError: truth failed at dt_obs={dt1}",
+                f"replicate 1: AssimilationError: assimilation step 1 (t={dt0}): "
+                "RuntimeError: enkf failed at n=40"]
+    outputs = []
+    for threads, cpus in [(1, 1), (1, 2), (2, 2), (3, 2)]:
+        _use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"{threads}-{cpus}"
+        result = run_scenario(validate_config(_l96_doc(scenario, out, threads, 3)))
+        assert_no_child_process()
+        assert result.replicate_failures == expected
+        outputs.append({f.name: f.read_bytes() for f in result.files})
+    assert all(out == outputs[0] for out in outputs)
+    for f in clean.files:
+        if f.name != "quantiles.csv":  # over the replicates left
+            rows = f.read_text().splitlines()
+            kept = [rows[0]] + [r for r in rows[1:] if r.startswith("2,")]
+            assert outputs[0][f.name].decode().splitlines() == kept
+            assert len(kept) > 1
+    assert_no_child_process()
+
+
+def test_forked_trimmed_runs_of_two_replicates_run_at_once(tmp_path, monkeypatch):
+    # threads: 1 on 2 CPUs is two unit processes: the trimmed runs, which
+    # start first, of replicates 0 and 1 must run at the same time (each
+    # waits for the other), so in different processes
+    _use_cpus(monkeypatch, 2)
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    both = multiprocessing.get_context("fork").Barrier(2, timeout=10)
+    run = scenarios.run_assimilation
+
+    def traced_run(problem, method, rng, *args):
+        if method.kind == "tenkf":
+            os.write(log, f"{_replicate_of(rng)} {os.getpid()}\n".encode())
+            both.wait()
+        return run(problem, method, rng, *args)
+
+    monkeypatch.setattr(scenarios, "run_assimilation", traced_run)
+    doc = _aug_doc(tmp_path / "out", threads=1)
+    doc["params"]["dt_obs"] = [0.8]  # one trimmed run a replicate
+    try:
+        result = run_scenario(validate_config(doc))
+    finally:
+        os.close(log)
+    assert not result.replicate_failures
+    lines = sorted(line.split() for line in (tmp_path / "log").read_text().splitlines())
+    assert [rep for rep, _ in lines] == ["0", "1"]
+    assert len({pid for _, pid in lines}) == 2
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("scenario", sorted(_L96_DOCS))
+@pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 1), (1, 2)])
+def test_forked_and_threaded_unit_workers(tmp_path, monkeypatch, scenario, cpus, threads):
+    # the DP45 runs go to threads * max(1, cpus // threads) processes with
+    # one CPU each, the Heun runs to `threads` threads with max(1, cpus //
+    # threads) each.  Every run waits for as many runs as there are workers,
+    # so each worker takes a run; two replicates have 8 or 16 runs.
+    _use_cpus(monkeypatch, cpus)
+    if scenario == "l96-adaptive-aug":
+        workers, share = threads * max(1, cpus // threads), 1
+    else:
+        workers, share = threads, max(1, cpus // threads)
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    together = multiprocessing.get_context("fork").Barrier(workers, timeout=10)
+    run = scenarios.run_assimilation
+
+    def traced_run(*args):
+        os.write(log, f"{os.getpid()} {threading.get_ident()} "
+                      f"{integrators.thread_cpus()}\n".encode())
+        together.wait()
+        return run(*args)
+
+    monkeypatch.setattr(scenarios, "run_assimilation", traced_run)
+    try:
+        result = run_scenario(validate_config(_l96_doc(scenario, tmp_path / "out", threads, 2)))
+    finally:
+        os.close(log)
+    assert not result.replicate_failures
+    lines = [line.split() for line in (tmp_path / "log").read_text().splitlines()]
+    assert len({(pid, ident) for pid, ident, _ in lines}) == workers
+    assert {int(cpus) for *_, cpus in lines} == {share}
+    if scenario == "l96-rmse-sweep":  # threads of this process
+        assert {int(pid) for pid, *_ in lines} == {os.getpid()}
+    assert_no_child_process()
 
 
 def test_metadata_records_peak_rss_of_process_and_workers(tmp_path, monkeypatch):
@@ -903,7 +1040,7 @@ def test_replicates_and_configs_pickle():
     # the registered functions pickle by reference and the validated config
     # by value, as a pool that does not fork its workers would send them
     for entry in SCENARIOS.values():
-        for fn in filter(None, (entry.replicate, entry.finish)):
+        for fn in filter(None, (entry.replicate, entry.runs, entry.finish)):
             assert pickle.loads(pickle.dumps(fn)) is fn
     for name in SCENARIOS:
         cfg = validate_config({"scenario": name, "seed": 3, "params": {}})
