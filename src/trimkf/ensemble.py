@@ -120,6 +120,9 @@ def cross_covariance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise EnsembleError(f"member counts differ: {n} vs {y.shape[1]}")
     if n < 2:
         raise EnsembleError("covariance estimation needs at least two members")
+    # ``y`` is centered into its own array even when it is ``x``: with one
+    # array on both sides, ``@`` takes BLAS's symmetric rank-k (syrk) path,
+    # whose sums differ from the general product's in the last bits.
     dx = x - x.mean(axis=1, keepdims=True)
     dy = y - y.mean(axis=1, keepdims=True)
     return dx @ dy.T / (n - 1)
@@ -174,14 +177,14 @@ def normalize_weights(w: np.ndarray) -> np.ndarray:
         raise EnsembleError(f"weights must be a non-empty 1-D array, got shape {w.shape}")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise EnsembleError("weights must be finite and non-negative")
-    w = np.where(w < _WEIGHT_FLOOR, 0.0, w)
+    w = np.where(w < _WEIGHT_FLOOR, 0.0, w)  # a new array: the rest is in place
     total = w.sum()
     if total <= 0:
         raise EnsembleError("weights sum to zero; cannot normalize")
-    w = w / total
+    w /= total
     # One more pass for strict normalization after rounding.
     if abs(w.sum() - 1.0) > _NORMALIZATION_TOL:
-        w = w / w.sum()
+        w /= w.sum()
     return w
 
 
@@ -199,12 +202,15 @@ def resample_indices(w: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     the same uniforms, but the uniforms are looked up in sorted order, which
     is cheaper for large ``size``.
     """
-    w = normalize_weights(w)
-    cdf = w.cumsum()
+    cdf = normalize_weights(w)  # a new array, so summed in place
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     u = rng.random(size)
     order = np.argsort(u)
-    idx = np.empty(u.shape, dtype=np.int64)
-    idx[order] = cdf.searchsorted(u[order], side="right")
+    u = u[order]
+    found = cdf.searchsorted(u, side="right")
+    # The sorted uniforms are read: their buffer takes the indices.
+    idx = u.view(np.int64)
+    idx[order] = found
     return idx
 

@@ -14,6 +14,7 @@ acceptance check failed.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 
@@ -78,11 +79,11 @@ def _load(args) -> ExperimentConfig:
 
 
 def _cmd_run(cfg: ExperimentConfig) -> int:
-    start = time.perf_counter()
+    start, children = time.perf_counter(), resource.getrusage(resource.RUSAGE_CHILDREN)
     try:
         result = run_scenario(cfg)
         write_metadata(cfg.out_dir, cfg, __version__, time.perf_counter() - start,
-                       result.replicate_failures, result.checks)
+                       result.replicate_failures, result.checks, children)
     except Exception as exc:
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -46,10 +46,9 @@ def write_table(path: Path, columns: list[str], rows: list[dict]) -> Path:
     return path
 
 
-def _peak_rss_mb(who: int) -> float:
-    """``ru_maxrss`` of ``who`` (``RUSAGE_SELF`` or ``RUSAGE_CHILDREN``) in
-    MiB; Linux reports it in KiB."""
-    return resource.getrusage(who).ru_maxrss / 1024.0
+def _peak_rss_mb(usage: resource.struct_rusage) -> float:
+    """``ru_maxrss`` of ``usage`` in MiB; Linux reports it in KiB."""
+    return usage.ru_maxrss / 1024.0
 
 
 def write_metadata(
@@ -59,15 +58,20 @@ def write_metadata(
     wall_clock_s: float,
     replicate_failures: list[str],
     checks: list[dict] | None = None,
+    children_at_start: resource.struct_rusage | None = None,
 ) -> Path:
     """Emit ``metadata.json``: resolved config, overrides, and run record.
 
     The record's ``peak_rss_mb`` holds the peak resident memory so far of
     this process (``process``) and of its largest child process waited for,
-    such as a forked worker (``workers``; 0 if there was none).
+    such as a forked worker (``workers``).  ``workers`` is 0 if no child
+    exited since ``children_at_start``, the ``RUSAGE_CHILDREN`` usage when
+    the run began: on Linux that usage is not 0 even at process start, as
+    it carries the launcher's children across its exec.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
     doc = {
         "config": config.as_document(),
         "overrides": list(config.overrides),
@@ -77,8 +81,8 @@ def write_metadata(
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "replicate_failures": list(replicate_failures),
             "peak_rss_mb": {
-                "process": _peak_rss_mb(resource.RUSAGE_SELF),
-                "workers": _peak_rss_mb(resource.RUSAGE_CHILDREN),
+                "process": _peak_rss_mb(resource.getrusage(resource.RUSAGE_SELF)),
+                "workers": 0.0 if children == children_at_start else _peak_rss_mb(children),
             },
         },
     }

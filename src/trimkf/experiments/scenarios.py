@@ -156,6 +156,7 @@ def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     members[1] = y0 + _L63_TAU * rng_fc.standard_normal(n)
     members[2] = _L63_X0[2] + _L63_SD0 * rng_fc.standard_normal(n)
     joint = forecast(Ensemble(members), dyn, meas, _HEUN, _L63_T1, rng_fc)
+    del members, truth  # the forecast and the measurement are all the updates need
 
     # Every update sees the same forecast and draws from its own keyed
     # stream, so the updates, then their summaries, run on the thread's CPU

@@ -181,7 +181,8 @@ def enkf_update(joint: JointEnsemble, y_star: np.ndarray) -> FilterState:
     """
     gain = kalman_gain(joint)
     y_star = np.asarray(y_star, dtype=float).reshape(-1, 1)
-    updated = joint.states.members + gain @ (y_star - joint.observations)
+    updated = gain @ (y_star - joint.observations)
+    updated += joint.states.members
     return FilterState(Ensemble(updated), n_e=float(joint.size), n_forecast=joint.size)
 
 
@@ -197,7 +198,8 @@ def trim_distance(y: np.ndarray, y_star: np.ndarray, scale: np.ndarray) -> np.nd
     with a warning.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    dev = np.abs(y - np.asarray(y_star, dtype=float).reshape(-1, 1))
+    dev = y - np.asarray(y_star, dtype=float).reshape(-1, 1)
+    np.abs(dev, out=dev)
     scale = np.asarray(scale, dtype=float)
     keep = scale > 0
     if not np.all(keep):
@@ -208,7 +210,9 @@ def trim_distance(y: np.ndarray, y_star: np.ndarray, scale: np.ndarray) -> np.nd
         )
         if not np.any(keep):
             return np.zeros(y.shape[1])
-    return (dev[keep] / scale[keep, None]).sum(axis=0)
+        dev, scale = dev[keep], scale[keep]
+    dev /= scale[:, None]
+    return dev.sum(axis=0)
 
 
 def trim_weights(d: np.ndarray, lam: float) -> np.ndarray:
@@ -222,9 +226,10 @@ def trim_weights(d: np.ndarray, lam: float) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise ValueError("distances must be non-negative")
-    logw = -d / lam
+    logw = -d
+    logw /= lam
     logw -= logw.max()
-    return normalize_weights(np.exp(logw))
+    return normalize_weights(np.exp(logw, out=logw))
 
 
 def adapt_lambda(d: np.ndarray, target_ne: float) -> tuple[float, np.ndarray, str | None]:
@@ -304,15 +309,25 @@ def tenkf_update(
         lam, w, flag = adapt_lambda(d, min(cfg.target_ne, joint.size))
     else:
         lam, w = cfg.lam, trim_weights(d, cfg.lam)
+    # Each full-size array is dropped once read: a replicate runs two updates
+    # at a time.
+    del d
+    n_e = effective_size(w)
 
     # Resample (state, observation) pairs together, then shift each pair.
     n_out = joint.size if posterior_size is None else int(posterior_size)
     idx = resample_indices(w, n_out, rng)
+    del w
     x, y = joint.states.members, joint.observations
-    updated = x[:, idx] + gain @ (y_star.reshape(-1, 1) - y[:, idx])
+    innov = y[:, idx]
+    np.subtract(y_star.reshape(-1, 1), innov, out=innov)
+    updated = gain @ innov  # one matmul: a split one would sum in another order
+    del innov
+    for row, x_row in zip(updated, x):
+        row += x_row[idx]
     return FilterState(
         Ensemble(updated),
-        n_e=effective_size(w),
+        n_e=n_e,
         n_forecast=joint.size,
         lambda_used=float(lam),
         distance_scale=scale,
@@ -386,10 +401,13 @@ def pf_update(
     peak = loglik.max()
     if not np.isfinite(peak):
         raise FilterError("filter degeneracy: all likelihoods vanished")
-    w = normalize_weights(np.exp(loglik - peak))
+    loglik -= peak
+    w = normalize_weights(np.exp(loglik, out=loglik))
+    del loglik  # dropped once read, as in tenkf_update
+    n_e = effective_size(w)
     idx = resample_indices(w, joint.size, rng)
-    posterior = Ensemble(joint.states.members[:, idx])
-    return FilterState(posterior, n_e=effective_size(w), n_forecast=joint.size)
+    del w
+    return FilterState(Ensemble(joint.states.members[:, idx]), n_e=n_e, n_forecast=joint.size)
 
 
 # ---------------------------------------------------------------------------

@@ -49,33 +49,35 @@ def time_avg_rmse(values: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _as_cdf(dist) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Canonicalize a distribution argument to (support, cdf, is_step).
+def _as_cdf(dist) -> tuple[np.ndarray, np.ndarray | None]:
+    """Canonicalize a distribution argument to (support, cdf).
 
-    Accepts a sample (flattened) or a :class:`DensityGrid`.  Step CDFs
-    (samples) jump at the support points; grid CDFs are piecewise linear.
+    Accepts a sample (flattened) or a :class:`DensityGrid`.  A sample's CDF
+    is a step that jumps by ``1/n`` at each sorted support point, so it is
+    not tabulated (``None``); a grid's CDF is piecewise linear.
     """
     if isinstance(dist, DensityGrid):
-        return dist.x, dist.cdf(), False
+        return dist.x, dist.cdf()
     samples = np.asarray(dist, dtype=float).ravel()
     if samples.size == 0:
         raise ValueError("empty sample")
     s = np.sort(samples)
     if np.isnan(s[-1]):  # NaN sorts last
         raise ValueError("sample holds NaN")
-    return s, np.arange(1, s.size + 1) / s.size, True
+    return s, None
 
 
-def _interp_cdf(x, support, cdf, is_step):
-    if is_step:
-        idx = np.searchsorted(support, x, side="right")
-        return np.where(idx > 0, cdf[np.minimum(idx, cdf.size) - 1], 0.0)
+def _interp_cdf(x, support, cdf):
+    if cdf is None:  # the count of sample points at or below x, over n
+        return np.searchsorted(support, x, side="right") / support.size
     return np.interp(x, support, cdf, left=0.0, right=1.0)
 
 
 def _sup_gap(points, a, b) -> float:
-    """The largest ``|F_a - F_b|`` over ``points``, for ``_as_cdf`` triples."""
-    return float(np.max(np.abs(_interp_cdf(points, *a) - _interp_cdf(points, *b))))
+    """The largest ``|F_a - F_b|`` over ``points``, for ``_as_cdf`` pairs."""
+    gap = _interp_cdf(points, *a)
+    gap -= _interp_cdf(points, *b)
+    return float(np.max(np.abs(gap, out=gap)))
 
 
 def ks_distance(a, b) -> float:
@@ -91,7 +93,7 @@ def ks_distance(a, b) -> float:
     # The sup over both supports is the larger of the sups over each: no
     # sorted union of the supports, nor a joined copy of them, is needed.
     d = max(_sup_gap(a[0], a, b), _sup_gap(b[0], a, b))
-    if a[2] and b[2]:
+    if a[1] is None and b[1] is None:
         # Both CDFs are steps that only move at support points, so the pair
         # just below a point is the pair at the support point below it, or
         # (0, 0) below them all: the left limits add no new difference.

@@ -1000,6 +1000,21 @@ def test_metadata_records_peak_rss_of_process_and_workers(tmp_path, monkeypatch)
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_metadata_records_no_workers_peak_without_a_worker(tmp_path):
+    # A child waited for before the run (as the launcher's are, carried
+    # across its exec) sets RUSAGE_CHILDREN's peak; a linear-Gaussian run
+    # forks no worker, so metadata.json reports 0 for the workers.
+    subprocess.run([sys.executable, "-c", "pass"], check=True)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {
+        "scenario": "linear-gaussian-check", "seed": 0, "out_dir": str(out),
+        "params": {"n": 100, "steps": 2},
+    })
+    assert main(["run", "--config", cfg]) == 0
+    peak = json.loads((out / "metadata.json").read_text())["run"]["peak_rss_mb"]
+    assert peak["process"] > 1.0 and peak["workers"] == 0.0
+
+
 def test_units_on_every_cpu_share_write_the_same_bytes(tmp_path, monkeypatch):
     # The L63 updates and summaries and the linear-Gaussian filter runs go
     # through the shared map with the replicate's CPU share; at n=4000
@@ -1049,19 +1064,24 @@ def test_replicates_and_configs_pickle():
     assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
-@pytest.mark.parametrize("name, bound_mib", [("bimodal-oracle-check", 16), ("l63-limit-dist", 30)])
+@pytest.mark.parametrize("name, bound_mib", [("bimodal-oracle-check", 16), ("l63-limit-dist", 20),
+                                             ("linear-gaussian-check", 17)])
 def test_replicate_traced_peak(name, bound_mib):
     # At their defaults the bimodal check kept a 32 MiB table of shifted
     # conditionals beside its 32 MiB joint (74.9 MiB), then the joint alone
     # (41.9 MiB); the L63 check kept each whole (3, n) posterior alive for
-    # one row of it (34.9 MiB).
+    # one row of it (34.9 MiB), then each update's full-size temporaries,
+    # two updates at a time (25.9 MiB), as did the linear-Gaussian check
+    # (19.9 MiB).  A share of 2 runs two updates at once on any runner.
     cfg = validate_config({"scenario": name, "seed": 0, "params": {}})
+    old = integrators.share_cpus(2)
     tracemalloc.start()
     try:
         SCENARIOS[name].replicate(cfg, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        integrators.share_cpus(old)
     assert peak <= bound_mib * 2**20
 
 

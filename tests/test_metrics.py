@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from trimkf.ensemble import Ensemble
 from trimkf.metrics import (
-    _as_cdf,
-    _interp_cdf,
     ensemble_mean_rmse,
     ensemble_rmse,
     ks_distance,
@@ -122,19 +120,28 @@ class TestKsDistance:
         assert ks_distance(a, b) == pytest.approx(ks_2samp(a, b).statistic, abs=1e-12)
 
 
+def _ref_support_and_cdf(dist):
+    """The support of ``dist`` and its CDF as a function; a sample's step
+    CDF is read from a table of ``k / n``, as ``ks_distance`` once did."""
+    if isinstance(dist, DensityGrid):
+        return dist.x, lambda x: np.interp(x, dist.x, dist.cdf(), left=0.0, right=1.0)
+    s = np.sort(np.asarray(dist, dtype=float).ravel())
+    table = np.arange(1, s.size + 1) / s.size
+
+    def cdf(x):
+        idx = np.searchsorted(s, x, side="right")
+        return np.where(idx > 0, table[np.minimum(idx, table.size) - 1], 0.0)
+
+    return s, cdf
+
+
 def _ref_ks_two_pass(a, b):
     """Frozen copy of ``ks_distance`` evaluating every pair both at and
     just below each union point, whatever the argument types."""
-    xa, ca, step_a = _as_cdf(a)
-    xb, cb, step_b = _as_cdf(b)
+    (xa, fa), (xb, fb) = _ref_support_and_cdf(a), _ref_support_and_cdf(b)
     points = np.union1d(xa, xb)
-    fa = _interp_cdf(points, xa, ca, step_a)
-    fb = _interp_cdf(points, xb, cb, step_b)
-    d = float(np.max(np.abs(fa - fb)))
     left = points - np.spacing(np.abs(points) + 1.0)
-    fa_left = _interp_cdf(left, xa, ca, step_a)
-    fb_left = _interp_cdf(left, xb, cb, step_b)
-    return max(d, float(np.max(np.abs(fa_left - fb_left))))
+    return max(float(np.max(np.abs(fa(x) - fb(x)))) for x in (points, left))
 
 
 def _nudged(base, k):
