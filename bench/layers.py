@@ -13,11 +13,6 @@ y-marginal), and the scenario's own path on it: that build, the Bayes
 posterior and the nine limit densities of ``bimodal-oracle-check`` in one
 ``limit_pdfs`` call (the last entry uses the marginal's scale in place of
 the sample's), with the ``tracemalloc`` peak of one extra untimed run.
-Beside it, the same nine limits on the table form: the joint's table is
-built once before timing, and a fresh ``JointGrid`` over it is made inside
-the timed call, so its y-marginal is not cached yet; the ``tracemalloc``
-peak is that of one extra untimed call on a joint made before tracing
-starts.
 The oracle layers run on every usable CPU, as the scenario does on a
 one-replicate run.  Then the Lorenz-63
 drift, one stochastic-Heun step (a one-step ``integrate`` call) and one
@@ -74,7 +69,7 @@ from trimkf.models import (
     observe,
     select_observer,
 )
-from trimkf.oracle import JointGrid, bayes_posterior, bimodal_toy, limit_pdfs
+from trimkf.oracle import bayes_posterior, bimodal_toy, limit_pdfs
 
 DIM = 36
 
@@ -219,14 +214,6 @@ def main() -> None:
 
     layers["bimodal_path_2048"] = _measure(bimodal_path, args.repeats)
     layers["bimodal_path_2048"]["traced_peak_mib"] = _traced_peak(bimodal_path)
-    table = j.pdf  # built on every read of a product-form joint
-    layers["limit_pdfs_9_2048"] = _measure(
-        lambda: limit_pdfs(JointGrid(j.x, j.y, table), gain, y_star, trims), args.repeats
-    )
-    fresh = JointGrid(j.x, j.y, table)
-    layers["limit_pdfs_9_2048"]["traced_peak_mib"] = _traced_peak(
-        lambda: limit_pdfs(fresh, gain, y_star, trims))
-    del table, fresh
 
     p63 = Lorenz63Params(sigma=0.01)
     x = np.array([[1.5], [-1.5], [25.0]]) + rng.standard_normal((3, 100_000))

@@ -55,12 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--replicates", type=int, help="override replicate count")
     run_p.add_argument(
         "--threads", type=int,
-        help="workers (0 = one per usable CPU) for the replicates, or for the Lorenz-96 "
-             "truths and filter runs of all replicates: threads, each with a CPU share "
-             "that draws Heun noise ahead and runs a replicate's independent updates and "
-             "the oracle's block passes; l96-adaptive-aug's go to THREADS x max(1, "
-             "CPUs // THREADS) processes, the caller and forked workers, one CPU each; "
-             "the results are the same",
+        help="every stage's units run on THREADS x max(1, CPUs // THREADS) workers "
+             "(0 = one per usable CPU), the caller among them, each with an equal CPU "
+             "share; l96-adaptive-aug's workers are forked processes; the results are "
+             "the same",
     )
 
     val_p = sub.add_parser("validate", help="validate a config file and echo the resolved values")

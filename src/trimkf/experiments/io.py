@@ -46,7 +46,7 @@ def write_table(path: Path, columns: list[str], rows: list[dict]) -> Path:
     return path
 
 
-def _peak_rss_mb(usage: resource.struct_rusage) -> float:
+def _peak_rss_mib(usage: resource.struct_rusage) -> float:
     """``ru_maxrss`` of ``usage`` in MiB; Linux reports it in KiB."""
     return usage.ru_maxrss / 1024.0
 
@@ -62,7 +62,7 @@ def write_metadata(
 ) -> Path:
     """Emit ``metadata.json``: resolved config, overrides, and run record.
 
-    The record's ``peak_rss_mb`` holds the peak resident memory so far of
+    The record's ``peak_rss_mib`` holds the peak resident memory so far of
     this process (``process``) and of its largest child process waited for,
     such as a forked worker (``workers``).  ``workers`` is 0 if no child
     exited since ``children_at_start``, the ``RUSAGE_CHILDREN`` usage when
@@ -80,9 +80,9 @@ def write_metadata(
             "wall_clock_s": wall_clock_s,
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "replicate_failures": list(replicate_failures),
-            "peak_rss_mb": {
-                "process": _peak_rss_mb(resource.getrusage(resource.RUSAGE_SELF)),
-                "workers": 0.0 if children == children_at_start else _peak_rss_mb(children),
+            "peak_rss_mib": {
+                "process": _peak_rss_mib(resource.getrusage(resource.RUSAGE_SELF)),
+                "workers": 0.0 if children == children_at_start else _peak_rss_mib(children),
             },
         },
     }

@@ -2,19 +2,16 @@
 
 Replicate ``m`` always derives its streams from ``(seed, m, ...)`` key
 material, so results are independent of worker scheduling and of which
-other replicates run.  Every scenario's work goes through one unit map,
-``_map_units``, on the ``threads`` workers of ``integrators._map_shared``:
-a replicate is one unit, except in the two Lorenz-96 scenarios, which map
-the truths of every replicate and then every ``(replicate, dt_obs, n,
-filter)`` run, so that no worker idles behind one replicate's longest run.
-The workers are threads, except for ``l96-adaptive-aug``, whose DP45
-forecasts run in forked worker processes.
+other replicates run.  Every scenario declares its work as a few stages of
+keyed units (see ``Scenario``), and ``run_scenario`` maps each stage once
+through ``_map_units``, on the workers of ``integrators._map_shared``:
+threads, except for ``l96-adaptive-aug``, whose DP45 forecasts run in
+forked worker processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -74,55 +71,49 @@ class ScenarioResult:
     checks: list[dict] | None = None
 
 
-def _map_units(fn, units, cfg: ExperimentConfig, forked: bool) -> list:
-    """``[fn(unit) for unit in units]``, where a unit that raises gives
-    ``"Type: message"`` and the other units keep running.
-
-    The units run on ``cfg.threads`` threads (0: one per usable CPU), the
-    calling one among them, each with ``max(1, cpus // threads)`` CPUs.
-    With ``forked`` each thread's CPUs become as many processes, the caller
-    and workers forked from it, ``threads * max(1, cpus // threads)`` in
-    all, each with one CPU: so ``threads: 1`` uses every usable CPU.
-    """
+def _map_units(stage, units: list, cfg: ExperimentConfig, workers: int, forked: bool) -> list:
+    """``[stage(cfg, key, value) for key, value in units]`` on ``workers``
+    threads (with ``forked``, processes), the calling one among them, where
+    a unit that raises gives ``"Type: message"`` and the other units keep
+    running."""
 
     def attempt(unit):
         try:
-            return fn(unit)
+            return stage(cfg, *unit)
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    cpus = usable_cpus()
-    workers = cfg.threads or cpus
-    if forked:
-        workers *= max(1, cpus // workers)
     return _map_shared(attempt, units, workers, forked)
 
 
-def _first_failures(reps, outcomes, failed: dict) -> dict:
-    """``failed`` (``{rep: message}``) with the first failed outcome of each
-    replicate not in it yet; ``reps`` gives each outcome's replicate."""
-    for rep, out in zip(reps, outcomes):
-        if isinstance(out, str):
-            failed.setdefault(rep, f"replicate {rep}: {out}")
-    return failed
+def _run_stages(scenario: "Scenario", cfg: ExperimentConfig, reps, workers: int,
+                tables: dict, failed: dict) -> None:
+    """Map replicates ``reps`` through every stage of ``scenario``, adding
+    their rows to ``tables`` in key order and their failures to ``failed``
+    (``{rep: message}``).
 
-
-def _joined(reps, parts, failed: dict) -> tuple[dict, list[str]]:
-    """The row tables of ``parts`` joined in order, leaving out every
-    replicate that failed before (``failed``) or in ``parts``, and each
-    failed replicate's first failure, in replicate order."""
-    _first_failures(reps, parts, failed)
-    tables = _join(part for rep, part in zip(reps, parts) if rep not in failed)
-    return tables, [failed[rep] for rep in sorted(failed)]
-
-
-def _join(parts) -> dict:
-    """The row tables ``{file: rows}`` of ``parts``, each joined in order."""
-    tables: dict[str, list[dict]] = {}
+    Stage ``i`` maps the units the stage before listed (the first maps one
+    ``(rep,)`` unit per replicate, with the value None), all in one map.  A
+    stage's units start rank by rank: every parent's first listed child,
+    then every parent's second, each rank in parent key order, so a parent
+    that lists its longest units first has them started first across all
+    replicates.  A replicate reports its first failed unit, in stage and
+    then key order, and runs no later stage.
+    """
+    units = [((rep,), None) for rep in reps]
+    for i, stage in enumerate(scenario.stages):
+        outs = dict(zip([key for key, _ in units],
+                        _map_units(stage, units, cfg, workers, scenario.forked)))
+        for key in sorted(outs):
+            if isinstance(outs[key], str):
+                failed.setdefault(key[0], f"replicate {key[0]}: {outs[key]}")
+        parts = [outs[key] for key in sorted(outs) if key[0] not in failed]
+        if i + 1 < len(scenario.stages):
+            listed = [(rank, unit) for part in parts for rank, unit in enumerate(part.items())]
+            units = [unit for _, unit in sorted(listed, key=lambda ranked: ranked[0])]
     for part in parts:
         for name, rows in part.items():
             tables.setdefault(name, []).extend(rows)
-    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +127,35 @@ def _join(parts) -> dict:
 _L63_MODEL = Lorenz63Params(sigma=0.01)
 _HEUN = IntegratorConfig(scheme="stochastic-heun", dt=0.01)
 _L63_T1, _L63_X0, _L63_SD0, _L63_TAU = 1.0, (1.5, 1.5, 25.0), 0.1, 0.2
+_L63_MEAS = select_observer(3, [1], noise_std=_L63_TAU)
 
 
-def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
-    p = cfg.params
+def _l63_updates(p: dict) -> list[tuple]:
+    """The ``(filter, lam)`` of each update, in output order: the PF
+    reference, the EnKF, then the trimmed filter's lambda sweep."""
+    return [("pf", None), ("enkf", None)] + [("tenkf", lam) for lam in p["lambdas"]]
+
+
+class _L63Posteriors(NamedTuple):
+    """One replicate's posterior samples of the observed component, a row
+    per update, and each row's ``(min, max)``, which its update sets."""
+
+    rows: list[np.ndarray]
+    extrema: list
+
+
+def _l63_forecast(cfg: ExperimentConfig, key: tuple, _) -> dict:
+    """Replicate ``rep``'s truth and forecast; every update sees the same
+    forecast and draws from its own keyed stream."""
+    (rep,) = key
+    n = int(cfg.params["n"])
     dyn = lorenz63_model(_L63_MODEL)
-    meas = select_observer(3, [1], noise_std=_L63_TAU)
-    n = int(p["n"])
 
     rng_t = _rng(cfg.seed, rep, _STREAM_TRUTH)
     truth0 = np.array([x + _L63_SD0 * rng_t.standard_normal() for x in _L63_X0])
     # One observation interval: the measurement at t1 is the one assimilated.
-    truth = simulate_truth(AssimilationProblem(dyn, meas, _HEUN, _L63_T1, _L63_T1), truth0, rng_t)
+    truth = simulate_truth(
+        AssimilationProblem(dyn, _L63_MEAS, _HEUN, _L63_T1, _L63_T1), truth0, rng_t)
     y0, y_star = truth.y0[0], truth.observations[:, 0]
 
     rng_fc = _rng(cfg.seed, rep, _STREAM_FILTER["enkf"])
@@ -155,45 +163,46 @@ def _l63_replicate(cfg: ExperimentConfig, rep: int) -> dict:
     members[0] = _L63_X0[0] + _L63_SD0 * rng_fc.standard_normal(n)
     members[1] = y0 + _L63_TAU * rng_fc.standard_normal(n)
     members[2] = _L63_X0[2] + _L63_SD0 * rng_fc.standard_normal(n)
-    joint = forecast(Ensemble(members), dyn, meas, _HEUN, _L63_T1, rng_fc)
+    joint = forecast(Ensemble(members), dyn, _L63_MEAS, _HEUN, _L63_T1, rng_fc)
     del members, truth  # the forecast and the measurement are all the updates need
+    # Each update copies its posterior row into an array made here, before
+    # any update runs: copies made between the updates' temporaries kept
+    # 13-16 MB of freed heap resident, not 4-11.
+    size = len(_l63_updates(cfg.params))
+    posteriors = _L63Posteriors([np.empty(n) for _ in range(size)], [None] * size)
+    return {(rep, i): (joint, y_star, posteriors) for i in range(size)}
 
-    # Every update sees the same forecast and draws from its own keyed
-    # stream, so the updates, then their summaries, run on the thread's CPU
-    # share.  Output order is fixed: the PF reference, the EnKF, then the
-    # trimmed filter's lambda sweep.  Each update copies one posterior row
-    # into an array made before any update runs: copies made between the
-    # updates' temporaries kept 13-16 MB of freed heap resident, not 4-11.
-    runs = [(name, lam) for name, lams in (("pf", [None]), ("enkf", [None]),
-                                           ("tenkf", p["lambdas"])) for lam in lams]
-    posteriors = [np.empty(n) for _ in runs]
 
-    def update(i):
-        name, lam = runs[i]
-        key = [cfg.seed, rep, _STREAM_FILTER[name]] + ([] if lam is None else [stream_key(lam)])
-        trim = None if lam is None else TrimConfig(lam=lam)
-        state = FilterMethod(name, trim=trim).update(joint, y_star, meas, _rng(*key))
-        posteriors[i][:] = state.posterior.members[1]
+def _l63_update(cfg: ExperimentConfig, key: tuple, value: tuple) -> dict:
+    rep, i = key
+    joint, y_star, posteriors = value
+    name, lam = _l63_updates(cfg.params)[i]
+    stream = [cfg.seed, rep, _STREAM_FILTER[name]] + ([] if lam is None else [stream_key(lam)])
+    trim = None if lam is None else TrimConfig(lam=lam)
+    state = FilterMethod(name, trim=trim).update(joint, y_star, _L63_MEAS, _rng(*stream))
+    row = posteriors.rows[i]
+    row[:] = state.posterior.members[1]
+    posteriors.extrema[i] = row.min(), row.max()
+    return {key: posteriors}
 
-    _map_shared(update, range(len(runs)))
 
-    # One shared binning per replicate so histograms are comparable.
-    lo, hi = min(s.min() for s in posteriors), max(s.max() for s in posteriors)
+def _l63_summary(cfg: ExperimentConfig, key: tuple, posteriors: _L63Posteriors) -> dict:
+    """One update's bin masses, on one binning shared by the replicate's
+    updates so that histograms are comparable, and its KS distance to the
+    PF's posterior."""
+    rep, i = key
+    p = cfg.params
+    name, lam = _l63_updates(p)[i]
+    lo, hi = min(a for a, _ in posteriors.extrema), max(b for _, b in posteriors.extrema)
     pad = 0.05 * (hi - lo if hi > lo else 1.0)
     edges = np.linspace(lo - pad, hi + pad, int(p["bins"]) + 1)
-
-    def summarize(i):  # bin masses, and the KS distance to the PF's posterior
-        masses = np.histogram(posteriors[i], bins=edges)[0] / n
-        return masses, (ks_distance(posteriors[i], posteriors[0]) if i else None)
-
-    hist_rows, ks_rows = [], []
-    summaries = _map_shared(summarize, range(len(runs)))
-    for (name, lam), (masses, ks) in zip(runs, summaries):
-        hist_rows += [{"replicate": rep, "filter": name, "lam": lam, "bin_lo": float(a),
-                       "bin_hi": float(b), "mass": float(m)}
-                      for a, b, m in zip(edges[:-1], edges[1:], masses)]
-        if ks is not None:
-            ks_rows.append({"replicate": rep, "filter": name, "lam": lam, "ks_to_pf": ks})
+    row = posteriors.rows[i]
+    masses = np.histogram(row, bins=edges)[0] / int(p["n"])
+    hist_rows = [{"replicate": rep, "filter": name, "lam": lam, "bin_lo": float(a),
+                  "bin_hi": float(b), "mass": float(m)}
+                 for a, b, m in zip(edges[:-1], edges[1:], masses)]
+    ks_rows = [{"replicate": rep, "filter": name, "lam": lam,
+                "ks_to_pf": ks_distance(row, posteriors.rows[0])}] if i else []
     return {"histograms.csv": hist_rows, "ks.csv": ks_rows}
 
 
@@ -213,74 +222,64 @@ _L96_TAU, _L96_D_MAX, _L96_SIGMA_P = 0.05, 3.0, 0.4
 _L96_MU0, _L96_MU1, _L96_SIGMA0 = 1.0, 0.1, 0.01
 _L96_SDE, _L96_ODE = Lorenz96Params(sigma=0.01), Lorenz96Params(sigma=0.0)
 _DP45 = IntegratorConfig(scheme="rk45-adaptive", dt=0.01, rtol=1e-6, atol=1e-9)
+_L96_OBS = np.arange(0, _L96_N, 2)
 
 
-def _l96_runs(cfg: ExperimentConfig, forked: bool, sizes: list[int], model: Lorenz96Params,
-              icfg: IntegratorConfig, augment: bool, rows) -> tuple[dict, list[str]]:
-    """The row tables ``rows(rep, dt_obs, n, filter, run)`` of every filter
-    run of every replicate, joined in (rep, dt_obs, n, filter) order, and
-    the replicate failures.  The trimmed filter also augments when
-    ``augment`` is set.
+def _l96_sizes(p: dict) -> list:
+    """The ensemble sizes: ``l96-rmse-sweep`` takes a list, ``l96-adaptive-aug`` one size."""
+    return p["n"] if isinstance(p["n"], list) else [p["n"]]
 
-    Replicate ``rep``'s truth at one ``dt_obs`` starts at ``mu0 + mu1 z +
-    sigma0 e`` with one shared scalar ``z``, and all its runs at that
-    ``dt_obs`` share it.  Each run's members share the truth's ``mu0 + mu1
-    z`` in the unobserved components and scatter with noise ``tau`` around
-    the truth's time-zero measurement in the observed ones.
 
-    The truths of all replicates go through the unit map first (the
-    problems hold the model's drift, a closure that does not pickle, so
-    the caller keeps them).  Then every run of every replicate whose truths
-    all succeeded goes through it in one map, the trimmed runs first: a
-    trimmed DP45 run, which augments, carries about 3/4 of its replicate's
-    work.  A replicate reports its first failed truth, else its first
-    failed run in (dt_obs, n, filter) order, and writes no rows.
+def _l96_problem(cfg: ExperimentConfig, dt_obs: float) -> AssimilationProblem:
+    model, icfg = _L96_SETTINGS[cfg.scenario][:2]
+    meas = select_observer(_L96_N, _L96_OBS, noise_std=_L96_TAU)
+    return AssimilationProblem(lorenz96_model(model), meas, icfg, dt_obs, cfg.params["t_f"])
+
+
+def _l96_truths(cfg: ExperimentConfig, key: tuple, _) -> dict:
+    """Replicate ``rep``'s truth at each ``dt_obs``, with the base of its
+    members, for each of its runs.
+
+    The truth at one ``dt_obs`` starts at ``mu0 + mu1 z + sigma0 e`` with
+    one shared scalar ``z``, and all its runs share it.  The runs are keyed
+    ``(rep, dt_obs, n, filter)`` by index into their parameter lists and
+    ``_L96_FILTERS``, and listed longest first: larger ``n``, then the
+    trimmed run (which, in ``l96-adaptive-aug``, carries about 3/4 of its
+    replicate's work) before the EnKF run.
     """
+    (rep,) = key
     p = cfg.params
-    dim = _L96_N
-    obs_idx = np.arange(0, dim, 2)
-    dyn = lorenz96_model(model)
-    meas = select_observer(dim, obs_idx, noise_std=_L96_TAU)
-    trim = TrimConfig(target_ne=p["target_ne"])
-    aug = None
-    if augment:
-        aug = AugmentConfig(d_max=_L96_D_MAX, r_max=p["r_max"], sigma_p=_L96_SIGMA_P)
-    methods = {
-        name: FilterMethod(name, trim=trim, augment=aug if name == "tenkf" else None)
-        for name in _L96_FILTERS
-    }
-    problems = {dt_obs: AssimilationProblem(dyn, meas, icfg, dt_obs, p["t_f"])
-                for dt_obs in p["dt_obs"]}
-
-    def simulate(key):  # the base of (rep, dt_obs)'s members, and its truth
-        rep, dt_obs = key
+    truths = []
+    for dt_obs in p["dt_obs"]:
         rng_t = _rng(cfg.seed, rep, _STREAM_TRUTH, stream_key(dt_obs))
         base = _L96_MU0 + _L96_MU1 * rng_t.standard_normal()
-        return base, simulate_truth(problems[dt_obs],
-                                    base + _L96_SIGMA0 * rng_t.standard_normal(dim), rng_t)
+        truths.append((base, simulate_truth(_l96_problem(cfg, dt_obs),
+                                            base + _L96_SIGMA0 * rng_t.standard_normal(_L96_N),
+                                            rng_t)))
+    sizes = _l96_sizes(p)
+    by_cost = sorted(range(len(sizes)), key=lambda k: -sizes[k])
+    return {(rep, j, k, f): truth for k in by_cost for f in (1, 0)  # tenkf, then enkf
+            for j, truth in enumerate(truths)}
 
-    keys = [(rep, dt_obs) for rep in range(cfg.replicates) for dt_obs in p["dt_obs"]]
-    simulated = _map_units(simulate, keys, cfg, forked)
-    failed = _first_failures([rep for rep, _ in keys], simulated, {})
-    truths = dict(zip(keys, simulated))
 
-    def run(unit):
-        rep, dt_obs, n, name = unit
-        base, truth = truths[rep, dt_obs]
-        rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name], n, stream_key(dt_obs))
-        members = base + _L96_SIGMA0 * rng_f.standard_normal((dim, n))
-        members[obs_idx] = truth.y0[:, None] + _L96_TAU * rng_f.standard_normal(
-            (obs_idx.size, n)
-        )
-        return rows(rep, dt_obs, n, name, run_assimilation(
-            problems[dt_obs], methods[name], rng_f, truth, Ensemble(members)))
-
-    units = [(rep, dt_obs, n, name) for rep, dt_obs in keys if rep not in failed
-             for n in sizes for name in _L96_FILTERS]
-    order = sorted(range(len(units)), key=lambda i: units[i][-1] != "tenkf")
-    parts = _map_units(run, [units[i] for i in order], cfg, forked)
-    parts = [part for _, part in sorted(zip(order, parts))]
-    return _joined([rep for rep, *_ in units], parts, failed)
+def _l96_run(cfg: ExperimentConfig, key: tuple, value: tuple) -> dict:
+    """One filter run's rows.  Its members share the truth's ``mu0 + mu1 z``
+    in the unobserved components and scatter with noise ``tau`` around the
+    truth's time-zero measurement in the observed ones.  The trimmed filter
+    also augments, unless ``augment`` is set false."""
+    rep, j, k, f = key
+    base, truth = value
+    p = cfg.params
+    dt_obs, n, name = p["dt_obs"][j], _l96_sizes(p)[k], _L96_FILTERS[f]
+    aug = None
+    if name == "tenkf" and p.get("augment", True):
+        aug = AugmentConfig(d_max=_L96_D_MAX, r_max=p["r_max"], sigma_p=_L96_SIGMA_P)
+    method = FilterMethod(name, trim=TrimConfig(target_ne=p["target_ne"]), augment=aug)
+    rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name], n, stream_key(dt_obs))
+    members = base + _L96_SIGMA0 * rng_f.standard_normal((_L96_N, n))
+    members[_L96_OBS] = truth.y0[:, None] + _L96_TAU * rng_f.standard_normal((_L96_OBS.size, n))
+    run = run_assimilation(_l96_problem(cfg, dt_obs), method, rng_f, truth, Ensemble(members))
+    return _L96_SETTINGS[cfg.scenario][2](rep, dt_obs, n, name, run)
 
 
 def _l96_rmse_rows(rep: int, dt_obs: float, n: int, name: str, run) -> dict:
@@ -291,11 +290,6 @@ def _l96_rmse_rows(rep: int, dt_obs: float, n: int, name: str, run) -> dict:
         "series.csv": [{**key, "step": k + 1, "time": float(t), "rmse": float(run.rmse[k])}
                        for k, t in enumerate(run.truth.times[1:])],
     }
-
-
-def _l96_rmse_runs(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
-    p = cfg.params
-    return _l96_runs(cfg, False, p["n"], _L96_SDE, _HEUN, p["augment"], _l96_rmse_rows)
 
 
 def _l96_rmse_quantiles(cfg: ExperimentConfig, tables: dict) -> dict:
@@ -340,11 +334,13 @@ def _l96_aug_rows(rep: int, dt_obs: float, n: int, name: str, run) -> dict:
     return {"traces.csv": traces, "augmentation.csv": [summary]}
 
 
-def _l96_aug_runs(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
-    """DP45 on small blocks is about 100 short ufunc calls per attempt, which
-    do not run faster on threads: the truths and runs go to forked workers."""
-    n = int(cfg.params["n"])
-    return _l96_runs(cfg, True, [n], _L96_ODE, _DP45, True, _l96_aug_rows)
+# Each Lorenz-96 scenario's model, integrator and rows of one run.  DP45 on
+# small blocks is about 100 short ufunc calls per attempt, which do not run
+# faster on threads: l96-adaptive-aug's units go to forked workers.
+_L96_SETTINGS = {
+    "l96-rmse-sweep": (_L96_SDE, _HEUN, _l96_rmse_rows),
+    "l96-adaptive-aug": (_L96_ODE, _DP45, _l96_aug_rows),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -378,60 +374,63 @@ def _z(deviation: float, se: float) -> float:
     return deviation / se if se else (np.inf if deviation else 0.0)
 
 
-def _lingauss_replicate(cfg: ExperimentConfig, rep: int) -> dict:
+def _lingauss_reference(cfg: ExperimentConfig, key: tuple, _) -> dict:
+    """Replicate ``rep``'s truth and exact Kalman filter, for each of its
+    three filter runs: each draws from its own keyed stream."""
+    (rep,) = key
     p = cfg.params
     A, Q, H, R = (np.array([[p[k]]]) for k in ("A", "Q", "H", "R"))
-    dyn, meas = linear_gaussian_model(A, Q, H, R)
-    problem = AssimilationProblem(dyn, meas, IntegratorConfig(), 1.0, float(p["steps"]))
-    n = int(p["n"])
-    prior_sd = float(np.sqrt(_LG_PRIOR_VAR))
-    trim = TrimConfig(target_ne=max(2.0, _LG_TARGET_NE_FRACTION * n))
-
+    problem = AssimilationProblem(*linear_gaussian_model(A, Q, H, R), IntegratorConfig(), 1.0,
+                                  float(p["steps"]))
     rng_t = _rng(cfg.seed, rep, _STREAM_TRUTH)
-    truth0 = np.array([_LG_PRIOR_MEAN + prior_sd * rng_t.standard_normal()])
+    truth0 = np.array([_LG_PRIOR_MEAN + np.sqrt(_LG_PRIOR_VAR) * rng_t.standard_normal()])
     truth = simulate_truth(problem, truth0, rng_t)  # its y0 draw is unused here
     means, covs = kalman_filter_sequence(
         A, Q, H, R,
         np.array([_LG_PRIOR_MEAN]), np.array([[_LG_PRIOR_VAR]]),
         list(truth.observations.T),
     )
+    return {(rep, i): (problem, truth, means, covs) for i in range(len(_LG_FILTERS))}
 
-    def run(name):
-        """The comparison and check rows of one filter's run."""
-        rows, checks = [], []
-        rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name])
-        initial = Ensemble(_LG_PRIOR_MEAN + prior_sd * rng_f.standard_normal((1, n)))
-        steps = assimilate(problem, FilterMethod(name, trim=trim), rng_f, truth, initial)
-        for k, joint, state in steps:
-            y_star = truth.observations[:, k]
-            sample = state.posterior.members[0]
-            n_e = state.n_e
-            est_mean = float(sample.mean())
-            est_var = float(sample.var(ddof=1))
-            exact_mean = float(means[k][0])
-            exact_var = float(covs[k][0, 0])
-            se_mean_sq = est_var / n_e
-            if name != "pf":  # the Kalman-type updates carry a sampled gain
-                se_mean_sq += _gain_noise_term(joint, y_star[0])
-            del joint  # not held through the next step's update (n=1e5)
-            se_mean = float(np.sqrt(se_mean_sq))
-            se_var = float(est_var * np.sqrt(2.0 / max(n_e - 1.0, 1.0)))
-            ok = (
-                abs(est_mean - exact_mean) <= p["se_factor"] * se_mean
-                and abs(est_var - exact_var) <= p["se_factor"] * se_var
-            )
-            rows.append({"replicate": rep, "filter": name, "step": k + 1,
-                         "mean_est": est_mean, "var_est": est_var, "mean_exact": exact_mean,
-                         "var_exact": exact_var, "se_mean": se_mean, "se_var": se_var,
-                         "ok": bool(ok)})
-            # one check per row: the larger of its two z-scores
-            z = max(_z(abs(est_mean - exact_mean), se_mean), _z(abs(est_var - exact_var), se_var))
-            checks.append({"check": f"{name}-step{k + 1}-rep{rep}", "value": z,
-                           "tolerance": p["se_factor"], "ok": bool(ok)})
-        return {"comparison.csv": rows, "checks.csv": checks}
 
-    # Each filter draws from its own keyed stream, so the runs share the thread's CPUs.
-    return _join(_map_shared(run, _LG_FILTERS))
+def _lingauss_run(cfg: ExperimentConfig, key: tuple, value: tuple) -> dict:
+    """The comparison and check rows of one filter's run."""
+    rep, i = key
+    problem, truth, means, covs = value
+    p = cfg.params
+    name, n = _LG_FILTERS[i], int(p["n"])
+    trim = TrimConfig(target_ne=max(2.0, _LG_TARGET_NE_FRACTION * n))
+    rows, checks = [], []
+    rng_f = _rng(cfg.seed, rep, _STREAM_FILTER[name])
+    initial = Ensemble(_LG_PRIOR_MEAN + np.sqrt(_LG_PRIOR_VAR) * rng_f.standard_normal((1, n)))
+    steps = assimilate(problem, FilterMethod(name, trim=trim), rng_f, truth, initial)
+    for k, joint, state in steps:
+        y_star = truth.observations[:, k]
+        sample = state.posterior.members[0]
+        n_e = state.n_e
+        est_mean = float(sample.mean())
+        est_var = float(sample.var(ddof=1))
+        exact_mean = float(means[k][0])
+        exact_var = float(covs[k][0, 0])
+        se_mean_sq = est_var / n_e
+        if name != "pf":  # the Kalman-type updates carry a sampled gain
+            se_mean_sq += _gain_noise_term(joint, y_star[0])
+        del joint  # not held through the next step's update (n=1e5)
+        se_mean = float(np.sqrt(se_mean_sq))
+        se_var = float(est_var * np.sqrt(2.0 / max(n_e - 1.0, 1.0)))
+        ok = (
+            abs(est_mean - exact_mean) <= p["se_factor"] * se_mean
+            and abs(est_var - exact_var) <= p["se_factor"] * se_var
+        )
+        rows.append({"replicate": rep, "filter": name, "step": k + 1,
+                     "mean_est": est_mean, "var_est": est_var, "mean_exact": exact_mean,
+                     "var_exact": exact_var, "se_mean": se_mean, "se_var": se_var,
+                     "ok": bool(ok)})
+        # one check per row: the larger of its two z-scores
+        z = max(_z(abs(est_mean - exact_mean), se_mean), _z(abs(est_var - exact_var), se_var))
+        checks.append({"check": f"{name}-step{k + 1}-rep{rep}", "value": z,
+                       "tolerance": p["se_factor"], "ok": bool(ok)})
+    return {"comparison.csv": rows, "checks.csv": checks}
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +446,8 @@ _KS_TOL_LARGE, _KS_TOL_SMALL = 1e-4, 0.02
 _KS_TOL_TENKF_SAMPLING, _KS_TOL_PF_SAMPLING = 0.03, 0.02
 
 
-def _bimodal_replicate(cfg: ExperimentConfig, rep: int) -> dict:
+def _bimodal_checks(cfg: ExperimentConfig, key: tuple, _) -> dict:
+    (rep,) = key
     p = cfg.params
     toy = bimodal_toy(points=int(p["points"]), y_star=_BIMODAL_Y_STAR)
     joint, gain, y_star = toy.joint, toy.exact_gain, toy.y_star
@@ -497,11 +497,15 @@ def _bimodal_replicate(cfg: ExperimentConfig, rep: int) -> dict:
 class Scenario(NamedTuple):
     """A scenario as plain data, declared once.
 
-    ``replicate(cfg, rep)`` returns one replicate's rows as ``{file: rows}``,
-    each replicate one unit of ``_map_units`` on threads; a scenario whose
-    replicates split into independent runs gives None there and
-    ``runs(cfg)``, which maps the runs of all replicates and returns their
-    joined rows and the replicate failures.  The optional
+    ``stages`` are the scenario's units, stage by stage.  Each stage is a
+    function ``stage(cfg, key, value)`` of one unit: its key (a tuple that
+    starts with the replicate) and what its parent listed for it.  It
+    returns its children in the next stage, ``{key: value}``, their keys
+    extending its own, or at the last stage its rows, ``{file: rows}``.  A
+    first-stage unit is ``((rep,), None)``.  With ``forked`` the units run
+    in forked worker processes, so what a stage returns must pickle; with
+    ``windowed`` the stages map ``workers`` replicates at a time, for a
+    scenario whose stages pass large values on.  The optional
     ``finish(cfg, tables)`` derives more tables from the rows of all
     replicates, and ``tables`` gives every result file's columns in write
     order.  The rows of a ``checks.csv`` are the scenario's embedded checks.
@@ -513,19 +517,20 @@ class Scenario(NamedTuple):
     """
 
     description: str
-    replicate: Callable[[ExperimentConfig, int], dict] | None
+    stages: tuple[Callable[[ExperimentConfig, tuple, object], dict], ...]
     finish: Callable[[ExperimentConfig, dict], dict] | None
     tables: dict[str, list[str]]
     params: dict[str, tuple]
     replicates: int
     max_replicates: int | None = None
     rule: Callable[[dict, list[str]], None] | None = None
-    runs: Callable[[ExperimentConfig], tuple[dict, list[str]]] | None = None
+    forked: bool = False
+    windowed: bool = False
 
 
 def _l96_rule(p: dict, errors: list[str]) -> None:
     """What both Lorenz-96 scenarios require across their parameters."""
-    sizes = p["n"] if isinstance(p["n"], list) else [p["n"]]
+    sizes = _l96_sizes(p)
     if p["target_ne"] is not None and None not in sizes:
         bad = [n for n in sizes if p["target_ne"] > n]
         if bad:
@@ -555,7 +560,7 @@ _CHECK_COLUMNS = ["check", "value", "tolerance", "ok"]
 SCENARIOS = {
     "l63-limit-dist": Scenario(
         "Lorenz-63 single-step posterior: EnKF vs trimmed sweep vs particle filter",
-        _l63_replicate,
+        (_l63_forecast, _l63_update, _l63_summary),
         None,
         {
             "histograms.csv": ["replicate", "filter", "lam", "bin_lo", "bin_hi", "mass"],
@@ -567,10 +572,11 @@ SCENARIOS = {
             "bins": (200, 10),
         },
         replicates=1,
+        windowed=True,
     ),
     "l96-rmse-sweep": Scenario(
         "Stochastic Lorenz-96 twin experiments: RMSE over (n, dt_obs) grids",
-        None,
+        (_l96_truths, _l96_run),
         _l96_rmse_quantiles,
         {
             "rmse.csv": ["replicate", "filter", "n", "dt_obs", "rmse_time_avg",
@@ -587,11 +593,10 @@ SCENARIOS = {
         },
         replicates=30,
         rule=_l96_rule,
-        runs=_l96_rmse_runs,
     ),
     "l96-adaptive-aug": Scenario(
         "Deterministic Lorenz-96 with adaptive trimming and ensemble augmentation",
-        None,
+        (_l96_truths, _l96_run),
         None,
         {
             "traces.csv": ["replicate", "filter", "dt_obs", "step", "time", "n_forecast",
@@ -607,11 +612,11 @@ SCENARIOS = {
         },
         replicates=10,
         rule=_l96_rule,
-        runs=_l96_aug_runs,
+        forked=True,
     ),
     "linear-gaussian-check": Scenario(
         "Scalar linear-Gaussian equivalence check against the exact Kalman filter",
-        _lingauss_replicate,
+        (_lingauss_reference, _lingauss_run),
         None,
         {
             "comparison.csv": ["replicate", "filter", "step", "mean_est", "var_est",
@@ -631,7 +636,7 @@ SCENARIOS = {
     ),
     "bimodal-oracle-check": Scenario(
         "Quadrature bridging and sampling checks on the bimodal toy problem",
-        _bimodal_replicate,
+        (_bimodal_checks,),
         None,
         {"bridge.csv": ["lam", "ks_to_posterior"], "checks.csv": _CHECK_COLUMNS},
         params={
@@ -647,18 +652,25 @@ SCENARIOS = {
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     """Execute a validated configuration, writing result files to its
     output directory.  With zero replicates nothing but metadata is
-    produced."""
+    produced.
+
+    Every stage maps its units on ``threads * max(1, usable CPUs //
+    threads)`` workers (``threads: 0``: one per usable CPU), the calling
+    one among them, each holding an equal part of the caller's CPUs; a
+    stage with fewer units than workers leaves its units the spare CPUs.
+    """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.replicates == 0:
         return ScenarioResult(files=[], replicate_failures=[])
     scenario = SCENARIOS[cfg.scenario]
-    if scenario.runs is not None:
-        tables, failures = scenario.runs(cfg)
-    else:
-        reps = range(cfg.replicates)
-        parts = _map_units(partial(scenario.replicate, cfg), reps, cfg, forked=False)
-        tables, failures = _joined(reps, parts, {})
+    cpus = usable_cpus()
+    threads = cfg.threads or cpus
+    workers = threads * max(1, cpus // threads)
+    window = workers if scenario.windowed else cfg.replicates
+    tables, failed = {}, {}
+    for lo in range(0, cfg.replicates, window):
+        _run_stages(scenario, cfg, range(cfg.replicates)[lo:lo + window], workers, tables, failed)
     if scenario.finish is not None:
         tables.update(scenario.finish(cfg, tables))
     files = [
@@ -666,4 +678,5 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
         for name, columns in scenario.tables.items()
     ]
     checks = tables.get("checks.csv", []) if "checks.csv" in scenario.tables else None
-    return ScenarioResult(files=files, replicate_failures=failures, checks=checks)
+    return ScenarioResult(files=files, replicate_failures=[failed[rep] for rep in sorted(failed)],
+                          checks=checks)

@@ -4,65 +4,30 @@ The stochastic Heun step uses a trapezoidal update of the drift and an
 Euler update of the noise, with the same Gaussian increment appearing in
 predictor and corrector.  The adaptive scheme is the Dormand-Prince 5(4)
 embedded pair with a PI step controller (safety 0.9, growth clamped to
-[0.2, 5.0]).
-
-The pair is first-same-as-last: the last stage is the drift at the new
-solution, so an accepted attempt's last stage is reused as the next first
-stage.  DP45 thus calls the drift six times per attempt plus once per
-interval, and a drift must be a pure function of ``(x, t)``.
+[0.2, 5.0]); it is first-same-as-last, reusing an accepted attempt's last
+stage as the next first stage, so a drift must be a pure function of
+``(x, t)``.
 
 A non-finite drift result raises ``IntegrationError`` naming its time and
-first bad member.  Heun checks each drift result as it is made, as does
-DP45 for the first drift of an interval.  A DP45 attempt is checked
-once, after its error norm, which every stage but stage 1 enters with a
-nonzero weight; stage 1 gets a test of its own.  Within an attempt the
-drift may therefore be called on a non-finite stage state before the
-attempt raises the error the first bad stage would have raised.
+first bad member; a DP45 attempt is checked once, after its error norm, so
+the drift may be called on a non-finite stage state before the attempt
+raises what its first bad stage would have raised.
 
 All steppers accept states of shape ``(N,)`` or ``(N, n)`` (member columns)
 as long as the model drift is vectorized; without noise, Heun results on a
 batch are bit-identical to stepping each column alone.
 
 Drifts write into buffers the steppers own (``drift(x, t, out)``, see
-``models``), and nothing is allocated per step.  A Heun ``integrate`` call
-runs in one workspace of state-sized arrays allocated once per call: two
-state slots used in turn, the first drift ``f0``, the predictor ``xp`` and
-the noise increment.  The second drift is written straight into the next
-state slot, and the last state slot is the result; a span of one ``dt``
-is one step.  The slots are separate arrays, not one stacked block:
-freeing a block as large as a 3x1e5 workspace (14 MB) raises glibc's
-dynamic mmap and trim thresholds to its size, the heap then kept later
-temporaries resident, and the ``oracle-1e5`` benchmark (an L63 forecast,
-then the quadrature oracles) peaked 13 MB higher.  DP45 writes each stage
-into one of seven preallocated arrays ``k`` and swaps ``k[0]`` and
-``k[6]`` on acceptance.
+``models``), so nothing is allocated per step; a Heun workspace is
+separate state-sized arrays, as freeing one large stacked block raises
+glibc's mmap and trim thresholds and later temporaries then stay resident.
 
-Where the Heun noise is drawn: the steps take their standard-normal
-increments in order from an iterator, which draws each one from the
-caller's ``rng`` on the calling thread.  When the state is a large block
-(at least ``NOISE_HELPER_MIN_ELEMS`` numbers, over more than one step)
-and the calling thread's CPU share is more than one CPU, the iterator is
-``_drawn_ahead``: it draws each increment one step ahead on a helper
-thread, into a second noise slot of the workspace, while the calling
-thread computes the current step's drifts.  The order cannot change: the
-increments are consecutive draws from one Generator, so drawing them in
-another order, count or stream would change the result bytes and the
-``rng`` state after the call (``observe`` draws from it next).  The
-helper never draws past the interval's last step and is joined before
-``integrate`` returns or raises.
-
-A thread's share is set with ``share_cpus``.  The thread map
-``_map_shared``, which runs the scenarios' units (a replicate, or a
-Lorenz-96 truth or filter run), a replicate's independent updates and the
-oracle's block passes, gives each of its threads ``max(1, share //
-threads)``.  A thread never given a share may use every usable CPU, so
-library code that calls ``integrate`` from threads of its own calls
-``share_cpus`` in each.  CPUs left over go unused:
-with 3 CPUs and 2 threads, neither thread ever starts a helper.  Asked to,
-the map runs its helpers' items in forked worker processes instead, each
-holding the same part of the share: the DP45 scenario's truths and filter
-runs go there, one CPU to a process, as DP45 on small blocks does not run
-faster on threads (see ``_map_shared``).
+The Heun increments are consecutive draws from the caller's ``rng`` in one
+order, so neither the result bytes nor the ``rng`` state afterwards depend
+on where they are drawn: a large block (``NOISE_HELPER_MIN_ELEMS``) on a
+thread whose CPU share (``share_cpus``) has a second CPU draws the next
+step's noise on a helper thread, joined before ``integrate`` returns or
+raises.
 """
 
 from __future__ import annotations
@@ -443,32 +408,22 @@ def _map_shared(fn, items, workers: int | None = None, forked: bool = False) -> 
 
     Workers take items in turn, each holding ``max(1, thread_cpus() //
     workers)`` of the caller's CPU share while it works; the caller's own
-    share is restored afterwards.  Once an item raises, or a helper fails
-    to start, no new item starts; the started helpers are joined and the
-    start's failure, else that of the lowest-index failed item, is raised
-    as the serial loop would raise it.  The caller works rather than waits
-    because each other thread allocates from its own malloc arena, whose
-    freed temporaries stay resident: on ``oracle-1e5`` (2 CPUs) two threads
-    beside an idle caller peaked at 89.7 MB, the caller and one thread at
-    84-89 MB.
+    share is restored afterwards.  Once an item raises, or a helper fails to
+    start, no new item starts; the started helpers are joined and the
+    start's failure, else that of the lowest-index failed item, is raised as
+    the serial loop would raise it.  The caller works rather than waits, as
+    each other thread allocates from its own malloc arena, whose freed
+    temporaries stay resident.
 
-    With ``forked`` the helpers are worker processes forked from the caller
-    as the map starts, so ``fn`` and the items need not pickle; what an item
-    returns or raises does (an error keeps its type, message and cause).
-    Each worker sends its results once no item is left, and the caller
-    receives them on its own thread after its own items; a worker that ends
-    without sending (killed, or its results do not pickle) fails the map
-    with ``RuntimeError``.  DP45 on small
-    blocks is about 100 short ufunc calls per attempt, each holding the
-    interpreter lock: two threads run it 1.7x slower than one, two
-    processes in parallel.  The start method is ``fork``: ``forkserver`` and
-    ``spawn`` ran an ``l96-adaptive-aug`` run in 1.17-1.51 and 1.28-1.58 s
-    against fork's 1.13-1.32 s, and left ``multiprocessing``'s resource
-    tracker (and the fork server) running until the interpreter exits.  A
-    process that runs another thread is not forked, as a lock that thread
-    holds would be copied held: its items all run on the calling thread.
-    Workers inherit the caller's BLAS threads, so their results have the
-    bits of the in-process path.
+    With ``forked`` the helpers are processes forked from the caller (the
+    ``fork`` start method leaves no process behind), so ``fn`` and the items
+    need not pickle; what an item returns or raises does (an error keeps its
+    type, message and cause), and a worker that ends without sending its
+    results fails the map with ``RuntimeError``.  A process that runs
+    another thread is not forked, as a lock that thread holds would be
+    copied held: its items all run on the calling thread.  Workers inherit
+    the caller's BLAS threads, so their results have the bits of the
+    in-process path.
     """
     items = list(items)
     workers = max(1, min(workers or thread_cpus(), len(items)))

@@ -17,7 +17,7 @@ validate: they never touch samples except where the contract says so.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -129,48 +129,41 @@ class DensityGrid:
 _ROW_BLOCK = 16
 
 
-@dataclass(frozen=True, eq=False)
 class JointGrid:
-    """A 2-D joint density ``p(x, y)`` on a regular product grid.
+    """A 2-D joint density ``p(x, y) = p(x) p(y | x) / total`` on a regular
+    product grid, kept as its factors: the prior grid, the conditional and
+    the normalizing total (see ``joint_from_conditional``), not a table.
 
-    ``JointGrid(x, y, pdf)`` keeps the table ``pdf``.  Immutable: ``x``,
-    ``y`` and ``pdf`` are read-only views (the arrays passed in keep their
-    flags and are not copied, so writing into them afterwards is the
-    caller's error); equal only to itself, and its ``repr`` leaves out the
-    table.  The unnormalized y-marginal is computed once, on first use.
-
-    ``joint_from_conditional`` gives the product form, which keeps the
-    prior, the conditional and the normalizing total instead of a table,
-    and computes its y-marginal when it is made.  Its ``cond_pdf`` must be
-    elementwise in its broadcast arguments (see there).  Its ``pdf`` builds
-    the table on every read and does not keep it.
-
-    The oracles read either form only through ``_block``, in row blocks or
-    y-major column blocks of ``_ROW_BLOCK``: each pass is a map over
-    independent blocks on the calling thread's CPU share.
+    ``x`` and ``y`` are read-only views; a joint is equal only to itself.
+    The unnormalized y-marginal is computed, and every value checked, when
+    the joint is made.  ``pdf`` builds the whole table on every read and
+    does not keep it (for tests and plots).  The oracles read a joint only
+    through ``_block``, in row blocks or y-major column blocks of
+    ``_ROW_BLOCK``, each evaluated anew: each pass is a map over independent
+    blocks on the calling thread's CPU share.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    pdf: np.ndarray = field(repr=False)  # shape (len(x), len(y))
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        pdf = np.asarray(self.pdf, dtype=float)
-        _check_grid("x", x)
+    def __init__(self, prior: DensityGrid, y: np.ndarray, cond_pdf, total: float):
         _check_grid("y", y)
-        if pdf.shape != (x.size, y.size):
-            raise OracleError(f"joint table must be (len(x), len(y)), got {pdf.shape}")
-        _check_density(pdf)
-        object.__setattr__(self, "x", _read_only(x))
-        object.__setattr__(self, "y", _read_only(y))
-        object.__setattr__(self, "pdf", _read_only(pdf))
+        self.x, self.y = _read_only(prior.x), _read_only(y)
+        self._prior, self._cond, self._total = _read_only(prior.pdf), cond_pdf, total
+        self._y_mass  # its pass checks every value now, not at first use
+
+    @property
+    def pdf(self) -> np.ndarray:
+        blocks = [self._block(lo, lo + _ROW_BLOCK) for lo in range(0, self.x.size, _ROW_BLOCK)]
+        return _read_only(np.concatenate(blocks))
 
     def _block(self, lo: int, hi: int, by_y: bool = False) -> np.ndarray:
         """Rows ``lo:hi`` of the table, or with ``by_y`` its columns
-        ``lo:hi`` as rows (y-major): here read-only views of the table."""
-        return self.pdf[:, lo:hi].T if by_y else self.pdf[lo:hi]
+        ``lo:hi`` as rows (y-major), as a new array."""
+        x, y, prior = self.x, self.y, self._prior
+        if by_y:
+            block = np.multiply(self._cond(y[lo:hi, None], x[None, :]), prior)
+        else:
+            block = np.multiply(prior[lo:hi, None], self._cond(y[None, :], x[lo:hi, None]))
+        block /= self._total
+        return block
 
     @cached_property
     def _y_mass(self) -> np.ndarray:
@@ -201,34 +194,6 @@ class JointGrid:
 
     def marginal_y(self) -> DensityGrid:
         return DensityGrid(self.y, self._y_mass).normalized()
-
-
-class _ProductJoint(JointGrid):
-    """``p(x, y) = p(x) p(y | x) / total``, kept as its factors: each block
-    is evaluated anew where it is read (see ``joint_from_conditional``)."""
-
-    def __init__(self, prior: DensityGrid, y: np.ndarray, cond_pdf, total: float):
-        _check_grid("y", y)
-        object.__setattr__(self, "x", _read_only(prior.x))
-        object.__setattr__(self, "y", _read_only(y))
-        self._prior, self._cond, self._total = _read_only(prior.pdf), cond_pdf, total
-        self._y_mass  # its pass checks every value now, not at first use
-
-    @property
-    def pdf(self) -> np.ndarray:
-        """The whole table, built on every read and not kept (for tests and
-        plots; the oracles read blocks)."""
-        blocks = [self._block(lo, lo + _ROW_BLOCK) for lo in range(0, self.x.size, _ROW_BLOCK)]
-        return _read_only(np.concatenate(blocks))
-
-    def _block(self, lo: int, hi: int, by_y: bool = False) -> np.ndarray:
-        x, y, prior = self.x, self.y, self._prior
-        if by_y:
-            block = np.multiply(self._cond(y[lo:hi, None], x[None, :]), prior)
-        else:
-            block = np.multiply(prior[lo:hi, None], self._cond(y[None, :], x[lo:hi, None]))
-        block /= self._total
-        return block
 
 
 def joint_from_conditional(
@@ -264,7 +229,7 @@ def joint_from_conditional(
     total = np.trapezoid(np.concatenate(_map_shared(row_mass, range(0, x.size, _ROW_BLOCK))), x)
     if total <= 0:
         raise OracleError("cannot normalize a zero-mass joint density")
-    return _ProductJoint(prior, y, cond_pdf, total)
+    return JointGrid(prior, y, cond_pdf, total)
 
 
 # ---------------------------------------------------------------------------

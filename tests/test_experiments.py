@@ -469,10 +469,11 @@ class TestScenarioDeterminism:
         assert a == b
 
 
+@pytest.mark.one_cpu
 def test_helper_and_inline_forecasts_write_the_same_bytes(tmp_path, monkeypatch):
-    # 36x500 members (18,000 numbers) reach the noise helper.  With two
-    # usable CPUs, one worker keeps both and draws ahead on a helper, and
-    # each of two workers gets one and draws inline.  The last run uses
+    # One L63 replicate's forecast is the only unit of its stage: on two
+    # usable CPUs it keeps both and draws its 3x6000 members' noise (18,000
+    # numbers) ahead on a helper, on one it draws inline.  The last run uses
     # this process's own CPUs: on one usable CPU it draws inline.
     helpers = []
 
@@ -484,18 +485,17 @@ def test_helper_and_inline_forecasts_write_the_same_bytes(tmp_path, monkeypatch)
     monkeypatch.setattr(integrators, "ThreadPoolExecutor", Counting)
     own_cpus = integrators.usable_cpus()
     outputs = []
-    for threads, cpus in ((1, 2), (2, 2), (1, own_cpus)):
-        monkeypatch.setattr(scenarios, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(integrators, "usable_cpus", lambda: cpus)
+    for cpus in (2, 1, own_cpus):
+        _use_cpus(monkeypatch, cpus)
         out = tmp_path / f"run{len(outputs)}"
         helpers.append(0)
         result = run_scenario(validate_config({
-            "scenario": "l96-rmse-sweep", "seed": 11, "replicates": 2, "threads": threads,
-            "out_dir": str(out), "params": {"n": [500], "t_f": 0.9},
+            "scenario": "l63-limit-dist", "seed": 11, "replicates": 1, "threads": 1,
+            "out_dir": str(out), "params": {"n": 6000, "bins": 20},
         }))
         assert not result.replicate_failures
         outputs.append({f.name: f.read_bytes() for f in result.files})
-    assert len(outputs[0]) == 3
+    assert len(outputs[0]) == 2
     assert outputs[0] == outputs[1] == outputs[2]
     assert helpers[0] > 0 and helpers[1] == 0
     assert (helpers[2] > 0) == (own_cpus > 1)
@@ -522,20 +522,25 @@ class TestReplicateIndependence:
         assert rows[2] == rows[4]
 
 
+def _failing_stage(monkeypatch, scenario, stage, rep=1):
+    """Make ``scenario``'s stage ``stage`` raise in a unit of ``rep``: its
+    one unit in the first stage, else each whose last key index is odd, so
+    that its other units there succeed."""
+    entry = SCENARIOS[scenario]
+    run = entry.stages[stage]
+
+    def failing(cfg, key, value):
+        if key[0] == rep and (len(key) == 1 or key[-1] % 2):
+            raise RuntimeError(f"stage {stage} blew up")
+        return run(cfg, key, value)
+
+    stages = entry.stages[:stage] + (failing,) + entry.stages[stage + 1:]
+    monkeypatch.setitem(SCENARIOS, scenario, entry._replace(stages=stages))
+
+
 class TestReplicateFailures:
     DOC = {"scenario": "l63-limit-dist", "seed": 4, "replicates": 3, "threads": 2,
            "params": {"n": 300, "bins": 10, "lambdas": [1.0]}}
-
-    @staticmethod
-    def _fail_replicate_1(monkeypatch):
-        entry = SCENARIOS["l63-limit-dist"]
-
-        def replicate(cfg, rep):
-            if rep == 1:
-                raise RuntimeError("replicate blew up")
-            return entry.replicate(cfg, rep)
-
-        monkeypatch.setitem(SCENARIOS, "l63-limit-dist", entry._replace(replicate=replicate))
 
     def _rows(self, out, name):
         return (out / name).read_text().splitlines()[1:]
@@ -544,70 +549,80 @@ class TestReplicateFailures:
         clean = tmp_path / "clean"
         assert not run_scenario(validate_config({**self.DOC, "out_dir": str(clean)})
                                 ).replicate_failures
-        self._fail_replicate_1(monkeypatch)
+        _failing_stage(monkeypatch, "l63-limit-dist", 0)
         out = tmp_path / "out"
         result = run_scenario(validate_config({**self.DOC, "out_dir": str(out)}))
         # perfbench's child parses the replicate number out of this prefix
-        assert result.replicate_failures == ["replicate 1: RuntimeError: replicate blew up"]
+        assert result.replicate_failures == ["replicate 1: RuntimeError: stage 0 blew up"]
         for name in ("histograms.csv", "ks.csv"):
             rows = self._rows(out, name)
             reps = [k for k, _ in itertools.groupby(r.split(",")[0] for r in rows)]
             assert reps == ["0", "2"]
             assert rows == [r for r in self._rows(clean, name) if not r.startswith("1,")]
 
+    @pytest.mark.one_cpu
     @pytest.mark.parametrize(
-        "cpus, threads, share", [(4, 2, 2), (2, 2, 1), (2, 4, 1), (3, 2, 1), (3, 1, 3)]
+        "cpus, threads, share", [(4, 2, 1), (2, 2, 1), (2, 4, 1), (3, 2, 1), (3, 1, 1)]
     )
     def test_each_replicate_sees_its_cpu_share(self, tmp_path, monkeypatch, cpus, threads, share):
-        # a pool thread gets an equal share of the CPUs and at least one (a
-        # CPU left over goes unused); one worker runs on the calling thread,
-        # which may use every CPU; the replicates after a failing one keep
-        # their share
-        monkeypatch.setattr(scenarios, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(integrators, "usable_cpus", lambda: cpus)
+        # threads * max(1, cpus // threads) workers, each with an equal share
+        # of the CPUs and at least one (a CPU left over goes unused), take
+        # the 4 replicates; the replicates after a failing one keep their
+        # share, and the caller's share is restored
+        _use_cpus(monkeypatch, cpus)
         seen = []
 
-        def replicate(cfg, rep):
+        def stage(cfg, key, value):
             seen.append(integrators.thread_cpus())
-            if rep == 1:
+            if key[0] == 1:
                 raise RuntimeError("replicate blew up")
             return {}
 
         entry = SCENARIOS["l63-limit-dist"]
-        monkeypatch.setitem(SCENARIOS, "l63-limit-dist", entry._replace(replicate=replicate))
+        # one stage over all 4 replicates (unwindowed: a last window with
+        # fewer replicates than workers would leave them the spare CPUs)
+        monkeypatch.setitem(SCENARIOS, "l63-limit-dist",
+                            entry._replace(stages=(stage,), windowed=False))
         doc = {**self.DOC, "replicates": 4, "threads": threads, "out_dir": str(tmp_path)}
         result = run_scenario(validate_config(doc))
         assert result.replicate_failures == ["replicate 1: RuntimeError: replicate blew up"]
         assert seen == [share] * 4
         assert integrators.thread_cpus() == cpus
 
+    @pytest.mark.one_cpu
     def test_auto_threads_count_usable_cpus(self, tmp_path, monkeypatch):
-        # one usable CPU: threads 0 runs every replicate on the calling thread
-        monkeypatch.setattr(scenarios, "usable_cpus", lambda: 1)
+        # one usable CPU: threads 0 runs every unit on the calling thread
+        _use_cpus(monkeypatch, 1)
         entry = SCENARIOS["l63-limit-dist"]
         threads = []
 
-        def replicate(cfg, rep):
-            threads.append(threading.get_ident())
-            return entry.replicate(cfg, rep)
+        def traced(stage):
+            def run(cfg, key, value):
+                threads.append(threading.get_ident())
+                return stage(cfg, key, value)
 
-        monkeypatch.setitem(SCENARIOS, "l63-limit-dist", entry._replace(replicate=replicate))
+            return run
+
+        monkeypatch.setitem(SCENARIOS, "l63-limit-dist",
+                            entry._replace(stages=tuple(map(traced, entry.stages))))
         doc = {**self.DOC, "threads": 0, "out_dir": str(tmp_path)}
         assert not run_scenario(validate_config(doc)).replicate_failures
-        assert threads == [threading.get_ident()] * 3
+        # per replicate: its forecast, then 3 updates, then their 3 summaries
+        assert threads == [threading.get_ident()] * (3 * (1 + 3 + 3))
 
     def test_cli_exits_2_naming_the_replicate(self, tmp_path, capsys, monkeypatch):
-        self._fail_replicate_1(monkeypatch)
+        _failing_stage(monkeypatch, "l63-limit-dist", 0)
         cfg = write_config(tmp_path / "c.json", {**self.DOC, "out_dir": str(tmp_path / "out")})
         assert main(["run", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert "FAILED replicate 1: RuntimeError: replicate blew up" in err
+        assert "FAILED replicate 1: RuntimeError: stage 0 blew up" in err
 
 
+@pytest.mark.one_cpu
 class TestSharedMap:
-    """``integrators._map_shared``: the one map that runs replicates, the
-    independent units of a replicate and the oracle's block passes, the
-    calling thread among its threads."""
+    """``integrators._map_shared``: the one map under every scenario
+    stage's units and the oracle's block passes, the calling thread among
+    its threads."""
 
     def test_results_come_back_in_item_order(self):
         def slow_first(i):  # the first items finish last
@@ -726,6 +741,7 @@ class TestSharedMap:
         assert integrators.thread_cpus() == share
 
 
+@pytest.mark.one_cpu
 class TestForkedMap:
     """``integrators._map_shared`` with ``forked``: the helpers are forked
     worker processes, which the DP45 scenario's truths and filter runs
@@ -811,6 +827,7 @@ def _use_cpus(monkeypatch, cpus):
 FORKED_LAYOUTS = [(1, 2), (2, 2), (1, 1), (3, 2), (1, 3)]
 
 
+@pytest.mark.one_cpu
 def test_forked_dp45_runs_write_the_same_bytes(tmp_path, monkeypatch):
     outputs = []
     for threads, cpus in FORKED_LAYOUTS + [(1, integrators.usable_cpus())]:
@@ -823,6 +840,7 @@ def test_forked_dp45_runs_write_the_same_bytes(tmp_path, monkeypatch):
     assert all(out == outputs[0] for out in outputs)
 
 
+@pytest.mark.one_cpu
 def test_forked_failures_read_as_in_process(tmp_path, monkeypatch):
     # a drift that fails on every member block after t=0.5 fails all filter
     # runs; forked workers inherit the patched drift, so a failure in a
@@ -858,6 +876,7 @@ def _replicate_of(rng) -> int:
     return rng.bit_generator.seed_seq.entropy[1]
 
 
+@pytest.mark.one_cpu
 @pytest.mark.parametrize("scenario", sorted(_L96_DOCS))
 def test_forked_and_threaded_unit_failures_read_the_same_on_every_layout(
         tmp_path, monkeypatch, scenario):
@@ -915,6 +934,7 @@ def test_forked_and_threaded_unit_failures_read_the_same_on_every_layout(
     assert_no_child_process()
 
 
+@pytest.mark.one_cpu
 def test_forked_trimmed_runs_of_two_replicates_run_at_once(tmp_path, monkeypatch):
     # threads: 1 on 2 CPUs is two unit processes: the trimmed runs, which
     # start first, of replicates 0 and 1 must run at the same time (each
@@ -944,18 +964,16 @@ def test_forked_trimmed_runs_of_two_replicates_run_at_once(tmp_path, monkeypatch
     assert_no_child_process()
 
 
+@pytest.mark.one_cpu
 @pytest.mark.parametrize("scenario", sorted(_L96_DOCS))
 @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 1), (1, 2)])
 def test_forked_and_threaded_unit_workers(tmp_path, monkeypatch, scenario, cpus, threads):
-    # the DP45 runs go to threads * max(1, cpus // threads) processes with
-    # one CPU each, the Heun runs to `threads` threads with max(1, cpus //
-    # threads) each.  Every run waits for as many runs as there are workers,
-    # so each worker takes a run; two replicates have 8 or 16 runs.
+    # the runs go to threads * max(1, cpus // threads) workers with one CPU
+    # each: processes for the DP45 runs, threads for the Heun runs.  Every
+    # run waits for as many runs as there are workers, so each worker takes
+    # a run; two replicates have 8 or 16 runs.
     _use_cpus(monkeypatch, cpus)
-    if scenario == "l96-adaptive-aug":
-        workers, share = threads * max(1, cpus // threads), 1
-    else:
-        workers, share = threads, max(1, cpus // threads)
+    workers, share = threads * max(1, cpus // threads), 1
     log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     together = multiprocessing.get_context("fork").Barrier(workers, timeout=10)
     run = scenarios.run_assimilation
@@ -980,6 +998,106 @@ def test_forked_and_threaded_unit_workers(tmp_path, monkeypatch, scenario, cpus,
     assert_no_child_process()
 
 
+def test_longest_runs_start_first(tmp_path, monkeypatch):
+    # on one CPU the runs start one at a time, in the order the runs stage
+    # lists them: larger n first, the trimmed run before the EnKF run, each
+    # rank across every (replicate, dt_obs) truth
+    _use_cpus(monkeypatch, 1)
+    started = []
+    run = scenarios.run_assimilation
+
+    def traced_run(problem, method, rng, *args):
+        entropy = rng.bit_generator.seed_seq.entropy
+        started.append((entropy[3], method.kind, entropy[1], problem.dt_obs))
+        return run(problem, method, rng, *args)
+
+    monkeypatch.setattr(scenarios, "run_assimilation", traced_run)
+    doc = _l96_doc("l96-rmse-sweep", tmp_path, 1, 2)
+    assert not run_scenario(validate_config(doc)).replicate_failures
+    dts = _L96_DOCS["l96-rmse-sweep"]["dt_obs"]
+    assert started == [(n, kind, rep, dt) for n in (60, 40) for kind in ("tenkf", "enkf")
+                       for dt in dts for rep in (0, 1)]
+
+
+# Every scenario at a size whose units take a few ms to a few tens of ms:
+# (replicates, params).  Three L63 replicates fill one window of two
+# workers and part of the next.
+_TINY_DOCS = {
+    "l63-limit-dist": (3, {"n": 300, "bins": 10, "lambdas": [1.0, 0.3]}),
+    "l96-rmse-sweep": (2, _L96_DOCS["l96-rmse-sweep"]),
+    "l96-adaptive-aug": (2, _L96_DOCS["l96-adaptive-aug"]),
+    "linear-gaussian-check": (2, {"n": 200, "steps": 2}),
+    "bimodal-oracle-check": (1, {"n": 2000, "points": 128}),
+}
+
+
+def _tiny_doc(scenario, out, threads):
+    replicates, params = _TINY_DOCS[scenario]
+    return {"scenario": scenario, "seed": 3, "replicates": replicates, "threads": threads,
+            "out_dir": str(out), "params": dict(params)}
+
+
+@pytest.mark.one_cpu
+def test_every_scenario_writes_the_same_bytes_on_every_layout(tmp_path, monkeypatch):
+    outputs = []
+    for threads, cpus in FORKED_LAYOUTS + [(2, 3), (3, 3)]:
+        _use_cpus(monkeypatch, cpus)
+        out = {}
+        for scenario in _TINY_DOCS:
+            result = run_scenario(validate_config(
+                _tiny_doc(scenario, tmp_path / f"{threads}-{cpus}" / scenario, threads)))
+            assert not result.replicate_failures
+            out.update({f"{scenario}/{f.name}": f.read_bytes() for f in result.files})
+        assert_no_child_process()
+        outputs.append(out)
+    assert len(outputs[0]) == 11
+    assert all(out == outputs[0] for out in outputs)
+
+
+@pytest.mark.parametrize("scenario, stage", [(name, stage) for name in _TINY_DOCS
+                                             for stage in range(len(SCENARIOS[name].stages))])
+def test_a_failed_unit_fails_its_replicate_in_every_scenario(tmp_path, monkeypatch, scenario,
+                                                            stage):
+    # units of the last replicate raise in one stage: the replicate reports
+    # the first, runs no later stage (not even from the units that
+    # succeeded) and writes no rows, and the others keep their rows in order
+    # (bimodal-oracle-check's one replicate leaves only the headers)
+    _use_cpus(monkeypatch, 2)
+    clean = run_scenario(validate_config(_tiny_doc(scenario, tmp_path / "clean", 2)))
+    assert not clean.replicate_failures
+    rep = _TINY_DOCS[scenario][0] - 1
+    log = tmp_path / "later"  # the replicates of the later stages' units, forked ones too
+    log.touch()
+    for i, run in enumerate(SCENARIOS[scenario].stages[stage + 1:], stage + 1):
+        def traced(cfg, key, value, run=run):
+            with open(log, "a") as fh:
+                fh.write(f"{key[0]}\n")
+            return run(cfg, key, value)
+
+        entry = SCENARIOS[scenario]
+        monkeypatch.setitem(SCENARIOS, scenario, entry._replace(
+            stages=entry.stages[:i] + (traced,) + entry.stages[i + 1:]))
+    _failing_stage(monkeypatch, scenario, stage, rep)
+    result = run_scenario(validate_config(_tiny_doc(scenario, tmp_path / "out", 2)))
+    assert_no_child_process()
+    assert result.replicate_failures == [f"replicate {rep}: RuntimeError: stage {stage} blew up"]
+    later = log.read_text().split()
+    assert str(rep) not in later
+    assert bool(later) == (rep > 0 and stage + 1 < len(SCENARIOS[scenario].stages))
+    for f in clean.files:
+        if f.name == "quantiles.csv":  # over the replicates left
+            continue
+        header, *rows = f.read_text().splitlines()
+        if rep == 0:
+            kept = []
+        elif header.startswith("replicate,"):
+            kept = [r for r in rows if not r.startswith(f"{rep},")]
+        else:  # the linear-Gaussian checks name their replicate
+            kept = [r for r in rows if f"-rep{rep}," not in r]
+        assert (tmp_path / "out" / f.name).read_text().splitlines() == [header] + kept
+        assert len(kept) < len(rows) and (rep == 0 or kept)
+
+
 def test_metadata_records_peak_rss_of_process_and_workers(tmp_path, monkeypatch):
     _use_cpus(monkeypatch, 2)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -991,7 +1109,7 @@ def test_metadata_records_peak_rss_of_process_and_workers(tmp_path, monkeypatch)
         raise ValueError(f"non-strict JSON constant {constant}")
 
     meta = json.loads((out1 / "metadata.json").read_text(), parse_constant=refuse)
-    peak = meta["run"]["peak_rss_mb"]
+    peak = meta["run"]["peak_rss_mib"]
     assert set(peak) == {"process", "workers"}
     assert peak["process"] > 1.0 and peak["workers"] > 1.0
     meta["config"]["out_dir"] = str(out2)
@@ -1011,15 +1129,16 @@ def test_metadata_records_no_workers_peak_without_a_worker(tmp_path):
         "params": {"n": 100, "steps": 2},
     })
     assert main(["run", "--config", cfg]) == 0
-    peak = json.loads((out / "metadata.json").read_text())["run"]["peak_rss_mb"]
+    peak = json.loads((out / "metadata.json").read_text())["run"]["peak_rss_mib"]
     assert peak["process"] > 1.0 and peak["workers"] == 0.0
 
 
+@pytest.mark.one_cpu
 def test_units_on_every_cpu_share_write_the_same_bytes(tmp_path, monkeypatch):
-    # The L63 updates and summaries and the linear-Gaussian filter runs go
-    # through the shared map with the replicate's CPU share; at n=4000
+    # The L63 updates and summaries and the linear-Gaussian filter runs are
+    # units of their own stages, on one worker per usable CPU; at n=4000
     # (above OpenBLAS's threading threshold) concurrent updates must not
-    # move the bytes.  At a share of 2 the updates run on two threads.
+    # move the bytes.  On 2 CPUs the updates run on two threads.
     update = filters.tenkf_update
     threads = []
 
@@ -1034,18 +1153,18 @@ def test_units_on_every_cpu_share_write_the_same_bytes(tmp_path, monkeypatch):
         {"scenario": "linear-gaussian-check", "seed": 2, "params": {"n": 4000, "steps": 3}},
     ]
     outputs, used = [], []
-    for share in (1, 2, 3):
-        monkeypatch.setattr(integrators._share, "cpus", share, raising=False)
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
         threads.clear()
         out = {}
         for doc in docs:
             result = run_scenario(validate_config(
-                {**doc, "replicates": 1, "threads": 1, "out_dir": str(tmp_path / f"{share}")}))
+                {**doc, "replicates": 1, "threads": 1, "out_dir": str(tmp_path / f"{cpus}")}))
             assert not result.replicate_failures
             out.update({f"{doc['scenario']}/{f.name}": f.read_bytes() for f in result.files})
         outputs.append(out)
         used.append(len(set(threads)))
-        assert integrators.thread_cpus() == share
+        assert integrators.thread_cpus() == cpus
     assert len(outputs[0]) == 4
     assert outputs[0] == outputs[1] == outputs[2]
     assert used[0] == 1 and used[1] == 2
@@ -1055,7 +1174,7 @@ def test_replicates_and_configs_pickle():
     # the registered functions pickle by reference and the validated config
     # by value, as a pool that does not fork its workers would send them
     for entry in SCENARIOS.values():
-        for fn in filter(None, (entry.replicate, entry.runs, entry.finish)):
+        for fn in filter(None, (*entry.stages, entry.finish)):
             assert pickle.loads(pickle.dumps(fn)) is fn
     for name in SCENARIOS:
         cfg = validate_config({"scenario": name, "seed": 3, "params": {}})
@@ -1066,22 +1185,22 @@ def test_replicates_and_configs_pickle():
 
 @pytest.mark.parametrize("name, bound_mib", [("bimodal-oracle-check", 16), ("l63-limit-dist", 20),
                                              ("linear-gaussian-check", 17)])
-def test_replicate_traced_peak(name, bound_mib):
+def test_replicate_traced_peak(tmp_path, monkeypatch, name, bound_mib):
     # At their defaults the bimodal check kept a 32 MiB table of shifted
     # conditionals beside its 32 MiB joint (74.9 MiB), then the joint alone
     # (41.9 MiB); the L63 check kept each whole (3, n) posterior alive for
     # one row of it (34.9 MiB), then each update's full-size temporaries,
     # two updates at a time (25.9 MiB), as did the linear-Gaussian check
-    # (19.9 MiB).  A share of 2 runs two updates at once on any runner.
-    cfg = validate_config({"scenario": name, "seed": 0, "params": {}})
-    old = integrators.share_cpus(2)
+    # (19.9 MiB).  Two usable CPUs run two updates at once on any runner.
+    _use_cpus(monkeypatch, 2)
+    cfg = validate_config({"scenario": name, "seed": 0, "threads": 1, "out_dir": str(tmp_path),
+                           "params": {}})
     tracemalloc.start()
     try:
-        SCENARIOS[name].replicate(cfg, 0)
+        assert not run_scenario(cfg).replicate_failures
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        integrators.share_cpus(old)
     assert peak <= bound_mib * 2**20
 
 

@@ -18,6 +18,9 @@ from trimkf.oracle import (
     DensityGrid,
     JointGrid,
     OracleError,
+    _check_density,
+    _check_grid,
+    _read_only,
     bayes_posterior,
     bimodal_toy,
     joint_from_conditional,
@@ -249,8 +252,8 @@ def _assert_same_grid(got, want):
 
 
 def _fresh(joint):
-    """A joint over the same arrays, with nothing cached yet."""
-    return JointGrid(joint.x, joint.y, joint.pdf)
+    """A table joint over the same arrays, with nothing cached yet."""
+    return _TableJoint(joint.x, joint.y, joint.pdf)
 
 
 class TestCachedJoint:
@@ -314,7 +317,7 @@ class TestCachedJoint:
 
     def test_tables_read_only_and_callers_array_untouched(self, toy):
         table = np.array(toy.joint.pdf)
-        joint = JointGrid(toy.joint.x, toy.joint.y, table)
+        joint = _TableJoint(toy.joint.x, toy.joint.y, table)
         gain, y_star = toy.exact_gain, toy.y_star
         limit_pdfs(joint, gain, y_star, [(0.5, None)])
         limit_pdfs(joint, 0.5 * gain, y_star, [None])
@@ -323,8 +326,8 @@ class TestCachedJoint:
         with pytest.raises(ValueError):
             joint.pdf[0, 0] = 1.0
         assert table.flags.writeable and np.shares_memory(joint.pdf, table)
-        # the y-marginal is the only table a joint keeps
-        assert set(vars(joint)) == {"x", "y", "pdf", "_y_mass"}
+        # the y-marginal is the only array a joint computes and keeps
+        assert set(vars(joint)) == {"x", "y", "_pdf", "_y_mass"}
 
 
 def _reference_batch(joint, gain, y_star, trims):
@@ -398,6 +401,33 @@ def _reference_bimodal_table(points, span_sds=8.0):
     return table / np.trapezoid(np.trapezoid(table, y, axis=1), x)
 
 
+class _TableJoint(JointGrid):
+    """Frozen: the table form of a joint, which keeps the table ``pdf``.
+
+    ``x``, ``y`` and ``pdf`` are read-only views of the arrays passed in
+    (which keep their flags and are not copied); the table is checked when
+    the joint is made, and its y-marginal computed on first use.  The
+    oracles read it through ``_block`` as they read the product form, in
+    read-only views of the table.
+    """
+
+    def __init__(self, x, y, pdf):
+        x, y, pdf = (np.asarray(a, dtype=float) for a in (x, y, pdf))
+        _check_grid("x", x)
+        _check_grid("y", y)
+        if pdf.shape != (x.size, y.size):
+            raise OracleError(f"joint table must be (len(x), len(y)), got {pdf.shape}")
+        _check_density(pdf)
+        self.x, self.y, self._pdf = _read_only(x), _read_only(y), _read_only(pdf)
+
+    @property
+    def pdf(self):
+        return self._pdf
+
+    def _block(self, lo, hi, by_y=False):
+        return self.pdf[:, lo:hi].T if by_y else self.pdf[lo:hi]
+
+
 class TestJointFromConditional:
     # 300 points end on a partial row block
     @pytest.mark.parametrize("points", [64, 300, 512, 2048])
@@ -440,7 +470,7 @@ class TestProductJoint:
         monkeypatch.setattr(integrators._share, "cpus", share, raising=False)
         toy = bimodal_toy(points=points)
         product = toy.joint
-        table = JointGrid(product.x, product.y, product.pdf)
+        table = _TableJoint(product.x, product.y, product.pdf)
         assert set(vars(product)) == {"x", "y", "_prior", "_cond", "_total", "_y_mass"}
         assert product.pdf is not product.pdf  # built on every read, never kept
         assert np.array_equal(_bits(product._y_mass), _bits(table._y_mass))
@@ -545,7 +575,7 @@ class TestJointGridChecks:
         table = np.ones((5, 5))
         table[2, 3] = bad
         with pytest.raises(OracleError, match="finite and non-negative"):
-            JointGrid(np.linspace(-1, 1, 5), np.linspace(0, 1, 5), table)
+            _TableJoint(np.linspace(-1, 1, 5), np.linspace(0, 1, 5), table)
 
     def test_check_makes_no_full_size_temporary(self):
         # A boolean table at 2048 points is 4 MiB.
@@ -553,7 +583,7 @@ class TestJointGridChecks:
         table = np.ones((grid.size, grid.size))
         tracemalloc.start()
         try:
-            JointGrid(grid, grid, table)
+            _TableJoint(grid, grid, table)
             DensityGrid(grid, table[0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -571,7 +601,7 @@ class TestJointGridChecks:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        table = JointGrid(np.arange(3.0), np.arange(3.0), np.ones((3, 3)))
+        table = _TableJoint(np.arange(3.0), np.arange(3.0), np.ones((3, 3)))
         assert "pdf" not in text and "pdf" not in repr(table)
         grid = bayes_posterior(joint, 1.5)
         for a, b in ((joint, bimodal_toy(2048).joint), (grid, DensityGrid(grid.x, grid.pdf))):
@@ -593,7 +623,7 @@ class TestJointGridChecks:
     def test_rejects_bad_grid(self, x, y):
         # The mixture's trapezoid weights assume a regular, increasing y.
         with pytest.raises(OracleError):
-            JointGrid(x, y, np.ones((x.size, y.size)))
+            _TableJoint(x, y, np.ones((x.size, y.size)))
 
 
 def _ref_kalman_step(A, Q, H, R, mean, cov, y_star):
