@@ -3,74 +3,23 @@
 The library is organized around a column-wise :class:`~trimkf.Ensemble`
 (states), propagated by the integrators, corrected by one of three update
 rules (EnKF, trimmed EnKF, bootstrap particle filter), and validated
-against quadrature oracles for one-dimensional problems.
+against quadrature oracles for one-dimensional problems.  The package
+exports each module's ``__all__``.
 """
 
-from .ensemble import (
-    Ensemble,
-    EnsembleError,
-    GainError,
-    JointEnsemble,
-    cross_covariance,
-    effective_size,
-    kalman_gain,
-    normalize_weights,
-    resample_indices,
-)
-from .filters import (
-    AssimilationError,
-    AssimilationProblem,
-    AssimilationRun,
-    AugmentConfig,
-    FilterError,
-    FilterMethod,
-    FilterState,
-    TrimConfig,
-    TruthRun,
-    adapt_lambda,
-    assimilate,
-    augment_forecast,
-    enkf_update,
-    forecast,
-    pf_update,
-    run_assimilation,
-    simulate_truth,
-    tenkf_update,
-    trim_distance,
-    trim_weights,
-)
-from .integrators import IntegratorConfig, IntegrationError, integrate
-from .metrics import (
-    ensemble_mean_rmse,
-    ensemble_rmse,
-    ks_distance,
-    replicate_quantiles,
-    time_avg_rmse,
-)
-from .models import (
-    DynModel,
-    Lorenz63Params,
-    Lorenz96Params,
-    MeasModel,
-    ModelError,
-    l63_drift,
-    l96_drift,
-    linear_gaussian_model,
-    log_likelihood,
-    lorenz63_model,
-    lorenz96_model,
-    observe,
-    select_observer,
-)
-from .oracle import (
-    BimodalToy,
-    DensityGrid,
-    JointGrid,
-    OracleError,
-    bayes_posterior,
-    bimodal_toy,
-    kalman_filter_sequence,
-    limit_pdfs,
-)
+from .ensemble import *
+from .filters import *
+from .integrators import *
+from .metrics import *
+from .models import *
+from .oracle import *
 
+__all__ = (
+    ensemble.__all__
+    + filters.__all__
+    + integrators.__all__
+    + metrics.__all__
+    + models.__all__
+    + oracle.__all__
+)
 __version__ = "0.1.0"

@@ -1,13 +1,9 @@
-"""Configuration-driven experiment runner and its command-line front end."""
+"""Configuration-driven experiment runner and its command-line front end.
 
-from .config import ConfigError, ExperimentConfig, validate_config
-from .scenarios import SCENARIOS, ScenarioResult, run_scenario
+The package exports the ``__all__`` of ``config`` and ``scenarios``.
+"""
 
-__all__ = [
-    "ConfigError",
-    "ExperimentConfig",
-    "validate_config",
-    "SCENARIOS",
-    "ScenarioResult",
-    "run_scenario",
-]
+from .config import *
+from .scenarios import *
+
+__all__ = config.__all__ + scenarios.__all__

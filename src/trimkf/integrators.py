@@ -5,13 +5,15 @@ Euler update of the noise, with the same Gaussian increment appearing in
 predictor and corrector.  The adaptive scheme is the Dormand-Prince 5(4)
 embedded pair with a PI step controller (safety 0.9, growth clamped to
 [0.2, 5.0]); it is first-same-as-last, reusing an accepted attempt's last
-stage as the next first stage, so a drift must be a pure function of
-``(x, t)``.
+stage as the next first stage.
 
 A non-finite drift result raises ``IntegrationError`` naming its time and
-first bad member; a DP45 attempt is checked once, after its error norm, so
-the drift may be called on a non-finite stage state before the attempt
-raises what its first bad stage would have raised.
+first bad member.  Each Heun step and each DP45 attempt is checked once, by
+one sum; only a failed check rescans that step's drifts in stage order,
+recomputing Heun's second drift, so a drift must be a pure function of
+``(x, t)`` and may be called on a non-finite state before the step raises.
+Both schemes run with overflow and invalid operations quiet: a non-finite
+state made from finite drifts is left to ``Ensemble``'s check.
 
 All steppers accept states of shape ``(N,)`` or ``(N, n)`` (member columns)
 as long as the model drift is vectorized; without noise, Heun results on a
@@ -37,7 +39,6 @@ import math
 import mmap
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 
@@ -100,15 +101,6 @@ class IntegratorConfig:
             raise ValueError("rtol and atol must be positive for the adaptive scheme")
 
 
-def _nonfinite_drift(f: np.ndarray, t: float) -> IntegrationError:
-    """The error for a drift result ``f`` with a non-finite entry, naming
-    the first member (column) that has one."""
-    if f.ndim == 2:
-        bad = np.nonzero(~np.all(np.isfinite(f), axis=0))[0]
-        return IntegrationError(f"non-finite drift at t={t:.6g} (member {bad[0]})")
-    return IntegrationError(f"non-finite drift at t={t:.6g}")
-
-
 def _drift_into(drift, x: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
     """``drift(x, t, out)``; a result other than ``out`` (the drift's input,
     say) is copied into ``out``.  Returns ``out``."""
@@ -118,32 +110,36 @@ def _drift_into(drift, x: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked_drift(model: DynModel, x: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
-    # Overflow here is a diagnosed failure mode (divergent member), not a bug:
-    # evaluate quietly, then raise with the member index.  A finite sum proves
-    # every entry finite; only a non-finite sum (a bad entry, or an overflow
-    # of the sum itself) needs the full scan.
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = _drift_into(model.drift, x, t, out)
-        total_finite = np.isfinite(f.sum())
-    if not total_finite and not np.all(np.isfinite(f)):
-        raise _nonfinite_drift(f, t)
-    return f
+def _rescan(f: np.ndarray, t: float) -> None:
+    """Raise ``IntegrationError`` if the drift result ``f`` at ``t`` has a
+    non-finite entry, naming the first member (column) that has one: the
+    full scan after a step's one finiteness check failed."""
+    bad = ~np.isfinite(f)
+    if bad.any():
+        member = f" (member {np.argmax(bad.any(axis=0))})" if f.ndim == 2 else ""
+        raise IntegrationError(f"non-finite drift at t={t:.6g}{member}")
 
 
-def _heun_step(model, x, t, dt, dw, f0, xp, out):
+def _heun_step(drift, x, t, dt, dw, f0, xp, out):
     """One Heun step from ``x`` into ``out`` with the scaled increment
     ``dw`` (0.0 without noise): predictor ``xp = x + f(x,t) dt + dw``,
     corrector ``x + dt/2 (f(x,t) + f(xp, t+dt)) + dw``.  Each in-place
     operation is the same IEEE operation on the same operands as that
     expression (up to commuted operands), so the bits are the same.
+
+    The step is checked once: a finite sum of ``f(x,t) + f(xp, t+dt)``
+    proves both drifts finite.  Otherwise they are rescanned in order,
+    ``f(xp, t+dt)`` recomputed into the spent ``f0``.
     """
-    _checked_drift(model, x, t, f0)
+    _drift_into(drift, x, t, f0)
     np.multiply(f0, dt, out=xp)
     xp += x
     xp += dw
-    _checked_drift(model, xp, t + dt, out)
+    _drift_into(drift, xp, t + dt, out)
     out += f0
+    if not math.isfinite(np.add.reduce(out, axis=None)):
+        _rescan(f0, t)
+        _rescan(_drift_into(drift, xp, t + dt, f0), t + dt)
     out *= 0.5 * dt
     out += x
     out += dw
@@ -193,7 +189,7 @@ def _dp_stages(drift, x, t, dt, k, x5, err, tmp):
 
     Each combination adds its nonzero terms left to right, scales by ``dt``
     and adds ``x``, the operation order of ``x + dt * sum(a_j k_j)``.  The
-    drift results are left unchecked (see ``_check_attempt``).
+    drift results are left unchecked (see ``_rk45_adaptive``).
     """
     for s, c, (j, a), rest in _DP_STAGES:
         np.multiply(k[j], a, out=x5)
@@ -211,19 +207,7 @@ def _dp_stages(drift, x, t, dt, k, x5, err, tmp):
     err *= dt
 
 
-def _check_attempt(k, t, dt, err_norm):
-    """For an attempt whose error norm or ``k[1]`` sum is not finite, raise
-    what checking each drift result in stage order would raise.  Both can
-    also overflow on finite stages, so the stages are scanned first.
-    """
-    for s in range(1, 7):
-        if not np.all(np.isfinite(k[s])):
-            raise _nonfinite_drift(k[s], t + _DP_C[s] * dt)
-    if not math.isfinite(err_norm):
-        raise IntegrationError(f"non-finite error estimate at t={t:.6g}")
-
-
-def _rk45_adaptive(model, x, t0, t1, cfg):
+def _rk45_adaptive(drift, x, t0, t1, cfg):
     """Advance to t1 with embedded 5(4) error control.
 
     A member block of shape (N, n) is stepped in lockstep: the controlling
@@ -234,15 +218,16 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
     never written.  An accepted attempt's last stage is the next one's
     first, so ``k[0]`` and ``k[6]`` swap; a rejected one leaves ``k[0]`` as
     it is.
-    Each attempt is checked once, on its error norm and ``k[1]``;
-    ``integrate`` runs this with overflow and invalid operations quiet.
+    Each attempt is checked once, on its error norm and the sum of ``k[1]``
+    (the one stage the error estimate leaves out).  A failed check rescans
+    the stages in order, as both can also overflow on finite stages.
     """
-    drift = model.drift
     x = x.copy()
     x_new, err, ratios, tmp, abs_new = (np.empty_like(x) for _ in range(5))
     abs_x = np.abs(x)
     k = [np.empty_like(x) for _ in range(7)]
-    _checked_drift(model, x, t0, k[0])
+    if not math.isfinite(np.add.reduce(_drift_into(drift, x, t0, k[0]), axis=None)):
+        _rescan(k[0], t0)
     t = t0
     dt = min(cfg.dt, t1 - t0)
     prev_err_norm = 1.0
@@ -268,7 +253,10 @@ def _rk45_adaptive(model, x, t0, t1, cfg):
         ratios *= ratios
         err_norm = float(np.sqrt(np.add.reduce(ratios, axis=0).max() / ratios.shape[0]))
         if not (math.isfinite(err_norm) and math.isfinite(np.add.reduce(k[1], axis=None))):
-            _check_attempt(k, t, dt, err_norm)
+            for s in range(1, 7):
+                _rescan(k[s], t + _DP_C[s] * dt)
+            if not math.isfinite(err_norm):
+                raise IntegrationError(f"non-finite error estimate at t={t:.6g}")
         if err_norm <= 1.0:
             t += dt
             x, x_new = x_new, x
@@ -319,14 +307,16 @@ def integrate(
     if t1 == t0:
         return x.copy()
 
-    if cfg.scheme == "rk45-adaptive":
-        if model.noise_intensity > 0:
-            raise IntegrationError(
-                f"scheme {cfg.scheme!r} is deterministic; model has noise_intensity > 0"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _rk45_adaptive(model, x, t0, t1, cfg)
-    return _heun(model, x, t0, t1, cfg.dt, rng)
+    if cfg.scheme == "rk45-adaptive" and model.noise_intensity > 0:
+        raise IntegrationError(
+            f"scheme {cfg.scheme!r} is deterministic; model has noise_intensity > 0"
+        )
+    # Overflow is a diagnosed failure (a divergent member), not a bug: the
+    # steps run quietly and their finiteness checks raise with the member.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.scheme == "rk45-adaptive":
+            return _rk45_adaptive(model.drift, x, t0, t1, cfg)
+        return _heun(model, x, t0, t1, cfg.dt, rng)
 
 
 def _heun(model, x, t, t1, dt, rng):
@@ -340,6 +330,8 @@ def _heun(model, x, t, t1, dt, rng):
     n_steps = n_full + (remainder > 0.0)
     # A helper pays off for a large block with a next step to draw and a second CPU.
     helped = noisy and x.size >= NOISE_HELPER_MIN_ELEMS and n_steps > 1 and thread_cpus() > 1
+    if helped:
+        from concurrent.futures import ThreadPoolExecutor  # only here: the import costs every run 5 ms
     with ThreadPoolExecutor(1) if helped else nullcontext() as helper:
         # 0 and 1 the state in turn, 2 f0, 3 xp, 4 (and 5) the noise
         ws = [np.empty(x.shape) for _ in range(4 + noisy + helped)]
@@ -353,7 +345,7 @@ def _heun(model, x, t, t1, dt, rng):
             h = dt if i < n_full else remainder
             if noisy:
                 dw *= model.noise_intensity * np.sqrt(h)
-            x = _heun_step(model, x, t, h, dw, ws[2], ws[3], ws[i % 2])
+            x = _heun_step(model.drift, x, t, h, dw, ws[2], ws[3], ws[i % 2])
             t += dt
         return x if n_steps else x.copy()
 

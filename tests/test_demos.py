@@ -7,6 +7,7 @@ the scripts take their ``ImportError`` branch, so their figure code is not
 exercised by these tests.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -61,3 +62,35 @@ def test_every_exported_name_resolves():
         mod = importlib.import_module(modname)
         missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
         assert not missing, (modname, missing)
+
+
+@pytest.mark.parametrize("package, modules", [
+    ("trimkf", ["ensemble", "filters", "integrators", "metrics", "models", "oracle"]),
+    ("trimkf.experiments", ["config", "scenarios"]),
+])
+def test_package_exports_its_modules_all(package, modules):
+    # each name is declared once, in its module's __all__: the package
+    # re-exports the union and names none of them itself
+    pkg = importlib.import_module(package)
+    union = []
+    for name in modules:
+        mod = importlib.import_module(f"{package}.{name}")
+        for attr in mod.__all__:
+            assert getattr(pkg, attr) is getattr(mod, attr), (name, attr)
+        union += mod.__all__
+    assert list(pkg.__all__) == union
+    tree = ast.parse(Path(pkg.__file__).read_text(encoding="utf-8"))
+    named = {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
+    named |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    named |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    assert not named & set(union)
+
+
+def test_import_starts_no_executor_machinery(tmp_path):
+    # concurrent.futures is imported when a Heun noise helper starts, and
+    # multiprocessing when a map forks its workers
+    proc = _run(["-c", "import sys, trimkf.experiments; "
+                 "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
+                tmp_path, 60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

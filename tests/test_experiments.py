@@ -1,5 +1,6 @@
 """Tests for config validation, the CLI surface, and scenario outputs."""
 
+import concurrent.futures
 import errno
 import itertools
 import json
@@ -477,12 +478,13 @@ def test_helper_and_inline_forecasts_write_the_same_bytes(tmp_path, monkeypatch)
     # this process's own CPUs: on one usable CPU it draws inline.
     helpers = []
 
-    class Counting(integrators.ThreadPoolExecutor):
+    class Counting(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             helpers[-1] += 1
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(integrators, "ThreadPoolExecutor", Counting)
+    # integrators imports the executor when a helper starts
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
     own_cpus = integrators.usable_cpus()
     outputs = []
     for cpus in (2, 1, own_cpus):

@@ -1,8 +1,10 @@
 """Tests for the stochastic Heun and adaptive RK45 steppers."""
 
 import os
+import re
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from trimkf import integrators
 from trimkf.integrators import (
     _DP_A,
     _DP_C,
+    SCHEMES,
     IntegrationError,
     IntegratorConfig,
-    _checked_drift,
     integrate,
     share_cpus,
     thread_cpus,
@@ -502,9 +504,14 @@ class TestNonFiniteDrift:
             integrate(m, np.ones((2, 4)), 0.0, 1.0, cfg)
 
     def test_finite_drift_whose_sum_overflows_passes(self):
+        # every entry is finite but the one-sum check overflows: the rescan
+        # finds nothing, and the steps run on without a warning, Heun's into
+        # a non-finite state that only Ensemble's check rejects
         m = DynModel(drift=lambda x, t, out: np.full_like(x, 1e308))
-        out = _checked_drift(m, np.zeros((3, 2)), 0.0, np.empty((3, 2)))
-        assert np.all(out == 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scheme in SCHEMES:
+                integrate(m, np.zeros((3, 2)), 0.0, 0.02, IntegratorConfig(scheme=scheme, dt=0.01))
 
 
 def _counted_drift(per_call):
@@ -526,7 +533,7 @@ def _counted_drift(per_call):
 
 def _ref_checked(model):
     """The model with each drift result checked as it is made: the
-    per-drift reference for the error DP45 raises once per attempt."""
+    per-drift reference for the error a scheme raises once per step."""
 
     def drift(x, t, out):
         f = np.asarray(model.drift(x, t, out), dtype=float)
@@ -535,7 +542,7 @@ def _ref_checked(model):
             raise IntegrationError(f"non-finite drift at t={t:.6g} (member {bad[0]})")
         return f
 
-    return DynModel(drift=drift)
+    return DynModel(drift=drift, noise_intensity=model.noise_intensity)
 
 
 class TestDP45AttemptCheck:
@@ -580,6 +587,20 @@ class TestDP45AttemptCheck:
 
         with pytest.raises(IntegrationError, match=r"non-finite drift at t=0\.5 \(member 1\)"):
             integrate(_counted_drift(spoil), np.ones((2, 3)), 0.5, 1.0, self.CFG)
+
+    def test_bad_drift_at_interval_start_before_step_underflow(self):
+        # the span is shorter than MIN_ADAPTIVE_STEP, so the first attempt
+        # underflows; k[0] is checked before it
+        t1 = 0.5 + integrators.MIN_ADAPTIVE_STEP / 10
+        with pytest.raises(IntegrationError, match="adaptive step underflow"):
+            integrate(_counted_drift(lambda out, i: None), np.ones((2, 3)), 0.5, t1, self.CFG)
+
+        def spoil(out, i):
+            if i == 0:
+                out[1, 1] = np.nan
+
+        with pytest.raises(IntegrationError, match=r"non-finite drift at t=0\.5 \(member 1\)"):
+            integrate(_counted_drift(spoil), np.ones((2, 3)), 0.5, t1, self.CFG)
 
     def test_finite_stages_with_overflowing_error(self):
         # b_6 = 0 keeps the solution at x = 0; e_6 k[6] / atol squares past
@@ -704,6 +725,43 @@ class TestNoisePrefetch:
         assert str(got.value) == str(ref.value)
         assert str(got.value).endswith("(member 7)")
         assert threading.active_count() == threads_before
+
+
+class TestHeunStepCheck:
+    """Heun tests finiteness once per step, by one sum of its two drifts; it
+    must raise what a check of every drift result would raise, and leave the
+    ``rng`` where that check left it: after the failing step's draw inline,
+    and after the next step's draw too on the helper path, whose draw ahead
+    has started by then."""
+
+    @pytest.mark.parametrize("bad", ["f(x)", "f(xp)"])
+    def test_first_bad_drift_named_and_rng_state(self, noise_path, bad):
+        # from t = 0.5, f(x) of the first step is the only call at t = 0.5;
+        # the first call after t = 0.805 is the f(xp) of a step, as each later
+        # f(x) shares its time with the f(xp) before it
+        base, x0 = _l96_block(1000, 3, sigma=0.5)
+
+        def drift(x, t, out):
+            f = base.drift(x, t, out)
+            if (t == 0.5) if bad == "f(x)" else (t > 0.805):
+                f[4, 7] = np.nan
+                f[2, 9] = np.inf
+            return f
+
+        model = DynModel(drift=drift, noise_intensity=0.5)
+        dt, t1 = 0.01, 1.4
+        rng_ref, rng = np.random.default_rng(2), np.random.default_rng(2)
+        with pytest.raises(IntegrationError) as want:
+            _chained_heun(_ref_checked(model), x0, 0.5, t1, dt, rng_ref)
+        with pytest.raises(IntegrationError) as got:
+            integrate(model, x0, 0.5, t1, IntegratorConfig(dt=dt), rng)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith("(member 7)")
+        t_bad = float(re.search(r"t=(\S+) ", str(got.value)).group(1))
+        assert t_bad == (0.5 if bad == "f(x)" else 0.81)
+        if noise_path == "helper":
+            rng_ref.standard_normal(x0.shape)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_heun_interval_memory_does_not_grow_with_steps(noise_path):
